@@ -34,6 +34,10 @@
  *     from the checkpoint cache), with a bit-identity check between
  *     the two; plus time-to-first-measurement on the Big64M machine
  *     with full-detail vs functional-only warmup.
+ *  6. Checkpoint serializer throughput: FrameTable lane capture and
+ *     restore GB/s, and whole-image captureCheckpoint /
+ *     restoreCheckpoint GB/s (framing and section checksums included)
+ *     on a Big1M machine parked mid-trial.
  *
  * Usage: perf_core [output.json]   (default: BENCH_core.json in cwd)
  */
@@ -917,7 +921,7 @@ main(int argc, char **argv)
                                   : 0.0;
     std::printf("  speedup: %.2fx\n\n", ff_speedup);
 
-    // --- 7. Checkpoint serializer: FrameTable capture GB/s. --------
+    // --- 7. Checkpoint serializer: FrameTable lanes, whole images. -
     // A fully mapped table sliced across two dozen spaces, captured
     // with the checkpoint layer's own space_id shape (a std::function
     // wrapping a linear rig scan). saveState memoizes per distinct
@@ -1004,8 +1008,54 @@ main(int argc, char **argv)
                 ser_ref_secs);
     std::printf("  save:    %.3f s (%.2f GB/s, %.1fx vs per-frame)\n",
                 ser_save_secs, ser_save_gbps, ser_speedup);
-    std::printf("  restore: %.3f s (%.2f GB/s)\n\n", ser_restore_secs,
+    std::printf("  restore: %.3f s (%.2f GB/s)\n", ser_restore_secs,
                 ser_restore_gbps);
+
+    // Image level: the whole captureCheckpoint / restoreCheckpoint
+    // path, section framing and checksums included, on a Big1M
+    // machine parked at the boundary pagesim_bench's ckpt-big1m cells
+    // use. Each restore sample gets a freshly built target rig (built
+    // outside the timed region), as a warm trial does.
+    constexpr std::uint64_t kImageBoundary = 1250000;
+    const ExperimentConfig img_cfg = bigCell(ScalePreset::Big1M);
+    const std::uint64_t img_hash = configPrefixHash(img_cfg);
+    TrialRigOptions img_opts;
+    img_opts.deferObservers = true;
+    TrialRig img_rig(img_cfg, img_cfg.baseSeed, img_opts);
+    std::uint64_t img_used = 0;
+    bool img_ok = img_rig.runToBoundary(kImageBoundary, 2000000000ull,
+                                        img_used);
+    Checkpoint img_ckpt;
+    const double img_capture_secs = min5([&] {
+        Checkpoint ckpt;
+        const auto start = Clock::now();
+        const CheckpointError err = captureCheckpoint(
+            img_rig.view(), img_hash, img_cfg.baseSeed, kImageBoundary,
+            ckpt);
+        const double secs = secondsSince(start);
+        img_ok = img_ok && err.ok();
+        img_ckpt = std::move(ckpt);
+        return secs;
+    });
+    const double img_restore_secs = min5([&] {
+        TrialRigOptions opts;
+        opts.forRestore = true;
+        opts.deferObservers = true;
+        TrialRig target(img_cfg, img_cfg.baseSeed, opts);
+        const auto start = Clock::now();
+        const CheckpointError err = restoreCheckpoint(
+            target.view(), img_hash, img_cfg.baseSeed, img_ckpt);
+        const double secs = secondsSince(start);
+        img_ok = img_ok && err.ok();
+        return secs;
+    });
+    const double img_mb = static_cast<double>(img_ckpt.bytes.size()) / 1e6;
+    const double img_capture_gbps = img_mb / 1e3 / img_capture_secs;
+    const double img_restore_gbps = img_mb / 1e3 / img_restore_secs;
+    std::printf("  image (%s, Big1M, %.1f MB): capture %.2f GB/s, "
+                "restore %.2f GB/s%s\n\n",
+                img_cfg.label().c_str(), img_mb, img_capture_gbps,
+                img_restore_gbps, img_ok ? "" : " (FAILED)");
 
     // --- Emit the JSON baseline. -----------------------------------
     const unsigned cores = std::thread::hardware_concurrency();
@@ -1144,16 +1194,32 @@ main(int argc, char **argv)
                  "    \"save_gb_per_sec\": %.3f,\n"
                  "    \"restore_seconds\": %.4f,\n"
                  "    \"restore_gb_per_sec\": %.3f,\n"
-                 "    \"speedup_vs_per_frame\": %.3f\n  }\n",
+                 "    \"speedup_vs_per_frame\": %.3f,\n"
+                 "    \"image\": {\n"
+                 "      \"cell\": \"%s\",\n"
+                 "      \"scale\": \"Big1M\",\n"
+                 "      \"boundary_refs\": %llu,\n"
+                 "      \"image_mb\": %.1f,\n"
+                 "      \"estimator\": \"min of 5\",\n"
+                 "      \"capture_seconds\": %.4f,\n"
+                 "      \"capture_gb_per_sec\": %.3f,\n"
+                 "      \"restore_seconds\": %.4f,\n"
+                 "      \"restore_gb_per_sec\": %.3f,\n"
+                 "      \"round_trip_ok\": %s\n    }\n  }\n",
                  kSerFrames, kSerSpaces, ser_payload_mb, ser_ref_secs,
                  ser_save_secs, ser_save_gbps, ser_restore_secs,
-                 ser_restore_gbps, ser_speedup);
+                 ser_restore_gbps, ser_speedup, img_cfg.label().c_str(),
+                 static_cast<unsigned long long>(kImageBoundary), img_mb,
+                 img_capture_secs, img_capture_gbps, img_restore_secs,
+                 img_restore_gbps, img_ok ? "true" : "false");
     std::fprintf(out, "}\n");
     std::fclose(out);
     std::printf("wrote %s\n", out_path.c_str());
 
     // Non-zero exit if the parallel sweep, the sharded scan, or a
     // checkpoint restore ever diverges from the straight-through
-    // path — a cheap determinism canary in CI.
-    return (identical && big_identity && ckpt_identical) ? 0 : 2;
+    // path, or an image fails to capture or restore — a cheap
+    // determinism canary in CI.
+    return (identical && big_identity && ckpt_identical && img_ok) ? 0
+                                                                   : 2;
 }

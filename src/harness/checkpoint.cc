@@ -43,6 +43,13 @@ const char *const kSectionNames[] = {
 constexpr std::size_t kSectionCount =
     sizeof(kSectionNames) / sizeof(kSectionNames[0]);
 
+/**
+ * Capture reserve beyond the page-table and frame lanes: the header,
+ * section framing and the small sections (sim, mm, swap, workloads,
+ * actors, barriers), ~32 KiB together on a Big1M machine.
+ */
+constexpr std::size_t kImageSlackBytes = std::size_t{1} << 20;
+
 CheckpointError
 makeError(CheckpointError::Kind kind, std::string message)
 {
@@ -130,9 +137,45 @@ struct RawCursor
 };
 
 /**
+ * Append a u64 length slot, run @p body (which appends the record),
+ * then backfill the slot with the record's byte length.
+ */
+template <typename Body>
+void
+writeRecord(Sink &sink, const Body &body)
+{
+    const std::size_t slot = sink.size();
+    sink.u64(0);
+    body();
+    sink.patchU64(slot, sink.size() - slot - 8);
+}
+
+/**
+ * Append one framed section: name, then length and checksum slots,
+ * then the payload @p body writes in place. Both slots are backfilled
+ * over the payload span, so the payload is never staged or re-copied.
+ */
+template <typename Body>
+void
+writeSection(Sink &image, const char *name, const Body &body)
+{
+    const std::size_t name_len = std::strlen(name);
+    image.u32(static_cast<std::uint32_t>(name_len));
+    image.bytes(name, name_len);
+    const std::size_t slot = image.size();
+    image.u64(0); // payload length
+    image.u64(0); // payload checksum
+    const std::size_t begin = slot + 16;
+    body();
+    const std::size_t len = image.size() - begin;
+    image.patchU64(slot, len);
+    image.patchU64(slot + 8, checksum64(image.data().data() + begin, len));
+}
+
+/**
  * Decode the image layout and validate EVERYTHING that can be checked
  * without touching a rig: magic, version, per-section bounds, and
- * every section fingerprint. After this returns ok(), a later apply
+ * every section checksum. After this returns ok(), a later apply
  * can only fail on a semantic mismatch, never on corruption.
  */
 CheckpointError
@@ -181,10 +224,11 @@ parseImage(const std::vector<std::uint8_t> &bytes, ParsedImage &out)
         sec.name.assign(reinterpret_cast<const char *>(name), name_len);
         sec.data = payload;
         sec.len = payload_len;
-        if (fnv1a(payload, static_cast<std::size_t>(payload_len)) != fp)
+        if (checksum64(payload, static_cast<std::size_t>(payload_len)) !=
+            fp)
             return makeError(
                 CheckpointError::Kind::FingerprintMismatch,
-                "section '" + sec.name + "' fingerprint mismatch");
+                "section '" + sec.name + "' checksum mismatch");
         out.sections.push_back(std::move(sec));
     }
     if (cur.off != cur.len)
@@ -253,72 +297,16 @@ captureCheckpoint(const RigView &rig, std::uint64_t config_hash,
         return 0;
     };
 
-    Sink payloads[kSectionCount];
-    std::size_t s = 0;
-
-    rig.sim->saveState(payloads[s++]); // sim
-
-    {
-        Sink &sink = payloads[s++]; // spaces
-        sink.u32(static_cast<std::uint32_t>(rig.spaces.size()));
-        for (const AddressSpace *space : rig.spaces) {
-            Sink sub;
-            space->saveState(sub);
-            sink.u64(sub.size());
-            sink.bytes(sub.data().data(), sub.size());
-        }
-    }
-
-    rig.frames->saveState(payloads[s++], space_id); // frames
-    rig.mm->saveState(payloads[s++], space_id);     // mm
-    rig.swap->saveState(payloads[s++]);             // swap
-
-    {
-        Sink &sink = payloads[s++]; // workloads
-        sink.u32(static_cast<std::uint32_t>(rig.workloads.size()));
-        for (const Workload *wl : rig.workloads) {
-            Sink sub;
-            wl->saveState(sub);
-            sink.u64(sub.size());
-            sink.bytes(sub.data().data(), sub.size());
-        }
-    }
-
-    {
-        Sink &sink = payloads[s++]; // actors
-        sink.u32(static_cast<std::uint32_t>(rig.actors.size()));
-        for (const SimActor *actor : rig.actors) {
-            Sink sub;
-            actor->saveState(sub);
-            sink.u64(sub.size());
-            sink.bytes(sub.data().data(), sub.size());
-        }
-    }
-
-    {
-        Sink &sink = payloads[s++]; // barriers
-        for (Workload *wl : rig.workloads) {
-            std::vector<SimBarrier *> barriers;
-            wl->forEachBarrier(
-                [&barriers](SimBarrier &b) { barriers.push_back(&b); });
-            sink.u32(static_cast<std::uint32_t>(barriers.size()));
-            for (const SimBarrier *b : barriers)
-                b->saveState(sink, actor_index);
-        }
-    }
-    assert(s == kSectionCount);
-
+    // The page-table and frame lanes are nearly the whole image and
+    // their sizes are known exactly: reserve them (plus slack for the
+    // framing and the small sections) so the buffer is allocated and
+    // first touched once, never re-copied by a geometric grow. An
+    // image past the estimate still encodes correctly, just slower.
+    std::size_t lane_bytes = rig.frames->stateBytes();
+    for (const AddressSpace *space : rig.spaces)
+        lane_bytes += 8 + space->stateBytes();
     Sink image;
-    // The image re-copies every section payload; reserve the exact
-    // assembled size (fixed header + per-section name/len/hash
-    // framing + payload bytes) so the frames section's hundreds of
-    // MB are copied once, not re-copied on every geometric grow.
-    std::size_t imageBytes = 8 + 4 + 8 + 8 + 8 + 8 + 4;
-    for (std::size_t i = 0; i < kSectionCount; ++i) {
-        imageBytes += 4 + std::strlen(kSectionNames[i]) + 8 + 8 +
-                      payloads[i].size();
-    }
-    image.reserve(imageBytes);
+    image.reserve(lane_bytes + kImageSlackBytes);
     image.u64(kCheckpointMagic);
     image.u32(kCheckpointVersion);
     image.u64(config_hash);
@@ -326,20 +314,48 @@ captureCheckpoint(const RigView &rig, std::uint64_t config_hash,
     image.u64(rig.sim->now());
     image.u64(refs);
     image.u32(static_cast<std::uint32_t>(kSectionCount));
-    for (std::size_t i = 0; i < kSectionCount; ++i) {
-        const char *name = kSectionNames[i];
-        image.u32(static_cast<std::uint32_t>(std::strlen(name)));
-        image.bytes(name, std::strlen(name));
-        image.u64(payloads[i].size());
-        image.u64(fnv1a(payloads[i].data().data(), payloads[i].size()));
-        image.bytes(payloads[i].data().data(), payloads[i].size());
-    }
+
+    std::size_t s = 0;
+    const auto section = [&image, &s](const auto &body) {
+        writeSection(image, kSectionNames[s++], body);
+    };
+
+    section([&] { rig.sim->saveState(image); }); // sim
+    section([&] {                                // spaces
+        image.u32(static_cast<std::uint32_t>(rig.spaces.size()));
+        for (const AddressSpace *space : rig.spaces)
+            writeRecord(image, [&] { space->saveState(image); });
+    });
+    section([&] { rig.frames->saveState(image, space_id); }); // frames
+    section([&] { rig.mm->saveState(image, space_id); });     // mm
+    section([&] { rig.swap->saveState(image); });             // swap
+    section([&] {                                             // workloads
+        image.u32(static_cast<std::uint32_t>(rig.workloads.size()));
+        for (const Workload *wl : rig.workloads)
+            writeRecord(image, [&] { wl->saveState(image); });
+    });
+    section([&] { // actors
+        image.u32(static_cast<std::uint32_t>(rig.actors.size()));
+        for (const SimActor *actor : rig.actors)
+            writeRecord(image, [&] { actor->saveState(image); });
+    });
+    section([&] { // barriers
+        for (Workload *wl : rig.workloads) {
+            std::vector<SimBarrier *> barriers;
+            wl->forEachBarrier(
+                [&barriers](SimBarrier &b) { barriers.push_back(&b); });
+            image.u32(static_cast<std::uint32_t>(barriers.size()));
+            for (const SimBarrier *b : barriers)
+                b->saveState(image, actor_index);
+        }
+    });
+    assert(s == kSectionCount);
 
     out.configHash = config_hash;
     out.seed = seed;
     out.when = rig.sim->now();
     out.refs = refs;
-    out.bytes = image.data();
+    out.bytes = std::move(image).take();
     return {};
 }
 
@@ -389,6 +405,17 @@ restoreCheckpoint(const RigView &rig, std::uint64_t config_hash,
                     "space " + std::to_string(i) +
                         " layout differs from the checkpoint");
         }
+    }
+    {
+        const ParsedSection &sec = *img.section("frames");
+        if (!rig.frames->stateShapeMatches(
+                Source(sec.data, static_cast<std::size_t>(sec.len))))
+            return makeError(CheckpointError::Kind::ConfigMismatch,
+                             "checkpoint frame table does not match the "
+                             "rig's " +
+                                 std::to_string(
+                                     rig.frames->totalFrames()) +
+                                 " frames");
     }
     {
         RawCursor cur{img.section("workloads")->data,

@@ -1,6 +1,6 @@
 /**
  * @file
- * Versioned, fingerprinted binary snapshots of a mid-trial simulator.
+ * Versioned, checksummed binary snapshots of a mid-trial simulator.
  *
  * A checkpoint captures every layer of a quiescent simulated machine —
  * page-table and frame-table SoA lanes, region/shard bitmaps, memcg
@@ -24,15 +24,28 @@
  * event in ascending saved (when, seq) order, which preserves the
  * dispatch relation under fresh sequence numbers.
  *
- * Format: a little-endian header (magic, version, config-prefix hash,
- * seed, sim time, refs) followed by named sections, each carrying its
- * byte length and an FNV-1a fingerprint. Loading is two-pass: ALL
- * section fingerprints are validated before ANY state is applied, so
- * truncation, version skew, and flipped bytes are rejected with a
- * structured error and zero partial state. (If apply itself fails —
- * only possible on a format bug the version check should have caught —
- * the caller must discard the half-restored rig; runTrial's fallback
- * path rebuilds from scratch.)
+ * Format (version 2): a little-endian header (magic, version,
+ * config-prefix hash, seed, sim time, refs, section count) followed by
+ * named sections, each framed as name length, name, payload length,
+ * payload checksum (checksum64, sim/serialize.hh), payload. The
+ * framing is byte-for-byte that of version 1; version 2 replaced the
+ * byte-serial FNV-1a section fingerprint with the word-wide checksum64,
+ * so a version-1 image is refused with VersionMismatch. A
+ * little-endian host is assumed: lanes are copied in host order.
+ *
+ * Capture is single-copy: every section, and every length-prefixed
+ * space/workload/actor record inside one, is serialized straight into
+ * the one image buffer (reserved up front from the lane sizes); its
+ * length and checksum slots are backfilled over the payload span, and
+ * the finished buffer is moved, not copied, into Checkpoint::bytes.
+ *
+ * Loading is two-pass: ALL section checksums, the frame-table shape
+ * and the replayed layout are validated before ANY state is applied,
+ * so truncation, version skew, flipped bytes and a machine of another
+ * size are rejected with a structured error and zero partial state.
+ * (If apply itself fails — only possible on a format bug the version
+ * check should have caught — the caller must discard the half-restored
+ * rig; runTrial's fallback path rebuilds from scratch.)
  */
 
 #ifndef PAGESIM_HARNESS_CHECKPOINT_HH
@@ -62,7 +75,7 @@ class Workload;
 class SimActor;
 
 /** Checkpoint format version; bump on any serialized-layout change. */
-constexpr std::uint32_t kCheckpointVersion = 1;
+constexpr std::uint32_t kCheckpointVersion = 2;
 
 /** Structured checkpoint failure. */
 struct CheckpointError
@@ -74,8 +87,10 @@ struct CheckpointError
         Truncated,           ///< image shorter than its declared layout
         BadMagic,            ///< not a checkpoint image
         VersionMismatch,     ///< produced by a different format version
-        ConfigMismatch,      ///< config-prefix hash or seed disagrees
-        FingerprintMismatch, ///< a section's FNV-1a does not match
+        ConfigMismatch,      ///< config hash, seed or machine shape
+                             ///< (spaces, frames, actors) disagrees
+        FingerprintMismatch, ///< a section's payload does not match its
+                             ///< recorded checksum64
         SectionMissing,      ///< a required section is absent
         Unsupported,         ///< image valid but not applicable here
         NotQuiescent,        ///< capture attempted off a quiescent point
@@ -139,9 +154,9 @@ CheckpointError captureCheckpoint(const RigView &rig,
  * Validate @p ckpt and apply it to @p rig, a freshly built rig
  * (TrialRigOptions::forRestore) of the SAME configuration and seed.
  * All validation (magic, version, config hash, seed, every section
- * fingerprint, layout replay) happens before any state is touched; on
- * a validation error the rig is untouched. On an apply error (format
- * bug) the rig must be discarded.
+ * checksum, frame-table shape, layout replay) happens before any state
+ * is touched; on a validation error the rig is untouched. On an apply
+ * error (format bug) the rig must be discarded.
  */
 CheckpointError restoreCheckpoint(const RigView &rig,
                                   std::uint64_t config_hash,
@@ -154,7 +169,7 @@ CheckpointError saveCheckpointFile(const std::string &path,
 
 /**
  * Read and fully validate a checkpoint image from @p path (header AND
- * every section fingerprint, so later restore cannot trip over
+ * every section checksum, so later restore cannot trip over
  * corruption mid-apply).
  */
 CheckpointError loadCheckpointFile(const std::string &path,

@@ -147,6 +147,9 @@ class AddressSpace
         table_.saveState(sink);
     }
 
+    /** Exact byte size of the saveState() image. */
+    std::size_t stateBytes() const { return 8 + table_.stateBytes(); }
+
     /**
      * Restore state captured by saveState().
      * @return false when the recorded layout does not match this

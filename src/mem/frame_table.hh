@@ -251,21 +251,11 @@ class FrameTable
             }
             ids[i] = lastId;
         }
-        // The lane footprint is known exactly (13 podVec headers plus
-        // raw lane bytes); reserving it up front keeps the capture at
+        // Reserving the exact footprint keeps a standalone capture at
         // one allocation instead of geometric re-copies of a
-        // multi-hundred-MB buffer. The byte stream is unchanged.
-        const auto lane = [](const auto &v) {
-            return 8 +
-                   v.size() *
-                       sizeof(typename std::decay_t<
-                              decltype(v)>::value_type);
-        };
-        sink.reserve(sink.size() + lane(ids) + lane(vpn_) +
-                     lane(prev_) + lane(next_) + lane(listId_) +
-                     lane(gen_) + lane(tier_) + lane(file_) +
-                     lane(fromReadahead_) + lane(backing_) +
-                     lane(refs_) + lane(memcg_) + lane(freeList_));
+        // multi-hundred-MB buffer (a checkpoint image reserves it up
+        // front, making this a no-op). The byte stream is unchanged.
+        sink.reserve(sink.size() + stateBytes());
         sink.podVec(ids);
         sink.podVec(vpn_);
         sink.podVec(prev_);
@@ -281,20 +271,65 @@ class FrameTable
         sink.podVec(freeList_);
     }
 
-    /** Restore state captured by saveState(). */
+    /** Exact byte size of the saveState() image (13 podVec lanes). */
+    std::size_t
+    stateBytes() const
+    {
+        // The owner-id lane saveState writes in place of space_ holds
+        // one u32 per frame.
+        return 8 + space_.size() * sizeof(std::uint32_t) +
+               podVecBytes(vpn_) + podVecBytes(prev_) +
+               podVecBytes(next_) + podVecBytes(listId_) +
+               podVecBytes(gen_) + podVecBytes(tier_) +
+               podVecBytes(file_) + podVecBytes(fromReadahead_) +
+               podVecBytes(backing_) + podVecBytes(refs_) +
+               podVecBytes(memcg_) + podVecBytes(freeList_);
+    }
+
+    /**
+     * True when @p src (positioned at a saveState() image) holds
+     * exactly one entry per frame of THIS table in every per-frame
+     * lane and at most that many free-list entries. Reads only the
+     * lane headers. Checkpoint restore runs it before applying
+     * anything: an image from a machine of another size must be
+     * refused, not decoded into lanes of unequal length.
+     */
+    bool
+    stateShapeMatches(Source src) const
+    {
+        const std::uint64_t n = space_.size();
+        const auto count = [&src](const auto &lane) {
+            return src.skipPodVec<
+                typename std::decay_t<decltype(lane)>::value_type>();
+        };
+        const bool lanes =
+            src.skipPodVec<std::uint32_t>() == n && count(vpn_) == n &&
+            count(prev_) == n && count(next_) == n &&
+            count(listId_) == n && count(gen_) == n &&
+            count(tier_) == n && count(file_) == n &&
+            count(fromReadahead_) == n && count(backing_) == n &&
+            count(refs_) == n && count(memcg_) == n;
+        return lanes && count(freeList_) <= n && src.ok();
+    }
+
+    /**
+     * Restore state captured by saveState(). An image whose shape
+     * does not match this table (stateShapeMatches) is refused whole:
+     * @p src latches failure and no lane changes.
+     */
     void
     restoreState(Source &src,
                  const std::function<AddressSpace *(std::uint32_t)>
                      &space_at)
     {
+        if (!stateShapeMatches(src)) {
+            src.fail();
+            return;
+        }
         std::vector<std::uint32_t> ids;
         src.podVec(ids);
-        if (src.ok() && ids.size() == space_.size()) {
-            for (std::size_t i = 0; i < ids.size(); ++i) {
-                space_[i] = ids[i] == kNoSpaceId ? nullptr
-                                                 : space_at(ids[i]);
-            }
-        }
+        for (std::size_t i = 0; i < ids.size(); ++i)
+            space_[i] = ids[i] == kNoSpaceId ? nullptr : space_at(ids[i]);
         src.podVec(vpn_);
         src.podVec(prev_);
         src.podVec(next_);

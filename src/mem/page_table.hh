@@ -352,6 +352,17 @@ class PageTable
         sink.u64(totalPresent_);
     }
 
+    /** Exact byte size of the saveState() image. */
+    std::size_t
+    stateBytes() const
+    {
+        return podVecBytes(pteValue_) + podVecBytes(pteShadow_) +
+               podVecBytes(pteFlags_) + podVecBytes(regions_) +
+               podVecBytes(shards_) + podVecBytes(presentBits_) +
+               podVecBytes(accessedBits_) + podVecBytes(mappedBits_) +
+               podVecBytes(presentSummary_) + 8 + 8;
+    }
+
     /** Restore state captured by saveState(). */
     void
     restoreState(Source &src)

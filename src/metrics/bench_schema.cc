@@ -271,6 +271,25 @@ validateBenchCore(const std::string &json_text)
         c.positiveNumber(*ser, "serializer", "restore_seconds");
         c.positiveNumber(*ser, "serializer", "restore_gb_per_sec");
         c.positiveNumber(*ser, "serializer", "speedup_vs_per_frame");
+        if (const JsonValue *img =
+                c.object(*ser, "serializer", "image")) {
+            c.nonEmptyString(*img, "serializer.image", "cell");
+            c.nonEmptyString(*img, "serializer.image", "scale");
+            c.nonEmptyString(*img, "serializer.image", "estimator");
+            c.positiveNumber(*img, "serializer.image", "boundary_refs");
+            c.positiveNumber(*img, "serializer.image", "image_mb");
+            c.positiveNumber(*img, "serializer.image", "capture_seconds");
+            c.positiveNumber(*img, "serializer.image",
+                             "capture_gb_per_sec");
+            c.positiveNumber(*img, "serializer.image", "restore_seconds");
+            c.positiveNumber(*img, "serializer.image",
+                             "restore_gb_per_sec");
+            // A whole-image capture or restore that failed makes the
+            // throughput meaningless; the document is invalid.
+            const bool required = true;
+            c.boolean(*img, "serializer.image", "round_trip_ok",
+                      &required);
+        }
     }
 
     return c.problems;

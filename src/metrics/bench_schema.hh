@@ -26,10 +26,13 @@ namespace pagesim
  *  - the text parses as one JSON object with schema_version >= 1;
  *  - every section perf_core emits is present with its fields
  *    (event_queue hold/churn, aging_scan patterns, trial,
- *    metrics_overhead, sweep, checkpoint);
+ *    metrics_overhead, big_machine, sweep, checkpoint, serializer
+ *    with its whole-image serializer.image);
  *  - throughputs, wall times, and speedups are finite and > 0;
- *  - sweep.identical_results and checkpoint.sweep.identical_results
- *    are true (the determinism canaries).
+ *  - sweep.identical_results, checkpoint.sweep.identical_results,
+ *    big_machine.fingerprint_identity and
+ *    serializer.image.round_trip_ok are true (the determinism and
+ *    round-trip canaries).
  *
  * @return all problems found, one message each; empty means valid.
  */

@@ -1,6 +1,10 @@
 #include "sim/rng.hh"
 
+#include <bit>
 #include <cassert>
+#include <map>
+#include <mutex>
+#include <utility>
 
 namespace pagesim
 {
@@ -160,9 +164,24 @@ ZipfianGenerator::ZipfianGenerator(std::uint64_t n, double theta,
 double
 ZipfianGenerator::zeta(std::uint64_t n, double theta)
 {
+    // Keyed on theta's bit pattern: the memo must never hand back a
+    // value computed for a different double, however close.
+    using Key = std::pair<std::uint64_t, std::uint64_t>;
+    static std::mutex mutex;
+    static std::map<Key, double> memo;
+    const Key key{n, std::bit_cast<std::uint64_t>(theta)};
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        if (const auto it = memo.find(key); it != memo.end())
+            return it->second;
+    }
+    // Computed outside the lock so generators with other keys are not
+    // held up; a concurrent duplicate computes the identical sum.
     double sum = 0.0;
     for (std::uint64_t i = 1; i <= n; ++i)
         sum += 1.0 / std::pow(static_cast<double>(i), theta);
+    std::lock_guard<std::mutex> lock(mutex);
+    memo.emplace(key, sum);
     return sum;
 }
 

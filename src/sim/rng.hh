@@ -129,6 +129,12 @@ class ZipfianGenerator
     double theta() const { return theta_; }
 
   private:
+    /**
+     * zeta(n, theta) = sum_{i=1..n} i^-theta, an O(n) pow loop. Memoized
+     * process-wide on the exact (n, theta) bits: every YCSB thread of
+     * every rig (restore targets included) asks for the same few
+     * values, and a cached value is the very double the loop returns.
+     */
     static double zeta(std::uint64_t n, double theta);
 
     std::uint64_t n_;

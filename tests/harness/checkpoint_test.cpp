@@ -29,6 +29,8 @@
 #include "harness/sweep.hh"
 #include "harness/trial_rig.hh"
 #include "kernel/memory_manager.hh"
+#include "mem/frame_table.hh"
+#include "sim/serialize.hh"
 
 namespace pagesim
 {
@@ -407,10 +409,11 @@ TEST(CheckpointCorruption, RejectedImagesApplyNothing)
         captureAtBoundary(cfg, seed, straight.totalTouches / 2);
     ASSERT_GT(good.bytes.size(), 64u);
 
-    // Fixed image offsets (format frozen at kCheckpointVersion = 1):
-    // magic u64 @0, version u32 @8, first section's name-length u32
-    // @48 and name bytes @52 ("sim").
-    ASSERT_EQ(good.bytes[8], 1u) << "version field moved?";
+    // Fixed image offsets (framing unchanged since kCheckpointVersion
+    // = 1; version 2 changed only the section checksum): magic u64 @0,
+    // version u32 @8, first section's name-length u32 @48 and name
+    // bytes @52 ("sim").
+    ASSERT_EQ(good.bytes[8], 2u) << "version field moved?";
     ASSERT_EQ(good.bytes[48], 3u) << "first section name-length moved?";
     ASSERT_EQ(good.bytes[52], static_cast<std::uint8_t>('s'));
 
@@ -430,8 +433,8 @@ TEST(CheckpointCorruption, RejectedImagesApplyNothing)
         {"bad-magic",
          [](std::vector<std::uint8_t> &b) { b[0] ^= 0xff; },
          CheckpointError::Kind::BadMagic},
-        {"version-skew",
-         [](std::vector<std::uint8_t> &b) { b[8] = 2; },
+        {"version-skew-old-v1-image",
+         [](std::vector<std::uint8_t> &b) { b[8] = 1; },
          CheckpointError::Kind::VersionMismatch},
         {"flipped-payload-byte",
          [](std::vector<std::uint8_t> &b) { b[b.size() - 1] ^= 0x01; },
@@ -475,6 +478,98 @@ TEST(CheckpointCorruption, RejectedImagesApplyNothing)
                       .kind,
                   CheckpointError::Kind::ConfigMismatch);
     }
+}
+
+/** Little-endian field of @p width bytes at @p off. */
+std::uint64_t
+readLe(const std::vector<std::uint8_t> &b, std::size_t off, int width)
+{
+    std::uint64_t v = 0;
+    for (int i = 0; i < width; ++i)
+        v |= static_cast<std::uint64_t>(b[off + i]) << (8 * i);
+    return v;
+}
+
+void
+writeLe(std::vector<std::uint8_t> &b, std::size_t off, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i)
+        b[off + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/**
+ * Byte surgery: replace section @p name's payload in @p image with
+ * @p payload, rewriting its length and recomputing its checksum, so
+ * the edited image passes every integrity check and only semantic
+ * validation can refuse it.
+ */
+void
+replaceSection(std::vector<std::uint8_t> &image, const std::string &name,
+               const std::vector<std::uint8_t> &payload)
+{
+    std::size_t off = 44; // past magic, version, hash, seed, when, refs
+    const std::uint64_t nsections = readLe(image, off, 4);
+    off += 4;
+    for (std::uint64_t i = 0; i < nsections; ++i) {
+        const std::size_t name_len = readLe(image, off, 4);
+        const std::string sec(image.begin() + off + 4,
+                              image.begin() + off + 4 + name_len);
+        const std::size_t len_at = off + 4 + name_len;
+        const std::size_t len = readLe(image, len_at, 8);
+        const std::size_t begin = len_at + 16;
+        if (sec == name) {
+            image.erase(image.begin() + begin,
+                        image.begin() + begin + len);
+            image.insert(image.begin() + begin, payload.begin(),
+                         payload.end());
+            writeLe(image, len_at, payload.size());
+            writeLe(image, len_at + 8,
+                    checksum64(payload.data(), payload.size()));
+            return;
+        }
+        off = begin + len;
+    }
+    ADD_FAILURE() << "no section '" << name << "'";
+}
+
+TEST(CheckpointCorruption, FrameCountMismatchIsConfigMismatch)
+{
+    const ExperimentConfig cfg = smallConfig(
+        WorkloadKind::YcsbA, PolicyKind::MgLru, SwapKind::Ssd);
+    const std::uint64_t seed = 12345;
+    const std::uint64_t hash = configPrefixHash(cfg);
+    const TrialResult straight = runTrial(cfg, seed);
+    const Checkpoint good =
+        captureAtBoundary(cfg, seed, straight.totalTouches / 2);
+
+    TrialRigOptions opts;
+    opts.forRestore = true;
+    opts.deferObservers = true;
+    TrialRig rig(cfg, seed, opts);
+    const std::uint32_t nframes = rig.view().frames->totalFrames();
+
+    // A well-formed frames section from a machine one frame smaller or
+    // larger (all frames free, so no owner ids are needed),
+    // re-checksummed so only the shape check can refuse it.
+    for (const std::uint32_t other : {nframes - 1, nframes + 1}) {
+        Sink lanes;
+        FrameTable(other).saveState(
+            lanes, [](const AddressSpace &) { return 0u; });
+        Checkpoint bad = good;
+        replaceSection(bad.bytes, "frames", lanes.data());
+
+        const CheckpointError err =
+            restoreCheckpoint(rig.view(), hash, seed, bad);
+        EXPECT_EQ(err.kind, CheckpointError::Kind::ConfigMismatch)
+            << other << " frames: " << err.message;
+        EXPECT_NE(err.message.find("frame"), std::string::npos);
+    }
+
+    // Refused before apply: the same rig still accepts the pristine
+    // image, which a half-applied reject would not allow.
+    const CheckpointError retry =
+        restoreCheckpoint(rig.view(), hash, seed, good);
+    ASSERT_TRUE(retry.ok()) << retry.message;
 }
 
 TEST(CheckpointCorruption, FileRoundTripAndDiskErrors)

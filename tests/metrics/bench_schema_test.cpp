@@ -132,7 +132,19 @@ goodDocument()
     "save_gb_per_sec": 5.5,
     "restore_seconds": 0.05,
     "restore_gb_per_sec": 6.5,
-    "speedup_vs_per_frame": 10.6
+    "speedup_vs_per_frame": 10.6,
+    "image": {
+      "cell": "YCSB-A/MG-LRU/SSD/50%",
+      "scale": "Big1M",
+      "boundary_refs": 1250000,
+      "image_mb": 33.6,
+      "estimator": "min of 5",
+      "capture_seconds": 0.03,
+      "capture_gb_per_sec": 1.1,
+      "restore_seconds": 0.012,
+      "restore_gb_per_sec": 2.8,
+      "round_trip_ok": true
+    }
   }
 })";
 }
@@ -318,6 +330,29 @@ TEST(BenchSchema, DetectsNonPositiveSerializerThroughput)
         patch(goodDocument(), "\"save_gb_per_sec\": 5.5",
               "\"save_gb_per_sec\": 0"));
     expectOneProblemAt(problems, "serializer.save_gb_per_sec");
+}
+
+TEST(BenchSchema, DetectsMissingImageCaptureThroughput)
+{
+    const auto problems = validateBenchCore(
+        patch(goodDocument(), "\"capture_gb_per_sec\": 1.1,", ""));
+    expectOneProblemAt(problems, "serializer.image.capture_gb_per_sec");
+}
+
+TEST(BenchSchema, DetectsNonPositiveImageRestoreThroughput)
+{
+    const auto problems = validateBenchCore(
+        patch(goodDocument(), "\"restore_gb_per_sec\": 2.8",
+              "\"restore_gb_per_sec\": 0"));
+    expectOneProblemAt(problems, "serializer.image.restore_gb_per_sec");
+}
+
+TEST(BenchSchema, DetectsFailedImageRoundTrip)
+{
+    const auto problems = validateBenchCore(
+        patch(goodDocument(), "\"round_trip_ok\": true",
+              "\"round_trip_ok\": false"));
+    expectOneProblemAt(problems, "serializer.image.round_trip_ok");
 }
 
 TEST(BenchSchema, ReportsMultipleProblems)

@@ -2,9 +2,11 @@
 
 #include <cmath>
 #include <map>
+#include <thread>
 #include <vector>
 
 #include "sim/rng.hh"
+#include "sim/serialize.hh"
 
 namespace pagesim
 {
@@ -199,6 +201,44 @@ TEST(Zipfian, DeterministicTrace)
     ZipfianGenerator z1(500, 0.9, true), z2(500, 0.9, true);
     for (int i = 0; i < 1000; ++i)
         EXPECT_EQ(z1.next(r1), z2.next(r2));
+}
+
+/** FNV-1a over 4096 scrambled draws of a fresh (n, theta) generator. */
+std::uint64_t
+zipfDigest(std::uint64_t n, double theta, std::uint64_t seed)
+{
+    Rng rng(seed);
+    ZipfianGenerator z(n, theta, true);
+    std::uint64_t h = kFnvOffset;
+    for (int i = 0; i < 4096; ++i) {
+        const std::uint64_t v = z.next(rng);
+        h = fnv1a(&v, sizeof(v), h);
+    }
+    return h;
+}
+
+TEST(Zipfian, MemoizedZetaIsBitIdenticalAcrossThreads)
+{
+    // Pinned from the unmemoized O(n) zeta loop. (n, theta) pairs no
+    // other test uses, so the four threads race to fill a cold memo
+    // entry and the later lone generators read the cached value.
+    constexpr std::uint64_t kN = 250007;
+    constexpr std::uint64_t kWant077 = 14380371562303979203ull;
+    constexpr std::uint64_t kWant078 = 1852252946748556043ull;
+
+    std::vector<std::uint64_t> got(4, 0);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < got.size(); ++t)
+        threads.emplace_back(
+            [&got, t] { got[t] = zipfDigest(kN, 0.77, 99); });
+    for (std::thread &th : threads)
+        th.join();
+    for (std::uint64_t g : got)
+        EXPECT_EQ(g, kWant077);
+    EXPECT_EQ(zipfDigest(kN, 0.77, 99), kWant077);
+
+    // Same n, different theta: the memo must not alias the entry above.
+    EXPECT_EQ(zipfDigest(kN, 0.78, 99), kWant078);
 }
 
 } // namespace
