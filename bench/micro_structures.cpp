@@ -258,85 +258,86 @@ BENCHMARK(BM_RngNextU64);
 // raw serializers shows up here before it shows up as a slow sweep.
 
 void
-BM_AddressSpaceSaveState(benchmark::State &state)
+BM_AddressSpaceCapture(benchmark::State &state)
 {
     AddressSpace space(0);
     space.map("lanes", static_cast<std::uint64_t>(state.range(0)));
     std::uint64_t bytes = 0;
     for (auto _ : state) {
         Sink sink;
-        space.saveState(sink);
+        StateIO io(sink);
+        space.visitState(io);
         bytes = sink.size();
         benchmark::DoNotOptimize(sink.data().data());
     }
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations() * bytes));
 }
-BENCHMARK(BM_AddressSpaceSaveState)->Arg(1 << 20)->Arg(1 << 26);
+BENCHMARK(BM_AddressSpaceCapture)->Arg(1 << 20)->Arg(1 << 26);
 
 void
-BM_AddressSpaceRestoreState(benchmark::State &state)
+BM_AddressSpaceRestore(benchmark::State &state)
 {
     const std::uint64_t pages =
         static_cast<std::uint64_t>(state.range(0));
     AddressSpace space(0);
     space.map("lanes", pages);
     Sink sink;
-    space.saveState(sink);
+    StateIO save(sink);
+    space.visitState(save);
     // Restore requires an identically replayed layout (the nextVpn_
     // check the checkpoint machinery leans on).
     AddressSpace target(0);
     target.map("lanes", pages);
     for (auto _ : state) {
         Source src(sink.data().data(), sink.size());
-        const bool ok = target.restoreState(src);
-        benchmark::DoNotOptimize(ok);
+        StateIO io(src, nullptr);
+        target.visitState(io);
+        benchmark::DoNotOptimize(io.exhausted());
     }
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations() * sink.size()));
 }
-BENCHMARK(BM_AddressSpaceRestoreState)->Arg(1 << 20)->Arg(1 << 26);
+BENCHMARK(BM_AddressSpaceRestore)->Arg(1 << 20)->Arg(1 << 26);
 
 void
-BM_FrameTableSaveState(benchmark::State &state)
+BM_FrameTableCapture(benchmark::State &state)
 {
     FrameTable frames(static_cast<std::uint64_t>(state.range(0)));
-    const auto space_id = [](const AddressSpace &) {
-        return std::uint32_t{0};
-    };
+    const StateLinks links;
     std::uint64_t bytes = 0;
     for (auto _ : state) {
         Sink sink;
-        frames.saveState(sink, space_id);
+        StateIO io(sink, &links);
+        frames.visitState(io);
         bytes = sink.size();
         benchmark::DoNotOptimize(sink.data().data());
     }
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations() * bytes));
 }
-BENCHMARK(BM_FrameTableSaveState)->Arg(1 << 20)->Arg(1 << 25);
+BENCHMARK(BM_FrameTableCapture)->Arg(1 << 20)->Arg(1 << 25);
 
 void
-BM_FrameTableRestoreState(benchmark::State &state)
+BM_FrameTableRestore(benchmark::State &state)
 {
     const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
     FrameTable frames(n);
+    const StateLinks links;
     Sink sink;
-    frames.saveState(sink,
-                     [](const AddressSpace &) { return std::uint32_t{0}; });
+    StateIO save(sink, &links);
+    frames.visitState(save);
     FrameTable target(n);
-    const auto space_at = [](std::uint32_t) -> AddressSpace * {
-        return nullptr;
-    };
     for (auto _ : state) {
         Source src(sink.data().data(), sink.size());
-        target.restoreState(src, space_at);
+        StateIO io(src, &links);
+        target.visitState(io);
         benchmark::DoNotOptimize(&target);
     }
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations() * sink.size()));
 }
-BENCHMARK(BM_FrameTableRestoreState)->Arg(1 << 20)->Arg(1 << 25);
+BENCHMARK(BM_FrameTableRestore)->Arg(1 << 20)->Arg(1 << 25);
 
 } // namespace
 

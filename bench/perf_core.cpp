@@ -923,10 +923,10 @@ main(int argc, char **argv)
 
     // --- 7. Checkpoint serializer: FrameTable lanes, whole images. -
     // A fully mapped table sliced across two dozen spaces, captured
-    // with the checkpoint layer's own space_id shape (a std::function
-    // wrapping a linear rig scan). saveState memoizes per distinct
-    // owner; the reference loop re-creates the removed per-frame
-    // pattern — one std::function call and rig scan per mapped frame,
+    // through the checkpoint layer's StateIO with the rig's space
+    // table. StateIO::ownerLane memoizes per distinct owner; the
+    // reference loop re-creates the removed per-frame pattern — one
+    // std::function call and rig scan per mapped frame,
     // which is what held capture near 0.5 GB/s — on the same table,
     // through the same public rmap the old loop read. The speedup
     // estimate charges the full serialize cost to both sides, so it
@@ -970,27 +970,32 @@ main(int argc, char **argv)
         benchKeepAlive(ids.data());
         return secs;
     });
+    StateLinks ser_links;
+    for (const auto &space : ser_spaces)
+        ser_links.spaces.push_back(space.get());
     std::uint64_t ser_bytes = 0;
     const double ser_save_secs = min5([&] {
         Sink sink;
         const auto start = Clock::now();
-        ser_frames.saveState(sink, ser_space_id);
+        StateIO sizer;
+        ser_frames.visitState(sizer);
+        sink.reserve(sizer.size());
+        StateIO io(sink, &ser_links);
+        ser_frames.visitState(io);
         const double secs = secondsSince(start);
         ser_bytes = sink.size();
         benchKeepAlive(sink.data().data());
         return secs;
     });
     Sink ser_sink;
-    ser_frames.saveState(ser_sink, ser_space_id);
+    StateIO ser_save(ser_sink, &ser_links);
+    ser_frames.visitState(ser_save);
     FrameTable ser_target(kSerFrames);
-    const auto ser_space_at =
-        [&ser_spaces](std::uint32_t id) -> AddressSpace * {
-        return id < ser_spaces.size() ? ser_spaces[id].get() : nullptr;
-    };
     const double ser_restore_secs = min5([&] {
         Source src(ser_sink.data().data(), ser_sink.size());
         const auto start = Clock::now();
-        ser_target.restoreState(src, ser_space_at);
+        StateIO io(src, &ser_links);
+        ser_target.visitState(io);
         const double secs = secondsSince(start);
         benchKeepAlive(&ser_target);
         return secs;

@@ -32,23 +32,13 @@ class AgingDaemon : public SimActor
     std::uint64_t passes() const { return passes_; }
 
     void
-    saveState(Sink &sink) const override
+    visitState(StateIO &io) override
     {
-        SimActor::saveState(sink);
-        sink.u64(passes_);
-        sink.u64(cursor_);
-        sink.u64(pendingSleepNs_);
-        rng_.saveState(sink);
-    }
-
-    void
-    restoreState(Source &src) override
-    {
-        SimActor::restoreState(src);
-        passes_ = src.u64();
-        cursor_ = src.u64();
-        pendingSleepNs_ = src.u64();
-        rng_.restoreState(src);
+        SimActor::visitState(io);
+        io.u64(passes_);
+        io.u64(cursor_);
+        io.u64(pendingSleepNs_);
+        rng_.visitState(io);
     }
 
   protected:

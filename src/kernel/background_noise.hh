@@ -60,25 +60,14 @@ class BackgroundNoise : public SimActor
     std::uint64_t framesGrabbed() const { return framesGrabbed_; }
 
     void
-    saveState(Sink &sink) const override
+    visitState(StateIO &io) override
     {
-        SimActor::saveState(sink);
-        rng_.saveState(sink);
-        sink.u8(static_cast<std::uint8_t>(phase_));
-        sink.podVec(held_);
-        sink.u64(bursts_);
-        sink.u64(framesGrabbed_);
-    }
-
-    void
-    restoreState(Source &src) override
-    {
-        SimActor::restoreState(src);
-        rng_.restoreState(src);
-        phase_ = static_cast<Phase>(src.u8());
-        src.podVec(held_);
-        bursts_ = src.u64();
-        framesGrabbed_ = src.u64();
+        SimActor::visitState(io);
+        rng_.visitState(io);
+        io.enumU8(phase_, Phase::Release);
+        io.podVec(held_);
+        io.u64(bursts_);
+        io.u64(framesGrabbed_);
     }
 
   protected:

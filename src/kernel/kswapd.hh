@@ -32,19 +32,11 @@ class Kswapd : public SimActor
     std::uint64_t stalls() const { return stalls_; }
 
     void
-    saveState(Sink &sink) const override
+    visitState(StateIO &io) override
     {
-        SimActor::saveState(sink);
-        sink.u64(reclaimed_);
-        sink.u64(stalls_);
-    }
-
-    void
-    restoreState(Source &src) override
-    {
-        SimActor::restoreState(src);
-        reclaimed_ = src.u64();
-        stalls_ = src.u64();
+        SimActor::visitState(io);
+        io.u64(reclaimed_);
+        io.u64(stalls_);
     }
 
   protected:

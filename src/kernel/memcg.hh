@@ -195,34 +195,18 @@ class Memcg
      * pair on the next audit exactly as in a straight-through run.
      */
     void
-    saveState(Sink &sink) const
+    visitState(StateIO &io)
     {
-        sink.u64(stats_.minorFaults);
-        sink.u64(stats_.majorFaults);
-        sink.u64(stats_.ioWaitFaults);
-        sink.u64(stats_.directReclaims);
-        sink.u64(stats_.evictions);
-        sink.u64(stats_.throttleEvents);
-        sink.u64(stats_.protectedSkips);
-        sink.u32(stats_.peakUsage);
-        sink.u32(usage_);
-        policy_.saveState(sink);
-    }
-
-    /** Restore state captured by saveState(). */
-    void
-    restoreState(Source &src)
-    {
-        stats_.minorFaults = src.u64();
-        stats_.majorFaults = src.u64();
-        stats_.ioWaitFaults = src.u64();
-        stats_.directReclaims = src.u64();
-        stats_.evictions = src.u64();
-        stats_.throttleEvents = src.u64();
-        stats_.protectedSkips = src.u64();
-        stats_.peakUsage = src.u32();
-        usage_ = src.u32();
-        policy_.restoreState(src);
+        io.u64(stats_.minorFaults);
+        io.u64(stats_.majorFaults);
+        io.u64(stats_.ioWaitFaults);
+        io.u64(stats_.directReclaims);
+        io.u64(stats_.evictions);
+        io.u64(stats_.throttleEvents);
+        io.u64(stats_.protectedSkips);
+        io.u32(stats_.peakUsage);
+        io.u32(usage_);
+        policy_.visitState(io);
     }
 
   private:

@@ -763,75 +763,35 @@ MemoryManager::wakeFrameWaiters()
 }
 
 void
-MemoryManager::saveState(
-    Sink &sink,
-    const std::function<std::uint32_t(const AddressSpace &)> &space_id)
-    const
+MemoryManager::visitState(StateIO &io)
 {
     assert(quiescentForCheckpoint());
-    sink.u64(stats_.majorFaults);
-    sink.u64(stats_.minorFaults);
-    sink.u64(stats_.ioWaitFaults);
-    sink.u64(stats_.evictions);
-    sink.u64(stats_.dirtyWritebacks);
-    sink.u64(stats_.cleanDrops);
-    sink.u64(stats_.writebackRemaps);
-    sink.u64(stats_.readaheadReads);
-    sink.u64(stats_.readaheadHits);
-    sink.u64(stats_.directReclaims);
-    sink.u64(stats_.directAging);
-    sink.u64(stats_.allocStalls);
-    sink.u64(rrCursor_);
-    sink.u64(lowBreaches_);
-    sink.u64(balloonVpn_);
-    sink.f64(raHitRate_);
-    sink.u64(reclaimBatches_);
-    sink.u64(tierStats_.demotions);
-    sink.u64(tierStats_.promotions);
-    sink.u64(tierStats_.slowHits);
-    sink.u64(tierStats_.slowEvictions);
-    slowFrames_.saveState(sink, space_id);
-    slowList_.saveState(sink);
-    sink.u32(static_cast<std::uint32_t>(memcgs_.size()));
-    for (const auto &m : memcgs_)
-        m->saveState(sink);
-}
-
-void
-MemoryManager::restoreState(
-    Source &src,
-    const std::function<AddressSpace *(std::uint32_t)> &space_at)
-{
-    stats_.majorFaults = src.u64();
-    stats_.minorFaults = src.u64();
-    stats_.ioWaitFaults = src.u64();
-    stats_.evictions = src.u64();
-    stats_.dirtyWritebacks = src.u64();
-    stats_.cleanDrops = src.u64();
-    stats_.writebackRemaps = src.u64();
-    stats_.readaheadReads = src.u64();
-    stats_.readaheadHits = src.u64();
-    stats_.directReclaims = src.u64();
-    stats_.directAging = src.u64();
-    stats_.allocStalls = src.u64();
-    rrCursor_ = src.u64();
-    lowBreaches_ = src.u64();
-    balloonVpn_ = src.u64();
-    raHitRate_ = src.f64();
-    reclaimBatches_ = src.u64();
-    tierStats_.demotions = src.u64();
-    tierStats_.promotions = src.u64();
-    tierStats_.slowHits = src.u64();
-    tierStats_.slowEvictions = src.u64();
-    slowFrames_.restoreState(src, space_at);
-    slowList_.restoreState(src);
-    const std::uint32_t n = src.u32();
-    // A count mismatch means the caller skipped the config-hash and
-    // fingerprint validation that guards restore — programming error.
-    assert(n == memcgs_.size());
-    (void)n;
+    io.u64(stats_.majorFaults);
+    io.u64(stats_.minorFaults);
+    io.u64(stats_.ioWaitFaults);
+    io.u64(stats_.evictions);
+    io.u64(stats_.dirtyWritebacks);
+    io.u64(stats_.cleanDrops);
+    io.u64(stats_.writebackRemaps);
+    io.u64(stats_.readaheadReads);
+    io.u64(stats_.readaheadHits);
+    io.u64(stats_.directReclaims);
+    io.u64(stats_.directAging);
+    io.u64(stats_.allocStalls);
+    io.u64(rrCursor_);
+    io.u64(lowBreaches_);
+    io.u64(balloonVpn_);
+    io.f64(raHitRate_);
+    io.u64(reclaimBatches_);
+    io.u64(tierStats_.demotions);
+    io.u64(tierStats_.promotions);
+    io.u64(tierStats_.slowHits);
+    io.u64(tierStats_.slowEvictions);
+    slowFrames_.visitState(io);
+    slowList_.visitState(io);
+    io.expect(static_cast<std::uint32_t>(memcgs_.size()));
     for (auto &m : memcgs_)
-        m->restoreState(src);
+        m->visitState(io);
 }
 
 } // namespace pagesim

@@ -233,18 +233,12 @@ class MemoryManager
      * Checkpoint the kernel layer: fault/tier counters, fan-out
      * cursor, readahead EMA, balloon cursor, the slow tier (frames +
      * FIFO), and every memcg (counters, usage, and its lruvec via
-     * ReplacementPolicy::saveState). The fast-tier FrameTable and the
+     * ReplacementPolicy::visitState). The fast-tier FrameTable and the
      * swap manager are serialized by the caller as their own sections.
      * Only valid at a quiescent point (see quiescentForCheckpoint()).
+     * An image with another memcg count is a mismatch.
      */
-    void saveState(Sink &sink,
-                   const std::function<std::uint32_t(
-                       const AddressSpace &)> &space_id) const;
-
-    /** Restore state captured by saveState(). */
-    void restoreState(Source &src,
-                      const std::function<AddressSpace *(
-                          std::uint32_t)> &space_at);
+    void visitState(StateIO &io);
 
     Simulation &sim() { return sim_; }
     FrameTable &frames() { return frames_; }
@@ -520,7 +514,6 @@ class MemoryManager
     std::map<WaitKey, std::vector<SimActor *>> ioWaiters_;
     std::vector<SimActor *> frameWaiters_;
     /** A frame-stall retry timer is pending. */
-    // lint:state-cov-ok(false at checkpoint by the quiescence contract saveState asserts; restore targets start disarmed)
     bool stallRetryArmed_ = false;
     /** Functional-only fast-forward mode (see setFunctionalMode). */
     // lint:state-cov-ok(fast-forward mode toggle owned by the harness driver, re-armed around restore)
@@ -534,9 +527,7 @@ class MemoryManager
     std::vector<std::uint64_t> weightScratch_;
     // lint:state-cov-ok(fan-out scratch, overwritten at the start of every batch)
     std::vector<std::uint32_t> shareScratch_;
-    // lint:state-cov-ok(zero at checkpoint by the quiescence contract saveState asserts)
     std::uint32_t writebacksInFlight_ = 0;
-    // lint:state-cov-ok(zero at checkpoint by the quiescence contract saveState asserts)
     std::uint32_t swapInsInFlight_ = 0;
 
     /** Completed reclaim batches; paces the audit hook. */

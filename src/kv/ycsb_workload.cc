@@ -101,34 +101,16 @@ class YcsbStream : public OpStream
     }
 
     void
-    saveState(Sink &sink) const override
+    visitState(StateIO &io) override
     {
         // loadHi_/requests_ are pure functions of the config, replayed
         // at construction; only the cursors and the draw state move.
-        sink.u8(static_cast<std::uint8_t>(phase_));
-        sink.u64(loadLo_);
-        sink.u64(done_);
-        rng_.saveState(sink);
-        sink.u64(queue_.size());
-        for (const Op &op : queue_)
-            op.saveState(sink);
-        sink.u64(queueHead_);
-    }
-
-    void
-    restoreState(Source &src) override
-    {
-        phase_ = static_cast<Phase>(src.u8());
-        loadLo_ = src.u64();
-        done_ = src.u64();
-        rng_.restoreState(src);
-        queue_.clear();
-        const std::uint64_t n = src.u64();
-        queue_.resize(static_cast<std::size_t>(
-            n <= 64 ? n : 0)); // a request expands to a handful of ops
-        for (Op &op : queue_)
-            op.restoreState(src);
-        queueHead_ = src.u64();
+        io.enumU8(phase_, Phase::Requests);
+        io.u64(loadLo_);
+        io.u64(done_);
+        rng_.visitState(io);
+        io.objects(queue_, 64); // a request expands to a handful of ops
+        io.u64(queueHead_);
     }
 
   private:

@@ -95,23 +95,13 @@ class YcsbWorkload : public Workload
     }
 
     void
-    saveState(Sink &sink) const override
+    visitState(StateIO &io) override
     {
-        sink.boolean(measuring_);
-        sink.u64(measureStart_);
-        sink.u64(faultsAtMeasureStart_);
-        readHist_.saveState(sink);
-        writeHist_.saveState(sink);
-    }
-
-    void
-    restoreState(Source &src) override
-    {
-        measuring_ = src.boolean();
-        measureStart_ = src.u64();
-        faultsAtMeasureStart_ = src.u64();
-        readHist_.restoreState(src);
-        writeHist_.restoreState(src);
+        io.boolean(measuring_);
+        io.u64(measureStart_);
+        io.u64(faultsAtMeasureStart_);
+        readHist_.visitState(io);
+        writeHist_.visitState(io);
     }
 
   private:

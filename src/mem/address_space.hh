@@ -138,31 +138,15 @@ class AddressSpace
      * nextVpn_, aslrSeed_) is NOT captured: a restore target replays
      * the same workload build with the same ASLR seed, which recreates
      * it bit-identically; only the page table's contents evolve during
-     * a run. nextVpn_ rides along as a cheap layout-replay check.
+     * a run. nextVpn_ rides along as a cheap layout-replay check: a
+     * recorded cursor other than this space's is a mismatch, refused
+     * before the page table is read.
      */
     void
-    saveState(Sink &sink) const
+    visitState(StateIO &io)
     {
-        sink.u64(nextVpn_);
-        table_.saveState(sink);
-    }
-
-    /** Exact byte size of the saveState() image. */
-    std::size_t stateBytes() const { return 8 + table_.stateBytes(); }
-
-    /**
-     * Restore state captured by saveState().
-     * @return false when the recorded layout does not match this
-     *         space's replayed layout (config/seed mismatch).
-     */
-    bool
-    restoreState(Source &src)
-    {
-        const Vpn recorded = src.u64();
-        if (recorded != nextVpn_)
-            return false;
-        table_.restoreState(src);
-        return true;
+        io.expect(nextVpn_);
+        table_.visitState(io);
     }
 
   private:
@@ -171,7 +155,7 @@ class AddressSpace
     // lint:state-cov-ok(scenario wiring assigned during rig construction before restore)
     MemcgId memcg_ = 0;
     PageTable table_;
-    // lint:state-cov-ok(layout replayed by construction; restoreState validates it against the recorded nextVpn)
+    // lint:state-cov-ok(layout replayed by construction; visitState validates it against the recorded nextVpn)
     std::vector<Vma> vmas_;
     Vpn nextVpn_ = 0;
     // lint:state-cov-ok(forked from the root seed at construction; the replayed layout is validated on restore)

@@ -337,47 +337,19 @@ class PageTable
      * path keeps this at memcpy speed on 64M-page tables.
      */
     void
-    saveState(Sink &sink) const
+    visitState(StateIO &io)
     {
-        sink.podVec(pteValue_);
-        sink.podVec(pteShadow_);
-        sink.podVec(pteFlags_);
-        sink.podVec(regions_);
-        sink.podVec(shards_);
-        sink.podVec(presentBits_);
-        sink.podVec(accessedBits_);
-        sink.podVec(mappedBits_);
-        sink.podVec(presentSummary_);
-        sink.u64(totalMapped_);
-        sink.u64(totalPresent_);
-    }
-
-    /** Exact byte size of the saveState() image. */
-    std::size_t
-    stateBytes() const
-    {
-        return podVecBytes(pteValue_) + podVecBytes(pteShadow_) +
-               podVecBytes(pteFlags_) + podVecBytes(regions_) +
-               podVecBytes(shards_) + podVecBytes(presentBits_) +
-               podVecBytes(accessedBits_) + podVecBytes(mappedBits_) +
-               podVecBytes(presentSummary_) + 8 + 8;
-    }
-
-    /** Restore state captured by saveState(). */
-    void
-    restoreState(Source &src)
-    {
-        src.podVec(pteValue_);
-        src.podVec(pteShadow_);
-        src.podVec(pteFlags_);
-        src.podVec(regions_);
-        src.podVec(shards_);
-        src.podVec(presentBits_);
-        src.podVec(accessedBits_);
-        src.podVec(mappedBits_);
-        src.podVec(presentSummary_);
-        totalMapped_ = src.u64();
-        totalPresent_ = src.u64();
+        io.lane(pteValue_);
+        io.lane(pteShadow_);
+        io.lane(pteFlags_);
+        io.lane(regions_);
+        io.lane(shards_);
+        io.lane(presentBits_);
+        io.lane(accessedBits_);
+        io.lane(mappedBits_);
+        io.lane(presentSummary_);
+        io.u64(totalMapped_);
+        io.u64(totalPresent_);
     }
 
   private:

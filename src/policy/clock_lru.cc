@@ -173,23 +173,13 @@ ClockLru::selectVictims(std::vector<Pfn> &out, std::size_t max,
 }
 
 void
-ClockLru::saveState(Sink &sink) const
+ClockLru::visitState(StateIO &io)
 {
-    ReplacementPolicy::saveState(sink);
-    active_.saveState(sink);
-    inactive_.saveState(sink);
-    sink.u32(evictEpoch_);
-    sink.u32(starvedRounds_);
-}
-
-void
-ClockLru::restoreState(Source &src)
-{
-    ReplacementPolicy::restoreState(src);
-    active_.restoreState(src);
-    inactive_.restoreState(src);
-    evictEpoch_ = src.u32();
-    starvedRounds_ = src.u32();
+    ReplacementPolicy::visitState(io);
+    active_.visitState(io);
+    inactive_.visitState(io);
+    io.u32(evictEpoch_);
+    io.u32(starvedRounds_);
 }
 
 void

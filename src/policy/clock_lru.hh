@@ -80,8 +80,7 @@ class ClockLru : public ReplacementPolicy
     const FrameList &activeList() const { return active_; }
     const FrameList &inactiveList() const { return inactive_; }
 
-    void saveState(Sink &sink) const override;
-    void restoreState(Source &src) override;
+    void visitState(StateIO &io) override;
 
   private:
     /** Test-and-clear the accessed bit through an rmap walk. */

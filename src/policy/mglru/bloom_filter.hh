@@ -63,18 +63,10 @@ class RegionBloomFilter
      * bit words and the insertion counter are captured.
      */
     void
-    saveState(Sink &sink) const
+    visitState(StateIO &io)
     {
-        sink.podVec(words_);
-        sink.u64(insertions_);
-    }
-
-    /** Restore state captured by saveState(). */
-    void
-    restoreState(Source &src)
-    {
-        src.podVec(words_);
-        insertions_ = src.u64();
+        io.podVec(words_);
+        io.u64(insertions_);
     }
 
   private:

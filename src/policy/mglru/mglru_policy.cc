@@ -684,71 +684,38 @@ MgLruPolicy::onFdAccess(Pfn pfn)
 }
 
 void
-MgLruPolicy::saveState(Sink &sink) const
+MgLruPolicy::visitState(StateIO &io)
 {
-    ReplacementPolicy::saveState(sink);
+    ReplacementPolicy::visitState(io);
     // Generation lists: the vector length is a config parameter
     // (maxNrGens), replayed at reconstruction; only the anchors move.
-    for (const auto &gen : gens_)
-        gen.saveState(sink);
-    sink.u64(minSeq_);
-    sink.u64(maxSeq_);
-    sink.u64(resident_);
-    filters_[0].saveState(sink);
-    filters_[1].saveState(sink);
-    sink.u32(activeFilter_);
-    sink.boolean(filterWarm_);
-    pid_.saveState(sink);
-    sink.u64(mgStats_.genCreations);
-    sink.u64(mgStats_.genCreationBlocked);
-    sink.u64(mgStats_.bloomInsertions);
-    sink.u64(mgStats_.neighborScans);
-    sink.u64(mgStats_.neighborPromotions);
-    sink.u64(mgStats_.tierProtected);
-    sink.u64(mgStats_.staleRefaults);
-    sink.u64(mgStats_.lateGenCreations);
-    sink.u32(starvedRounds_);
-    sink.u64(evictedAtLastAge_);
-    sink.u64(lastPassNs_);
-    sink.boolean(walk_.active);
-    sink.u64(walk_.spaceIdx);
-    sink.u64(walk_.region);
-    sink.boolean(walk_.canInc);
-    sink.u64(walk_.promoteSeq);
-    rng_.saveState(sink);
-}
-
-void
-MgLruPolicy::restoreState(Source &src)
-{
-    ReplacementPolicy::restoreState(src);
     for (auto &gen : gens_)
-        gen.restoreState(src);
-    minSeq_ = src.u64();
-    maxSeq_ = src.u64();
-    resident_ = src.u64();
-    filters_[0].restoreState(src);
-    filters_[1].restoreState(src);
-    activeFilter_ = src.u32();
-    filterWarm_ = src.boolean();
-    pid_.restoreState(src);
-    mgStats_.genCreations = src.u64();
-    mgStats_.genCreationBlocked = src.u64();
-    mgStats_.bloomInsertions = src.u64();
-    mgStats_.neighborScans = src.u64();
-    mgStats_.neighborPromotions = src.u64();
-    mgStats_.tierProtected = src.u64();
-    mgStats_.staleRefaults = src.u64();
-    mgStats_.lateGenCreations = src.u64();
-    starvedRounds_ = src.u32();
-    evictedAtLastAge_ = src.u64();
-    lastPassNs_ = src.u64();
-    walk_.active = src.boolean();
-    walk_.spaceIdx = src.u64();
-    walk_.region = src.u64();
-    walk_.canInc = src.boolean();
-    walk_.promoteSeq = src.u64();
-    rng_.restoreState(src);
+        gen.visitState(io);
+    io.u64(minSeq_);
+    io.u64(maxSeq_);
+    io.u64(resident_);
+    filters_[0].visitState(io);
+    filters_[1].visitState(io);
+    io.u32(activeFilter_);
+    io.boolean(filterWarm_);
+    pid_.visitState(io);
+    io.u64(mgStats_.genCreations);
+    io.u64(mgStats_.genCreationBlocked);
+    io.u64(mgStats_.bloomInsertions);
+    io.u64(mgStats_.neighborScans);
+    io.u64(mgStats_.neighborPromotions);
+    io.u64(mgStats_.tierProtected);
+    io.u64(mgStats_.staleRefaults);
+    io.u64(mgStats_.lateGenCreations);
+    io.u32(starvedRounds_);
+    io.u64(evictedAtLastAge_);
+    io.u64(lastPassNs_);
+    io.boolean(walk_.active);
+    io.u64(walk_.spaceIdx);
+    io.u64(walk_.region);
+    io.boolean(walk_.canInc);
+    io.u64(walk_.promoteSeq);
+    rng_.visitState(io);
 }
 
 void

@@ -248,8 +248,7 @@ class MgLruPolicy : public ReplacementPolicy
         return genList(seq);
     }
 
-    void saveState(Sink &sink) const override;
-    void restoreState(Source &src) override;
+    void visitState(StateIO &io) override;
 
   private:
     FrameList &genList(std::uint64_t seq);

@@ -72,31 +72,16 @@ class TierPidController
 
     /** Checkpoint the full controller state. */
     void
-    saveState(Sink &sink) const
+    visitState(StateIO &io)
     {
         for (unsigned t = 0; t < kMaxTiers; ++t) {
-            sink.f64(evictions_[t]);
-            sink.f64(refaults_[t]);
-            sink.f64(integral_[t]);
-            sink.f64(prevError_[t]);
-            sink.f64(output_[t]);
-            sink.u64(rawEvictions_[t]);
-            sink.u64(rawRefaults_[t]);
-        }
-    }
-
-    /** Restore state captured by saveState(). */
-    void
-    restoreState(Source &src)
-    {
-        for (unsigned t = 0; t < kMaxTiers; ++t) {
-            evictions_[t] = src.f64();
-            refaults_[t] = src.f64();
-            integral_[t] = src.f64();
-            prevError_[t] = src.f64();
-            output_[t] = src.f64();
-            rawEvictions_[t] = src.u64();
-            rawRefaults_[t] = src.u64();
+            io.f64(evictions_[t]);
+            io.f64(refaults_[t]);
+            io.f64(integral_[t]);
+            io.f64(prevError_[t]);
+            io.f64(output_[t]);
+            io.u64(rawEvictions_[t]);
+            io.u64(rawRefaults_[t]);
         }
     }
 

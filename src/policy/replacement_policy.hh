@@ -121,34 +121,18 @@ class ReplacementPolicy
      * intrusive links) lives in the FrameTable and is captured there.
      */
     virtual void
-    saveState(Sink &sink) const
+    visitState(StateIO &io)
     {
-        sink.u64(stats_.ptesScanned);
-        sink.u64(stats_.regionsVisited);
-        sink.u64(stats_.regionsSkipped);
-        sink.u64(stats_.rmapWalks);
-        sink.u64(stats_.promotions);
-        sink.u64(stats_.demotions);
-        sink.u64(stats_.agingPasses);
-        sink.u64(stats_.evicted);
-        sink.u64(stats_.refaults);
-        sink.u64(stats_.secondChances);
-    }
-
-    /** Restore state captured by saveState(). */
-    virtual void
-    restoreState(Source &src)
-    {
-        stats_.ptesScanned = src.u64();
-        stats_.regionsVisited = src.u64();
-        stats_.regionsSkipped = src.u64();
-        stats_.rmapWalks = src.u64();
-        stats_.promotions = src.u64();
-        stats_.demotions = src.u64();
-        stats_.agingPasses = src.u64();
-        stats_.evicted = src.u64();
-        stats_.refaults = src.u64();
-        stats_.secondChances = src.u64();
+        io.u64(stats_.ptesScanned);
+        io.u64(stats_.regionsVisited);
+        io.u64(stats_.regionsSkipped);
+        io.u64(stats_.rmapWalks);
+        io.u64(stats_.promotions);
+        io.u64(stats_.demotions);
+        io.u64(stats_.agingPasses);
+        io.u64(stats_.evicted);
+        io.u64(stats_.refaults);
+        io.u64(stats_.secondChances);
     }
 
   protected:

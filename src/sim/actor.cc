@@ -94,29 +94,18 @@ SimActor::wake()
 }
 
 void
-SimActor::saveState(Sink &sink) const
-{
-    sink.u8(static_cast<std::uint8_t>(state_));
-    sink.u64(cpuWork_);
-    sink.u64(blockedTime_);
-    sink.u64(blockedSince_);
-    sink.u64(pendingAt_);
-    sink.u64(pendingSeq_);
-}
-
-void
-SimActor::restoreState(Source &src)
+SimActor::visitState(StateIO &io)
 {
     // A restore target is built fresh and never started: foreground
     // registration and the CPU model's runnable count are restored
-    // wholesale by Simulation::restoreState, not re-derived here.
-    assert(state_ == State::Created);
-    state_ = static_cast<State>(src.u8());
-    cpuWork_ = src.u64();
-    blockedTime_ = src.u64();
-    blockedSince_ = src.u64();
-    pendingAt_ = src.u64();
-    pendingSeq_ = src.u64();
+    // wholesale by Simulation::visitState, not re-derived here.
+    assert(!io.loading() || state_ == State::Created);
+    io.enumU8(state_, State::Finished);
+    io.u64(cpuWork_);
+    io.u64(blockedTime_);
+    io.u64(blockedSince_);
+    io.u64(pendingAt_);
+    io.u64(pendingSeq_);
 }
 
 void

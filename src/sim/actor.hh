@@ -110,18 +110,15 @@ class SimActor
      * quiescent point is at most ONE pending event: the step dispatch
      * of a Runnable actor or the wake timer of a Sleeping one (Blocked
      * actors wait on an external wake; Created/Finished have nothing).
-     * saveState() captures the scalar state plus that event's (when,
+     * visitState() covers the scalar state plus that event's (when,
      * seq); after the checkpoint machinery restores the clock it calls
      * reschedulePending() on each actor in ascending (when, seq) order,
      * which re-creates the closures with fresh epochs/sequence numbers
      * while preserving the dispatch-order relation.
      */
-    virtual void saveState(Sink &sink) const;
+    virtual void visitState(StateIO &io);
 
-    /** Restore state captured by saveState(); actor must be Created. */
-    virtual void restoreState(Source &src);
-
-    /** True when this actor owns a pending event (see saveState). */
+    /** True when this actor owns a pending event (see visitState). */
     bool
     hasPendingEvent() const
     {

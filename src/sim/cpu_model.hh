@@ -91,26 +91,16 @@ class CpuModel
      * Checkpoint the mutable load state. Restore overwrites the
      * counters wholesale: a rebuilt-for-restore simulation constructs
      * every actor without starting it, so runnable_ is zero at the
-     * time restoreState() runs and no onRunnable/onBlocked
-     * compensation is needed.
+     * time a restore runs and no onRunnable/onBlocked compensation
+     * is needed.
      */
     void
-    saveState(Sink &sink) const
+    visitState(StateIO &io)
     {
-        sink.u32(runnable_);
-        sink.u32(peakRunnable_);
-        sink.u64(lastChange_);
-        sink.f64(runnableTimeProduct_);
-    }
-
-    /** Restore state captured by saveState(). */
-    void
-    restoreState(Source &src)
-    {
-        runnable_ = src.u32();
-        peakRunnable_ = src.u32();
-        lastChange_ = src.u64();
-        runnableTimeProduct_ = src.f64();
+        io.u32(runnable_);
+        io.u32(peakRunnable_);
+        io.u64(lastChange_);
+        io.f64(runnableTimeProduct_);
     }
 
   private:

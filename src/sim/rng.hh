@@ -76,22 +76,12 @@ class Rng
 
     /** Checkpoint the full generator state (see sim/serialize.hh). */
     void
-    saveState(Sink &sink) const
-    {
-        for (const std::uint64_t s : s_)
-            sink.u64(s);
-        sink.boolean(haveSpareNormal_);
-        sink.f64(spareNormal_);
-    }
-
-    /** Restore state captured by saveState(). */
-    void
-    restoreState(Source &src)
+    visitState(StateIO &io)
     {
         for (std::uint64_t &s : s_)
-            s = src.u64();
-        haveSpareNormal_ = src.boolean();
-        spareNormal_ = src.f64();
+            io.u64(s);
+        io.boolean(haveSpareNormal_);
+        io.f64(spareNormal_);
     }
 
   private:

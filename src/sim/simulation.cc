@@ -40,17 +40,10 @@ Simulation::runToCompletion(std::uint64_t max_events)
 }
 
 void
-Simulation::saveState(Sink &sink) const
+Simulation::visitState(StateIO &io)
 {
-    sink.u32(foreground_);
-    cpus_.saveState(sink);
-}
-
-void
-Simulation::restoreState(Source &src)
-{
-    foreground_ = src.u32();
-    cpus_.restoreState(src);
+    io.u32(foreground_);
+    cpus_.visitState(io);
 }
 
 } // namespace pagesim

@@ -72,10 +72,7 @@ class Simulation
      * events). root_ is NOT captured: every component forks its streams
      * during construction, which a restore replays identically.
      */
-    void saveState(Sink &sink) const;
-
-    /** Restore state captured by saveState(). */
-    void restoreState(Source &src);
+    void visitState(StateIO &io);
 
   private:
     // lint:state-cov-ok(clock restored via restoreClock and pending events re-inserted by the checkpoint machinery)

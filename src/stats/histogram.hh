@@ -77,24 +77,13 @@ class LatencyHistogram
 
     /** Checkpoint the recorded distribution (geometry is ctor state). */
     void
-    saveState(Sink &sink) const
+    visitState(StateIO &io)
     {
-        sink.podVec(counts_);
-        sink.u64(count_);
-        sink.u64(max_);
-        sink.u64(min_);
-        sink.f64(sum_);
-    }
-
-    /** Restore state captured by saveState(). */
-    void
-    restoreState(Source &src)
-    {
-        src.podVec(counts_);
-        count_ = src.u64();
-        max_ = src.u64();
-        min_ = src.u64();
-        sum_ = src.f64();
+        io.podVec(counts_);
+        io.u64(count_);
+        io.u64(max_);
+        io.u64(min_);
+        io.f64(sum_);
     }
 
   private:

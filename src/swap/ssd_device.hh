@@ -88,8 +88,7 @@ class SsdSwapDevice : public SwapDevice
         return inFlight_ == 0 && queue_.empty();
     }
 
-    void saveState(Sink &sink) const override;
-    void restoreState(Source &src) override;
+    void visitState(StateIO &io) override;
 
   private:
     struct Request
@@ -113,9 +112,7 @@ class SsdSwapDevice : public SwapDevice
     SsdConfig config_;
     // lint:state-cov-ok(display name fixed at construction)
     std::string name_ = "ssd";
-    // lint:state-cov-ok(zero at checkpoint: saveState asserts the device is quiescent)
     unsigned inFlight_ = 0;
-    // lint:state-cov-ok(empty at checkpoint: saveState asserts the device is quiescent)
     std::deque<Request> queue_;
     /** GC state: degraded until gcUntil_, next episode at nextGcAt_. */
     SimTime gcUntil_ = 0;

@@ -110,28 +110,15 @@ class SwapDevice
      * serialized.
      */
     virtual void
-    saveState(Sink &sink) const
+    visitState(StateIO &io)
     {
-        sink.u64(stats_.reads);
-        sink.u64(stats_.writes);
-        sink.u64(stats_.totalReadLatency);
-        sink.u64(stats_.totalWriteLatency);
-        sink.u64(stats_.peakQueueDepth);
-        sink.u64(lastQueueWait_);
-        sink.u64(lastService_);
-    }
-
-    /** Restore state captured by saveState(). */
-    virtual void
-    restoreState(Source &src)
-    {
-        stats_.reads = src.u64();
-        stats_.writes = src.u64();
-        stats_.totalReadLatency = src.u64();
-        stats_.totalWriteLatency = src.u64();
-        stats_.peakQueueDepth = src.u64();
-        lastQueueWait_ = src.u64();
-        lastService_ = src.u64();
+        io.u64(stats_.reads);
+        io.u64(stats_.writes);
+        io.u64(stats_.totalReadLatency);
+        io.u64(stats_.totalWriteLatency);
+        io.u64(stats_.peakQueueDepth);
+        io.u64(lastQueueWait_);
+        io.u64(lastService_);
     }
 
   protected:

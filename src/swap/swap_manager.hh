@@ -114,22 +114,12 @@ class SwapManager
      * the next allocation returns.
      */
     void
-    saveState(Sink &sink) const
+    visitState(StateIO &io)
     {
-        sink.u32(nextSlot_);
-        sink.u32(used_);
-        sink.podVec(freeSlots_);
-        device_->saveState(sink);
-    }
-
-    /** Restore state captured by saveState(). */
-    void
-    restoreState(Source &src)
-    {
-        nextSlot_ = src.u32();
-        used_ = src.u32();
-        src.podVec(freeSlots_);
-        device_->restoreState(src);
+        io.u32(nextSlot_);
+        io.u32(used_);
+        io.podVec(freeSlots_);
+        device_->visitState(io);
     }
 
   private:

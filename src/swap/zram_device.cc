@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <utility>
 #include <vector>
 
 namespace pagesim
@@ -107,40 +106,45 @@ ZramSwapDevice::noteSyncOp(SwapSlot, bool is_write)
         ++stats_.reads;
 }
 
-void
-ZramSwapDevice::saveState(Sink &sink) const
+namespace
 {
-    SwapDevice::saveState(sink);
-    // The tag map is unordered; emit entries sorted by slot so the
-    // byte stream (and its fingerprint) is deterministic.
-    std::vector<std::pair<SwapSlot, std::uint64_t>> entries(
-        slotTag_.begin(), slotTag_.end());
-    std::sort(entries.begin(), entries.end());
-    sink.u64(entries.size());
-    for (const auto &[slot, tag] : entries) {
-        sink.u32(slot);
-        sink.u64(tag);
-    }
-    sink.u64(poolBytes_);
-    sink.u64(poolPeakBytes_);
-    sink.u64(overflows_);
-}
+
+/** One slot -> tag entry as the image stores it: u32 slot, u64 tag. */
+struct [[gnu::packed]] TagEntry
+{
+    SwapSlot slot;
+    std::uint64_t tag;
+};
+static_assert(sizeof(TagEntry) == 12);
+
+} // namespace
 
 void
-ZramSwapDevice::restoreState(Source &src)
+ZramSwapDevice::visitState(StateIO &io)
 {
-    SwapDevice::restoreState(src);
-    slotTag_.clear();
-    const std::uint64_t n = src.u64();
-    slotTag_.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n && src.ok(); ++i) {
-        const SwapSlot slot = src.u32();
-        const std::uint64_t tag = src.u64();
-        slotTag_[slot] = tag;
+    SwapDevice::visitState(io);
+    // The tag map is unordered; it travels as entries sorted by slot
+    // so the byte stream (and its checksum) is deterministic.
+    std::vector<TagEntry> entries;
+    if (!io.loading()) {
+        // lint:ordered-ok(sorted by slot below, before any byte is written)
+        for (const auto &[slot, tag] : slotTag_)
+            entries.push_back(TagEntry{slot, tag});
+        std::sort(entries.begin(), entries.end(),
+                  [](const TagEntry &a, const TagEntry &b) {
+                      return a.slot < b.slot;
+                  });
     }
-    poolBytes_ = src.u64();
-    poolPeakBytes_ = src.u64();
-    overflows_ = src.u64();
+    io.podVec(entries);
+    if (io.loading() && io.ok()) {
+        slotTag_.clear();
+        slotTag_.reserve(entries.size());
+        for (const TagEntry &e : entries)
+            slotTag_[e.slot] = e.tag;
+    }
+    io.u64(poolBytes_);
+    io.u64(poolPeakBytes_);
+    io.u64(overflows_);
 }
 
 } // namespace pagesim

@@ -108,8 +108,7 @@ class ZramSwapDevice : public SwapDevice
     /** Recompute pool occupancy from the tag map (must == poolBytes). */
     std::uint64_t auditPoolBytes() const;
 
-    void saveState(Sink &sink) const override;
-    void restoreState(Source &src) override;
+    void visitState(StateIO &io) override;
 
   private:
     // lint:state-cov-ok(construction parameter; the restore rig is rebuilt from the same validated config)

@@ -99,29 +99,15 @@ class PatternStream : public OpStream
     bool next(Op &op) override;
 
     void
-    saveState(Sink &sink) const override
+    visitState(StateIO &io) override
     {
-        sink.u64(index_);
-        sink.u64(emitted_);
-        sink.boolean(rng_.has_value());
-        if (rng_)
-            rng_->saveState(sink);
+        io.u64(index_);
+        io.u64(emitted_);
+        io.optional(rng_, Rng(1));
         // zipf_ is pure function-of-segment state: rebuilt lazily on
         // the next draw, consuming no RNG values at construction.
-    }
-
-    void
-    restoreState(Source &src) override
-    {
-        index_ = src.u64();
-        emitted_ = src.u64();
-        if (src.boolean()) {
-            rng_.emplace(std::uint64_t{1});
-            rng_->restoreState(src);
-        } else {
-            rng_.reset();
-        }
-        zipf_.reset();
+        if (io.loading())
+            zipf_.reset();
     }
 
   private:
@@ -133,7 +119,6 @@ class PatternStream : public OpStream
     std::uint64_t emitted_ = 0;
     /** Lazily built generator state for the current RandTouch. */
     std::optional<Rng> rng_;
-    // lint:state-cov-ok(pure function of the current segment, rebuilt lazily; restoreState resets it)
     std::unique_ptr<ZipfianGenerator> zipf_;
 };
 

@@ -112,24 +112,13 @@ struct Op
      * would poison checkpoint fingerprints.
      */
     void
-    saveState(Sink &sink) const
+    visitState(StateIO &io)
     {
-        sink.u8(static_cast<std::uint8_t>(kind));
-        sink.boolean(write);
-        sink.u32(id);
-        sink.u64(vpn);
-        sink.u64(static_cast<std::uint64_t>(compute));
-    }
-
-    /** Restore state captured by saveState(). */
-    void
-    restoreState(Source &src)
-    {
-        kind = static_cast<Kind>(src.u8());
-        write = src.boolean();
-        id = src.u32();
-        vpn = src.u64();
-        compute = static_cast<SimDuration>(src.u64());
+        io.enumU8(kind, Kind::Phase);
+        io.boolean(write);
+        io.u32(id);
+        io.u64(vpn);
+        io.u64(compute);
     }
 };
 
@@ -148,10 +137,7 @@ class OpStream
      * seed at restore time; only the position within it is captured.
      * The default is for streams with no mutable state.
      */
-    virtual void saveState(Sink &) const {}
-
-    /** Restore state captured by saveState(). */
-    virtual void restoreState(Source &) {}
+    virtual void visitState(StateIO &) {}
 };
 
 } // namespace pagesim

@@ -52,33 +52,18 @@ class WorkThread : public SimActor
     const WorkThreadStats &threadStats() const { return tstats_; }
 
     void
-    saveState(Sink &sink) const override
+    visitState(StateIO &io) override
     {
-        SimActor::saveState(sink);
-        pending_.saveState(sink);
-        sink.boolean(havePending_);
-        sink.u64(carry_);
-        sink.u64(requestStart_);
-        sink.u64(tstats_.touches);
-        sink.u64(tstats_.blockedFaults);
-        sink.u64(tstats_.barriersPassed);
-        sink.u64(tstats_.finishTime);
-        stream_->saveState(sink);
-    }
-
-    void
-    restoreState(Source &src) override
-    {
-        SimActor::restoreState(src);
-        pending_.restoreState(src);
-        havePending_ = src.boolean();
-        carry_ = src.u64();
-        requestStart_ = src.u64();
-        tstats_.touches = src.u64();
-        tstats_.blockedFaults = src.u64();
-        tstats_.barriersPassed = src.u64();
-        tstats_.finishTime = src.u64();
-        stream_->restoreState(src);
+        SimActor::visitState(io);
+        pending_.visitState(io);
+        io.boolean(havePending_);
+        io.u64(carry_);
+        io.u64(requestStart_);
+        io.u64(tstats_.touches);
+        io.u64(tstats_.blockedFaults);
+        io.u64(tstats_.barriersPassed);
+        io.u64(tstats_.finishTime);
+        stream_->visitState(io);
     }
 
   protected:

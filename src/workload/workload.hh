@@ -84,10 +84,7 @@ class Workload
      * forEachBarrier (they reference actors); stream cursors live in
      * the per-thread OpStream. Default: stateless.
      */
-    virtual void saveState(Sink &) const {}
-
-    /** Restore state captured by saveState(). */
-    virtual void restoreState(Source &) {}
+    virtual void visitState(StateIO &) {}
 };
 
 } // namespace pagesim

@@ -1,57 +1,48 @@
-// Fixture: every way a field can drift out of checkpoint coverage.
-// Expected: four unwaived state-cov findings (one field in neither
-// body, one missing from restoreState, one missing from saveState,
-// one class with no restoreState body at all), one waived state-cov
-// finding, and one lint-unused-waiver for the stale waiver on a
-// field that is in fact serialized.
+// Fixture: every way a field can escape checkpoint coverage.
+// Expected: two unwaived state-cov findings (a field the inline
+// visitState body never mentions, and one an out-of-line body skips),
+// one waived state-cov finding, and one lint-unused-waiver for the
+// stale waiver on a field that is in fact serialized.
 namespace fixture
 {
 
-struct Sink
+struct StateIO
 {
-    void u64(unsigned long v);
-};
-
-struct Source
-{
-    unsigned long u64();
+    void u64(unsigned long &v);
 };
 
 class SnapDrift
 {
   public:
-    void saveState(Sink &sink) const
+    void visitState(StateIO &io)
     {
-        sink.u64(covered_);
-        sink.u64(saveOnly_);
-        sink.u64(stale_);
-    }
-
-    void restoreState(Source &src)
-    {
-        covered_ = src.u64();
-        restoreOnly_ = src.u64();
-        stale_ = src.u64();
+        io.u64(covered_);
+        io.u64(stale_);
     }
 
   private:
     unsigned long covered_ = 0;
     unsigned long added_ = 0;
-    unsigned long saveOnly_ = 0;
-    unsigned long restoreOnly_ = 0;
     // lint:state-cov-ok(scratch cleared at epoch start and rebuilt on first access)
     unsigned long waived_ = 0;
-    // lint:state-cov-ok(stale waiver: the field is serialized in both bodies)
+    // lint:state-cov-ok(stale waiver: the field is serialized in visitState)
     unsigned long stale_ = 0;
 };
 
-class SnapHalf
+class SnapOutOfLine
 {
   public:
-    void saveState(Sink &sink) const { sink.u64(x_); }
+    void visitState(StateIO &io);
 
   private:
-    unsigned long x_ = 0;
+    unsigned long kept_ = 0;
+    unsigned long dropped_ = 0;
 };
+
+inline void
+SnapOutOfLine::visitState(StateIO &io)
+{
+    io.u64(kept_);
+}
 
 } // namespace fixture

@@ -1,19 +1,14 @@
 // Fixture: a checkpointable class where every field is accounted
-// for — serialized directly, serialized through same-class helpers,
+// for — serialized directly, serialized through a same-class helper,
 // exempt wiring (pointer / const / callback / mutable members), or
 // waived with a written reason. Expected: exactly one state-cov
 // finding, waived.
 namespace fixture
 {
 
-struct Sink
+struct StateIO
 {
-    void u64(unsigned long v);
-};
-
-struct Source
-{
-    unsigned long u64();
+    void u64(unsigned long &v);
 };
 
 struct Config;
@@ -21,21 +16,15 @@ struct Config;
 class SnapClean
 {
   public:
-    void saveState(Sink &sink) const
+    void
+    visitState(StateIO &io)
     {
-        sink.u64(epoch_);
-        writeHot(sink);
-    }
-
-    void restoreState(Source &src)
-    {
-        epoch_ = src.u64();
-        readHot(src);
+        io.u64(epoch_);
+        visitHot(io);
     }
 
   private:
-    void writeHot(Sink &sink) const { sink.u64(hot_); }
-    void readHot(Source &src) { hot_ = src.u64(); }
+    void visitHot(StateIO &io) { io.u64(hot_); }
 
     unsigned long epoch_ = 0;
     unsigned long hot_ = 0;

@@ -249,7 +249,7 @@ runLint(const LintOptions &options)
 
     // Pass 1: the semantic model (classes, fields, method bodies,
     // parallelFor lambdas) across every file, so a .cc's out-of-line
-    // saveState pairs with the field list in its header.
+    // visitState pairs with the field list in its header.
     CodeModel model;
     for (const SourceFile &sf : sources)
         buildModelFromFile(sf, model);

@@ -87,7 +87,7 @@ changedFiles(const std::string &root, const std::string &ref,
         if (std::ifstream(root + "/" + f).good())
             picked.insert(f);
         // ... and its TU sibling, so header fields pair with their
-        // out-of-line saveState/restoreState bodies.
+        // out-of-line visitState bodies.
         const std::size_t dot = f.rfind('.');
         const std::string stem = f.substr(0, dot);
         for (const char *ext : {".hh", ".h", ".cc", ".cpp"}) {

@@ -95,8 +95,8 @@ struct CodeModel
     /**
      * Class name -> member-function bodies, inline and out-of-line.
      * Only definitions with bodies are recorded; pure declarations
-     * are not (so `virtual void saveState(...) = 0;` interfaces do
-     * not count as "defines saveState").
+     * are not (so `virtual void visitState(...) = 0;` interfaces do
+     * not count as "defines visitState").
      */
     std::map<std::string, std::vector<MethodDef>> methods;
     /** parallelFor lambdas grouped by SourceFile::relPath. */

@@ -2,14 +2,14 @@
  * @file
  * Checkpoint state-coverage rule family (state-cov).
  *
- * PR 8 made checkpoints load-bearing: every layer carries
- * saveState/restoreState, and a field that silently escapes
- * serialization shows up three PRs later as a fingerprint mystery.
- * This rule turns that drift into a lint failure at the PR that
- * introduces it: for every class that defines a saveState BODY,
- * every non-static data member must be referenced (as an identifier)
- * in both its saveState and restoreState bodies — directly, or
- * through same-class helper methods, which are inlined transitively.
+ * Every checkpointed class describes its state once, in a
+ * visitState(StateIO &) body that capture, validation, restore and
+ * sizing all run, so a field can no longer be saved but not restored.
+ * What remains possible is a field that never reaches the body at
+ * all — it shows up PRs later as a fingerprint mystery. For every
+ * class that defines a visitState BODY, every non-static data member
+ * must be referenced (as an identifier) in it — directly, or through
+ * same-class helper methods, which are inlined transitively.
  *
  * Members that cannot meaningfully be serialized are exempt without
  * a waiver, because they are wiring rather than state:
@@ -18,10 +18,9 @@
  *     layer re-links them by stable id, see harness/checkpoint.cc),
  *   - callback members (std::function / SmallFunction),
  *   - const members (fixed at construction, re-fed by config),
- *   - mutable members (mutable in a const-saveState world declares
- *     "not logical state" — a cache, by definition).
+ *   - mutable members (a cache, by declaration).
  *
- * Everything else either shows up in both bodies or carries a
+ * Everything else either shows up in the body or carries a
  * `// lint:state-cov-ok(<why transient>)` waiver ON ITS DECLARATION
  * LINE — the finding anchors there, so the reason lives next to the
  * field it excuses.
@@ -68,7 +67,7 @@ exemptReason(const std::string &typeText)
 /**
  * Collect every identifier mentioned in @p def's body into
  * @p idents, inlining unqualified calls to other methods of the
- * same class (and `this->helper()` spellings) so a saveState that
+ * same class (and `this->helper()` spellings) so a visitState that
  * delegates to private helpers still covers the fields they touch.
  */
 void
@@ -115,51 +114,23 @@ runStateCovRules(const SourceFile &file, const RuleContext &ctx,
     for (const auto &[name, cls] : model.classes) {
         if (cls.file != &file)
             continue; // report in the declaring file only
-        const MethodDef *save = model.method(name, "saveState");
-        if (save == nullptr)
+        const MethodDef *visit = model.method(name, "visitState");
+        if (visit == nullptr)
             continue; // interfaces (pure virtual) have no body
-        const MethodDef *restore = model.method(name, "restoreState");
 
-        std::set<std::string> saveRefs;
-        std::set<std::string> restoreRefs;
+        std::set<std::string> refs;
         std::set<const MethodDef *> visited;
-        collectReferencedIdents(model, name, *save, saveRefs, visited,
-                                0);
-        if (restore != nullptr) {
-            visited.clear();
-            collectReferencedIdents(model, name, *restore, restoreRefs,
-                                    visited, 0);
-        } else {
-            out.push_back(Finding{
-                file.relPath, cls.line, kRuleStateCov,
-                "class '" + name +
-                    "' defines saveState but no restoreState body "
-                    "was found: a checkpoint of it could never be "
-                    "applied"});
-        }
-
+        collectReferencedIdents(model, name, *visit, refs, visited, 0);
         for (const FieldDecl &f : cls.fields) {
-            if (!exemptReason(f.type).empty())
+            if (!exemptReason(f.type).empty() || refs.count(f.name) != 0)
                 continue;
-            const bool inSave = saveRefs.count(f.name) != 0;
-            const bool inRestore =
-                restore == nullptr || restoreRefs.count(f.name) != 0;
-            if (inSave && inRestore)
-                continue;
-            std::string where;
-            if (!inSave && !inRestore)
-                where = "saveState or restoreState";
-            else if (!inSave)
-                where = "saveState";
-            else
-                where = "restoreState";
             out.push_back(Finding{
                 file.relPath, f.line, kRuleStateCov,
                 "field '" + f.name + "' of checkpointable class '" +
-                    name + "' is not referenced in " + where +
-                    ": a checkpoint would silently drop it — "
-                    "serialize it, or waive with "
-                    "lint:state-cov-ok(<why transient>) on the "
+                    name +
+                    "' is not referenced in visitState: a checkpoint "
+                    "would silently drop it — serialize it, or waive "
+                    "with lint:state-cov-ok(<why transient>) on the "
                     "declaration"});
         }
     }
