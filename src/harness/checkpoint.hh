@@ -33,19 +33,25 @@
  * so a version-1 image is refused with VersionMismatch. A
  * little-endian host is assumed: lanes are copied in host order.
  *
- * Capture is single-copy: every section, and every length-prefixed
- * space/workload/actor record inside one, is serialized straight into
- * the one image buffer (reserved up front from the lane sizes); its
- * length and checksum slots are backfilled over the payload span, and
- * the finished buffer is moved, not copied, into Checkpoint::bytes.
+ * Every section is described once, by the visitState(StateIO &)
+ * bodies of the classes it holds (sim/serialize.hh); capture, the
+ * pre-apply check, the apply and the size estimate all walk one
+ * section table. Capture is single-copy: every section, and every
+ * length-prefixed space/workload/actor record inside one, is
+ * serialized straight into the one image buffer (reserved up front at
+ * its exact size); its length and checksum slots are backfilled over
+ * the payload span, and the finished buffer is moved, not copied,
+ * into Checkpoint::bytes.
  *
- * Loading is two-pass: ALL section checksums, the frame-table shape
- * and the replayed layout are validated before ANY state is applied,
- * so truncation, version skew, flipped bytes and a machine of another
- * size are rejected with a structured error and zero partial state.
- * (If apply itself fails — only possible on a format bug the version
- * check should have caught — the caller must discard the half-restored
- * rig; runTrial's fallback path rebuilds from scratch.)
+ * Loading is two-pass: ALL section checksums, then a StateIO Check
+ * pass over every section (lane and record counts, replayed layouts,
+ * the memcg count, frame-owner and barrier-waiter ids, enum ranges)
+ * run before ANY state is applied, so truncation, version skew,
+ * flipped bytes, a machine of another size and out-of-range indices
+ * are rejected with a structured error and zero partial state. (If
+ * apply itself fails — only possible on a format bug — the caller
+ * must discard the half-restored rig; runTrial's fallback path
+ * rebuilds from scratch.)
  */
 
 #ifndef PAGESIM_HARNESS_CHECKPOINT_HH
@@ -92,7 +98,8 @@ struct CheckpointError
         FingerprintMismatch, ///< a section's payload does not match its
                              ///< recorded checksum64
         SectionMissing,      ///< a required section is absent
-        Unsupported,         ///< image valid but not applicable here
+        Unsupported,         ///< image valid but a section does not
+                             ///< decode (an index out of range, ...)
         NotQuiescent,        ///< capture attempted off a quiescent point
     };
 
@@ -124,9 +131,9 @@ struct Checkpoint
  * the single-tenant and colocation harnesses: spaces/workloads in
  * tenant order, actors as [kswapd, noise, threads tenant-major]. The
  * checkpoint machinery maps raw pointers (frame owners, barrier
- * waiters) to indices in these vectors; both sides must present the
- * same construction, which they do because the restore side replays
- * the identical build.
+ * waiters) to indices in these vectors (StateLinks); both sides must
+ * present the same construction, which they do because the restore
+ * side replays the identical build.
  */
 struct RigView
 {
@@ -154,9 +161,9 @@ CheckpointError captureCheckpoint(const RigView &rig,
  * Validate @p ckpt and apply it to @p rig, a freshly built rig
  * (TrialRigOptions::forRestore) of the SAME configuration and seed.
  * All validation (magic, version, config hash, seed, every section
- * checksum, frame-table shape, layout replay) happens before any state
- * is touched; on a validation error the rig is untouched. On an apply
- * error (format bug) the rig must be discarded.
+ * checksum, a Check-mode decode of every section) happens before any
+ * state is touched; on a validation error the rig is untouched. On an
+ * apply error (format bug) the rig must be discarded.
  */
 CheckpointError restoreCheckpoint(const RigView &rig,
                                   std::uint64_t config_hash,

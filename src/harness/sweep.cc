@@ -1,6 +1,7 @@
 #include "harness/sweep.hh"
 
 #include <atomic>
+#include <bit>
 #include <thread>
 
 #include "sim/parallel.hh"
@@ -92,11 +93,12 @@ ResultCache::key(const ExperimentConfig &config)
     // Every config field that can change a TrialResult must appear
     // here, else two different cells alias one cache slot and a bench
     // silently plots the wrong data. label() covers workload/policy/
-    // swap/capacity; ratios are keyed at full precision (the old
-    // int-percent truncation aliased fine-grained tier sweeps), and
-    // the memcg watermarks and metrics mode joined with the memcg
-    // refactor (metrics mode never perturbs the simulation, but it
-    // does decide whether TrialResult.metrics is populated). The
+    // swap/capacity; ratios are keyed by their exact bit patterns
+    // (int percents and std::to_string's six decimals both aliased
+    // fine-grained sweeps), and the memcg watermarks and metrics
+    // config joined with the memcg refactor (metrics never perturb the
+    // simulation, but mode, cadence and caps decide what
+    // TrialResult.metrics holds). The
     // effective audit cadence is keyed too: an audit-heavy run has the
     // same counters only by luck, and a cached result must not leak
     // across a PAGESIM_AUDIT_EVERY change. warmupRefs/checkpointAt
@@ -104,16 +106,22 @@ ResultCache::key(const ExperimentConfig &config)
     // timing detail; checkpointAt does not, but keying it keeps
     // cached-vs-cold comparisons honest). mgTweak remains unkeyable —
     // see the class comment.
+    const auto exact = [](double v) {
+        return std::to_string(std::bit_cast<std::uint64_t>(v));
+    };
     return config.label() + "/" + std::to_string(config.trials) + "/" +
            std::to_string(config.baseSeed) + "/" +
            std::to_string(static_cast<int>(config.scale)) + "/" +
-           std::to_string(config.capacityRatio) + "/" +
-           std::to_string(config.slowTierRatio) + "/" +
+           exact(config.capacityRatio) + "/" +
+           exact(config.slowTierRatio) + "/" +
            std::to_string(config.numCpus) + "/" +
-           std::to_string(config.memcgLowRatio) + "/" +
-           std::to_string(config.memcgHighRatio) + "/" +
-           std::to_string(config.memcgMaxRatio) + "/" +
+           exact(config.memcgLowRatio) + "/" +
+           exact(config.memcgHighRatio) + "/" +
+           exact(config.memcgMaxRatio) + "/" +
            std::to_string(static_cast<int>(config.metrics.mode)) + "/" +
+           std::to_string(config.metrics.sampleEvery) + "/" +
+           std::to_string(config.metrics.maxSamples) + "/" +
+           std::to_string(config.metrics.maxSpans) + "/" +
            std::to_string(effectiveAuditEvery()) + "/" +
            std::to_string(config.warmupRefs) + "/" +
            std::to_string(config.checkpointAt);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "harness/sweep.hh"
@@ -169,6 +170,42 @@ TEST(Sweep, ResultCacheKeyCoversResultChangingConfig)
     cache.get(boundary);
     EXPECT_EQ(cache.misses(), 8u)
         << "checkpointed cells must not alias cold cells";
+
+    // Ratios closer than std::to_string's six decimals.
+    ExperimentConfig fine = base;
+    fine.capacityRatio = 0.1234561;
+    cache.get(fine);
+    EXPECT_EQ(cache.misses(), 9u);
+    fine.capacityRatio = 0.1234564;
+    cache.get(fine);
+    EXPECT_EQ(cache.misses(), 10u) << "capacity keyed exactly";
+    ExperimentConfig fineMax = base;
+    fineMax.memcgMaxRatio = 0.6000001;
+    cache.get(fineMax);
+    fineMax.memcgMaxRatio = 0.6000004;
+    cache.get(fineMax);
+    EXPECT_EQ(cache.misses(), 12u) << "watermarks keyed exactly";
+
+    // The metrics cadence and caps change what TrialResult.metrics
+    // holds.
+    ExperimentConfig sampler = base;
+    sampler.metrics.mode = MetricsMode::Full;
+    cache.get(sampler);
+    EXPECT_EQ(cache.misses(), 13u);
+    ExperimentConfig denser = sampler;
+    denser.metrics.sampleEvery = sampler.metrics.sampleEvery / 2;
+    cache.get(denser);
+    EXPECT_EQ(cache.misses(), 14u) << "sampleEvery keyed";
+    ExperimentConfig fewerSamples = sampler;
+    fewerSamples.metrics.maxSamples = 16;
+    cache.get(fewerSamples);
+    EXPECT_EQ(cache.misses(), 15u) << "maxSamples keyed";
+    ExperimentConfig fewerSpans = sampler;
+    fewerSpans.metrics.maxSpans = 16;
+    cache.get(fewerSpans);
+    EXPECT_EQ(cache.misses(), 16u) << "maxSpans keyed";
+    cache.get(fewerSpans);
+    EXPECT_EQ(cache.misses(), 16u) << "and still hits when unchanged";
 }
 
 TEST(Sweep, ResultCacheKeyCoversAuditCadence)
@@ -177,6 +214,13 @@ TEST(Sweep, ResultCacheKeyCoversAuditCadence)
     // unaudited one only by luck. The cadence is read from the
     // environment and cached per process, so a cached result must not
     // survive a PAGESIM_AUDIT_EVERY change within one process either.
+    // Start unaudited whatever the caller's environment (the sanitizer
+    // CI job audits every batch), and put its setting back after.
+    const char *outer = std::getenv("PAGESIM_AUDIT_EVERY");
+    const bool had_outer = outer != nullptr;
+    const std::string saved = had_outer ? outer : "";
+    unsetenv("PAGESIM_AUDIT_EVERY");
+    detail::refreshAuditEveryOverrideCacheForTests();
     ResultCache cache;
     ExperimentConfig base;
     base.scale = ScalePreset::Small;
@@ -197,6 +241,11 @@ TEST(Sweep, ResultCacheKeyCoversAuditCadence)
     detail::refreshAuditEveryOverrideCacheForTests();
     cache.get(base);
     EXPECT_EQ(cache.hits(), 2u) << "back to the unaudited entry";
+
+    if (had_outer) {
+        setenv("PAGESIM_AUDIT_EVERY", saved.c_str(), 1);
+        detail::refreshAuditEveryOverrideCacheForTests();
+    }
 }
 
 TEST(Sweep, WorkersOverrideParsing)

@@ -64,6 +64,7 @@ TEST(MemoryManager, MajorFaultBlocksOnSsdAndRetrySucceeds)
             const std::uint32_t shadow = h.policy->onPageRemoved(pfn);
             const SwapSlot slot = h.swap->allocate();
             h.space.table().unmapToSwap(h.base(), slot, shadow);
+            h.mm->memcgOf(h.space).uncharge(h.frames.info(pfn));
             h.frames.release(pfn);
             phase = 1;
             // Now fault it back: must block on device read.
@@ -102,6 +103,7 @@ TEST(MemoryManager, ZramFaultIsSynchronousCpuWork)
         const SwapSlot slot = h.swap->allocate();
         h.swap->recordContents(slot, 1);
         h.space.table().unmapToSwap(h.base(), slot, shadow);
+        h.mm->memcgOf(h.space).uncharge(h.frames.info(pfn));
         h.frames.release(pfn);
         sink.take();
         const Outcome o =

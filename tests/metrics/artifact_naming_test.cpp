@@ -10,6 +10,9 @@
 
 #include <filesystem>
 #include <set>
+#include <string>
+
+#include <unistd.h>
 
 #include "harness/experiment.hh"
 
@@ -27,7 +30,14 @@ struct ArtifactDir : ::testing::Test
     void
     SetUp() override
     {
-        dir = fs::temp_directory_path() / "pagesim_artifact_naming";
+        // One directory per test and process: ctest -j runs tests in
+        // parallel processes, which must never count or delete each
+        // other's files.
+        const ::testing::TestInfo *info =
+            ::testing::UnitTest::GetInstance()->current_test_info();
+        dir = fs::temp_directory_path() /
+              ("pagesim_artifact_naming." + std::string(info->name()) +
+               "." + std::to_string(::getpid()));
         fs::remove_all(dir);
     }
 
