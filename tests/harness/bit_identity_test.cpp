@@ -14,6 +14,10 @@
  *    (AddressSpace::id(), vpn). The waiter map feeds wake order and
  *    the audit walk; these fingerprints prove the swap changed
  *    nothing observable.
+ *  - The one-machine-build refactor (a single-workload trial became a
+ *    one-tenant colocation): binding memcg limits, the slow tier and
+ *    the fast-forward driver are pinned on their own, because the
+ *    three plain cells above reach none of those paths.
  *
  * If a fingerprint changes, the refactor being tested altered
  * simulated behavior: find the divergence, don't re-record. Only
@@ -25,6 +29,7 @@
 
 #include <cstdint>
 
+#include "harness/checkpoint.hh"
 #include "harness/experiment.hh"
 
 namespace pagesim
@@ -178,6 +183,77 @@ TEST(BitIdentity, Big1MSerialAndShardedPinned)
 
     EXPECT_EQ(serial, 15456000562956673319ull);
     EXPECT_EQ(sharded, serial);
+}
+
+/** fingerprint() plus the tiered-memory counters. */
+std::uint64_t
+tieredFingerprint(const TrialResult &r)
+{
+    Fnv h;
+    h.add(fingerprint(r));
+    h.add(r.tier.demotions);
+    h.add(r.tier.promotions);
+    h.add(r.tier.slowHits);
+    h.add(r.tier.slowEvictions);
+    return h.value();
+}
+
+ExperimentConfig
+smallCell(WorkloadKind wl, PolicyKind policy, SwapKind swap)
+{
+    ExperimentConfig cfg;
+    cfg.workload = wl;
+    cfg.policy = policy;
+    cfg.swap = swap;
+    cfg.capacityRatio = 0.5;
+    cfg.scale = ScalePreset::Small;
+    cfg.baseSeed = 12345;
+    return cfg;
+}
+
+TEST(BitIdentity, TpchClockZramBindingMemcgPinned)
+{
+    // A lone memcg with binding high/max limits: limit reclaim and
+    // throttling in the faulting task, on the synchronous device.
+    ExperimentConfig cfg =
+        smallCell(WorkloadKind::Tpch, PolicyKind::Clock, SwapKind::Zram);
+    const TrialResult unlimited = runTrial(cfg, 12345);
+    cfg.memcgHighRatio = 0.35;
+    cfg.memcgMaxRatio = 0.4;
+    const TrialResult r = runTrial(cfg, 12345);
+    EXPECT_GT(r.kernel.evictions, unlimited.kernel.evictions);
+    EXPECT_EQ(fingerprint(r), 7898949620799492758ull);
+}
+
+TEST(BitIdentity, YcsbAMgLruSsdSlowTierPinned)
+{
+    // TPP tiering: demotion before swap, promotion on slow-tier hits.
+    ExperimentConfig cfg =
+        smallCell(WorkloadKind::YcsbA, PolicyKind::MgLru, SwapKind::Ssd);
+    cfg.slowTierRatio = 0.25;
+    const TrialResult r = runTrial(cfg, 12345);
+    EXPECT_GT(r.tier.demotions, 0u);
+    EXPECT_EQ(tieredFingerprint(r), 15650516576142245563ull);
+}
+
+TEST(BitIdentity, FastForwardColdAndWarmPinned)
+{
+    // A functional warmup into a checkpoint boundary: the cold call
+    // simulates the prefix and captures it, the warm call restores it.
+    // Both must land on the same pinned result.
+    ExperimentConfig cfg =
+        smallCell(WorkloadKind::YcsbB, PolicyKind::MgLru, SwapKind::Zram);
+    cfg.warmupRefs = 10000;
+    cfg.checkpointAt = 20000;
+    CheckpointCache &cache = CheckpointCache::instance();
+    cache.clear();
+    const std::uint64_t cold = fingerprint(runTrial(cfg, 12345));
+    EXPECT_EQ(cache.hits(), 0u);
+    const std::uint64_t warm = fingerprint(runTrial(cfg, 12345));
+    EXPECT_EQ(cache.hits(), 1u);
+    cache.clear();
+    EXPECT_EQ(cold, 13766766939296408587ull);
+    EXPECT_EQ(warm, 13766766939296408587ull);
 }
 
 } // namespace

@@ -121,6 +121,18 @@ TEST(Colocation, RepeatRunsAreBitIdentical)
     EXPECT_NE(a, c);
 }
 
+TEST(Colocation, ThreeTenantFingerprintsPinned)
+{
+    // Golden per-tenant fingerprints, so a refactor of the machine
+    // build cannot move every run in lockstep unnoticed (the tests
+    // above only compare runs with each other). Re-record only for a
+    // deliberate model change.
+    const auto fps = fingerprints(runColocationTrial(threeTenants(), 7));
+    EXPECT_EQ(fps, (std::vector<std::uint64_t>{12810185064311438883ull,
+                                               3549933159575256792ull,
+                                               16497275574195911397ull}));
+}
+
 TEST(Colocation, RunColocationPoolMatchesDirectTrials)
 {
     // The trial pool (however many host workers it uses) must produce
