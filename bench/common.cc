@@ -22,7 +22,7 @@ banner(const std::string &figure, const std::string &description,
                 description.c_str());
     std::printf("trials/cell: %u (set PAGESIM_TRIALS to override; "
                 "paper used 25)\n\n",
-                effectiveTrials(base));
+                effectiveTrials(base.trials));
 }
 
 double

@@ -745,7 +745,7 @@ main(int argc, char **argv)
         c.trials = 3;
     std::printf("sweep: %zu cells x %u trials, min of 3 alternating "
                 "rounds...\n",
-                cells.size(), effectiveTrials(cells.front()));
+                cells.size(), effectiveTrials(cells.front().trials));
 
     // Alternate serial and pooled within each round (min of 3) so a
     // slow host phase cannot land entirely on one side.
@@ -772,7 +772,7 @@ main(int argc, char **argv)
     // the pool would not pay for itself it drains inline instead.
     const unsigned hw_threads = std::thread::hardware_concurrency();
     const std::size_t sweep_tasks =
-        cells.size() * effectiveTrials(cells.front());
+        cells.size() * effectiveTrials(cells.front().trials);
     const bool degraded_to_serial =
         std::min<std::size_t>(hw_threads == 0 ? 4 : hw_threads,
                               sweep_tasks / 2) <= 1;
@@ -846,7 +846,7 @@ main(int argc, char **argv)
     }
     std::printf("checkpoint sweep: %zu cells x %u trials, boundary at "
                 "%llu refs, min of 3 rounds...\n",
-                ckpt_cells.size(), effectiveTrials(ckpt_cells.front()),
+                ckpt_cells.size(), effectiveTrials(ckpt_cells.front().trials),
                 static_cast<unsigned long long>(ckpt_boundary));
     SweepOptions ckpt_workers;
     ckpt_workers.workers = 1;
@@ -1161,7 +1161,7 @@ main(int argc, char **argv)
                  "    \"speedup\": %.3f,\n"
                  "    \"degraded_to_serial\": %s,\n"
                  "    \"identical_results\": %s\n  },\n",
-                 cells.size(), effectiveTrials(cells.front()),
+                 cells.size(), effectiveTrials(cells.front().trials),
                  serial_secs, pooled_secs, sweep_speedup,
                  degraded_to_serial ? "true" : "false",
                  identical ? "true" : "false");
@@ -1182,7 +1182,7 @@ main(int argc, char **argv)
                  "      \"functional_seconds\": %.2f,\n"
                  "      \"speedup\": %.3f\n    }\n  },\n",
                  ckpt_cells.size(),
-                 effectiveTrials(ckpt_cells.front()),
+                 effectiveTrials(ckpt_cells.front().trials),
                  static_cast<unsigned long long>(ckpt_boundary),
                  ckpt_cold_secs, ckpt_warm_secs, ckpt_speedup,
                  ckpt_identical ? "true" : "false",

@@ -53,7 +53,7 @@ main(int argc, char **argv)
                 workloadKindName(config.workload).c_str(),
                 config.capacityRatio * 100,
                 swapKindName(config.swap).c_str(),
-                effectiveTrials(config));
+                effectiveTrials(config.trials));
 
     TextTable table;
     table.header({"policy", "runtime", "cv", "faults", "evict", "2nd-ch",

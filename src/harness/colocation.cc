@@ -1,26 +1,10 @@
 #include "harness/colocation.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <thread>
 
 #include "harness/checkpoint.hh"
 #include "harness/trial_rig.hh"
-
-#include "check/mm_audit.hh"
-#include "kernel/background_noise.hh"
-#include "kernel/kswapd.hh"
-#include "kernel/memory_manager.hh"
-#include "kernel/mm_metrics.hh"
-#include "kv/ycsb_workload.hh"
 #include "sim/parallel.hh"
-#include "sim/simulation.hh"
-#include "swap/ssd_device.hh"
-#include "swap/swap_manager.hh"
-#include "swap/zram_device.hh"
-#include "workload/work_thread.hh"
 
 namespace pagesim
 {
@@ -77,191 +61,43 @@ tenantFingerprint(const TenantResult &r)
     return h;
 }
 
-namespace
-{
-
-/**
- * Colocation twin of experiment.cc's buildRigAtBoundary: restore a
- * cached snapshot into a forRestore rig, or simulate to the boundary
- * (functionally inside the warmupRefs window) and capture one.
- */
-std::unique_ptr<ColocationRig>
-buildColocationRigAtBoundary(const ColocationConfig &config,
-                             std::uint64_t trial_seed,
-                             std::uint64_t boundary,
-                             std::uint64_t max_events,
-                             std::uint64_t &events_used)
-{
-    const bool cacheable = config.checkpointAt > 0 && !config.mgTweak;
-    const std::uint64_t hash = colocationPrefixHash(config);
-    if (cacheable) {
-        if (auto ckpt = CheckpointCache::instance().find(
-                hash, trial_seed, boundary)) {
-            TrialRigOptions opts;
-            opts.forRestore = true;
-            opts.deferObservers = true;
-            auto rig = std::make_unique<ColocationRig>(
-                config, trial_seed, opts);
-            const CheckpointError err = restoreCheckpoint(
-                rig->view(), hash, trial_seed, *ckpt);
-            if (err.ok()) {
-                rig->installObservers();
-                return rig;
-            }
-            std::fprintf(stderr,
-                         "pagesim: checkpoint restore failed (%s: %s); "
-                         "re-simulating\n",
-                         checkpointErrorKindName(err.kind),
-                         err.message.c_str());
-        }
-    }
-
-    TrialRigOptions opts;
-    opts.deferObservers = true;
-    opts.functional = config.warmupRefs > 0;
-    auto rig =
-        std::make_unique<ColocationRig>(config, trial_seed, opts);
-    const bool reached =
-        rig->runToBoundary(boundary, max_events, events_used);
-    if (rig->mm->functionalMode())
-        rig->mm->setFunctionalMode(false);
-    if (reached && cacheable) {
-        auto ckpt = std::make_shared<Checkpoint>();
-        if (captureCheckpoint(rig->view(), hash, trial_seed, boundary,
-                              *ckpt)
-                .ok()) {
-            CheckpointCache::instance().insert(std::move(ckpt));
-        }
-    }
-    rig->installObservers();
-    return rig;
-}
-
-} // namespace
-
 ColocationTrialResult
 runColocationTrial(const ColocationConfig &config,
                    std::uint64_t trial_seed)
 {
-    assert(!config.tenants.empty());
+    const std::string label = config.label();
+    const std::unique_ptr<ColocationRig> rig = runRig(
+        config, trial_seed, colocationPrefixHash(config), label);
 
-    constexpr std::uint64_t kMaxEvents = 2000000000ull;
-    const std::uint64_t boundary =
-        std::max(config.warmupRefs, config.checkpointAt);
-    std::uint64_t events_used = 0;
-
-    std::unique_ptr<ColocationRig> rig;
-    if (boundary == 0) {
-        rig = std::make_unique<ColocationRig>(config, trial_seed,
-                                              TrialRigOptions{});
-    } else {
-        rig = buildColocationRigAtBoundary(config, trial_seed, boundary,
-                                           kMaxEvents, events_used);
-    }
-
-    // --- Run to completion. ----------------------------------------
-    if (!rig->sim.runToCompletion(kMaxEvents - events_used)) {
-        std::fprintf(stderr,
-                     "pagesim: colocation %s seed %llu did not "
-                     "converge\n",
-                     config.label().c_str(),
-                     static_cast<unsigned long long>(trial_seed));
-        std::abort();
-    }
-
-    // --- Collect results. ------------------------------------------
-    Simulation &sim = rig->sim;
-    MemoryManager &mm = *rig->mm;
     ColocationTrialResult r;
-    r.kernel = mm.stats();
+    r.kernel = rig->mm->stats();
     r.swap = rig->device->stats();
     r.kswapdCpuNs = rig->kswapd->cpuWork();
     r.totalTouches = rig->totalRefs();
     for (std::size_t i = 0; i < rig->tenants.size(); ++i) {
-        TenantResult tr;
-        tr.name = config.tenants[i].name;
-        tr.memcgStats = mm.memcg(static_cast<MemcgId>(i)).stats();
-        tr.policy = rig->tenants[i].policy->stats();
-        for (const auto &th : rig->threads[i]) {
-            tr.threadFinishNs.push_back(th->threadStats().finishTime);
-            tr.threadBlockedFaults.push_back(
-                th->threadStats().blockedFaults);
-            tr.finishNs = std::max(tr.finishNs,
-                                   th->threadStats().finishTime);
-        }
-        if (auto *ycsb = dynamic_cast<YcsbWorkload *>(
-                rig->tenants[i].workload.get())) {
-            tr.readLatency = ycsb->readLatency();
-            tr.writeLatency = ycsb->writeLatency();
-            const std::uint64_t nreq =
-                tr.readLatency.count() + tr.writeLatency.count();
-            if (nreq > 0) {
-                tr.meanRequestNs =
-                    (tr.readLatency.mean() * tr.readLatency.count() +
-                     tr.writeLatency.mean() *
-                         tr.writeLatency.count()) /
-                    static_cast<double>(nreq);
-            }
-        }
-        r.runtimeNs = std::max(r.runtimeNs, tr.finishNs);
-        r.tenants.push_back(std::move(tr));
+        r.tenants.push_back(rig->tenantResult(i));
+        r.runtimeNs = std::max(r.runtimeNs, r.tenants.back().finishNs);
     }
-    if (rig->collector) {
-        rig->collector->sampler().stop();
-        r.metrics = rig->collector->snapshot(sim.now());
-        if (!rig->metricsConfig.artifactDir.empty()) {
-            // One machine-wide artifact set per trial; the label
-            // carries the full tenant list, and per-tenant timeseries
-            // live inside it as "memcg.<name>.*" columns.
-            writeTrialArtifacts(rig->metricsConfig.artifactDir,
-                                config.label(), trial_seed, r.metrics);
-        }
-    }
+    r.metrics = rig->finishMetrics(label);
     return r;
 }
 
 ColocationResult
 runColocation(const ColocationConfig &config)
 {
+    // Refuse a bad tenant list here, not inside a pool worker, where
+    // the exception could not reach the caller.
+    ColocationRig::checkTenants(config);
     ColocationResult result;
     result.config = config;
-
-    ExperimentConfig trials_probe;
-    trials_probe.trials = config.trials;
-    const unsigned trials = effectiveTrials(trials_probe);
-    result.trials.resize(trials);
-
-    unsigned workers = workerOverride();
-    if (workers == 0) {
-        const unsigned n = std::thread::hardware_concurrency();
-        workers = n == 0 ? 4u : n;
-    }
-    workers = std::min<std::size_t>(workers, trials);
-
-    // Same atomic-chase pool as runSweep: each trial writes only its
-    // own pre-sized slot, so results are independent of claim order
-    // and of the worker count.
-    std::atomic<unsigned> next{0};
-    auto drain = [&] {
-        while (true) {
-            const unsigned t = next.fetch_add(1);
-            if (t >= trials)
-                return;
-            // Same seed derivation as trialSeed() in sweep.cc.
-            result.trials[t] = runColocationTrial(
-                config, config.baseSeed + 1000003ull * t);
-        }
-    };
-    if (workers <= 1) {
-        drain();
-        return result;
-    }
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w)
-        pool.emplace_back(drain);
-    for (auto &t : pool)
-        t.join();
+    result.trials.resize(effectiveTrials(config.trials));
+    // Each trial writes only its own pre-sized slot, so results are
+    // independent of claim order and of the worker count.
+    parallelFor(hostWorkers(), result.trials.size(), [&](std::size_t t) {
+        // Same seed derivation as trialSeed() in sweep.cc.
+        result.trials[t] = runColocationTrial(
+            config, config.baseSeed + 1000003ull * t);
+    });
     return result;
 }
 

@@ -13,13 +13,18 @@
  * so noisy-neighbor pressure, memory.low protection, and memory.max
  * limit-reclaim are all observable per tenant.
  *
+ * A single-workload trial is the one-tenant case of the same machine
+ * (trial_rig.hh): one build and one driver serve both.
+ *
  * Determinism: trials are bit-identical across host worker counts.
  * Per-tenant RNG streams fork off the trial seed by tenant NAME
  * ("policy-<name>", ASLR by tenant index), so adding a tenant never
  * perturbs another tenant's streams, and the per-tenant results of a
  * given (config, seed) pair are stable regardless of scheduling
- * (tests/harness/colocation_test.cpp pins this across PAGESIM_WORKERS
- * 1/2/4).
+ * (tests/harness/colocation_test.cpp pins them). Names must therefore
+ * be unique, and empty only for a lone tenant, which then forks the
+ * single-workload streams; other lists, and an empty one, are refused
+ * with std::invalid_argument.
  */
 
 #ifndef PAGESIM_HARNESS_COLOCATION_HH
@@ -39,7 +44,7 @@ namespace pagesim
 /** One tenant: a workload in its own memcg. */
 struct TenantSpec
 {
-    /** Unique per scenario; names the memcg and metric artifacts. */
+    /** Unique; names the memcg, its probes and its RNG streams. */
     std::string name;
     WorkloadKind workload = WorkloadKind::YcsbA;
     ScalePreset scale = ScalePreset::Small;
@@ -134,6 +139,8 @@ std::uint64_t tenantFingerprint(const TenantResult &r);
  * Run one colocation trial. Honors PAGESIM_AUDIT_EVERY (full
  * cross-layer audit, including the memcg invariant family, every N
  * reclaim batches) exactly like runTrial.
+ * @throws std::invalid_argument for a tenant list the file comment
+ *         refuses.
  */
 ColocationTrialResult runColocationTrial(const ColocationConfig &config,
                                          std::uint64_t trial_seed);
@@ -141,7 +148,8 @@ ColocationTrialResult runColocationTrial(const ColocationConfig &config,
 /**
  * Run all trials of a scenario in parallel across host threads
  * (PAGESIM_WORKERS caps the pool; PAGESIM_TRIALS overrides trials).
- * Trial seeds derive exactly like runExperiment's.
+ * Trial seeds derive exactly like runExperiment's. Refuses a bad
+ * tenant list like runColocationTrial, before any trial starts.
  */
 ColocationResult runColocation(const ColocationConfig &config);
 

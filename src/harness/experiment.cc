@@ -1,7 +1,5 @@
 #include "harness/experiment.hh"
 
-#include <cassert>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -11,22 +9,11 @@
 #include "harness/sweep.hh"
 #include "harness/trial_rig.hh"
 
-#include "check/mm_audit.hh"
 #include "graph/pagerank_workload.hh"
-#include "kernel/aging_daemon.hh"
-#include "kernel/background_noise.hh"
-#include "kernel/kswapd.hh"
-#include "kernel/memory_manager.hh"
-#include "kernel/mm_metrics.hh"
-#include "metrics/export.hh"
 #include "kv/ycsb_workload.hh"
-#include "sim/simulation.hh"
-#include "swap/ssd_device.hh"
-#include "swap/swap_manager.hh"
-#include "swap/zram_device.hh"
+#include "metrics/export.hh"
 #include "tpch/tpch_workload.hh"
 #include "workload/file_buffer_workload.hh"
-#include "workload/work_thread.hh"
 
 namespace pagesim
 {
@@ -237,9 +224,9 @@ detail::refreshAuditEveryOverrideCacheForTests()
 }
 
 MetricsConfig
-effectiveMetricsConfig(const ExperimentConfig &config)
+effectiveMetricsConfig(const MetricsConfig &config)
 {
-    MetricsConfig m = config.metrics;
+    MetricsConfig m = config;
     if (const auto mode = metricsModeOverride()) {
         m.mode = *mode;
         // An env opt-in without a destination still wants artifacts.
@@ -276,154 +263,45 @@ writeTrialArtifacts(const std::string &dir, const std::string &label,
     return base;
 }
 
-namespace
-{
-
-/**
- * Build a rig parked at the fast-forward boundary (max of warmupRefs
- * and checkpointAt, > 0). With a cacheable checkpointAt, a cached
- * snapshot short-circuits the warmup entirely: a forRestore rig is
- * rebuilt (construction only — empty event queue) and the snapshot
- * applied. Otherwise the machine is simulated to the boundary — in
- * functional-only mode while inside the warmupRefs window — and, if
- * cacheable, captured for the next caller. Observers attach only
- * after the boundary, so the warmup runs without metrics or audits
- * and capture/restore always sees a quiescent machine.
- */
-std::unique_ptr<TrialRig>
-buildRigAtBoundary(const ExperimentConfig &config,
-                   std::uint64_t trial_seed, std::uint64_t boundary,
-                   std::uint64_t max_events, std::uint64_t &events_used)
-{
-    // An mgTweak hook changes the simulated machine in ways no key can
-    // capture, so such configs never touch the cache (same rule as the
-    // sweep-level ResultCache).
-    const bool cacheable = config.checkpointAt > 0 && !config.mgTweak;
-    const std::uint64_t hash = configPrefixHash(config);
-    if (cacheable) {
-        if (auto ckpt = CheckpointCache::instance().find(
-                hash, trial_seed, boundary)) {
-            TrialRigOptions opts;
-            opts.forRestore = true;
-            opts.deferObservers = true;
-            auto rig = std::make_unique<TrialRig>(config, trial_seed,
-                                                  opts);
-            const CheckpointError err = restoreCheckpoint(
-                rig->view(), hash, trial_seed, *ckpt);
-            if (err.ok()) {
-                rig->installObservers();
-                return rig;
-            }
-            // A failed apply can leave partial state behind; the rig
-            // is discarded wholesale and the trial re-simulated cold.
-            std::fprintf(stderr,
-                         "pagesim: checkpoint restore failed (%s: %s); "
-                         "re-simulating\n",
-                         checkpointErrorKindName(err.kind),
-                         err.message.c_str());
-        }
-    }
-
-    TrialRigOptions opts;
-    opts.deferObservers = true;
-    opts.functional = config.warmupRefs > 0;
-    auto rig = std::make_unique<TrialRig>(config, trial_seed, opts);
-    const bool reached =
-        rig->runToBoundary(boundary, max_events, events_used);
-    // Full detail from here on — before the capture, so cold and
-    // restored continuations run the identical machine.
-    if (rig->mm->functionalMode())
-        rig->mm->setFunctionalMode(false);
-    if (reached && cacheable) {
-        auto ckpt = std::make_shared<Checkpoint>();
-        if (captureCheckpoint(rig->view(), hash, trial_seed, boundary,
-                              *ckpt)
-                .ok()) {
-            CheckpointCache::instance().insert(std::move(ckpt));
-        }
-    }
-    rig->installObservers();
-    return rig;
-}
-
-} // namespace
-
 TrialResult
 runTrial(const ExperimentConfig &config, std::uint64_t trial_seed)
 {
-    constexpr std::uint64_t kMaxEvents = 2000000000ull;
-    const std::uint64_t boundary =
-        std::max(config.warmupRefs, config.checkpointAt);
-    std::uint64_t events_used = 0;
+    const std::string label = config.label();
+    const std::unique_ptr<ColocationRig> rig =
+        runRig(TrialRig::scenario(config), trial_seed,
+               configPrefixHash(config), label, config.slowTierRatio);
 
-    std::unique_ptr<TrialRig> rig;
-    if (boundary == 0) {
-        rig = std::make_unique<TrialRig>(config, trial_seed,
-                                         TrialRigOptions{});
-    } else {
-        rig = buildRigAtBoundary(config, trial_seed, boundary,
-                                 kMaxEvents, events_used);
-    }
-
-    // --- Run to completion. ----------------------------------------
-    const bool done = rig->sim.runToCompletion(kMaxEvents - events_used);
-    if (!done) {
-        std::fprintf(stderr,
-                     "pagesim: trial %s seed %llu did not converge\n",
-                     config.label().c_str(),
-                     static_cast<unsigned long long>(trial_seed));
-        std::abort();
-    }
-
-    // --- Collect results. -------------------------------------------
+    // The fields a colocation reports per tenant ...
+    TenantResult tenant = rig->tenantResult(0);
     TrialResult r;
-    Simulation &sim = rig->sim;
-    MemoryManager &mm = *rig->mm;
+    r.policy = tenant.policy;
+    r.threadFinishNs = std::move(tenant.threadFinishNs);
+    r.threadBlockedFaults = std::move(tenant.threadBlockedFaults);
+    r.readLatency = std::move(tenant.readLatency);
+    r.writeLatency = std::move(tenant.writeLatency);
+    r.meanRequestNs = tenant.meanRequestNs;
+
+    // ... then the machine totals, MG-LRU and tier counters, and the
+    // YCSB measurement window.
+    const MemoryManager &mm = *rig->mm;
     r.kernel = mm.stats();
-    r.policy = rig->policy->stats();
     r.swap = rig->device->stats();
     r.tier = mm.tierStats();
-    if (auto *mg = dynamic_cast<MgLruPolicy *>(rig->policy.get()))
-        r.mglru = mg->mgStats();
     r.kswapdCpuNs = rig->kswapd->cpuWork();
-    if (rig->aging) {
-        r.agingCpuNs = rig->aging->cpuWork();
-        r.agingPasses = rig->aging->passes();
-    }
-    for (const auto &t : rig->threads) {
-        r.threadFinishNs.push_back(t->threadStats().finishTime);
-        r.threadBlockedFaults.push_back(
-            t->threadStats().blockedFaults);
-    }
     r.totalTouches = rig->totalRefs();
-
-    if (auto *ycsb =
-            dynamic_cast<YcsbWorkload *>(rig->workload.get())) {
-        r.runtimeNs = sim.now() - ycsb->measureStart();
-        r.majorFaults =
-            mm.stats().majorFaults - ycsb->faultsAtMeasureStart();
-        r.readLatency = ycsb->readLatency();
-        r.writeLatency = ycsb->writeLatency();
-        const std::uint64_t nreq =
-            r.readLatency.count() + r.writeLatency.count();
-        if (nreq > 0) {
-            r.meanRequestNs =
-                (r.readLatency.mean() * r.readLatency.count() +
-                 r.writeLatency.mean() * r.writeLatency.count()) /
-                static_cast<double>(nreq);
-        }
+    const ColocationRig::Tenant &t = rig->tenants[0];
+    if (const auto *mg = dynamic_cast<const MgLruPolicy *>(t.policy.get()))
+        r.mglru = mg->mgStats();
+    if (const auto *ycsb =
+            dynamic_cast<const YcsbWorkload *>(t.workload.get())) {
+        // YCSB measures its request window only.
+        r.runtimeNs = rig->sim.now() - ycsb->measureStart();
+        r.majorFaults = r.kernel.majorFaults - ycsb->faultsAtMeasureStart();
     } else {
-        r.runtimeNs = sim.now();
-        r.majorFaults = mm.stats().majorFaults;
+        r.runtimeNs = rig->sim.now();
+        r.majorFaults = r.kernel.majorFaults;
     }
-    if (rig->collector) {
-        rig->collector->sampler().stop();
-        r.metrics = rig->collector->snapshot(sim.now());
-        if (!rig->metricsConfig.artifactDir.empty()) {
-            writeTrialArtifacts(rig->metricsConfig.artifactDir,
-                                config.label(), trial_seed, r.metrics);
-        }
-    }
+    r.metrics = rig->finishMetrics(label);
     return r;
 }
 
@@ -455,9 +333,9 @@ trialsOverrideCache()
 } // namespace
 
 unsigned
-effectiveTrials(const ExperimentConfig &config)
+effectiveTrials(unsigned trials)
 {
-    return trialsOverrideCache().value_or(config.trials);
+    return trialsOverrideCache().value_or(trials);
 }
 
 void

@@ -121,10 +121,11 @@ struct ExperimentConfig
     /**
      * Optional cgroup-v2 watermarks on the (single) workload memcg,
      * as fractions of the footprint; 0 disables the respective limit.
-     * All-zero (the default) constructs the manager through the
-     * legacy single-tenant path and is bit-identical to the pre-memcg
-     * harness. Multi-tenant scenarios live in colocation.hh; these
-     * knobs study limit-reclaim and throttling on a lone workload.
+     * They become the low/high/max ratios of the one tenant a trial
+     * runs as (see trial_rig.hh); all-zero (the default) leaves that
+     * memcg unlimited, bit-identical to the pre-memcg harness.
+     * Multi-tenant scenarios live in colocation.hh; these knobs study
+     * limit-reclaim and throttling on a lone workload.
      * Note: with a single memcg, memory.low does not shield it from
      * global reclaim (protection is relative to siblings, as in the
      * kernel); only high/max change behavior here.
@@ -159,13 +160,6 @@ struct ExperimentConfig
      * mgTweak hook are never cached (the hook cannot be keyed).
      */
     std::uint64_t checkpointAt = 0;
-
-    bool
-    memcgLimitsConfigured() const
-    {
-        return memcgLowRatio > 0.0 || memcgHighRatio > 0.0 ||
-               memcgMaxRatio > 0.0;
-    }
 
     std::string label() const;
 };
@@ -252,19 +246,19 @@ ExperimentResult runExperiment(const ExperimentConfig &config);
 std::optional<unsigned> parseTrialsOverride(const char *text);
 
 /**
- * config.trials after applying the PAGESIM_TRIALS env override.
+ * A config's @p trials after applying the PAGESIM_TRIALS env override.
  * The environment is read and parsed once per process (the override
  * is a launch-time knob, and this sits on the sweep hot path).
  */
-unsigned effectiveTrials(const ExperimentConfig &config);
+unsigned effectiveTrials(unsigned trials);
 
 /**
- * config.metrics after applying the PAGESIM_METRICS /
- * PAGESIM_METRICS_DIR env overrides (cached once per process). When
- * the env enables metrics without naming a directory, artifacts land
- * in "pagesim_metrics/".
+ * @p config after applying the PAGESIM_METRICS / PAGESIM_METRICS_DIR
+ * env overrides (cached once per process). When the env enables
+ * metrics without naming a directory, artifacts land in
+ * "pagesim_metrics/".
  */
-MetricsConfig effectiveMetricsConfig(const ExperimentConfig &config);
+MetricsConfig effectiveMetricsConfig(const MetricsConfig &config);
 
 /**
  * Write the per-trial artifact files for @p snapshot under @p dir

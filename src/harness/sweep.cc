@@ -1,8 +1,7 @@
 #include "harness/sweep.hh"
 
-#include <atomic>
+#include <algorithm>
 #include <bit>
-#include <thread>
 
 #include "sim/parallel.hh"
 
@@ -25,65 +24,34 @@ runSweep(const std::vector<ExperimentConfig> &cells,
         unsigned trial;
     };
 
-    std::vector<ExperimentResult> results(cells.size());
     std::vector<Task> tasks;
     for (std::size_t c = 0; c < cells.size(); ++c) {
-        results[c].config = cells[c];
-        const unsigned trials = effectiveTrials(cells[c]);
-        results[c].trials.resize(trials);
+        const unsigned trials = effectiveTrials(cells[c].trials);
         for (unsigned t = 0; t < trials; ++t)
             tasks.push_back({c, t});
     }
-    if (tasks.empty())
-        return results;
 
-    unsigned workers = options.workers;
-    if (workers == 0)
-        workers = workerOverride();
-    if (workers == 0) {
-        // Resolved once per process: hardware_concurrency() is a
-        // syscall on some libstdc++ targets, and figure benches call
-        // runSweep per figure.
-        static const unsigned hw = [] {
-            const unsigned n = std::thread::hardware_concurrency();
-            return n == 0 ? 4u : n;
-        }();
-        workers = hw;
-    }
     // A pool only pays for itself when every worker gets a few trials;
     // below that, thread spawn/join overhead makes the "parallel" path
     // slower than just draining inline (the sweep.speedup < 1 trap on
     // small hosts). Degrade rather than spawn idle threads.
-    workers = std::min<std::size_t>(workers, tasks.size() / 2);
-    if (workers == 0)
-        workers = 1;
+    const unsigned workers = std::min<std::size_t>(
+        options.workers != 0 ? options.workers : hostWorkers(),
+        tasks.size() / 2);
 
-    // Task claiming is a single atomic chase; each task writes only
-    // its own pre-sized result slot, so no further synchronization is
-    // needed and results are independent of claim order.
-    std::atomic<std::size_t> next{0};
-    auto drain = [&] {
-        while (true) {
-            const std::size_t i = next.fetch_add(1);
-            if (i >= tasks.size())
-                return;
-            const Task &task = tasks[i];
-            const ExperimentConfig &config = cells[task.cell];
-            results[task.cell].trials[task.trial] =
-                runTrial(config, trialSeed(config, task.trial));
-        }
-    };
+    // Each task writes only its own flat slot, so results are
+    // independent of claim order and of the worker count.
+    std::vector<TrialResult> slots(tasks.size());
+    parallelFor(workers, tasks.size(), [&](std::size_t i) {
+        const ExperimentConfig &config = cells[tasks[i].cell];
+        slots[i] = runTrial(config, trialSeed(config, tasks[i].trial));
+    });
 
-    if (workers == 1) {
-        drain();
-        return results;
-    }
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w)
-        pool.emplace_back(drain);
-    for (auto &t : pool)
-        t.join();
+    std::vector<ExperimentResult> results(cells.size());
+    for (std::size_t c = 0; c < cells.size(); ++c)
+        results[c].config = cells[c];
+    for (std::size_t i = 0; i < tasks.size(); ++i)
+        results[tasks[i].cell].trials.push_back(std::move(slots[i]));
     return results;
 }
 

@@ -1,9 +1,12 @@
 #include "harness/trial_rig.hh"
 
 #include <algorithm>
-#include <cassert>
+#include <cstdio>
+#include <cstdlib>
+#include <stdexcept>
 
 #include "kernel/mm_metrics.hh"
+#include "kv/ycsb_workload.hh"
 #include "swap/ssd_device.hh"
 #include "swap/zram_device.hh"
 
@@ -24,22 +27,68 @@ ratioFrames(double ratio, std::uint64_t footprint, std::uint32_t off)
                                       ratio));
 }
 
+/** An RNG stream name scoped to tenant @p name ("" = unscoped). */
+std::string
+streamName(const char *stream, const std::string &name)
+{
+    return name.empty() ? std::string(stream)
+                        : std::string(stream) + "-" + name;
+}
+
 } // namespace
 
-TrialRig::TrialRig(const ExperimentConfig &config,
-                   std::uint64_t trial_seed, const TrialRigOptions &opts)
-    : config(config), trialSeed(trial_seed),
-      sim(config.numCpus, trial_seed)
+const ColocationConfig &
+ColocationRig::checkTenants(const ColocationConfig &config)
 {
-    // --- Assemble one simulated machine (= one boot). ---------------
-    // The sequence below is runTrial's original build, verbatim: a
-    // restore rig replays it with the same seed, so every RNG fork and
-    // derived parameter lands identically.
-    workload = makeWorkload(config.workload, config.scale);
-    footprint = workload->footprintPages();
+    const std::vector<TenantSpec> &tenants = config.tenants;
+    if (tenants.empty())
+        throw std::invalid_argument("colocation: no tenants");
+    for (std::size_t i = 0; i < tenants.size(); ++i) {
+        if (tenants[i].name.empty() && tenants.size() > 1) {
+            throw std::invalid_argument(
+                "colocation: tenant " + std::to_string(i) +
+                " has no name beside other tenants");
+        }
+        for (std::size_t j = 0; j < i; ++j) {
+            if (tenants[j].name == tenants[i].name) {
+                throw std::invalid_argument(
+                    "colocation: duplicate tenant name: " +
+                    tenants[i].name);
+            }
+        }
+    }
+    return config;
+}
+
+ColocationRig::ColocationRig(const ColocationConfig &config,
+                             std::uint64_t trial_seed,
+                             const TrialRigOptions &opts,
+                             double slow_tier_ratio)
+    : config(checkTenants(config)), trialSeed(trial_seed),
+      sim(config.numCpus, trial_seed), tenants(config.tenants.size())
+{
+    // --- Assemble one shared machine (= one boot). A restore rig
+    // replays this sequence with the same seed, so every RNG fork and
+    // derived parameter lands identically. ---------------------------
+    for (std::size_t i = 0; i < config.tenants.size(); ++i) {
+        const TenantSpec &spec = config.tenants[i];
+        Tenant &t = tenants[i];
+        t.workload = makeWorkload(spec.workload, spec.scale);
+        t.footprint = t.workload->footprintPages();
+        totalFootprint += t.footprint;
+        t.space =
+            std::make_unique<AddressSpace>(static_cast<uint32_t>(i));
+        t.space->setMemcg(static_cast<MemcgId>(i));
+        // Per-boot, per-tenant layout randomization (the paper reboots
+        // per trial). Mixing the tenant index in keeps every tenant's
+        // layout independent while the i == 0 stream matches the
+        // historical single-workload harness.
+        t.space->enableAslr(splitmix64(trial_seed ^ 0xa51a51a5ull ^
+                                       (0x9e3779b97f4a7c15ull * i)));
+    }
 
     mmConfig.totalFrames = static_cast<std::uint32_t>(
-        static_cast<double>(footprint) * config.capacityRatio);
+        static_cast<double>(totalFootprint) * config.capacityRatio);
     // Cgroup-style capacity enforcement (the paper caps per-workload
     // memory): at the limit, reclaim happens in the faulting task;
     // the global kswapd only steps in as an emergency backstop, below
@@ -50,213 +99,13 @@ TrialRig::TrialRig(const ExperimentConfig &config,
     mmConfig.lowWatermark = mmConfig.directReclaimBelow / 2;
     mmConfig.highWatermark = mmConfig.directReclaimBelow;
     mmConfig.swapSlots =
-        static_cast<std::uint32_t>(footprint * 2 + 4096);
-    if (config.swap == SwapKind::Zram)
-        mmConfig.readaheadPages = 1; // page-cluster=0 for zram
-    if (config.slowTierRatio > 0.0) {
-        mmConfig.tier.slowFrames = static_cast<std::uint32_t>(
-            static_cast<double>(footprint) * config.slowTierRatio);
-    }
-
-    frames = std::make_unique<FrameTable>(mmConfig.totalFrames);
-    space = std::make_unique<AddressSpace>(0);
-    // Per-boot layout randomization (the paper reboots per trial).
-    space->enableAslr(splitmix64(trial_seed ^ 0xa51a51a5ull));
-
-    if (config.swap == SwapKind::Ssd) {
-        device = std::make_unique<SsdSwapDevice>(sim.events(),
-                                                 sim.forkRng("ssd"));
-    } else {
-        device = std::make_unique<ZramSwapDevice>();
-    }
-    swap = std::make_unique<SwapManager>(*device, mmConfig.swapSlots);
-
-    const std::uint32_t frames_total = mmConfig.totalFrames;
-    policy = makePolicy(
-        config.policy, *frames, {space.get()}, mmConfig.costs,
-        sim.forkRng("policy"),
-        [frames_total, &config](MgLruConfig &mg) {
-            // Aging urgency scales with capacity: keep at least 1/8 of
-            // memory outside the youngest generation, and make each
-            // generation represent ~1/16 of memory's worth of reclaim.
-            mg.agingLowPages =
-                std::max<std::uint64_t>(frames_total / 8, 256);
-            mg.agingEvictGate =
-                std::max<std::uint64_t>(frames_total / 16, 64);
-            if (config.mgTweak)
-                config.mgTweak(mg);
-        },
-        &sim.events());
-
-    if (const unsigned every = effectiveAuditEvery())
-        mmConfig.auditEvery = every;
-
-    // One memcg holds the whole workload. With no limit ratios this is
-    // the unlimited root group — the exact construction the legacy
-    // single-policy ctor delegates to, so the pinned bit-identity
-    // fingerprints cover it. Ratios translate to frame watermarks on
-    // that lone group (limit-reclaim / throttling studies).
-    MemcgSpec root_spec;
-    root_spec.policy = policy.get();
-    if (config.memcgLimitsConfigured()) {
-        root_spec.config.name = "workload";
-        const std::uint64_t fp = footprint;
-        const auto frames_of = [fp](double ratio) {
-            return std::max<std::uint32_t>(
-                1, static_cast<std::uint32_t>(
-                       static_cast<double>(fp) * ratio));
-        };
-        if (config.memcgLowRatio > 0.0)
-            root_spec.config.low = frames_of(config.memcgLowRatio);
-        if (config.memcgHighRatio > 0.0)
-            root_spec.config.high = frames_of(config.memcgHighRatio);
-        if (config.memcgMaxRatio > 0.0)
-            root_spec.config.max = frames_of(config.memcgMaxRatio);
-    }
-    mm = std::make_unique<MemoryManager>(
-        sim, *frames, *swap, std::vector<MemcgSpec>{root_spec},
-        mmConfig);
-    if (opts.functional)
-        mm->setFunctionalMode(true);
-
-    // Observability: the plain path attaches before any fault can
-    // happen so spans and the t=0 sample cover the whole trial (and so
-    // its event sequence stays byte-identical to the historical
-    // harness). Deferred paths attach at the checkpoint boundary.
-    metricsConfig = effectiveMetricsConfig(config);
-    if (!opts.deferObservers)
-        installObservers();
-
-    kswapd = std::make_unique<Kswapd>(sim, *mm);
-    mm->attachKswapd(kswapd.get());
-    if (!opts.forRestore)
-        kswapd->start();
-
-    // MG-LRU aging runs in reclaim contexts (try_to_inc_max_seq has
-    // no kthread of its own); under the cgroup-style limit those
-    // contexts are the faulting tasks. The AgingDaemon class remains
-    // available for configurations that want a dedicated walker
-    // (see examples/tuning_walks).
-
-    // The rest of the OS: per-boot background memory/CPU bursts.
-    noise = std::make_unique<BackgroundNoise>(sim, *mm,
-                                              sim.forkRng("noise"));
-    if (!opts.forRestore)
-        noise->start();
-
-    WorkloadContext ctx;
-    ctx.mm = mm.get();
-    ctx.space = space.get();
-    ctx.envSeed = splitmix64(trial_seed ^ 0xecedeul);
-    workload->build(ctx);
-
-    Rng start_jitter = sim.forkRng("thread-start");
-    for (unsigned tid = 0; tid < workload->numThreads(); ++tid) {
-        threads.push_back(std::make_unique<WorkThread>(
-            sim, *mm, *workload, *space, tid));
-        // Per-boot scheduling jitter in thread start order. The jitter
-        // stream is drawn even on a restore build (where no thread
-        // starts) to keep the construction-time RNG usage identical.
-        const SimDuration jitter = start_jitter.uniformInt(0, 20000);
-        if (!opts.forRestore)
-            threads.back()->start(jitter);
-    }
-}
-
-std::uint64_t
-TrialRig::totalRefs() const
-{
-    std::uint64_t refs = 0;
-    for (const auto &t : threads)
-        refs += t->threadStats().touches;
-    return refs;
-}
-
-void
-TrialRig::installObservers()
-{
-    if (observersInstalled_)
-        return;
-    observersInstalled_ = true;
-    if (mmConfig.auditEvery > 0) {
-        auditor = std::make_unique<MmAuditor>(
-            *mm, std::vector<const AddressSpace *>{space.get()});
-        auditor->installPeriodic(/*hard_fail=*/true);
-    }
-    if (metricsConfig.enabled()) {
-        collector = std::make_unique<MetricsCollector>(metricsConfig);
-        attachStandardMetrics(*collector, *mm);
-    }
-}
-
-RigView
-TrialRig::view()
-{
-    RigView v;
-    v.sim = &sim;
-    v.mm = mm.get();
-    v.frames = frames.get();
-    v.swap = swap.get();
-    v.spaces = {space.get()};
-    v.workloads = {workload.get()};
-    v.actors.push_back(kswapd.get());
-    v.actors.push_back(noise.get());
-    for (const auto &t : threads)
-        v.actors.push_back(t.get());
-    return v;
-}
-
-bool
-TrialRig::runToBoundary(std::uint64_t target_refs,
-                        std::uint64_t max_events,
-                        std::uint64_t &events_used)
-{
-    while (sim.foregroundRunning() > 0 && events_used < max_events) {
-        if (totalRefs() >= target_refs && mm->quiescentForCheckpoint())
-            return true;
-        if (!sim.events().runOne())
-            return false;
-        ++events_used;
-    }
-    return false;
-}
-
-ColocationRig::ColocationRig(const ColocationConfig &config,
-                             std::uint64_t trial_seed,
-                             const TrialRigOptions &opts)
-    : config(config), trialSeed(trial_seed),
-      sim(config.numCpus, trial_seed), tenants(config.tenants.size())
-{
-    assert(!config.tenants.empty());
-
-    // --- Assemble one shared machine (= one boot); the sequence is
-    // runColocationTrial's original build, verbatim. -----------------
-    for (std::size_t i = 0; i < config.tenants.size(); ++i) {
-        const TenantSpec &spec = config.tenants[i];
-        Tenant &t = tenants[i];
-        t.workload = makeWorkload(spec.workload, spec.scale);
-        t.footprint = t.workload->footprintPages();
-        totalFootprint += t.footprint;
-        t.space =
-            std::make_unique<AddressSpace>(static_cast<uint32_t>(i));
-        t.space->setMemcg(static_cast<MemcgId>(i));
-        // Per-boot, per-tenant layout randomization. Mixing the tenant
-        // index in keeps every tenant's layout independent while the
-        // i == 0 stream is free to match the single-tenant harness.
-        t.space->enableAslr(splitmix64(trial_seed ^ 0xa51a51a5ull ^
-                                       (0x9e3779b97f4a7c15ull * i)));
-    }
-
-    mmConfig.totalFrames = static_cast<std::uint32_t>(
-        static_cast<double>(totalFootprint) * config.capacityRatio);
-    mmConfig.directReclaimBelow = std::max<std::uint32_t>(
-        mmConfig.reclaimBatch, mmConfig.totalFrames / 256);
-    mmConfig.lowWatermark = mmConfig.directReclaimBelow / 2;
-    mmConfig.highWatermark = mmConfig.directReclaimBelow;
-    mmConfig.swapSlots =
         static_cast<std::uint32_t>(totalFootprint * 2 + 4096);
     if (config.swap == SwapKind::Zram)
         mmConfig.readaheadPages = 1; // page-cluster=0 for zram
+    if (slow_tier_ratio > 0.0) {
+        mmConfig.tier.slowFrames = static_cast<std::uint32_t>(
+            static_cast<double>(totalFootprint) * slow_tier_ratio);
+    }
 
     frames = std::make_unique<FrameTable>(mmConfig.totalFrames);
 
@@ -269,8 +118,9 @@ ColocationRig::ColocationRig(const ColocationConfig &config,
     swap = std::make_unique<SwapManager>(*device, mmConfig.swapSlots);
 
     // One lruvec per tenant: each policy instance sees only its own
-    // tenant's space, and its RNG stream forks off the tenant NAME so
-    // adding a tenant never perturbs another's stream.
+    // tenant's space. Watermarks are fractions of the tenant's own
+    // footprint; with none set, a lone tenant's group is the unlimited
+    // root group of the legacy single-policy MemoryManager ctor.
     const std::uint32_t frames_total = mmConfig.totalFrames;
     std::vector<MemcgSpec> specs;
     for (std::size_t i = 0; i < config.tenants.size(); ++i) {
@@ -279,8 +129,12 @@ ColocationRig::ColocationRig(const ColocationConfig &config,
         t.policy = makePolicy(
             spec.policy.value_or(config.policy), *frames,
             {t.space.get()}, mmConfig.costs,
-            sim.forkRng("policy-" + spec.name),
+            sim.forkRng(streamName("policy", spec.name)),
             [frames_total, &config](MgLruConfig &mg) {
+                // Aging urgency scales with capacity: keep at least 1/8
+                // of memory outside the youngest generation, and make
+                // each generation represent ~1/16 of memory's worth of
+                // reclaim.
                 mg.agingLowPages =
                     std::max<std::uint64_t>(frames_total / 8, 256);
                 mg.agingEvictGate =
@@ -301,7 +155,6 @@ ColocationRig::ColocationRig(const ColocationConfig &config,
         specs.push_back(std::move(ms));
     }
 
-    // PAGESIM_AUDIT_EVERY: same knob and semantics as runTrial.
     if (const unsigned every = effectiveAuditEvery())
         mmConfig.auditEvery = every;
 
@@ -310,11 +163,11 @@ ColocationRig::ColocationRig(const ColocationConfig &config,
     if (opts.functional)
         mm->setFunctionalMode(true);
 
-    metricsConfig = effectiveMetricsConfig([&config] {
-        ExperimentConfig e;
-        e.metrics = config.metrics;
-        return e;
-    }());
+    // Observability: the plain path attaches before any fault can
+    // happen so spans and the t=0 sample cover the whole trial (and so
+    // its event sequence stays byte-identical to the historical
+    // harness). Deferred paths attach at the checkpoint boundary.
+    metricsConfig = effectiveMetricsConfig(config.metrics);
     if (!opts.deferObservers)
         installObservers();
 
@@ -323,14 +176,21 @@ ColocationRig::ColocationRig(const ColocationConfig &config,
     if (!opts.forRestore)
         kswapd->start();
 
+    // MG-LRU aging runs in reclaim contexts (try_to_inc_max_seq has
+    // no kthread of its own); under the cgroup-style limit those
+    // contexts are the faulting tasks. The AgingDaemon class remains
+    // available for configurations that want a dedicated walker
+    // (see examples/tuning_walks).
+
+    // The rest of the OS: per-boot background memory/CPU bursts.
     noise = std::make_unique<BackgroundNoise>(sim, *mm,
                                               sim.forkRng("noise"));
     if (!opts.forRestore)
         noise->start();
 
-    // Build every tenant and start its threads. Per-tenant env and
-    // jitter streams fork off the tenant name, for the same
-    // insulation as the policy streams.
+    // Build every tenant and start its threads. The per-tenant env
+    // seed mixes in the tenant index like the ASLR seed; the jitter
+    // stream forks off the tenant name like the policy stream.
     threads.resize(tenants.size());
     for (std::size_t i = 0; i < tenants.size(); ++i) {
         Tenant &t = tenants[i];
@@ -341,11 +201,15 @@ ColocationRig::ColocationRig(const ColocationConfig &config,
                                  (0x9e3779b97f4a7c15ull * i));
         t.workload->build(ctx);
 
-        Rng jitter =
-            sim.forkRng("thread-start-" + config.tenants[i].name);
+        Rng jitter = sim.forkRng(
+            streamName("thread-start", config.tenants[i].name));
         for (unsigned tid = 0; tid < t.workload->numThreads(); ++tid) {
             threads[i].push_back(std::make_unique<WorkThread>(
                 sim, *mm, *t.workload, *t.space, tid));
+            // Per-boot scheduling jitter in thread start order. The
+            // jitter stream is drawn even on a restore build (where no
+            // thread starts) to keep the construction-time RNG usage
+            // identical.
             const SimDuration delay = jitter.uniformInt(0, 20000);
             if (!opts.forRestore)
                 threads[i].back()->start(delay);
@@ -415,6 +279,174 @@ ColocationRig::runToBoundary(std::uint64_t target_refs,
         ++events_used;
     }
     return false;
+}
+
+TenantResult
+ColocationRig::tenantResult(std::size_t i) const
+{
+    TenantResult tr;
+    tr.name = config.tenants[i].name;
+    tr.memcgStats = mm->memcg(static_cast<MemcgId>(i)).stats();
+    tr.policy = tenants[i].policy->stats();
+    for (const auto &th : threads[i]) {
+        tr.threadFinishNs.push_back(th->threadStats().finishTime);
+        tr.threadBlockedFaults.push_back(th->threadStats().blockedFaults);
+        tr.finishNs = std::max(tr.finishNs, th->threadStats().finishTime);
+    }
+    if (const auto *ycsb =
+            dynamic_cast<const YcsbWorkload *>(tenants[i].workload.get())) {
+        tr.readLatency = ycsb->readLatency();
+        tr.writeLatency = ycsb->writeLatency();
+        const std::uint64_t nreq =
+            tr.readLatency.count() + tr.writeLatency.count();
+        if (nreq > 0) {
+            tr.meanRequestNs =
+                (tr.readLatency.mean() * tr.readLatency.count() +
+                 tr.writeLatency.mean() * tr.writeLatency.count()) /
+                static_cast<double>(nreq);
+        }
+    }
+    return tr;
+}
+
+MetricsSnapshot
+ColocationRig::finishMetrics(const std::string &label)
+{
+    if (!collector)
+        return {};
+    collector->sampler().stop();
+    MetricsSnapshot snapshot = collector->snapshot(sim.now());
+    // One machine-wide artifact set per trial; a colocation label
+    // carries the full tenant list, and per-tenant timeseries live
+    // inside it as "memcg.<name>.*" columns.
+    if (!metricsConfig.artifactDir.empty()) {
+        writeTrialArtifacts(metricsConfig.artifactDir, label, trialSeed,
+                            snapshot);
+    }
+    return snapshot;
+}
+
+TrialRig::TrialRig(const ExperimentConfig &config,
+                   std::uint64_t trial_seed, const TrialRigOptions &opts)
+    : ColocationRig(scenario(config), trial_seed, opts,
+                    config.slowTierRatio),
+      workload(tenants[0].workload), policy(tenants[0].policy),
+      threads(ColocationRig::threads[0])
+{
+}
+
+ColocationConfig
+TrialRig::scenario(const ExperimentConfig &config)
+{
+    TenantSpec tenant;
+    tenant.workload = config.workload;
+    tenant.scale = config.scale;
+    tenant.lowRatio = config.memcgLowRatio;
+    tenant.highRatio = config.memcgHighRatio;
+    tenant.maxRatio = config.memcgMaxRatio;
+
+    ColocationConfig c;
+    c.tenants = {tenant};
+    c.policy = config.policy;
+    c.swap = config.swap;
+    c.capacityRatio = config.capacityRatio;
+    c.trials = config.trials;
+    c.baseSeed = config.baseSeed;
+    c.numCpus = config.numCpus;
+    c.mgTweak = config.mgTweak;
+    c.metrics = config.metrics;
+    c.warmupRefs = config.warmupRefs;
+    c.checkpointAt = config.checkpointAt;
+    return c;
+}
+
+namespace
+{
+
+constexpr std::uint64_t kMaxEvents = 2000000000ull;
+
+/** runRig's fast-forward to @p boundary (> 0); see its comment. */
+std::unique_ptr<ColocationRig>
+buildAtBoundary(const ColocationConfig &config, std::uint64_t trial_seed,
+                std::uint64_t prefix_hash, double slow_tier_ratio,
+                std::uint64_t boundary, std::uint64_t &events_used)
+{
+    // An mgTweak hook changes the simulated machine in ways no key can
+    // capture, so such configs never touch the cache (same rule as the
+    // sweep-level ResultCache).
+    const bool cacheable = config.checkpointAt > 0 && !config.mgTweak;
+    if (cacheable) {
+        if (auto ckpt = CheckpointCache::instance().find(
+                prefix_hash, trial_seed, boundary)) {
+            TrialRigOptions opts;
+            opts.forRestore = true;
+            opts.deferObservers = true;
+            auto rig = std::make_unique<ColocationRig>(
+                config, trial_seed, opts, slow_tier_ratio);
+            const CheckpointError err = restoreCheckpoint(
+                rig->view(), prefix_hash, trial_seed, *ckpt);
+            if (err.ok()) {
+                rig->installObservers();
+                return rig;
+            }
+            // A failed apply can leave partial state behind; the rig
+            // is discarded wholesale and the trial re-simulated cold.
+            std::fprintf(stderr,
+                         "pagesim: checkpoint restore failed (%s: %s); "
+                         "re-simulating\n",
+                         checkpointErrorKindName(err.kind),
+                         err.message.c_str());
+        }
+    }
+
+    TrialRigOptions opts;
+    opts.deferObservers = true;
+    opts.functional = config.warmupRefs > 0;
+    auto rig = std::make_unique<ColocationRig>(config, trial_seed, opts,
+                                               slow_tier_ratio);
+    const bool reached =
+        rig->runToBoundary(boundary, kMaxEvents, events_used);
+    // Full detail from here on — before the capture, so cold and
+    // restored continuations run the identical machine.
+    if (rig->mm->functionalMode())
+        rig->mm->setFunctionalMode(false);
+    if (reached && cacheable) {
+        auto ckpt = std::make_shared<Checkpoint>();
+        if (captureCheckpoint(rig->view(), prefix_hash, trial_seed,
+                              boundary, *ckpt)
+                .ok()) {
+            CheckpointCache::instance().insert(std::move(ckpt));
+        }
+    }
+    rig->installObservers();
+    return rig;
+}
+
+} // namespace
+
+std::unique_ptr<ColocationRig>
+runRig(const ColocationConfig &config, std::uint64_t trial_seed,
+       std::uint64_t prefix_hash, const std::string &label,
+       double slow_tier_ratio)
+{
+    const std::uint64_t boundary =
+        std::max(config.warmupRefs, config.checkpointAt);
+    std::uint64_t events_used = 0;
+    std::unique_ptr<ColocationRig> rig =
+        boundary == 0
+            ? std::make_unique<ColocationRig>(config, trial_seed,
+                                              TrialRigOptions{},
+                                              slow_tier_ratio)
+            : buildAtBoundary(config, trial_seed, prefix_hash,
+                              slow_tier_ratio, boundary, events_used);
+    if (!rig->sim.runToCompletion(kMaxEvents - events_used)) {
+        std::fprintf(stderr,
+                     "pagesim: trial %s seed %llu did not converge\n",
+                     label.c_str(),
+                     static_cast<unsigned long long>(trial_seed));
+        std::abort();
+    }
+    return rig;
 }
 
 } // namespace pagesim

@@ -1,16 +1,32 @@
 /**
  * @file
- * TrialRig / ColocationRig: one assembled simulated machine as an
- * object.
+ * ColocationRig / TrialRig: one assembled simulated machine as an
+ * object, and runRig(), the one driver every trial runs through.
  *
- * runTrial and runColocationTrial used to build the machine inline and
- * tear it down at scope exit, which made mid-trial surgery impossible.
- * The rigs lift that assembly into structs whose members are declared
- * in construction order (so destruction order matches the old scopes
- * exactly), reproducing the original build byte for byte: same
- * component construction sequence, same RNG forks, same actor start
- * order. On top of that they add the three degrees of freedom
- * fast-forward simulation needs:
+ * There is one machine build: ColocationRig, a machine of N tenants,
+ * each with its own workload, AddressSpace, policy (lruvec) and memcg.
+ * A single-workload trial is its one-tenant case, and TrialRig is that
+ * case as a thin view: its constructor maps an ExperimentConfig onto
+ * one unnamed tenant (memcg{Low,High,Max}Ratio become the tenant's
+ * low/high/max; slowTierRatio reaches the build as a constructor
+ * argument) and binds workload, policy and threads to tenant 0.
+ * TrialRig also keeps an always-null `aging` member: the harness runs
+ * no dedicated aging walker, but bench/pagesim_bench/traced.cc reads
+ * the member and must build unmodified.
+ *
+ * Tenant names: a tenant's policy and thread-start RNG streams fork
+ * off its name ("policy-<name>"); an unnamed lone tenant forks the
+ * legacy "policy" / "thread-start" streams, which keeps the one-tenant
+ * build bit-identical to the historical single-workload harness
+ * (forkRng hashes the name, so construction order does not matter).
+ * The constructor refuses, with std::invalid_argument and before
+ * building anything, an empty tenant list, duplicate names (identical
+ * streams, aliased "memcg.<name>.*" probes) and an empty name beside
+ * other tenants.
+ *
+ * Members are declared in construction order, so destruction runs in
+ * reverse. On top of the build the rig adds the three degrees of
+ * freedom fast-forward simulation needs:
  *
  *  - forRestore: build the machine but start NO actors, leaving the
  *    event queue empty for restoreCheckpoint() to repopulate;
@@ -20,7 +36,7 @@
  *  - functional: start the MemoryManager in functional-only mode, so
  *    the warmup prefix runs with zero simulated device detail.
  *
- * The rigs also expose the RigView the checkpoint machinery consumes
+ * The rig also exposes the RigView the checkpoint machinery consumes
  * and the one-event-at-a-time boundary loop that parks the machine at
  * the first quiescent point past a reference-count target.
  */
@@ -30,6 +46,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "check/mm_audit.hh"
@@ -60,15 +77,24 @@ struct TrialRigOptions
     bool functional = false;
 };
 
-/** One single-tenant simulated machine (runTrial's build, lifted). */
-class TrialRig
+/** One simulated machine of one or more tenants. */
+class ColocationRig
 {
   public:
-    TrialRig(const ExperimentConfig &config, std::uint64_t trial_seed,
-             const TrialRigOptions &opts);
+    /**
+     * @p slow_tier_ratio sizes the TPP slow tier as a fraction of the
+     * summed footprints (0 = untiered); only TrialRig passes one.
+     */
+    ColocationRig(const ColocationConfig &config,
+                  std::uint64_t trial_seed, const TrialRigOptions &opts,
+                  double slow_tier_ratio = 0.0);
 
-    TrialRig(const TrialRig &) = delete;
-    TrialRig &operator=(const TrialRig &) = delete;
+    ColocationRig(const ColocationRig &) = delete;
+    ColocationRig &operator=(const ColocationRig &) = delete;
+
+    /** @p config, or std::invalid_argument for a refused tenant list. */
+    static const ColocationConfig &
+    checkTenants(const ColocationConfig &config);
 
     /** Total workload touches so far, across all threads. */
     std::uint64_t totalRefs() const;
@@ -96,49 +122,15 @@ class TrialRig
                        std::uint64_t max_events,
                        std::uint64_t &events_used);
 
-    // Members in construction order; destruction (reverse) matches the
-    // old runTrial scope exactly.
-    ExperimentConfig config;
-    std::uint64_t trialSeed;
-    std::uint64_t footprint = 0;
-    MmConfig mmConfig;
-    MetricsConfig metricsConfig;
-    Simulation sim;
-    std::unique_ptr<Workload> workload;
-    std::unique_ptr<FrameTable> frames;
-    std::unique_ptr<AddressSpace> space;
-    std::unique_ptr<SwapDevice> device;
-    std::unique_ptr<SwapManager> swap;
-    std::unique_ptr<ReplacementPolicy> policy;
-    std::unique_ptr<MemoryManager> mm;
-    std::unique_ptr<MmAuditor> auditor;
-    std::unique_ptr<MetricsCollector> collector;
-    std::unique_ptr<Kswapd> kswapd;
-    /** Dedicated aging walker; unused by the harness (stays null). */
-    std::unique_ptr<AgingDaemon> aging;
-    std::unique_ptr<BackgroundNoise> noise;
-    std::vector<std::unique_ptr<WorkThread>> threads;
+    /** Tenant @p i's results: memcg, lruvec, threads, YCSB latency. */
+    TenantResult tenantResult(std::size_t i) const;
 
-  private:
-    bool observersInstalled_ = false;
-};
-
-/** One multi-tenant machine (runColocationTrial's build, lifted). */
-class ColocationRig
-{
-  public:
-    ColocationRig(const ColocationConfig &config,
-                  std::uint64_t trial_seed, const TrialRigOptions &opts);
-
-    ColocationRig(const ColocationRig &) = delete;
-    ColocationRig &operator=(const ColocationRig &) = delete;
-
-    std::uint64_t totalRefs() const;
-    void installObservers();
-    RigView view();
-    bool runToBoundary(std::uint64_t target_refs,
-                       std::uint64_t max_events,
-                       std::uint64_t &events_used);
+    /**
+     * Stop the metrics sampler and snapshot the collector (empty when
+     * metrics are off), writing the trial's artifacts under @p label
+     * when the config names a directory.
+     */
+    MetricsSnapshot finishMetrics(const std::string &label);
 
     /** Per-tenant components (workload/space/policy construction). */
     struct Tenant
@@ -170,6 +162,40 @@ class ColocationRig
   private:
     bool observersInstalled_ = false;
 };
+
+/** The one-tenant machine of a single-workload trial. */
+class TrialRig : public ColocationRig
+{
+  public:
+    TrialRig(const ExperimentConfig &config, std::uint64_t trial_seed,
+             const TrialRigOptions &opts);
+
+    /** @p config as a one-tenant scenario with an unnamed tenant. */
+    static ColocationConfig scenario(const ExperimentConfig &config);
+
+    /** Tenant 0's components. */
+    std::unique_ptr<Workload> &workload;
+    std::unique_ptr<ReplacementPolicy> &policy;
+    std::vector<std::unique_ptr<WorkThread>> &threads;
+    /** Always null; kept only because bench/pagesim_bench reads it. */
+    std::unique_ptr<AgingDaemon> aging;
+};
+
+/**
+ * The one trial driver. Builds the machine for @p config, and when
+ * max(warmupRefs, checkpointAt) is non-zero fast-forwards it to that
+ * boundary: a CheckpointCache hit under @p prefix_hash restores into a
+ * forRestore rig (falling back to a cold run if the restore fails);
+ * otherwise the machine runs to the boundary — functionally inside
+ * the warmup window — and, when cacheable, is captured for the next
+ * caller. Observers attach after the boundary. The machine then runs
+ * to completion; a trial that does not converge aborts, naming
+ * @p label. @p slow_tier_ratio is forwarded to the constructor.
+ */
+std::unique_ptr<ColocationRig>
+runRig(const ColocationConfig &config, std::uint64_t trial_seed,
+       std::uint64_t prefix_hash, const std::string &label,
+       double slow_tier_ratio = 0.0);
 
 } // namespace pagesim
 

@@ -28,6 +28,20 @@ workerOverride()
     return cached;
 }
 
+unsigned
+hostWorkers()
+{
+    if (const unsigned n = workerOverride())
+        return n;
+    // hardware_concurrency() is a syscall on some libstdc++ targets,
+    // and figure benches fan out once per figure.
+    static const unsigned hw = [] {
+        const unsigned n = std::thread::hardware_concurrency();
+        return n == 0 ? 4u : n;
+    }();
+    return hw;
+}
+
 void
 parallelFor(unsigned workers, std::size_t nchunks,
             const std::function<void(std::size_t)> &fn)

@@ -10,9 +10,9 @@
  * merges the slots serially in fixed chunk order. Which worker ran
  * which chunk, and in what wall-clock order, is then unobservable.
  *
- * PAGESIM_WORKERS pins the worker count for every pool user (sweep
- * fan-out, sharded aging scans, sharded audits) — needed in CI and in
- * the serial-vs-sharded differential tests.
+ * PAGESIM_WORKERS pins the worker count for every pool user (sweep and
+ * colocation trial fan-out, sharded aging scans, sharded audits) —
+ * needed in CI and in the serial-vs-sharded differential tests.
  */
 
 #ifndef PAGESIM_SIM_PARALLEL_HH
@@ -33,6 +33,13 @@ unsigned parseWorkersOverride(const char *text);
 
 /** Cached PAGESIM_WORKERS env override; 0 = unset/invalid. */
 unsigned workerOverride();
+
+/**
+ * Default pool width for trial fan-out: workerOverride() when set,
+ * else the host's hardware concurrency (4 when unknown), resolved once
+ * per process.
+ */
+unsigned hostWorkers();
 
 /**
  * Invoke @p fn(0) ... @p fn(nchunks - 1), each exactly once, across

@@ -2,13 +2,15 @@
  * @file
  * Colocation scenario tests: per-tenant results exist and are
  * deterministic — bit-identical across MG-LRU scan worker counts and
- * across repeated runs — with the full cross-layer auditor (memcg
- * invariant family included) sampling reclaim batches throughout.
+ * across repeated runs, and pinned — with the full cross-layer
+ * auditor (memcg invariant family included) sampling reclaim batches
+ * throughout; tenant lists the rig cannot tell apart are refused.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
 
 #include "harness/colocation.hh"
 
@@ -149,6 +151,37 @@ TEST(Colocation, RunColocationPoolMatchesDirectTrials)
                   fingerprints(runColocationTrial(config, seed)))
             << "trial " << t;
     }
+}
+
+TEST(Colocation, EmptyTenantListIsRefused)
+{
+    ColocationConfig config = threeTenants();
+    config.tenants.clear();
+    EXPECT_THROW(runColocationTrial(config, 7), std::invalid_argument);
+    EXPECT_THROW(runColocation(config), std::invalid_argument);
+}
+
+TEST(Colocation, DuplicateTenantNamesAreRefused)
+{
+    // Same-named tenants would fork identical RNG streams and alias
+    // each other's memcg.<name>.* metric probes.
+    ColocationConfig config = threeTenants();
+    config.tenants[2].name = config.tenants[0].name;
+    EXPECT_THROW(runColocationTrial(config, 7), std::invalid_argument);
+    EXPECT_THROW(runColocation(config), std::invalid_argument);
+}
+
+TEST(Colocation, UnnamedTenantBesideOthersIsRefused)
+{
+    // An empty name is reserved for the lone tenant of a
+    // single-workload trial (the legacy RNG stream names).
+    ColocationConfig config = threeTenants();
+    config.tenants[1].name.clear();
+    EXPECT_THROW(runColocationTrial(config, 7), std::invalid_argument);
+    EXPECT_THROW(runColocation(config), std::invalid_argument);
+
+    config.tenants = {config.tenants[1]};
+    EXPECT_NO_THROW(runColocationTrial(config, 7));
 }
 
 TEST(Colocation, LabelNamesTenantsAndMachine)

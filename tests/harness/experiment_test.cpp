@@ -60,22 +60,22 @@ TEST(Experiment, EffectiveTrialsHonorsEnv)
     // test hook re-reads it so each case here sees its own value.
     setenv("PAGESIM_TRIALS", "3", 1);
     detail::refreshTrialsOverrideCacheForTests();
-    EXPECT_EQ(effectiveTrials(cfg), 3u);
+    EXPECT_EQ(effectiveTrials(cfg.trials), 3u);
     // Malformed values fall back to the config.
     setenv("PAGESIM_TRIALS", "garbage", 1);
     detail::refreshTrialsOverrideCacheForTests();
-    EXPECT_EQ(effectiveTrials(cfg), 8u);
+    EXPECT_EQ(effectiveTrials(cfg.trials), 8u);
     setenv("PAGESIM_TRIALS", "0", 1);
     detail::refreshTrialsOverrideCacheForTests();
-    EXPECT_EQ(effectiveTrials(cfg), 8u);
+    EXPECT_EQ(effectiveTrials(cfg.trials), 8u);
     unsetenv("PAGESIM_TRIALS");
     detail::refreshTrialsOverrideCacheForTests();
-    EXPECT_EQ(effectiveTrials(cfg), 8u);
+    EXPECT_EQ(effectiveTrials(cfg.trials), 8u);
     // Mutating the environment without the hook has no effect: the
     // cached value keeps every cell of a sweep on the same trial
     // count no matter when it is scheduled.
     setenv("PAGESIM_TRIALS", "5", 1);
-    EXPECT_EQ(effectiveTrials(cfg), 8u);
+    EXPECT_EQ(effectiveTrials(cfg.trials), 8u);
     unsetenv("PAGESIM_TRIALS");
     detail::refreshTrialsOverrideCacheForTests();
 }

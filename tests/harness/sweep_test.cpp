@@ -288,7 +288,7 @@ TEST(Sweep, HonorsTrialsOverrideConsistently)
     const std::vector<ExperimentConfig> cells = smallCells();
     const std::vector<ExperimentResult> results = runSweep(cells);
     for (const ExperimentResult &res : results)
-        EXPECT_EQ(res.trials.size(), effectiveTrials(cells.front()));
+        EXPECT_EQ(res.trials.size(), effectiveTrials(cells.front().trials));
 }
 
 } // namespace
