@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "graph/generator.hh"
 #include "graph/pagerank_workload.hh"
+#include "sim/serialize.hh"
 
 namespace pagesim
 {
@@ -17,6 +19,57 @@ smallGraph()
     cfg.vertices = 10000;
     cfg.targetEdges = 80000;
     cfg.seed = 5;
+    return cfg;
+}
+
+/** checksum64 over a vector's elements in order. */
+template <typename T>
+std::uint64_t
+laneDigest(const std::vector<T> &v)
+{
+    return checksum64(v.data(), v.size() * sizeof(T));
+}
+
+/** A thread's [first, last) edge indices in the CSR order. */
+std::pair<std::uint64_t, std::uint64_t>
+edgeRange(const PrDataset &d, unsigned t)
+{
+    const auto [lo, hi] = d.vertexRanges[t];
+    return {d.graph.offsets[lo], d.graph.offsets[hi]};
+}
+
+/** checksum64 over every dataset field a trial reads. */
+std::uint64_t
+datasetDigest(const PrDataset &d)
+{
+    std::vector<std::uint64_t> words{d.offsetsPages, d.edgesPages,
+                                     d.rankPages};
+    for (std::uint32_t page : d.rankTrace)
+        words.push_back(page);
+    for (const PrDataset::Window &w : d.edgePageWindows) {
+        words.push_back(w.begin);
+        words.push_back(w.count);
+    }
+    for (unsigned t = 0; t < d.vertexRanges.size(); ++t) {
+        const auto [vlo, vhi] = d.vertexRanges[t];
+        const auto [elo, ehi] = edgeRange(d, t);
+        words.insert(words.end(),
+                     {vlo, vhi, d.threadEdges[t], elo, ehi});
+    }
+    return laneDigest(words);
+}
+
+/** The PageRank config the harness builds for a scale preset
+ *  (Default: 2^19 vertices, 2^22 edges, 8 iterations; Small: 2^16,
+ *  2^19, 3). */
+PageRankConfig
+harnessPrConfig(std::uint32_t vertices, std::uint64_t edges,
+                unsigned iterations)
+{
+    PageRankConfig cfg;
+    cfg.graph.vertices = vertices;
+    cfg.graph.targetEdges = edges;
+    cfg.iterations = iterations;
     return cfg;
 }
 
@@ -89,6 +142,14 @@ TEST(Generator, DeterministicPerSeed)
     EXPECT_EQ(a.dst, b.dst);
 }
 
+TEST(Generator, GraphDigestPinned)
+{
+    const CsrGraph g = generatePowerLawGraph(smallGraph());
+    EXPECT_EQ(g.numEdges(), 76444u);
+    EXPECT_EQ(laneDigest(g.offsets), 4955148594976450205ull);
+    EXPECT_EQ(laneDigest(g.dst), 4640744408787515365ull);
+}
+
 TEST(Generator, EndpointsFollowDegreeWeight)
 {
     const CsrGraph g = generatePowerLawGraph(smallGraph());
@@ -144,6 +205,21 @@ TEST(PrDataset, ThreadPartitionIsVertexBalancedEdgeSkewed)
     EXPECT_EQ(covered, data->graph.numVertices());
     EXPECT_EQ(total, data->graph.numEdges());
     EXPECT_GT(max_e, min_e) << "edge work must be skewed";
+}
+
+TEST(PrDataset, DigestPinned)
+{
+    // Every trial fingerprint and checkpoint image with a PageRank
+    // tenant depends on these bytes; pinned from the CSR-backed build.
+    const auto small =
+        buildPrDataset(harnessPrConfig(1u << 16, 1u << 19, 3));
+    EXPECT_EQ(small->rankTrace.size(), 64975u);
+    EXPECT_EQ(datasetDigest(*small), 7801523733180857539ull);
+
+    const auto def =
+        buildPrDataset(harnessPrConfig(1u << 19, 1u << 22, 8));
+    EXPECT_EQ(def->rankTrace.size(), 522880u);
+    EXPECT_EQ(datasetDigest(*def), 2623134107398141188ull);
 }
 
 TEST(PageRankWorkload, StreamsCoverAllIterations)

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <thread>
+#include <vector>
 
 #include "harness/experiment.hh"
+#include "mem/address_space.hh"
+#include "sim/serialize.hh"
 
 namespace pagesim
 {
@@ -15,6 +19,44 @@ TEST(Experiment, NamesAndLists)
     EXPECT_EQ(workloadKindName(WorkloadKind::YcsbC), "YCSB-C");
     EXPECT_EQ(swapKindName(SwapKind::Zram), "ZRAM");
     EXPECT_EQ(allWorkloadKinds().size(), 5u);
+}
+
+/** Footprint plus a checksum64 over every op of thread 0's stream. */
+std::pair<std::uint64_t, std::uint64_t>
+pageRankStreamDigest()
+{
+    auto wl = makeWorkload(WorkloadKind::PageRank, ScalePreset::Small);
+    AddressSpace space(0);
+    WorkloadContext ctx;
+    ctx.space = &space;
+    wl->build(ctx);
+    std::vector<std::uint64_t> words;
+    auto stream = wl->stream(0);
+    Op op;
+    while (stream->next(op))
+        words.insert(words.end(),
+                     {static_cast<std::uint64_t>(op.kind), op.write,
+                      op.id, op.vpn,
+                      static_cast<std::uint64_t>(op.compute)});
+    return {wl->footprintPages(),
+            checksum64(words.data(), words.size() * sizeof(words[0]))};
+}
+
+TEST(PrDatasetCache, ConcurrentBuildIsSharedAndDeterministic)
+{
+    // The PageRank dataset cache is process-wide state that sweep-pool
+    // workers share: four threads race to build the cold Small entry,
+    // and every instance must replay the same ops.
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> got(4);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < got.size(); ++t)
+        threads.emplace_back([&got, t] { got[t] = pageRankStreamDigest(); });
+    for (std::thread &th : threads)
+        th.join();
+    EXPECT_GT(got[0].first, 0u);
+    for (const auto &g : got)
+        EXPECT_EQ(g, got[0]);
+    EXPECT_EQ(pageRankStreamDigest(), got[0]);
 }
 
 TEST(Experiment, LabelIsReadable)
