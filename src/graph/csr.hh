@@ -2,10 +2,11 @@
  * @file
  * Compressed sparse row graph representation.
  *
- * The host-side graph structure backing the PageRank workload: real
- * offsets and destination arrays, so the simulated access trace is a
- * genuine replay of a power-law graph rather than a statistical
- * approximation.
+ * A generated power-law graph materialized as real offsets and
+ * destination arrays (generatePowerLawGraph). The PageRank workload
+ * replays exactly this graph's edges but never holds the CSR: its
+ * dataset is built from the same edge stream a page at a time (see
+ * PrDataset).
  */
 
 #ifndef PAGESIM_GRAPH_CSR_HH

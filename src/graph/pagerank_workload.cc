@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_set>
 
 namespace pagesim
 {
@@ -32,39 +31,47 @@ buildPrDataset(const PageRankConfig &config)
 {
     auto data = std::make_shared<PrDataset>();
     data->config = config;
-    data->graph = generatePowerLawGraph(config.graph);
-    const CsrGraph &g = data->graph;
-    const std::uint32_t n = g.numVertices();
-    const std::uint64_t m = g.numEdges();
+    PowerLawEdgeSource edges(config.graph);
+    const std::uint32_t n = edges.numVertices();
+    const std::uint64_t m = edges.numEdges();
+    data->vertices = n;
+    data->edges = m;
 
     data->offsetsPages = pagesFor((n + 1) * kOffsetBytes);
     data->edgesPages = pagesFor(m * kEdgeBytes);
     data->rankPages = pagesFor(n * kRankBytes);
 
-    // Extract the per-edge-page distinct rank-page trace.
+    // Extract the per-edge-page distinct rank-page trace, drawing the
+    // edges one page at a time. seen_in[p] is 1 + the last edge page
+    // that referenced rank page p, so `distinct` keeps each page's
+    // first-appearance order without a per-page set.
     const std::uint64_t edge_pages = data->edgesPages;
     data->edgePageWindows.resize(edge_pages);
+    data->rankTrace.reserve(
+        edge_pages * std::min<std::uint64_t>(
+                         config.maxDistinctPerEdgePage, kEdgesPerPage));
     Rng sample_rng(config.graph.seed ^ 0xab5e11edu);
+    std::vector<std::uint32_t> endpoints(kEdgesPerPage);
+    std::vector<std::uint64_t> seen_in(data->rankPages, 0);
     std::vector<std::uint32_t> distinct;
+    std::vector<std::uint32_t> capped;
     for (std::uint64_t ep = 0; ep < edge_pages; ++ep) {
-        const std::uint64_t lo = ep * kEdgesPerPage;
-        const std::uint64_t hi = std::min(m, lo + kEdgesPerPage);
+        const std::size_t len = static_cast<std::size_t>(
+            std::min(kEdgesPerPage, m - ep * kEdgesPerPage));
+        edges.draw(endpoints.data(), len);
         distinct.clear();
-        // lint:ordered-ok(membership filter only, never iterated; the
-        // replayed trace order comes from `distinct`, which preserves
-        // first-appearance order in the edge list)
-        std::unordered_set<std::uint32_t> seen;
-        for (std::uint64_t e = lo; e < hi; ++e) {
+        for (std::size_t i = 0; i < len; ++i) {
             const std::uint32_t page =
-                static_cast<std::uint32_t>(g.dst[e] / kRanksPerPage);
-            if (seen.insert(page).second)
+                static_cast<std::uint32_t>(endpoints[i] / kRanksPerPage);
+            if (seen_in[page] != ep + 1) {
+                seen_in[page] = ep + 1;
                 distinct.push_back(page);
+            }
         }
         // Cap by sampling (keep a uniformly spaced subset, preserving
         // the page-popularity mix) to bound the replayed op count.
         if (distinct.size() > config.maxDistinctPerEdgePage) {
-            std::vector<std::uint32_t> capped;
-            capped.reserve(config.maxDistinctPerEdgePage);
+            capped.clear();
             const double step =
                 static_cast<double>(distinct.size()) /
                 config.maxDistinctPerEdgePage;
@@ -86,8 +93,9 @@ buildPrDataset(const PageRankConfig &config)
 
     // Contiguous, vertex-balanced thread partition: equal vertices,
     // unequal edges — the degree-skew straggler source.
+    const std::vector<std::uint64_t> &offsets = edges.offsets();
     data->vertexRanges.resize(config.threads);
-    data->threadEdges.assign(config.threads, 0);
+    data->edgeRanges.resize(config.threads);
     for (unsigned t = 0; t < config.threads; ++t) {
         const std::uint32_t lo =
             static_cast<std::uint32_t>(std::uint64_t(n) * t /
@@ -96,7 +104,7 @@ buildPrDataset(const PageRankConfig &config)
             static_cast<std::uint32_t>(std::uint64_t(n) * (t + 1) /
                                        config.threads);
         data->vertexRanges[t] = {lo, hi};
-        data->threadEdges[t] = g.offsets[hi] - g.offsets[lo];
+        data->edgeRanges[t] = {offsets[lo], offsets[hi]};
     }
     return data;
 }
@@ -143,8 +151,7 @@ PageRankWorkload::stream(unsigned tid)
     const PrDataset &d = *data_;
     const PageRankConfig &cfg = d.config;
     const auto [vlo, vhi] = d.vertexRanges[tid];
-    const std::uint64_t elo = d.graph.offsets[vlo];
-    const std::uint64_t ehi = d.graph.offsets[vhi];
+    const auto [elo, ehi] = d.edgeRanges[tid];
     const std::uint64_t ep_lo = elo / kEdgesPerPage;
     const std::uint64_t ep_hi =
         ehi == elo ? ep_lo : (ehi - 1) / kEdgesPerPage + 1;

@@ -12,9 +12,11 @@
  * explanation for why PageRank's runtime decouples from total fault
  * count.
  *
- * The replayed rank-page trace is exact: it is extracted from a real
- * CSR of the generated graph (deduplicated per edge block, capped by
- * sampling to bound op counts; the cap is a documented scaling knob).
+ * The replayed rank-page trace is exact: it is extracted from the
+ * generated graph's real edge list (deduplicated per edge block,
+ * capped by sampling to bound op counts; the cap is a documented
+ * scaling knob). The shared dataset keeps that trace and the
+ * per-thread ranges, not the graph (see PrDataset).
  */
 
 #ifndef PAGESIM_GRAPH_PAGERANK_WORKLOAD_HH
@@ -52,14 +54,24 @@ struct PageRankConfig
 };
 
 /**
- * Immutable, trial-independent PageRank data: the graph and the
- * per-edge-page distinct-rank-page trace. Build once per configuration
- * and share across trials/threads (read-only).
+ * Immutable, trial-independent PageRank data: the per-edge-page
+ * distinct-rank-page trace plus the graph's shape. Build once per
+ * configuration and share across trials/threads (read-only).
+ *
+ * The graph itself (its CSR) is not kept. A trial never reads an edge
+ * endpoint, only the rank pages each edge page references and where
+ * each thread's edges start and end, so the build streams the edges
+ * one page at a time from PowerLawEdgeSource straight into the trace.
+ * The trace is exactly what the same graph as a materialized CSR
+ * would yield.
  */
 struct PrDataset
 {
     PageRankConfig config;
-    CsrGraph graph;
+
+    /** Graph size. */
+    std::uint32_t vertices = 0;
+    std::uint64_t edges = 0;
 
     /** Page-count layout (VMA sizes). */
     std::uint64_t offsetsPages = 0;
@@ -77,8 +89,12 @@ struct PrDataset
 
     /** Per-thread vertex ranges (contiguous, equal vertex counts). */
     std::vector<std::pair<std::uint32_t, std::uint32_t>> vertexRanges;
-    /** Per-thread edge counts (diagnostic: the skew that matters). */
-    std::vector<std::uint64_t> threadEdges;
+    /**
+     * Per-thread [first, last) edge indices, the CSR offsets at its
+     * vertex range's bounds. Their widths are unequal: the skew that
+     * matters.
+     */
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> edgeRanges;
 };
 
 /** Build the shared dataset for a configuration. */

@@ -30,14 +30,6 @@ laneDigest(const std::vector<T> &v)
     return checksum64(v.data(), v.size() * sizeof(T));
 }
 
-/** A thread's [first, last) edge indices in the CSR order. */
-std::pair<std::uint64_t, std::uint64_t>
-edgeRange(const PrDataset &d, unsigned t)
-{
-    const auto [lo, hi] = d.vertexRanges[t];
-    return {d.graph.offsets[lo], d.graph.offsets[hi]};
-}
-
 /** checksum64 over every dataset field a trial reads. */
 std::uint64_t
 datasetDigest(const PrDataset &d)
@@ -52,9 +44,8 @@ datasetDigest(const PrDataset &d)
     }
     for (unsigned t = 0; t < d.vertexRanges.size(); ++t) {
         const auto [vlo, vhi] = d.vertexRanges[t];
-        const auto [elo, ehi] = edgeRange(d, t);
-        words.insert(words.end(),
-                     {vlo, vhi, d.threadEdges[t], elo, ehi});
+        const auto [elo, ehi] = d.edgeRanges[t];
+        words.insert(words.end(), {vlo, vhi, ehi - elo, elo, ehi});
     }
     return laneDigest(words);
 }
@@ -92,6 +83,29 @@ TEST(AliasSampler, SingleElement)
     Rng rng(1);
     for (int i = 0; i < 100; ++i)
         EXPECT_EQ(sampler.sample(rng), 0u);
+}
+
+TEST(AliasSampler, BatchDrawsMatchScalarDraws)
+{
+    std::vector<double> weights(3000);
+    for (std::size_t i = 0; i < weights.size(); ++i)
+        weights[i] = 1.0 / static_cast<double>(1 + i % 97);
+    const AliasSampler wide(weights);
+    const AliasSampler single({5.0});
+    for (const AliasSampler *sampler : {&wide, &single}) {
+        for (std::size_t k : {0, 1, 1023, 1024, 1025}) {
+            Rng scalar_rng(77);
+            Rng batch_rng(77);
+            std::vector<std::uint32_t> want(k);
+            for (std::uint32_t &v : want)
+                v = sampler->sample(scalar_rng);
+            std::vector<std::uint32_t> got(k, UINT32_MAX);
+            sampler->sampleBatch(batch_rng, got.data(), k);
+            EXPECT_EQ(got, want) << "k=" << k;
+            EXPECT_EQ(batch_rng.nextU64(), scalar_rng.nextU64())
+                << "k=" << k << ": the RNG must advance identically";
+        }
+    }
 }
 
 TEST(Generator, ProducesValidCsr)
@@ -171,7 +185,12 @@ TEST(PrDataset, LayoutAndTraceConsistent)
     cfg.threads = 4;
     cfg.iterations = 2;
     auto data = buildPrDataset(cfg);
-    EXPECT_TRUE(data->graph.valid());
+    // The dataset's shape is the graph's, built independently.
+    const CsrGraph g = generatePowerLawGraph(cfg.graph);
+    EXPECT_EQ(data->vertices, g.numVertices());
+    EXPECT_EQ(data->edges, g.numEdges());
+    EXPECT_EQ(data->edgesPages,
+              (g.numEdges() * 4 + kPageSize - 1) / kPageSize);
     EXPECT_EQ(data->edgePageWindows.size(), data->edgesPages);
     // Every trace entry is a valid rank-page offset.
     for (std::uint32_t off : data->rankTrace)
@@ -192,18 +211,23 @@ TEST(PrDataset, ThreadPartitionIsVertexBalancedEdgeSkewed)
     cfg.graph = smallGraph();
     cfg.threads = 8;
     auto data = buildPrDataset(cfg);
+    const CsrGraph g = generatePowerLawGraph(cfg.graph);
     ASSERT_EQ(data->vertexRanges.size(), 8u);
+    ASSERT_EQ(data->edgeRanges.size(), 8u);
     std::uint64_t min_e = UINT64_MAX, max_e = 0, total = 0;
     std::uint32_t covered = 0;
     for (unsigned t = 0; t < 8; ++t) {
         const auto [lo, hi] = data->vertexRanges[t];
+        const auto [elo, ehi] = data->edgeRanges[t];
+        EXPECT_EQ(elo, g.offsets[lo]) << "thread " << t;
+        EXPECT_EQ(ehi, g.offsets[hi]) << "thread " << t;
         covered += hi - lo;
-        min_e = std::min(min_e, data->threadEdges[t]);
-        max_e = std::max(max_e, data->threadEdges[t]);
-        total += data->threadEdges[t];
+        min_e = std::min(min_e, ehi - elo);
+        max_e = std::max(max_e, ehi - elo);
+        total += ehi - elo;
     }
-    EXPECT_EQ(covered, data->graph.numVertices());
-    EXPECT_EQ(total, data->graph.numEdges());
+    EXPECT_EQ(covered, g.numVertices());
+    EXPECT_EQ(total, g.numEdges());
     EXPECT_GT(max_e, min_e) << "edge work must be skewed";
 }
 
