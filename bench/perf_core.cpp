@@ -22,13 +22,13 @@
  *     plus the metrics-layer overhead at that scale: the same cell
  *     timed with metrics detached, with counters+spans, and with the
  *     full periodic sampler (guarded at <1% / <5% by the roadmap).
- *  4. A fig-style multi-cell sweep executed two ways: serial cells
- *     (each cell barriers before the next starts — the pre-sweep
- *     behavior) vs one pooled cross-cell sweep, with a byte-identity
- *     check on the results. On hosts too small for the pool to pay
- *     for itself the sweep layer degrades to the serial path; the
- *     degraded_to_serial field records that so the tracked speedup is
- *     honest rather than a thread-spawn-overhead artifact.
+ *  4. A fig-style multi-cell sweep executed two ways: a serial drain
+ *     (one worker runs every trial of every cell in order) vs one
+ *     pooled cross-cell sweep, with a byte-identity check on the
+ *     results. On hosts too small for the pool to pay for itself the
+ *     sweep layer degrades to the serial path; the degraded_to_serial
+ *     field records that so the tracked speedup is honest rather than
+ *     a thread-spawn-overhead artifact.
  *  5. Fast-forward execution: a fig06-style capacity grid swept cold
  *     (simulating every warmup prefix) vs warm (restoring each trial
  *     from the checkpoint cache), with a bit-identity check between
@@ -47,6 +47,7 @@
 #include <cmath>
 #include <cstdio>
 #include <ctime>
+#include <fstream>
 #include <functional>
 #include <queue>
 #include <string>
@@ -73,6 +74,26 @@ double
 secondsSince(Clock::time_point start)
 {
     return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/** The host CPU's model name (Linux /proc/cpuinfo), JSON-safe, so a
+ *  recorded number names the machine it came from. */
+std::string
+hostCpuModel()
+{
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(cpuinfo, line)) {
+        const std::size_t colon = line.find(':');
+        if (line.rfind("model name", 0) != 0 || colon == std::string::npos)
+            continue;
+        std::string model;
+        for (char ch : line.substr(colon + 1))
+            if (ch != '"' && ch != '\\' && (ch != ' ' || !model.empty()))
+                model += ch;
+        return model;
+    }
+    return "unknown";
 }
 
 /** Opaque sink: keeps a benchmarked result observable to the
@@ -739,7 +760,7 @@ main(int argc, char **argv)
     std::printf("  full sampler:    %.3f s (%+.2f%%)\n\n",
                 metrics_full_secs, full_overhead_pct);
 
-    // --- 4. Serial cells vs pooled cross-cell sweep. ---------------
+    // --- 4. Serial drain vs pooled cross-cell sweep. ---------------
     std::vector<ExperimentConfig> cells = sweepCells();
     for (auto &c : cells)
         c.trials = 3;
@@ -754,9 +775,8 @@ main(int argc, char **argv)
     bool identical = true;
     for (int round = 0; round < 3; ++round) {
         const auto serial_start = Clock::now();
-        std::vector<ExperimentResult> serial;
-        for (const ExperimentConfig &cell : cells)
-            serial.push_back(std::move(runSweep({cell}).front()));
+        const std::vector<ExperimentResult> serial =
+            runSweep(cells, SweepOptions{1});
         serial_secs =
             std::min(serial_secs, secondsSince(serial_start));
 
@@ -778,7 +798,7 @@ main(int argc, char **argv)
                               sweep_tasks / 2) <= 1;
 
     const double sweep_speedup = serial_secs / pooled_secs;
-    std::printf("  serial cells: %.3f s\n", serial_secs);
+    std::printf("  serial drain: %.3f s\n", serial_secs);
     std::printf("  pooled sweep: %.3f s%s\n", pooled_secs,
                 degraded_to_serial ? " (degraded to serial drain)"
                                    : "");
@@ -1071,7 +1091,8 @@ main(int argc, char **argv)
     }
     std::fprintf(out, "{\n");
     std::fprintf(out, "  \"schema_version\": 1,\n");
-    std::fprintf(out, "  \"host\": {\"cores\": %u},\n", cores);
+    std::fprintf(out, "  \"host\": {\"cores\": %u, \"cpu\": \"%s\"},\n",
+                 cores, hostCpuModel().c_str());
     std::fprintf(out,
                  "  \"event_queue\": {\n"
                  "    \"events\": %llu,\n"
