@@ -60,8 +60,6 @@ class AliasSampler
      */
     void sampleBatch(Rng &rng, std::uint32_t *out, std::size_t k) const;
 
-    std::size_t size() const { return table_.size(); }
-
   private:
     /** Keep the drawn column with probability prob, else take alias. */
     struct Column
