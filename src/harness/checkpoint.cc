@@ -129,16 +129,8 @@ struct ParsedImage
     std::uint64_t seed = 0;
     std::uint64_t when = 0;
     std::uint64_t refs = 0;
+    /** One per kSections entry, in the same order. */
     std::vector<ParsedSection> sections;
-
-    const ParsedSection *
-    section(const char *name) const
-    {
-        for (const ParsedSection &s : sections)
-            if (s.name == name)
-                return &s;
-        return nullptr;
-    }
 };
 
 /**
@@ -161,6 +153,42 @@ writeSection(Sink &image, const char *name, const Body &body)
     const std::size_t len = image.size() - begin;
     image.patchU64(slot, len);
     image.patchU64(slot + 8, checksum64(image.data().data() + begin, len));
+}
+
+/**
+ * The decoded section list must be exactly kSections, in order: a
+ * missing section is SectionMissing; a duplicated, unknown or
+ * reordered one is Unsupported, named, rather than silently shadowed
+ * or ignored.
+ */
+CheckpointError
+checkSectionList(const std::vector<ParsedSection> &sections)
+{
+    const auto seen = [&sections](const std::string &name, std::size_t n) {
+        return std::any_of(sections.begin(), sections.begin() + n,
+                           [&name](const ParsedSection &s) {
+                               return s.name == name;
+                           });
+    };
+    for (const Section &sec : kSections)
+        if (!seen(sec.name, sections.size()))
+            return makeError(CheckpointError::Kind::SectionMissing,
+                             std::string("section '") + sec.name +
+                                 "' missing");
+    for (std::size_t i = 0; i < sections.size(); ++i) {
+        const std::string &name = sections[i].name;
+        if (i < std::size(kSections) && name == kSections[i].name)
+            continue;
+        const bool known = std::any_of(
+            std::begin(kSections), std::end(kSections),
+            [&name](const Section &sec) { return name == sec.name; });
+        const char *what = !known         ? "unknown"
+                           : seen(name, i) ? "duplicated"
+                                           : "out-of-order";
+        return makeError(CheckpointError::Kind::Unsupported,
+                         std::string(what) + " section '" + name + "'");
+    }
+    return {};
 }
 
 /**
@@ -221,7 +249,7 @@ parseImage(const std::vector<std::uint8_t> &bytes, ParsedImage &out)
     if (cur.remaining() != 0)
         return makeError(CheckpointError::Kind::Truncated,
                          "trailing bytes after the last section");
-    return {};
+    return checkSectionList(out.sections);
 }
 
 } // namespace
@@ -316,18 +344,14 @@ restoreCheckpoint(const RigView &rig, std::uint64_t config_hash,
         return makeError(CheckpointError::Kind::ConfigMismatch,
                          "checkpoint was produced by a different "
                          "configuration or seed");
-    for (const Section &sec : kSections)
-        if (img.section(sec.name) == nullptr)
-            return makeError(CheckpointError::Kind::SectionMissing,
-                             std::string("section '") + sec.name +
-                                 "' missing");
 
     // Check pass: decode every section against the live rig without
     // storing anything. Record and lane counts, replayed layouts, the
     // memcg count, link ids and enum ranges are all refused here.
     const StateLinks links = linksOf(rig);
-    const auto visitSection = [&](const Section &sec, StateIO::Mode mode) {
-        const ParsedSection &p = *img.section(sec.name);
+    const auto visitSection = [&](std::size_t i, StateIO::Mode mode) {
+        const Section &sec = kSections[i];
+        const ParsedSection &p = img.sections[i];
         Source src(p.data, static_cast<std::size_t>(p.len));
         StateIO io(src, &links, mode);
         sec.visit(io, rig);
@@ -343,16 +367,16 @@ restoreCheckpoint(const RigView &rig, std::uint64_t config_hash,
                                  "' failed to decode");
         return CheckpointError{};
     };
-    for (const Section &sec : kSections)
-        if (CheckpointError e = visitSection(sec, StateIO::Mode::Check);
+    for (std::size_t i = 0; i < std::size(kSections); ++i)
+        if (CheckpointError e = visitSection(i, StateIO::Mode::Check);
             !e.ok())
             return e;
 
     // ---- Apply. A failure past this point means a format bug; the
     // caller must discard the half-restored rig. ----------------------
     rig.sim->events().restoreClock(img.when);
-    for (const Section &sec : kSections)
-        if (CheckpointError e = visitSection(sec, StateIO::Mode::Load);
+    for (std::size_t i = 0; i < std::size(kSections); ++i)
+        if (CheckpointError e = visitSection(i, StateIO::Mode::Load);
             !e.ok())
             return e;
 

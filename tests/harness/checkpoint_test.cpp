@@ -761,6 +761,125 @@ TEST(CheckpointCorruption, OutOfRangeIndicesAreNamedErrors)
     ASSERT_TRUE(retry.ok()) << retry.message;
 }
 
+/** One framed section of an image: its name and payload. */
+struct FramedSection
+{
+    std::string name;
+    std::vector<std::uint8_t> payload;
+};
+
+/** The sections of @p image, in image order. */
+std::vector<FramedSection>
+splitSections(const std::vector<std::uint8_t> &image)
+{
+    std::vector<FramedSection> out;
+    std::size_t off = 48; // past the header and section count
+    while (off < image.size()) {
+        const std::size_t name_len = readLe(image, off, 4);
+        FramedSection sec;
+        sec.name.assign(image.begin() + off + 4,
+                        image.begin() + off + 4 + name_len);
+        const std::size_t len = readLe(image, off + 4 + name_len, 8);
+        const std::size_t begin = off + 4 + name_len + 16;
+        sec.payload.assign(image.begin() + begin,
+                           image.begin() + begin + len);
+        out.push_back(std::move(sec));
+        off = begin + len;
+    }
+    return out;
+}
+
+/**
+ * @p image's header followed by @p sections, each framed and
+ * re-checksummed, and the section count rewritten, so only the
+ * section-list check can refuse it.
+ */
+std::vector<std::uint8_t>
+withSections(const std::vector<std::uint8_t> &image,
+             const std::vector<FramedSection> &sections)
+{
+    Sink out;
+    out.bytes(image.data(), 44); // magic, version, hash, seed, when, refs
+    out.u32(static_cast<std::uint32_t>(sections.size()));
+    for (const FramedSection &sec : sections) {
+        out.u32(static_cast<std::uint32_t>(sec.name.size()));
+        out.bytes(sec.name.data(), sec.name.size());
+        out.u64(sec.payload.size());
+        out.u64(checksum64(sec.payload.data(), sec.payload.size()));
+        out.bytes(sec.payload.data(), sec.payload.size());
+    }
+    return std::move(out).take();
+}
+
+TEST(CheckpointCorruption, SectionListMustBeExactlyTheTable)
+{
+    // Every section checksums clean, so only the list itself is wrong:
+    // a duplicated section must not restore from its first copy, an
+    // unknown one must not be ignored, and the order is fixed.
+    const ExperimentConfig cfg = smallConfig(
+        WorkloadKind::YcsbA, PolicyKind::MgLru, SwapKind::Ssd);
+    const std::uint64_t seed = 12345;
+    const std::uint64_t hash = configPrefixHash(cfg);
+    const Checkpoint good = captureAtBoundary(cfg, seed, 20000);
+    const std::vector<FramedSection> sections = splitSections(good.bytes);
+    ASSERT_EQ(sections.size(), 8u);
+    ASSERT_EQ(withSections(good.bytes, sections), good.bytes);
+
+    struct Case
+    {
+        const char *name;
+        std::vector<FramedSection> sections;
+        const char *named;
+    };
+    std::vector<Case> cases;
+    {
+        std::vector<FramedSection> dup = sections;
+        dup.push_back(sections[2]);
+        ASSERT_EQ(dup.back().name, "frames");
+        cases.push_back({"duplicated", dup, "duplicated section 'frames'"});
+    }
+    {
+        std::vector<FramedSection> extra = sections;
+        extra.push_back({"extra", {1, 2, 3}});
+        cases.push_back({"unknown", extra, "unknown section 'extra'"});
+    }
+    {
+        std::vector<FramedSection> swapped = sections;
+        std::swap(swapped[0], swapped[1]);
+        cases.push_back(
+            {"reordered", swapped, "out-of-order section 'spaces'"});
+    }
+
+    TrialRigOptions opts;
+    opts.forRestore = true;
+    opts.deferObservers = true;
+    TrialRig rig(cfg, seed, opts);
+    const std::string path =
+        ::testing::TempDir() + "pagesim-ckpt-sections.bin";
+    for (const Case &c : cases) {
+        Checkpoint bad = good;
+        bad.bytes = withSections(good.bytes, c.sections);
+        const CheckpointError err =
+            restoreCheckpoint(rig.view(), hash, seed, bad);
+        EXPECT_EQ(err.kind, CheckpointError::Kind::Unsupported) << c.name;
+        EXPECT_NE(err.message.find(c.named), std::string::npos)
+            << c.name << ": " << err.message;
+
+        ASSERT_TRUE(saveCheckpointFile(path, bad).ok());
+        Checkpoint loaded;
+        EXPECT_EQ(loadCheckpointFile(path, loaded).kind,
+                  CheckpointError::Kind::Unsupported)
+            << c.name;
+    }
+    std::remove(path.c_str());
+
+    // Refused before apply: the same rig still accepts the pristine
+    // image.
+    const CheckpointError retry =
+        restoreCheckpoint(rig.view(), hash, seed, good);
+    ASSERT_TRUE(retry.ok()) << retry.message;
+}
+
 TEST(CheckpointCorruption, FileRoundTripAndDiskErrors)
 {
     const ExperimentConfig cfg = smallConfig(
