@@ -294,9 +294,10 @@ captureCheckpoint(const RigView &rig, std::uint64_t config_hash,
             "capture requested while I/O, waiters, or metrics are "
             "live");
 
-    // Size the image exactly first (Size mode reads lane lengths, not
-    // lane contents), so the buffer is allocated and first touched
-    // once, never re-copied by a geometric grow.
+    // Bound the image first (Size mode reads lane lengths, not lane
+    // contents), so the buffer is allocated once, never re-copied by a
+    // geometric grow. Packed lanes fill only part of the bound; the
+    // rest of the reservation is never touched, so never resident.
     std::size_t image_bytes = kHeaderBytes;
     for (const Section &sec : kSections) {
         StateIO sizer;
@@ -320,7 +321,7 @@ captureCheckpoint(const RigView &rig, std::uint64_t config_hash,
             sec.visit(io, rig);
         });
     }
-    assert(image.size() == image_bytes && "Size mode disagrees with Save");
+    assert(image.size() <= image_bytes && "Save outgrew the Size bound");
 
     out.configHash = config_hash;
     out.seed = seed;

@@ -24,31 +24,39 @@
  * event in ascending saved (when, seq) order, which preserves the
  * dispatch relation under fresh sequence numbers.
  *
- * Format (version 2): a little-endian header (magic, version,
+ * Format (version 3): a little-endian header (magic, version,
  * config-prefix hash, seed, sim time, refs, section count) followed by
  * named sections, each framed as name length, name, payload length,
  * payload checksum (checksum64, sim/serialize.hh), payload. The
- * framing is byte-for-byte that of version 1; version 2 replaced the
- * byte-serial FNV-1a section fingerprint with the word-wide checksum64,
- * so a version-1 image is refused with VersionMismatch. A
- * little-endian host is assumed: lanes are copied in host order.
+ * sections are exactly the section table's, in its order; a missing
+ * one is SectionMissing, and a duplicated, unknown or reordered one is
+ * Unsupported. The framing is byte-for-byte that of version 1. Version
+ * 2 replaced the byte-serial FNV-1a section fingerprint with the
+ * word-wide checksum64. Version 3 packs every lane inside a payload
+ * (frame-table, page-table and every other POD array) as XOR-delta
+ * blocks (sim/serialize.hh describes the lane encoding), which makes a
+ * Big1M image 2.5-3.7x smaller. An image of an older version is
+ * refused with VersionMismatch. A little-endian host is assumed: lane
+ * words are read in host order.
  *
  * Every section is described once, by the visitState(StateIO &)
  * bodies of the classes it holds (sim/serialize.hh); capture, the
- * pre-apply check, the apply and the size estimate all walk one
- * section table. Capture is single-copy: every section, and every
+ * pre-apply check, the apply and the size bound all walk one section
+ * table. Capture is single-copy: every section, and every
  * length-prefixed space/workload/actor record inside one, is
  * serialized straight into the one image buffer (reserved up front at
- * its exact size); its length and checksum slots are backfilled over
- * the payload span, and the finished buffer is moved, not copied,
- * into Checkpoint::bytes.
+ * the Size-mode bound, whose untouched tail never becomes resident);
+ * its length and checksum slots are backfilled over the payload span,
+ * and the finished buffer is moved, not copied, into
+ * Checkpoint::bytes.
  *
  * Loading is two-pass: ALL section checksums, then a StateIO Check
- * pass over every section (lane and record counts, replayed layouts,
- * the memcg count, frame-owner and barrier-waiter ids, enum ranges)
- * run before ANY state is applied, so truncation, version skew,
- * flipped bytes, a machine of another size and out-of-range indices
- * are rejected with a structured error and zero partial state. (If
+ * pass over every section (lane and record counts, lane framing,
+ * replayed layouts, the memcg count, frame-owner and barrier-waiter
+ * ids, enum ranges) run before ANY state is applied, so truncation,
+ * version skew, flipped bytes, a malformed lane, a machine of another
+ * size and out-of-range indices are rejected with a structured error
+ * and zero partial state. (If
  * apply itself fails — only possible on a format bug — the caller
  * must discard the half-restored rig; runTrial's fallback path
  * rebuilds from scratch.)
@@ -81,7 +89,7 @@ class Workload;
 class SimActor;
 
 /** Checkpoint format version; bump on any serialized-layout change. */
-constexpr std::uint32_t kCheckpointVersion = 2;
+constexpr std::uint32_t kCheckpointVersion = 3;
 
 /** Structured checkpoint failure. */
 struct CheckpointError

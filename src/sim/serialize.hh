@@ -6,17 +6,39 @@
  * Source reads them back with bounds checks. Neither throws: a Source
  * that runs past its buffer latches ok() == false and returns zeros,
  * so checkpoint loading can validate once at the end instead of
- * wrapping every read. StateIO::podVec() moves whole SoA lanes with
- * one memcpy, which is what keeps 64M-page snapshots at
- * memory-bandwidth speed.
+ * wrapping every read.
  *
- * The encoding is deliberately dumb — fixed-width, no varints, no
- * tags — because checkpoints are checksummed (checksum64) and
- * version-gated at the section level (see harness/checkpoint.hh);
- * the byte stream only needs to be deterministic, not evolvable.
+ * Scalars are fixed-width, with no varints and no tags, because
+ * checkpoints are checksummed (checksum64) and version-gated at the
+ * section level (see harness/checkpoint.hh); the byte stream only
+ * needs to be deterministic, not evolvable.
+ *
+ * Lanes (StateIO::lane, podVec, ownerLane: every SoA frame and PTE
+ * lane, and every other POD array) travel packed. A lane is a u64
+ * element count, a u64 packed length, then the payload. Elements are
+ * read as the widest of 8/4/2/1-byte words that tiles them, and each
+ * word is XORed with the word before it in the lane. The XORed words
+ * go in blocks of 64, each the smaller of (width on ties):
+ *
+ *   width   header b in 0..w, then every delta's low b bytes;
+ *   sparse  header 0x80, a u64 mask of the nonzero deltas, then
+ *           those deltas at full width w.
+ *
+ * Constant lanes (owners, memcg ids, list ids, invalid-slot runs)
+ * collapse to a byte per block, small counters to a byte per word, and
+ * random lanes (prev/next links) stay near their raw size. Encoding and
+ * decoding are word-at-a-time with no lane-sized buffer on either side:
+ * Save stages packed blocks through a fixed chunk buffer, and Load
+ * decodes in place. Decoding first walks the lane's framing (a header
+ * outside 0..w and 0x80, a mask bit past the lane's end, a block longer
+ * than the bytes left, or bytes left over all fail), so a Load that
+ * fails stores nothing, and Check mode validates the framing without
+ * un-XORing anything. Size mode counts an exact upper bound,
+ * 16 + words*w + ceil(words/64)*9 bytes per lane, which is what capture
+ * reserves; untouched reserved pages never become resident.
  *
  * A little-endian host is assumed (and asserted at compile time):
- * podVec() copies lanes in host byte order and checksum64() loads
+ * lane words are loaded in host byte order and checksum64() loads
  * host-order words, while the scalar writers spell out little-endian.
  * On such a host all three agree, so an image is portable between
  * little-endian machines.
@@ -35,16 +57,17 @@
  *   Save   append each field to a Sink;
  *   Load   overwrite each field from a Source;
  *   Check  decode a Source and compare shapes, store nothing;
- *   Size   count the bytes Save would append, touch nothing.
+ *   Size   bound the bytes Save would append, touch nothing.
  *
  * Because one body serves every mode, a field cannot be written but
  * not read back, or read in another order. io.loading() marks the few
  * steps that really differ between directions. Check mode lets a
- * restore validate a whole image (lane and record counts, link ids,
- * enum ranges, layout checks) before any state is applied. It stores
- * nothing, so a body must not let a decoded value steer its control
- * flow except through the archive's own ops (objects, optional,
- * record, actorList), which decode what they branch on themselves.
+ * restore validate a whole image (lane and record counts, lane
+ * framing, link ids, enum ranges, layout checks) before any state is
+ * applied. It stores nothing, so a body must not let a decoded value
+ * steer its control flow except through the archive's own ops
+ * (objects, optional, record, actorList), which decode what they
+ * branch on themselves.
  *
  * Pointers do not survive a checkpoint. The archive carries the rig's
  * id tables (StateLinks): frame owners are written as address-space
@@ -348,6 +371,307 @@ class Source
     bool ok_ = true;
 };
 
+namespace detail
+{
+
+/** Words per packed-lane block (one bit each in a sparse mask). */
+constexpr std::size_t kLaneBlockWords = 64;
+
+/** Header of a sparse block; a width block's header is its width. */
+constexpr std::uint8_t kSparseBlock = 0x80;
+
+/** The widest of 8/4/2/1-byte words that tiles a @p T element. */
+template <typename T>
+using LaneWord = std::conditional_t<
+    sizeof(T) % 8 == 0, std::uint64_t,
+    std::conditional_t<
+        sizeof(T) % 4 == 0, std::uint32_t,
+        std::conditional_t<sizeof(T) % 2 == 0, std::uint16_t,
+                           std::uint8_t>>>;
+
+/**
+ * Upper bound on a packed lane of @p words words of @p width bytes:
+ * count and packed length, every word at full width, and at most nine
+ * header bytes per block.
+ */
+constexpr std::uint64_t
+packedLaneBound(std::uint64_t words, std::size_t width)
+{
+    return 16 + words * width +
+           (words + kLaneBlockWords - 1) / kLaneBlockWords * 9;
+}
+
+/**
+ * Walk a packed lane's block framing without decoding it: false on a
+ * bad header, a mask bit past the lane's end, a block longer than the
+ * bytes left, or bytes left over after @p words words.
+ */
+inline bool
+scanLane(const std::uint8_t *p, std::size_t len, std::uint64_t words,
+         std::size_t width)
+{
+    const std::uint8_t *const end = p + len;
+    for (std::uint64_t at = 0; at < words; at += kLaneBlockWords) {
+        const std::uint64_t k = std::min<std::uint64_t>(
+            kLaneBlockWords, words - at);
+        if (p == end)
+            return false;
+        const std::uint8_t header = *p++;
+        std::size_t body = 0;
+        if (header == kSparseBlock) {
+            if (end - p < 8)
+                return false;
+            const std::uint64_t mask = loadWord(p);
+            p += 8;
+            if (k < kLaneBlockWords && (mask >> k) != 0)
+                return false;
+            body = static_cast<std::size_t>(std::popcount(mask)) * width;
+        } else if (header <= width) {
+            body = static_cast<std::size_t>(k) * header;
+        } else {
+            return false;
+        }
+        if (static_cast<std::size_t>(end - p) < body)
+            return false;
+        p += body;
+    }
+    return p == end;
+}
+
+/**
+ * Packs a lane of @p Word words into a Sink: the packed-length slot on
+ * construction, blocks as words arrive, the backfilled length on
+ * finish(). Blocks are staged in a fixed buffer and appended in
+ * chunks. The XOR chain runs across put() calls; every put() but the
+ * last must carry a whole number of blocks.
+ */
+template <typename Word>
+class LaneEncoder
+{
+  public:
+    explicit LaneEncoder(Sink &sink) : sink_(sink), slot_(sink.size())
+    {
+        sink_.u64(0);
+    }
+
+    LaneEncoder(const LaneEncoder &) = delete;
+    LaneEncoder &operator=(const LaneEncoder &) = delete;
+
+    /** Append @p words words read from @p in. */
+    void
+    put(const void *in, std::size_t words)
+    {
+        const auto *p = static_cast<const unsigned char *>(in);
+        while (words > 0) {
+            const std::size_t k = std::min(words, kLaneBlockWords);
+            block(p, k);
+            p += k * sizeof(Word);
+            words -= k;
+        }
+    }
+
+    /** Flush the staged blocks and backfill the packed length. */
+    void
+    finish()
+    {
+        sink_.bytes(stage_, used_);
+        used_ = 0;
+        sink_.patchU64(slot_, sink_.size() - slot_ - 8);
+    }
+
+  private:
+    static constexpr std::size_t kStageBytes = std::size_t{1} << 14;
+    static constexpr std::size_t kMaxBlockBytes =
+        9 + kLaneBlockWords * sizeof(Word);
+
+    void
+    block(const unsigned char *in, std::size_t k)
+    {
+        // A full block gets a constant trip count, so the delta and
+        // narrowing loops vectorize.
+        if (k == kLaneBlockWords)
+            encodeBlock<kLaneBlockWords>(in, k);
+        else
+            encodeBlock<0>(in, k);
+        if (used_ >= kStageBytes) {
+            sink_.bytes(stage_, used_);
+            used_ = 0;
+        }
+    }
+
+    /** Encode @p k words (@p K of them when @p K is nonzero). */
+    template <std::size_t K>
+    void
+    encodeBlock(const unsigned char *in, std::size_t k)
+    {
+        const std::size_t n = K != 0 ? K : k;
+        Word x[kLaneBlockWords + 1];
+        x[0] = prev_;
+        std::memcpy(x + 1, in, n * sizeof(Word));
+        prev_ = x[n];
+        Word delta[kLaneBlockWords];
+        Word any = 0;
+        std::size_t nonzero = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            delta[i] = static_cast<Word>(x[i + 1] ^ x[i]);
+            any = static_cast<Word>(any | delta[i]);
+            nonzero += delta[i] != 0;
+        }
+        const std::size_t width =
+            (static_cast<std::size_t>(std::bit_width(any)) + 7) / 8;
+        unsigned char *out = stage_ + used_;
+        if (9 + nonzero * sizeof(Word) < 1 + n * width) {
+            *out++ = kSparseBlock;
+            unsigned char *mask_at = out;
+            out += 8;
+            std::uint64_t mask = 0;
+            for (std::size_t i = 0; i < n; ++i) {
+                // Branch-free compaction: every delta is stored, and
+                // only a nonzero one advances past itself.
+                const std::uint64_t bit = delta[i] != 0;
+                mask |= bit << i;
+                std::memcpy(out, &delta[i], sizeof(Word));
+                out += bit * sizeof(Word);
+            }
+            std::memcpy(mask_at, &mask, 8);
+        } else {
+            *out++ = static_cast<unsigned char>(width);
+            if (width == sizeof(Word)) {
+                std::memcpy(out, delta, n * sizeof(Word));
+            } else if (width == 1) {
+                for (std::size_t i = 0; i < n; ++i)
+                    out[i] = static_cast<unsigned char>(delta[i]);
+            } else if (width != 0) {
+                // Whole-word stores, each overwritten by the next; the
+                // stage's tail slack absorbs the last one's spill.
+                for (std::size_t i = 0; i < n; ++i)
+                    std::memcpy(out + i * width, &delta[i], sizeof(Word));
+            }
+            out += n * width;
+        }
+        used_ = static_cast<std::size_t>(out - stage_);
+    }
+
+    Sink &sink_;
+    std::size_t slot_;
+    Word prev_ = 0;
+    std::size_t used_ = 0;
+    unsigned char stage_[kStageBytes + kMaxBlockBytes + sizeof(Word)];
+};
+
+/**
+ * Unpacks a lane whose framing scanLane() accepted, so no read needs a
+ * bounds check beyond the lane's end. Each block expands to its 64
+ * deltas, then one prefix-XOR pass rebuilds the words. The XOR chain
+ * runs across get() calls; every get() but the last must take a whole
+ * number of blocks.
+ */
+template <typename Word>
+class LaneDecoder
+{
+  public:
+    LaneDecoder(const std::uint8_t *p, std::size_t len)
+        : p_(p), end_(p + len)
+    {
+    }
+
+    /** Decode the next @p words words into @p out. */
+    void
+    get(void *out, std::size_t words)
+    {
+        auto *o = static_cast<unsigned char *>(out);
+        Word delta[kLaneBlockWords];
+        // Locals, not members: byte stores through @p out could alias
+        // a member and force a reload per word.
+        Word prev = prev_;
+        while (words > 0) {
+            const std::size_t k = std::min(words, kLaneBlockWords);
+            if (deltas(delta, k)) {
+                for (std::size_t i = 0; i < k; ++i) {
+                    prev = static_cast<Word>(prev ^ delta[i]);
+                    std::memcpy(o + i * sizeof(Word), &prev, sizeof(Word));
+                }
+            } else {
+                for (std::size_t i = 0; i < k; ++i)
+                    std::memcpy(o + i * sizeof(Word), &prev, sizeof(Word));
+            }
+            o += k * sizeof(Word);
+            words -= k;
+        }
+        prev_ = prev;
+    }
+
+  private:
+    /**
+     * Expand the next block, of @p k words, into @p delta; false (and
+     * @p delta untouched) for a zero-width block.
+     */
+    bool
+    deltas(Word *delta, std::size_t k)
+    {
+        const std::uint8_t *p = p_;
+        const std::uint8_t header = *p++;
+        // Whole-word loads may run up to a word past a block's body
+        // when the lane has that much left; its last bytes are read
+        // exactly.
+        const auto left = static_cast<std::size_t>(end_ - p);
+        if (header == kSparseBlock) {
+            const std::uint64_t mask = loadWord(p);
+            p += 8;
+            if (std::popcount(mask) > 16 &&
+                left >= 8 + (k + 1) * sizeof(Word)) {
+                // Dense: a branch-free pass; every slot loads a word
+                // and only a set bit keeps it and advances.
+                for (std::size_t i = 0; i < k; ++i) {
+                    const auto bit = static_cast<Word>((mask >> i) & 1);
+                    Word d;
+                    std::memcpy(&d, p, sizeof(Word));
+                    delta[i] = static_cast<Word>(d & (Word{0} - bit));
+                    p += bit * sizeof(Word);
+                }
+            } else {
+                std::fill(delta, delta + k, Word{0});
+                for (std::uint64_t m = mask; m != 0; m &= m - 1) {
+                    std::memcpy(&delta[std::countr_zero(m)], p,
+                                sizeof(Word));
+                    p += sizeof(Word);
+                }
+            }
+            p_ = p;
+            return true;
+        }
+        const std::size_t width = header;
+        p_ = p + k * width;
+        if (width == 0)
+            return false;
+        if (width == sizeof(Word)) {
+            std::memcpy(delta, p, k * sizeof(Word));
+        } else if constexpr (sizeof(Word) > 1) {
+            const auto keep =
+                static_cast<Word>((std::uint64_t{1} << (8 * width)) - 1);
+            if (left >= (k + 1) * width + sizeof(Word)) {
+                for (std::size_t i = 0; i < k; ++i) {
+                    Word d;
+                    std::memcpy(&d, p + i * width, sizeof(Word));
+                    delta[i] = static_cast<Word>(d & keep);
+                }
+            } else {
+                for (std::size_t i = 0; i < k; ++i) {
+                    delta[i] = 0;
+                    std::memcpy(&delta[i], p + i * width, width);
+                }
+            }
+        }
+        return true;
+    }
+
+    const std::uint8_t *p_;
+    const std::uint8_t *end_;
+    Word prev_ = 0;
+};
+
+} // namespace detail
+
 /**
  * The rig's id tables for the pointers that cross a checkpoint: frame
  * owners by address-space index (the kernel's balloon space by a
@@ -502,8 +826,8 @@ class StateIO
     }
 
     /**
-     * A POD array (count, then raw bytes in one memcpy: the throughput
-     * path for SoA lanes), at most @p max elements on decode.
+     * A POD array as a packed lane (see the file comment), at most
+     * @p max elements on decode.
      */
     template <typename T>
     void
@@ -600,49 +924,62 @@ class StateIO
     }
 
     /**
-     * The frame-owner lane, as ids in the link tables. Consecutive
-     * frames mostly share an owner (allocation order yields runs), so
-     * Save looks an id up only when the owner changes.
+     * The frame-owner lane, as a packed lane of u32 ids in the link
+     * tables. Consecutive frames mostly share an owner (allocation
+     * order yields runs), so Save looks an id up only when the owner
+     * changes. Ids go through a fixed chunk buffer both ways; decoding
+     * (in Check mode too) validates every id.
      */
     void
     ownerLane(std::vector<AddressSpace *> &owners)
     {
-        if (mode_ == Mode::Size) {
-            size_ += 8 + owners.size() * sizeof(std::uint32_t);
-            return;
-        }
-        if (mode_ == Mode::Save) {
-            std::vector<std::uint32_t> ids(owners.size(),
-                                           StateLinks::kNoSpace);
-            const AddressSpace *last = nullptr;
-            std::uint32_t lastId = StateLinks::kNoSpace;
-            for (std::size_t i = 0; i < owners.size(); ++i) {
-                if (owners[i] != nullptr && owners[i] != last) {
-                    last = owners[i];
-                    lastId = links_->spaceId(last);
-                }
-                if (owners[i] != nullptr)
-                    ids[i] = lastId;
-            }
-            return lane(ids);
-        }
-        // Decoded in place, in Check mode too: every id is validated.
+        using Id = std::uint32_t;
+        constexpr std::size_t kChunk = 4096;
+        static_assert(kChunk % detail::kLaneBlockWords == 0);
         std::uint64_t n = owners.size();
         raw(n);
-        if (!ok())
+        if (mode_ == Mode::Size) {
+            size_ += detail::packedLaneBound(n, sizeof(Id)) - 8;
+            return;
+        }
+        Id ids[kChunk];
+        if (mode_ == Mode::Save) {
+            detail::LaneEncoder<Id> enc(*sink_);
+            const AddressSpace *last = nullptr;
+            Id lastId = StateLinks::kNoSpace;
+            for (std::size_t at = 0; at < owners.size(); at += kChunk) {
+                const std::size_t k = std::min(kChunk, owners.size() - at);
+                for (std::size_t i = 0; i < k; ++i) {
+                    const AddressSpace *owner = owners[at + i];
+                    if (owner != nullptr && owner != last) {
+                        last = owner;
+                        lastId = links_->spaceId(owner);
+                    }
+                    ids[i] = owner != nullptr ? lastId : StateLinks::kNoSpace;
+                }
+                enc.put(ids, k);
+            }
+            return enc.finish();
+        }
+        std::size_t len = 0;
+        const std::uint8_t *p = openLane(n, 1, len);
+        if (p == nullptr)
             return;
         if (n != owners.size())
             return mismatch();
-        constexpr std::size_t kIdBytes = sizeof(std::uint32_t);
-        const std::uint8_t *p = src_->view(owners.size() * kIdBytes);
-        for (std::size_t i = 0; p != nullptr && i < owners.size(); ++i) {
-            std::uint32_t id = 0;
-            std::memcpy(&id, p + kIdBytes * i, kIdBytes);
-            AddressSpace *owner = nullptr;
-            if (!links_->spaceAt(id, owner))
-                return fail();
-            if (loading())
-                owners[i] = owner;
+        if (!detail::scanLane(p, len, n, sizeof(Id)))
+            return fail();
+        detail::LaneDecoder<Id> dec(p, len);
+        for (std::size_t at = 0; at < owners.size(); at += kChunk) {
+            const std::size_t k = std::min(kChunk, owners.size() - at);
+            dec.get(ids, k);
+            for (std::size_t i = 0; i < k; ++i) {
+                AddressSpace *owner = nullptr;
+                if (!links_->spaceAt(ids[i], owner))
+                    return fail();
+                if (loading())
+                    owners[at + i] = owner;
+            }
         }
     }
 
@@ -738,35 +1075,65 @@ class StateIO
     }
 
     /**
-     * Count, then elements. A decoded count the remaining bytes cannot
-     * hold fails before anything is resized; one past @p max (or, when
-     * @p exact, other than v.size()) is a mismatch. Check mode steps
-     * over the elements.
+     * A lane's packed length and a view of its payload; nullptr (and
+     * failure) when the length runs past the Source or cannot hold
+     * @p n elements of @p words_per_elem words (every block takes at
+     * least a byte), so a forged count fails before anything is
+     * resized.
+     */
+    const std::uint8_t *
+    openLane(std::uint64_t n, std::size_t words_per_elem, std::size_t &len)
+    {
+        std::uint64_t packed = 0;
+        raw(packed);
+        if (!ok() || packed > src_->remaining() ||
+            n > packed * detail::kLaneBlockWords / words_per_elem) {
+            fail();
+            return nullptr;
+        }
+        len = static_cast<std::size_t>(packed);
+        return src_->view(len);
+    }
+
+    /**
+     * Count, then the packed lane. A decoded count the packed length
+     * cannot hold fails before anything is resized; one past @p max
+     * (or, when @p exact, other than v.size()) is a mismatch. The lane's
+     * framing is checked whole before a Load stores anything; Check
+     * mode stops there.
      */
     template <typename T>
     void
     array(std::vector<T> &v, bool exact, std::uint64_t max)
     {
         static_assert(std::is_trivially_copyable_v<T>);
+        using Word = detail::LaneWord<T>;
+        constexpr std::size_t kPerElem = sizeof(T) / sizeof(Word);
         std::uint64_t n = v.size();
         raw(n);
-        if (mode_ == Mode::Save)
-            return sink_->bytes(v.data(), v.size() * sizeof(T));
         if (mode_ == Mode::Size) {
-            size_ += v.size() * sizeof(T);
+            size_ += detail::packedLaneBound(n * kPerElem, sizeof(Word)) - 8;
             return;
         }
-        if (!ok() || n > src_->remaining() / sizeof(T))
-            return fail();
+        if (mode_ == Mode::Save) {
+            detail::LaneEncoder<Word> enc(*sink_);
+            enc.put(v.data(), v.size() * kPerElem);
+            return enc.finish();
+        }
+        std::size_t len = 0;
+        const std::uint8_t *p = openLane(n, kPerElem, len);
+        if (p == nullptr)
+            return;
         if (n > max || (exact && n != v.size()))
             return mismatch();
-        const std::size_t len = static_cast<std::size_t>(n) * sizeof(T);
-        if (!loading()) {
-            src_->view(len);
+        const std::uint64_t words = n * kPerElem;
+        if (!detail::scanLane(p, len, words, sizeof(Word)))
+            return fail();
+        if (!loading())
             return;
-        }
         v.resize(static_cast<std::size_t>(n));
-        src_->bytes(v.data(), len);
+        detail::LaneDecoder<Word>(p, len).get(v.data(),
+                                              static_cast<std::size_t>(words));
     }
 
     Mode mode_;

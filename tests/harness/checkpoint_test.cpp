@@ -485,11 +485,12 @@ TEST(CheckpointCorruption, RejectedImagesApplyNothing)
         captureAtBoundary(cfg, seed, straight.totalTouches / 2);
     ASSERT_GT(good.bytes.size(), 64u);
 
-    // Fixed image offsets (framing unchanged since kCheckpointVersion
-    // = 1; version 2 changed only the section checksum): magic u64 @0,
+    // Fixed image offsets (header and section framing unchanged since
+    // kCheckpointVersion = 1; later versions changed the section
+    // checksum and the lane encoding inside payloads): magic u64 @0,
     // version u32 @8, first section's name-length u32 @48 and name
     // bytes @52 ("sim").
-    ASSERT_EQ(good.bytes[8], 2u) << "version field moved?";
+    ASSERT_EQ(good.bytes[8], kCheckpointVersion) << "version field moved?";
     ASSERT_EQ(good.bytes[48], 3u) << "first section name-length moved?";
     ASSERT_EQ(good.bytes[52], static_cast<std::uint8_t>('s'));
 
@@ -714,22 +715,41 @@ TEST(CheckpointCorruption, OutOfRangeIndicesAreNamedErrors)
                          CheckpointError::Kind::Unsupported});
     }
     // A frame owned by a space id past the rig's spaces (and not the
-    // balloon's).
+    // balloon's). The owner lane, the section's first, travels as a
+    // packed lane of u32 ids: re-encode it through StateIO with the
+    // first frame's id out of range and keep the other lanes.
     {
-        std::vector<std::uint8_t> frames = sectionPayload(good.bytes,
-                                                          "frames");
-        const std::uint32_t bad_id =
-            static_cast<std::uint32_t>(view.spaces.size() + 3);
-        for (int i = 0; i < 4; ++i) // the first owner id, after the count
-            frames[8 + i] = static_cast<std::uint8_t>(bad_id >> (8 * i));
-        cases.push_back({"frame-owner", "frames", frames,
+        const std::vector<std::uint8_t> frames =
+            sectionPayload(good.bytes, "frames");
+        const std::uint32_t nframes = view.frames->totalFrames();
+        std::vector<std::uint32_t> ids(nframes, StateLinks::kNoSpace);
+        ids[0] = static_cast<std::uint32_t>(view.spaces.size() + 3);
+        Sink bad;
+        StateIO io(bad);
+        io.lane(ids);
+        ASSERT_EQ(readLe(frames, 0, 8), nframes) << "owner lane moved?";
+        const std::size_t rest = 16 + readLe(frames, 8, 8);
+        bad.bytes(frames.data() + rest, frames.size() - rest);
+        cases.push_back({"frame-owner", "frames", bad.data(),
                          CheckpointError::Kind::Unsupported});
     }
     // A different memcg count. The count follows 21 kernel scalars,
-    // the (empty) slow-tier frame table and the slow list anchors.
+    // the (empty) slow-tier frame table and the slow list anchors;
+    // decode past them to find it.
     {
         std::vector<std::uint8_t> mm = sectionPayload(good.bytes, "mm");
-        const std::size_t at = 21 * 8 + 13 * 8 + 16;
+        Source src(mm.data(), mm.size());
+        StateIO io(src, nullptr, StateIO::Mode::Check);
+        for (int i = 0; i < 21; ++i) {
+            std::uint64_t scalar = 0;
+            io.u64(scalar);
+        }
+        FrameTable slow(0);
+        FrameList slow_list(slow, 0);
+        slow.visitState(io);
+        slow_list.visitState(io);
+        ASSERT_TRUE(io.ok() && !io.mismatched()) << "mm layout moved?";
+        const std::size_t at = mm.size() - src.remaining();
         ASSERT_EQ(readLe(mm, at, 4), 1u) << "memcg count moved?";
         mm[at] = 2;
         cases.push_back({"memcg-count", "mm", mm,
@@ -759,6 +779,36 @@ TEST(CheckpointCorruption, OutOfRangeIndicesAreNamedErrors)
     // image.
     const CheckpointError retry = restoreCheckpoint(view, hash, seed, good);
     ASSERT_TRUE(retry.ok()) << retry.message;
+}
+
+TEST(CheckpointCorruption, VersionTwoImageIsRefused)
+{
+    // Version 3 packs every lane; a version-2 image (raw lanes) must be
+    // refused by the version gate, in memory and from disk, not fed to
+    // the lane decoder.
+    const ExperimentConfig cfg = smallConfig(
+        WorkloadKind::YcsbA, PolicyKind::MgLru, SwapKind::Ssd);
+    const std::uint64_t seed = 12345;
+    const std::uint64_t hash = configPrefixHash(cfg);
+    Checkpoint v2 = captureAtBoundary(cfg, seed, 20000);
+    ASSERT_EQ(readLe(v2.bytes, 8, 4), kCheckpointVersion);
+    v2.bytes[8] = 2;
+
+    TrialRigOptions opts;
+    opts.forRestore = true;
+    opts.deferObservers = true;
+    TrialRig rig(cfg, seed, opts);
+    const CheckpointError err = restoreCheckpoint(rig.view(), hash, seed, v2);
+    EXPECT_EQ(err.kind, CheckpointError::Kind::VersionMismatch);
+    EXPECT_NE(err.message.find("version 2"), std::string::npos)
+        << err.message;
+
+    const std::string path = ::testing::TempDir() + "pagesim-ckpt-v2.bin";
+    ASSERT_TRUE(saveCheckpointFile(path, v2).ok());
+    Checkpoint loaded;
+    EXPECT_EQ(loadCheckpointFile(path, loaded).kind,
+              CheckpointError::Kind::VersionMismatch);
+    std::remove(path.c_str());
 }
 
 /** One framed section of an image: its name and payload. */

@@ -3,14 +3,18 @@
  * Tests for the checkpoint serialization primitives: the checksum64
  * section checksum (pinned, so an algorithm change cannot ship without
  * a kCheckpointVersion bump), Sink's in-place backfill and move-out,
- * and Source's lane-skipping shape reads.
+ * Source's lane-skipping shape reads, and the packed-lane codec
+ * (round trips over every word width and lane shape, the Size bound,
+ * and malformed lanes that must fail without storing anything).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "sim/serialize.hh"
@@ -178,9 +182,20 @@ TEST(StateIO, EveryModeWalksTheSameBytes)
     Sample s = filledSample();
     const std::vector<std::uint8_t> bytes = saveSample(s);
 
+    // Size mode counts scalars exactly and each packed lane at its
+    // documented bound, 16 + words*w + ceil(words/64)*9; Save never
+    // writes more than that.
     StateIO sizer;
     s.visitState(sizer);
-    EXPECT_EQ(sizer.size(), bytes.size());
+    const std::size_t scalars = 4 + 8 + 8 + 1 + 1 + 4; // b c d e color 77
+    const std::size_t lane = 16 + 5 * 2 + 1 * 9;       // 5 x u16
+    const std::size_t free = 16 + 2 * 8 + 1 * 9;       // 2 x u64
+    const std::size_t items = 8 + 3 * 4;
+    const std::size_t maybe = 1 + 4;
+    const std::size_t record = 8 + 8;
+    EXPECT_EQ(sizer.size(),
+              scalars + lane + free + items + maybe + record);
+    EXPECT_LE(bytes.size(), sizer.size());
 
     Sample fresh;
     Source check_src(bytes.data(), bytes.size());
@@ -225,7 +240,7 @@ TEST(StateIO, CheckModeReadsLaneCountsWithoutStoring)
         EXPECT_TRUE(other.items.empty());
     }
 
-    // A count the remaining bytes cannot hold fails without a resize.
+    // A count the packed length cannot hold fails without a resize.
     Sink bad;
     bad.u64(1000);
     bad.u64(0);
@@ -253,10 +268,11 @@ TEST(StateIO, DecodedIdsAndEnumsOutsideTheirRangeFail)
     // Frame owners and actors index the link tables; an index past
     // them fails, and a free frame's id always decodes.
     for (const std::uint32_t id : {1u, StateLinks::kBalloonSpace}) {
+        // An owner lane travels as a packed lane of u32 ids.
         Sink sink;
-        sink.u64(2);
-        sink.u32(StateLinks::kNoSpace);
-        sink.u32(id);
+        StateIO ids_io(sink);
+        std::vector<std::uint32_t> ids = {StateLinks::kNoSpace, id};
+        ids_io.lane(ids);
         std::vector<AddressSpace *> owners(2);
         Source owner_src(sink.data().data(), sink.size());
         StateIO owner_io(owner_src, nullptr);
@@ -271,6 +287,246 @@ TEST(StateIO, DecodedIdsAndEnumsOutsideTheirRangeFail)
     StateIO actor_io(actor_src, nullptr);
     actor_io.actorList(waiters);
     EXPECT_FALSE(actor_io.ok());
+}
+
+/** A 12-byte element: packs as u32 words. */
+struct Twelve
+{
+    std::uint32_t a;
+    std::uint32_t b;
+    std::uint32_t c;
+};
+
+/** Lane shapes the packed codec must round-trip. */
+enum class Shape
+{
+    Zero,
+    Constant,
+    Alternating,
+    FewChanges, ///< at most 8 changed words per 64-word block
+    Counters,   ///< small per-element counters
+    Random,     ///< full-width random words
+    AllOnes,
+};
+
+constexpr Shape kShapes[] = {Shape::Zero,       Shape::Constant,
+                             Shape::Alternating, Shape::FewChanges,
+                             Shape::Counters,   Shape::Random,
+                             Shape::AllOnes};
+
+constexpr std::size_t kLengths[] = {0,    1,    63,   64,         65,
+                                    4095, 4096, 4097, 64 * 64 + 1};
+
+/**
+ * @p n elements of @p T whose lane words (detail::LaneWord<T>) follow
+ * @p shape; values are truncated to the word width.
+ */
+template <typename T>
+std::vector<T>
+shapedLane(Shape shape, std::size_t n)
+{
+    using Word = detail::LaneWord<T>;
+    const std::size_t words = n * sizeof(T) / sizeof(Word);
+    std::uint64_t x = 0x9e3779b97f4a7c15ull;
+    const auto next = [&x] {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        return x ^ (x >> 29);
+    };
+    std::vector<Word> w(words);
+    std::uint64_t held = 0x5a5a5a5a5a5a5a5aull;
+    for (std::size_t i = 0; i < words; ++i) {
+        std::uint64_t v = 0;
+        switch (shape) {
+          case Shape::Zero:
+            break;
+          case Shape::Constant:
+            v = 0xa5c3a5c3a5c3a5c3ull;
+            break;
+          case Shape::Alternating:
+            v = i % 2 == 0 ? 0x1111222233334444ull : 0xfedcba9876543210ull;
+            break;
+          case Shape::FewChanges:
+            if (i % 8 == 3) // 8 changes per 64 words
+                held = next();
+            v = held;
+            break;
+          case Shape::Counters:
+            v = (i * 7) % 23;
+            break;
+          case Shape::Random:
+            v = next();
+            break;
+          case Shape::AllOnes:
+            v = ~0ull;
+            break;
+        }
+        w[i] = static_cast<Word>(v);
+    }
+    std::vector<T> lane(n);
+    if (words != 0)
+        std::memcpy(lane.data(), w.data(), words * sizeof(Word));
+    return lane;
+}
+
+template <typename T>
+bool
+sameBytes(const std::vector<T> &a, const std::vector<T> &b)
+{
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+template <typename T>
+void
+expectLaneRoundTrips()
+{
+    using Word = detail::LaneWord<T>;
+    for (const Shape shape : kShapes) {
+        for (const std::size_t n : kLengths) {
+            const auto tag = ::testing::Message()
+                             << sizeof(T) << "-byte elements, shape "
+                             << static_cast<int>(shape) << ", n " << n;
+            std::vector<T> lane = shapedLane<T>(shape, n);
+            Sink sink;
+            StateIO save(sink);
+            save.podVec(lane);
+            StateIO sizer;
+            sizer.podVec(lane);
+            const std::uint64_t words = n * sizeof(T) / sizeof(Word);
+            EXPECT_EQ(sizer.size(),
+                      16 + words * sizeof(Word) + (words + 63) / 64 * 9)
+                << tag;
+            EXPECT_LE(sink.size(), sizer.size()) << tag;
+
+            Source check_src(sink.data().data(), sink.size());
+            StateIO check(check_src, nullptr, StateIO::Mode::Check);
+            std::vector<T> untouched;
+            check.podVec(untouched);
+            EXPECT_TRUE(check.exhausted()) << tag;
+            EXPECT_TRUE(untouched.empty()) << tag;
+
+            // Into a podVec of another length and into a fixed lane.
+            std::vector<T> loaded(3);
+            Source load_src(sink.data().data(), sink.size());
+            StateIO load(load_src, nullptr);
+            load.podVec(loaded);
+            EXPECT_TRUE(load.exhausted()) << tag;
+            EXPECT_TRUE(sameBytes(loaded, lane)) << tag;
+
+            std::vector<T> fixed(n);
+            Source lane_src(sink.data().data(), sink.size());
+            StateIO lane_io(lane_src, nullptr);
+            lane_io.lane(fixed);
+            EXPECT_TRUE(lane_io.exhausted()) << tag;
+            EXPECT_TRUE(sameBytes(fixed, lane)) << tag;
+        }
+    }
+}
+
+TEST(PackedLane, RoundTripsEveryWidthShapeAndLength)
+{
+    expectLaneRoundTrips<std::uint8_t>();
+    expectLaneRoundTrips<std::uint16_t>();
+    expectLaneRoundTrips<std::uint32_t>();
+    expectLaneRoundTrips<std::uint64_t>();
+    static_assert(sizeof(Twelve) == 12 &&
+                  std::is_same_v<detail::LaneWord<Twelve>, std::uint32_t>);
+    expectLaneRoundTrips<Twelve>();
+}
+
+/** Packed bytes of @p lane, count and length included. */
+template <typename T>
+std::size_t
+packedBytes(std::vector<T> lane)
+{
+    Sink sink;
+    StateIO io(sink);
+    io.podVec(lane);
+    return sink.size();
+}
+
+TEST(PackedLane, ConstantLanesCollapseAndRandomOnesStayNearRaw)
+{
+    // 64 blocks: the first holds one nonzero delta (a sparse block,
+    // 1 + 8 + 8 bytes), the other 63 are one zero-width header each.
+    EXPECT_EQ(packedBytes(shapedLane<std::uint64_t>(Shape::Constant, 4096)),
+              16u + 17 + 63);
+    EXPECT_EQ(packedBytes(shapedLane<std::uint64_t>(Shape::Zero, 4096)),
+              16u + 64);
+    // Small counters: one byte per delta plus a header per block.
+    EXPECT_EQ(packedBytes(shapedLane<std::uint32_t>(Shape::Counters, 4096)),
+              16u + 64 * (1 + 64));
+    // Random full-width words: a full-width block, one header byte
+    // over raw per 64 words.
+    EXPECT_EQ(packedBytes(shapedLane<std::uint64_t>(Shape::Random, 4096)),
+              16u + 64 * (1 + 64 * 8));
+}
+
+/** A malformed lane must fail Check and Load alike and store nothing. */
+void
+expectRefused(const char *name, const std::vector<std::uint8_t> &bytes)
+{
+    for (const StateIO::Mode mode :
+         {StateIO::Mode::Check, StateIO::Mode::Load}) {
+        std::vector<std::uint32_t> v = {7, 7, 7};
+        Source src(bytes.data(), bytes.size());
+        StateIO io(src, nullptr, mode);
+        io.podVec(v);
+        EXPECT_FALSE(io.ok()) << name;
+        EXPECT_FALSE(io.mismatched()) << name;
+        EXPECT_EQ(v, std::vector<std::uint32_t>(3, 7)) << name;
+    }
+}
+
+TEST(PackedLane, MalformedLanesFailAndStoreNothing)
+{
+    std::vector<std::uint32_t> random =
+        shapedLane<std::uint32_t>(Shape::Random, 100);
+    Sink good;
+    StateIO save(good);
+    save.podVec(random);
+    const std::vector<std::uint8_t> &bytes = good.data();
+    ASSERT_EQ(bytes[16], 4u) << "first block should be full width";
+
+    std::vector<std::uint8_t> truncated(bytes.begin(), bytes.end() - 1);
+    expectRefused("truncated by one byte", truncated);
+
+    std::vector<std::uint8_t> wide = bytes;
+    wide[16] = 5; // a width past the u32 word
+    expectRefused("header above the word width", wide);
+
+    // A trailing byte the packed length claims but no block uses.
+    std::vector<std::uint8_t> trailing = bytes;
+    trailing.push_back(0);
+    const std::uint64_t grown = bytes.size() - 16 + 1;
+    std::memcpy(trailing.data() + 8, &grown, 8);
+    expectRefused("trailing byte", trailing);
+
+    // 65 words: a zero block, then a one-word sparse block whose mask
+    // also sets bit 1, past the lane's end.
+    Sink past;
+    past.u64(65);
+    past.u64(1 + 1 + 8 + 4);
+    past.u8(0);
+    past.u8(detail::kSparseBlock);
+    past.u64(0b11);
+    past.u32(9);
+    expectRefused("sparse mask bit past the end", past.data());
+
+    // A count far beyond what one packed byte can hold (64 words):
+    // refused before any allocation of that count.
+    Sink huge;
+    huge.u64(std::uint64_t{1} << 40);
+    huge.u64(1);
+    huge.u8(0);
+    expectRefused("count larger than the packed bytes hold", huge.data());
+    std::vector<std::uint64_t> never;
+    Source src(huge.data().data(), huge.size());
+    StateIO io(src, nullptr);
+    io.podVec(never);
+    EXPECT_FALSE(io.ok());
+    EXPECT_EQ(never.capacity(), 0u);
 }
 } // namespace
 } // namespace pagesim
