@@ -219,19 +219,19 @@ TEST(CheckpointIdentity, PinnedImageBytes)
 
     const ImagePin ycsb = experiment(WorkloadKind::YcsbA, PolicyKind::MgLru,
                                      SwapKind::Ssd, 0.0, 12345, 20000);
-    EXPECT_EQ(ycsb.size, 90353u);
-    EXPECT_EQ(ycsb.sum, 1184184020263680802ull);
+    EXPECT_EQ(ycsb.size, 28871u);
+    EXPECT_EQ(ycsb.sum, 9437796061162260772ull);
 
     const ImagePin tpch = experiment(WorkloadKind::Tpch, PolicyKind::Clock,
                                      SwapKind::Zram, 0.0, 27182, 20000);
-    EXPECT_EQ(tpch.size, 98072u);
-    EXPECT_EQ(tpch.sum, 18278694208857012068ull);
+    EXPECT_EQ(tpch.size, 27268u);
+    EXPECT_EQ(tpch.sum, 3546032751946723688ull);
 
     // Slow-tier frames, the demotion FIFO and PageRank's barriers.
     const ImagePin pr = experiment(WorkloadKind::PageRank, PolicyKind::MgLru,
                                    SwapKind::Ssd, 0.25, 31415, 20000);
-    EXPECT_EQ(pr.size, 54734u);
-    EXPECT_EQ(pr.sum, 10265277772345835839ull);
+    EXPECT_EQ(pr.size, 16269u);
+    EXPECT_EQ(pr.sum, 11092910731897577025ull);
 
     // Two memcgs with their own policies and limits, and the balloon.
     ColocationConfig coloc;
@@ -248,8 +248,8 @@ TEST(CheckpointIdentity, PinnedImageBytes)
     coloc.capacityRatio = 0.5;
     const ImagePin two = pinImageAt<ColocationRig>(
         coloc, colocationPrefixHash(coloc), 7, 20000);
-    EXPECT_EQ(two.size, 148629u);
-    EXPECT_EQ(two.sum, 5988313246787538296ull);
+    EXPECT_EQ(two.size, 53422u);
+    EXPECT_EQ(two.sum, 12269497769123194507ull);
 }
 
 TEST(CheckpointIdentity, DifferentialAcrossPoliciesAndBackends)
