@@ -252,26 +252,34 @@ BENCHMARK(BM_RngNextU64);
 
 // --- Checkpoint serializer throughput -------------------------------
 // The fast-forward path's cost model: a checkpoint is dominated by
-// streaming the page-table and frame-table SoA lanes through
-// Sink/Source. These pin the round-trip rate (bytes/second) at the
-// Small end and at the Big64M design point, so a regression in the
-// raw serializers shows up here before it shows up as a slow sweep.
+// packing the page-table and frame-table SoA lanes through
+// Sink/Source. These pin the round-trip rate at the Small end and at
+// the Big64M design point, so a regression in the lane codec shows up
+// here before it shows up as a slow sweep. Rates are over the lanes'
+// unpacked (input) bytes, so they stay comparable across encodings.
+
+/** @p obj's checkpointed bytes with every lane at its raw width. */
+template <typename T>
+std::int64_t
+unpackedBytes(T &obj)
+{
+    StateIO sizer;
+    obj.visitState(sizer);
+    return static_cast<std::int64_t>(sizer.unpackedSize());
+}
 
 void
 BM_AddressSpaceCapture(benchmark::State &state)
 {
     AddressSpace space(0);
     space.map("lanes", static_cast<std::uint64_t>(state.range(0)));
-    std::uint64_t bytes = 0;
     for (auto _ : state) {
         Sink sink;
         StateIO io(sink);
         space.visitState(io);
-        bytes = sink.size();
         benchmark::DoNotOptimize(sink.data().data());
     }
-    state.SetBytesProcessed(
-        static_cast<std::int64_t>(state.iterations() * bytes));
+    state.SetBytesProcessed(state.iterations() * unpackedBytes(space));
 }
 BENCHMARK(BM_AddressSpaceCapture)->Arg(1 << 20)->Arg(1 << 26);
 
@@ -295,8 +303,7 @@ BM_AddressSpaceRestore(benchmark::State &state)
         target.visitState(io);
         benchmark::DoNotOptimize(io.exhausted());
     }
-    state.SetBytesProcessed(
-        static_cast<std::int64_t>(state.iterations() * sink.size()));
+    state.SetBytesProcessed(state.iterations() * unpackedBytes(space));
 }
 BENCHMARK(BM_AddressSpaceRestore)->Arg(1 << 20)->Arg(1 << 26);
 
@@ -305,16 +312,13 @@ BM_FrameTableCapture(benchmark::State &state)
 {
     FrameTable frames(static_cast<std::uint64_t>(state.range(0)));
     const StateLinks links;
-    std::uint64_t bytes = 0;
     for (auto _ : state) {
         Sink sink;
         StateIO io(sink, &links);
         frames.visitState(io);
-        bytes = sink.size();
         benchmark::DoNotOptimize(sink.data().data());
     }
-    state.SetBytesProcessed(
-        static_cast<std::int64_t>(state.iterations() * bytes));
+    state.SetBytesProcessed(state.iterations() * unpackedBytes(frames));
 }
 BENCHMARK(BM_FrameTableCapture)->Arg(1 << 20)->Arg(1 << 25);
 
@@ -334,8 +338,7 @@ BM_FrameTableRestore(benchmark::State &state)
         target.visitState(io);
         benchmark::DoNotOptimize(&target);
     }
-    state.SetBytesProcessed(
-        static_cast<std::int64_t>(state.iterations() * sink.size()));
+    state.SetBytesProcessed(state.iterations() * unpackedBytes(frames));
 }
 BENCHMARK(BM_FrameTableRestore)->Arg(1 << 20)->Arg(1 << 25);
 

@@ -36,8 +36,11 @@
  *     with full-detail vs functional-only warmup.
  *  6. Checkpoint serializer throughput: FrameTable lane capture and
  *     restore GB/s, and whole-image captureCheckpoint /
- *     restoreCheckpoint GB/s (framing and section checksums included)
- *     on a Big1M machine parked mid-trial.
+ *     restoreCheckpoint seconds and GB/s (framing and section checksums
+ *     included) on Big1M MG-LRU and Clock machines parked mid-trial,
+ *     with each image's packed size beside its unpacked lane bytes.
+ *     Every GB/s is over unpacked (input) lane bytes, so it stays
+ *     comparable across lane-encoding changes.
  *
  * Usage: perf_core [output.json]   (default: BENCH_core.json in cwd)
  */
@@ -58,11 +61,16 @@
 #include "harness/experiment.hh"
 #include "harness/sweep.hh"
 #include "harness/trial_rig.hh"
+#include "kernel/memory_manager.hh"
 #include "mem/address_space.hh"
 #include "mem/frame_table.hh"
 #include "policy/mglru/mglru_policy.hh"
+#include "sim/actor.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
+#include "sim/simulation.hh"
+#include "swap/swap_manager.hh"
+#include "workload/workload.hh"
 
 namespace
 {
@@ -504,6 +512,46 @@ bigCell(ScalePreset scale)
     cfg.scale = scale;
     cfg.baseSeed = 12345;
     return cfg;
+}
+
+/** One whole-image capture/restore measurement (section 6). */
+struct ImageSample
+{
+    ExperimentConfig cfg;
+    std::size_t imageBytes = 0;
+    std::size_t unpackedBytes = 0;
+    double captureSecs = 0.0;
+    double restoreSecs = 0.0;
+
+    double imageMb() const { return static_cast<double>(imageBytes) / 1e6; }
+
+    double
+    unpackedMb() const
+    {
+        return static_cast<double>(unpackedBytes) / 1e6;
+    }
+};
+
+/**
+ * Bytes the checkpointed state of @p rig takes with every lane at its
+ * raw width, as version-2 images carried it (less the header, section
+ * framing and barrier scalars, under a KiB together).
+ */
+std::size_t
+unpackedLaneBytes(const RigView &rig)
+{
+    StateIO sizer;
+    rig.sim->visitState(sizer);
+    for (AddressSpace *space : rig.spaces)
+        space->visitState(sizer);
+    rig.frames->visitState(sizer);
+    rig.mm->visitState(sizer);
+    rig.swap->visitState(sizer);
+    for (Workload *wl : rig.workloads)
+        wl->visitState(sizer);
+    for (SimActor *actor : rig.actors)
+        actor->visitState(sizer);
+    return sizer.unpackedSize();
 }
 
 /** Serial-vs-sharded fingerprint identity on a 1M-page trial. */
@@ -993,6 +1041,9 @@ main(int argc, char **argv)
     StateLinks ser_links;
     for (const auto &space : ser_spaces)
         ser_links.spaces.push_back(space.get());
+    StateIO ser_sizer;
+    ser_frames.visitState(ser_sizer);
+    const std::size_t ser_unpacked = ser_sizer.unpackedSize();
     std::uint64_t ser_bytes = 0;
     const double ser_save_secs = min5([&] {
         Sink sink;
@@ -1021,14 +1072,16 @@ main(int argc, char **argv)
         return secs;
     });
     const double ser_payload_mb =
-        static_cast<double>(ser_bytes) / 1e6;
+        static_cast<double>(ser_unpacked) / 1e6;
+    const double ser_packed_mb = static_cast<double>(ser_bytes) / 1e6;
     const double ser_save_gbps =
-        static_cast<double>(ser_bytes) / ser_save_secs / 1e9;
+        static_cast<double>(ser_unpacked) / ser_save_secs / 1e9;
     const double ser_restore_gbps =
-        static_cast<double>(ser_bytes) / ser_restore_secs / 1e9;
+        static_cast<double>(ser_unpacked) / ser_restore_secs / 1e9;
     const double ser_speedup =
         (ser_ref_secs + ser_save_secs) / ser_save_secs;
-    std::printf("  payload: %.0f MB\n", ser_payload_mb);
+    std::printf("  payload: %.0f MB of lanes, %.1f MB packed\n",
+                ser_payload_mb, ser_packed_mb);
     std::printf("  per-frame space_id reference: %.3f s\n",
                 ser_ref_secs);
     std::printf("  save:    %.3f s (%.2f GB/s, %.1fx vs per-frame)\n",
@@ -1037,50 +1090,60 @@ main(int argc, char **argv)
                 ser_restore_gbps);
 
     // Image level: the whole captureCheckpoint / restoreCheckpoint
-    // path, section framing and checksums included, on a Big1M
-    // machine parked at the boundary pagesim_bench's ckpt-big1m cells
-    // use. Each restore sample gets a freshly built target rig (built
-    // outside the timed region), as a warm trial does.
+    // path, section framing and checksums included, on Big1M machines
+    // parked at the boundary pagesim_bench's ckpt-big1m cells use, one
+    // per policy (their lanes pack differently). Each restore sample
+    // gets a freshly built target rig (built outside the timed region),
+    // as a warm trial does.
     constexpr std::uint64_t kImageBoundary = 1250000;
-    const ExperimentConfig img_cfg = bigCell(ScalePreset::Big1M);
-    const std::uint64_t img_hash = configPrefixHash(img_cfg);
-    TrialRigOptions img_opts;
-    img_opts.deferObservers = true;
-    TrialRig img_rig(img_cfg, img_cfg.baseSeed, img_opts);
-    std::uint64_t img_used = 0;
-    bool img_ok = img_rig.runToBoundary(kImageBoundary, 2000000000ull,
-                                        img_used);
-    Checkpoint img_ckpt;
-    const double img_capture_secs = min5([&] {
-        Checkpoint ckpt;
-        const auto start = Clock::now();
-        const CheckpointError err = captureCheckpoint(
-            img_rig.view(), img_hash, img_cfg.baseSeed, kImageBoundary,
-            ckpt);
-        const double secs = secondsSince(start);
-        img_ok = img_ok && err.ok();
-        img_ckpt = std::move(ckpt);
-        return secs;
-    });
-    const double img_restore_secs = min5([&] {
+    bool img_ok = true;
+    const auto measureImage = [&](PolicyKind policy) {
+        ImageSample out;
+        out.cfg = bigCell(ScalePreset::Big1M);
+        out.cfg.policy = policy;
+        const ExperimentConfig &cfg = out.cfg;
+        const std::uint64_t hash = configPrefixHash(cfg);
         TrialRigOptions opts;
-        opts.forRestore = true;
         opts.deferObservers = true;
-        TrialRig target(img_cfg, img_cfg.baseSeed, opts);
-        const auto start = Clock::now();
-        const CheckpointError err = restoreCheckpoint(
-            target.view(), img_hash, img_cfg.baseSeed, img_ckpt);
-        const double secs = secondsSince(start);
-        img_ok = img_ok && err.ok();
-        return secs;
-    });
-    const double img_mb = static_cast<double>(img_ckpt.bytes.size()) / 1e6;
-    const double img_capture_gbps = img_mb / 1e3 / img_capture_secs;
-    const double img_restore_gbps = img_mb / 1e3 / img_restore_secs;
-    std::printf("  image (%s, Big1M, %.1f MB): capture %.2f GB/s, "
-                "restore %.2f GB/s%s\n\n",
-                img_cfg.label().c_str(), img_mb, img_capture_gbps,
-                img_restore_gbps, img_ok ? "" : " (FAILED)");
+        TrialRig rig(cfg, cfg.baseSeed, opts);
+        std::uint64_t used = 0;
+        img_ok = rig.runToBoundary(kImageBoundary, 2000000000ull, used) &&
+                 img_ok;
+        out.unpackedBytes = unpackedLaneBytes(rig.view());
+        Checkpoint ckpt;
+        out.captureSecs = min5([&] {
+            Checkpoint fresh;
+            const auto start = Clock::now();
+            const CheckpointError err = captureCheckpoint(
+                rig.view(), hash, cfg.baseSeed, kImageBoundary, fresh);
+            const double secs = secondsSince(start);
+            img_ok = img_ok && err.ok();
+            ckpt = std::move(fresh);
+            return secs;
+        });
+        out.imageBytes = ckpt.bytes.size();
+        out.restoreSecs = min5([&] {
+            TrialRigOptions restore_opts;
+            restore_opts.forRestore = true;
+            restore_opts.deferObservers = true;
+            TrialRig target(cfg, cfg.baseSeed, restore_opts);
+            const auto start = Clock::now();
+            const CheckpointError err = restoreCheckpoint(
+                target.view(), hash, cfg.baseSeed, ckpt);
+            const double secs = secondsSince(start);
+            img_ok = img_ok && err.ok();
+            return secs;
+        });
+        std::printf("  image (%s, Big1M): %.1f MB (%.1f MB of lanes "
+                    "unpacked), capture %.4f s, restore %.4f s%s\n",
+                    cfg.label().c_str(), out.imageMb(), out.unpackedMb(),
+                    out.captureSecs, out.restoreSecs,
+                    img_ok ? "" : " (FAILED)");
+        return out;
+    };
+    const ImageSample mglru_image = measureImage(PolicyKind::MgLru);
+    const ImageSample clock_image = measureImage(PolicyKind::Clock);
+    std::printf("\n");
 
     // --- Emit the JSON baseline. -----------------------------------
     const unsigned cores = std::thread::hardware_concurrency();
@@ -1214,30 +1277,43 @@ main(int argc, char **argv)
                  "    \"frames\": %u,\n"
                  "    \"spaces\": %zu,\n"
                  "    \"payload_mb\": %.1f,\n"
+                 "    \"packed_mb\": %.1f,\n"
                  "    \"estimator\": \"min of 5\",\n"
                  "    \"per_frame_space_id_seconds\": %.4f,\n"
                  "    \"save_seconds\": %.4f,\n"
                  "    \"save_gb_per_sec\": %.3f,\n"
                  "    \"restore_seconds\": %.4f,\n"
                  "    \"restore_gb_per_sec\": %.3f,\n"
-                 "    \"speedup_vs_per_frame\": %.3f,\n"
-                 "    \"image\": {\n"
-                 "      \"cell\": \"%s\",\n"
-                 "      \"scale\": \"Big1M\",\n"
-                 "      \"boundary_refs\": %llu,\n"
-                 "      \"image_mb\": %.1f,\n"
-                 "      \"estimator\": \"min of 5\",\n"
-                 "      \"capture_seconds\": %.4f,\n"
-                 "      \"capture_gb_per_sec\": %.3f,\n"
-                 "      \"restore_seconds\": %.4f,\n"
-                 "      \"restore_gb_per_sec\": %.3f,\n"
-                 "      \"round_trip_ok\": %s\n    }\n  }\n",
-                 kSerFrames, kSerSpaces, ser_payload_mb, ser_ref_secs,
-                 ser_save_secs, ser_save_gbps, ser_restore_secs,
-                 ser_restore_gbps, ser_speedup, img_cfg.label().c_str(),
-                 static_cast<unsigned long long>(kImageBoundary), img_mb,
-                 img_capture_secs, img_capture_gbps, img_restore_secs,
-                 img_restore_gbps, img_ok ? "true" : "false");
+                 "    \"speedup_vs_per_frame\": %.3f,\n",
+                 kSerFrames, kSerSpaces, ser_payload_mb, ser_packed_mb,
+                 ser_ref_secs, ser_save_secs, ser_save_gbps,
+                 ser_restore_secs, ser_restore_gbps, ser_speedup);
+    const auto emitImage = [&](const char *key, const ImageSample &img,
+                               bool last) {
+        std::fprintf(out,
+                     "    \"%s\": {\n"
+                     "      \"cell\": \"%s\",\n"
+                     "      \"scale\": \"Big1M\",\n"
+                     "      \"boundary_refs\": %llu,\n"
+                     "      \"image_mb\": %.1f,\n"
+                     "      \"unpacked_mb\": %.1f,\n"
+                     "      \"estimator\": \"min of 5\",\n"
+                     "      \"capture_seconds\": %.4f,\n"
+                     "      \"capture_gb_per_sec\": %.3f,\n"
+                     "      \"restore_seconds\": %.4f,\n"
+                     "      \"restore_gb_per_sec\": %.3f,\n"
+                     "      \"round_trip_ok\": %s\n    }%s\n",
+                     key, img.cfg.label().c_str(),
+                     static_cast<unsigned long long>(kImageBoundary),
+                     img.imageMb(), img.unpackedMb(), img.captureSecs,
+                     img.unpackedMb() / 1e3 / img.captureSecs,
+                     img.restoreSecs,
+                     img.unpackedMb() / 1e3 / img.restoreSecs,
+                     img_ok ? "true" : "false", last ? "" : ",");
+    };
+    emitImage("image", mglru_image, false);
+    emitImage("clock_image", clock_image, true);
+    std::fprintf(out, "  }\n");
     std::fprintf(out, "}\n");
     std::fclose(out);
     std::printf("wrote %s\n", out_path.c_str());

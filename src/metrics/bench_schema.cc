@@ -264,6 +264,7 @@ validateBenchCore(const std::string &json_text)
         c.positiveNumber(*ser, "serializer", "frames");
         c.positiveNumber(*ser, "serializer", "spaces");
         c.positiveNumber(*ser, "serializer", "payload_mb");
+        c.positiveNumber(*ser, "serializer", "packed_mb");
         c.positiveNumber(*ser, "serializer",
                          "per_frame_space_id_seconds");
         c.positiveNumber(*ser, "serializer", "save_seconds");
@@ -271,24 +272,37 @@ validateBenchCore(const std::string &json_text)
         c.positiveNumber(*ser, "serializer", "restore_seconds");
         c.positiveNumber(*ser, "serializer", "restore_gb_per_sec");
         c.positiveNumber(*ser, "serializer", "speedup_vs_per_frame");
-        if (const JsonValue *img =
-                c.object(*ser, "serializer", "image")) {
-            c.nonEmptyString(*img, "serializer.image", "cell");
-            c.nonEmptyString(*img, "serializer.image", "scale");
-            c.nonEmptyString(*img, "serializer.image", "estimator");
-            c.positiveNumber(*img, "serializer.image", "boundary_refs");
-            c.positiveNumber(*img, "serializer.image", "image_mb");
-            c.positiveNumber(*img, "serializer.image", "capture_seconds");
-            c.positiveNumber(*img, "serializer.image",
-                             "capture_gb_per_sec");
-            c.positiveNumber(*img, "serializer.image", "restore_seconds");
-            c.positiveNumber(*img, "serializer.image",
-                             "restore_gb_per_sec");
+        for (const char *key : {"image", "clock_image"}) {
+            const JsonValue *img = c.object(*ser, "serializer", key);
+            if (img == nullptr)
+                continue;
+            const std::string path = std::string("serializer.") + key;
+            c.nonEmptyString(*img, path, "cell");
+            c.nonEmptyString(*img, path, "scale");
+            c.nonEmptyString(*img, path, "estimator");
+            c.positiveNumber(*img, path, "boundary_refs");
+            c.positiveNumber(*img, path, "image_mb");
+            c.positiveNumber(*img, path, "unpacked_mb");
+            c.positiveNumber(*img, path, "capture_seconds");
+            c.positiveNumber(*img, path, "capture_gb_per_sec");
+            c.positiveNumber(*img, path, "restore_seconds");
+            c.positiveNumber(*img, path, "restore_gb_per_sec");
+            // Packed lanes must make the image smaller than its lanes
+            // at raw width.
+            const JsonValue *packed = img->find("image_mb");
+            const JsonValue *unpacked = img->find("unpacked_mb");
+            if (packed != nullptr && unpacked != nullptr &&
+                packed->isNumber() && unpacked->isNumber() &&
+                !(packed->number < unpacked->number)) {
+                c.fail(path + ".image_mb",
+                       "expected less than unpacked_mb (" +
+                           std::to_string(unpacked->number) + "), got " +
+                           std::to_string(packed->number));
+            }
             // A whole-image capture or restore that failed makes the
             // throughput meaningless; the document is invalid.
             const bool required = true;
-            c.boolean(*img, "serializer.image", "round_trip_ok",
-                      &required);
+            c.boolean(*img, path, "round_trip_ok", &required);
         }
     }
 

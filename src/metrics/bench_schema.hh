@@ -27,12 +27,13 @@ namespace pagesim
  *  - every section perf_core emits is present with its fields
  *    (event_queue hold/churn, aging_scan patterns, trial,
  *    metrics_overhead, big_machine, sweep, checkpoint, serializer
- *    with its whole-image serializer.image);
+ *    with its whole-image serializer.image and serializer.clock_image);
  *  - throughputs, wall times, and speedups are finite and > 0;
+ *  - each whole image's image_mb is below its unpacked_mb (the lanes
+ *    really pack);
  *  - sweep.identical_results, checkpoint.sweep.identical_results,
- *    big_machine.fingerprint_identity and
- *    serializer.image.round_trip_ok are true (the determinism and
- *    round-trip canaries).
+ *    big_machine.fingerprint_identity and each image's round_trip_ok
+ *    are true (the determinism and round-trip canaries).
  *
  * @return all problems found, one message each; empty means valid.
  */

@@ -763,8 +763,15 @@ class StateIO
 
     bool loading() const { return mode_ == Mode::Load; }
 
-    /** Size mode: bytes counted so far. */
+    /** Size mode: bytes counted so far (packed lanes at their bound). */
     std::size_t size() const { return size_; }
+
+    /**
+     * Size mode: the bytes counted so far with every lane at its raw
+     * width (count, then the elements), as version-2 images stored
+     * them. Benchmarks rate the codec over these input bytes.
+     */
+    std::size_t unpackedSize() const { return unpacked_; }
 
     bool ok() const { return src_ == nullptr || src_->ok(); }
     bool mismatched() const { return mismatch_; }
@@ -940,6 +947,7 @@ class StateIO
         raw(n);
         if (mode_ == Mode::Size) {
             size_ += detail::packedLaneBound(n, sizeof(Id)) - 8;
+            unpacked_ += n * sizeof(Id);
             return;
         }
         Id ids[kChunk];
@@ -1050,6 +1058,7 @@ class StateIO
             return;
           case Mode::Size:
             size_ += sizeof(T);
+            unpacked_ += sizeof(T);
             return;
           case Mode::Load:
           case Mode::Check:
@@ -1113,6 +1122,7 @@ class StateIO
         raw(n);
         if (mode_ == Mode::Size) {
             size_ += detail::packedLaneBound(n * kPerElem, sizeof(Word)) - 8;
+            unpacked_ += n * sizeof(T);
             return;
         }
         if (mode_ == Mode::Save) {
@@ -1141,6 +1151,7 @@ class StateIO
     Source *src_ = nullptr;
     const StateLinks *links_;
     std::size_t size_ = 0;
+    std::size_t unpacked_ = 0;
     bool mismatch_ = false;
 };
 

@@ -126,6 +126,7 @@ goodDocument()
     "frames": 8388608,
     "spaces": 24,
     "payload_mb": 335.5,
+    "packed_mb": 40.2,
     "estimator": "min of 5",
     "per_frame_space_id_seconds": 0.58,
     "save_seconds": 0.06,
@@ -137,12 +138,26 @@ goodDocument()
       "cell": "YCSB-A/MG-LRU/SSD/50%",
       "scale": "Big1M",
       "boundary_refs": 1250000,
-      "image_mb": 33.6,
+      "image_mb": 13.8,
+      "unpacked_mb": 33.9,
       "estimator": "min of 5",
       "capture_seconds": 0.03,
       "capture_gb_per_sec": 1.1,
       "restore_seconds": 0.012,
       "restore_gb_per_sec": 2.8,
+      "round_trip_ok": true
+    },
+    "clock_image": {
+      "cell": "YCSB-A/Clock/SSD/50%",
+      "scale": "Big1M",
+      "boundary_refs": 1250000,
+      "image_mb": 9.3,
+      "unpacked_mb": 34.2,
+      "estimator": "min of 5",
+      "capture_seconds": 0.025,
+      "capture_gb_per_sec": 1.4,
+      "restore_seconds": 0.02,
+      "restore_gb_per_sec": 1.7,
       "round_trip_ok": true
     }
   }
@@ -353,6 +368,20 @@ TEST(BenchSchema, DetectsFailedImageRoundTrip)
         patch(goodDocument(), "\"round_trip_ok\": true",
               "\"round_trip_ok\": false"));
     expectOneProblemAt(problems, "serializer.image.round_trip_ok");
+}
+
+TEST(BenchSchema, DetectsImageNoSmallerThanItsLanes)
+{
+    const auto problems = validateBenchCore(
+        patch(goodDocument(), "\"image_mb\": 13.8", "\"image_mb\": 33.9"));
+    expectOneProblemAt(problems, "serializer.image.image_mb");
+}
+
+TEST(BenchSchema, DetectsMissingClockImage)
+{
+    const auto problems = validateBenchCore(
+        patch(goodDocument(), "\"clock_image\"", "\"clock_img\""));
+    expectOneProblemAt(problems, "serializer.clock_image");
 }
 
 TEST(BenchSchema, ReportsMultipleProblems)
