@@ -36,17 +36,6 @@ constexpr std::uint64_t kCheckpointMagic = 0x31504b434d534750ull;
 constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 8 + 8 + 8 + 4;
 
 /**
- * Capacity reserved past an image's exact size. A Big1M image sits
- * just above glibc's 32 MiB mmap ceiling; reserved at exactly its
- * size it was often carved out of the free space a destroyed rig left
- * in a thread arena, and stayed there after the cache dropped it
- * (pagesim_bench ckpt-big1m peak RSS rose 10-20% on a 4-core x86-64
- * host with glibc malloc). One spare MiB keeps it in a mapping of its
- * own.
- */
-constexpr std::size_t kImageSlackBytes = std::size_t{1} << 20;
-
-/**
  * The spaces, workloads and actors sections: a record count, then one
  * length-prefixed record per object in rig order.
  */
@@ -305,7 +294,7 @@ captureCheckpoint(const RigView &rig, std::uint64_t config_hash,
         image_bytes += 4 + std::strlen(sec.name) + 16 + sizer.size();
     }
     Sink image;
-    image.reserve(image_bytes + kImageSlackBytes);
+    image.reserve(image_bytes);
     image.u64(kCheckpointMagic);
     image.u32(kCheckpointVersion);
     image.u64(config_hash);
