@@ -745,7 +745,7 @@ TEST(CheckpointCorruption, OutOfRangeIndicesAreNamedErrors)
             io.u64(scalar);
         }
         FrameTable slow(0);
-        FrameList slow_list(slow, 0);
+        FrameList slow_list(slow, 1);
         slow.visitState(io);
         slow_list.visitState(io);
         ASSERT_TRUE(io.ok() && !io.mismatched()) << "mm layout moved?";
