@@ -152,6 +152,22 @@ TEST(BitIdentity, PageRankMgLruSsdPinned)
 }
 
 /*
+ * The paper's walk variants differ only in which regions the aging
+ * walk visits; Scan-Rand is the one whose choice draws the RNG.
+ */
+TEST(BitIdentity, ScanRandPinned)
+{
+    EXPECT_EQ(run(WorkloadKind::PageRank, PolicyKind::ScanRand),
+              13184766367275614099ull);
+}
+
+TEST(BitIdentity, ScanAllPinned)
+{
+    EXPECT_EQ(run(WorkloadKind::PageRank, PolicyKind::ScanAll),
+              9963156510884256514ull);
+}
+
+/*
  * PR 6 pin: the SoA metadata + sharded-scan refactor, captured on a
  * 1M-page (4 GiB) YCSB machine — large enough that the aging scan
  * crosses many shards and the sharded slicing/merge logic carries the
