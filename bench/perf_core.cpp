@@ -12,12 +12,9 @@
  *     a second churn run dispatches actor-like self-rescheduling
  *     callbacks with mixed small/large captures to include callback
  *     storage effects. Both use the same mixed near/far delta table.
- *  2. Aging-scan throughput: MG-LRU's page-table walk over a resident
- *     machine, word-at-a-time bitmap path vs the per-slot reference
- *     loop (MgLruConfig::referenceScan), across access-pattern shapes
- *     (dense, sparse residency, 10%-accessed). The two paths are
- *     bit-identical by contract — tests prove it — so the speedup is
- *     pure host-side scan throughput.
+ *  2. Aging-scan throughput: PTEs/s of MG-LRU's page-table walk over a
+ *     resident machine, across access-pattern shapes (dense, sparse
+ *     residency, 10%-accessed).
  *  3. End-to-end trial wall time at ScalePreset::Small (min of 5),
  *     plus the metrics-layer overhead at that scale: the same cell
  *     timed with metrics detached, with counters+spans, and with the
@@ -47,7 +44,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <ctime>
 #include <fstream>
@@ -308,11 +304,10 @@ constexpr ScanPattern kScanPatterns[] = {
  * machine shaped by @p pat. Accessed bits are re-armed untimed
  * between passes so every timed pass does the same work; throughput
  * counts all PTEs the walk covers (the policy charges per-region, so
- * skipped-over cold PTEs are part of the scanned denominator for
- * both implementations).
+ * skipped-over cold PTEs are part of the scanned denominator).
  */
 double
-scanPtesPerSec(const ScanPattern &pat, bool reference)
+scanPtesPerSec(const ScanPattern &pat)
 {
     FrameTable frames(static_cast<std::uint32_t>(
         kScanPages / pat.residencyStride + 1));
@@ -323,7 +318,6 @@ scanPtesPerSec(const ScanPattern &pat, bool reference)
     cfg.scanMode = ScanMode::All;
     cfg.agingLowPages = 0;
     cfg.agingEvictGate = 0;
-    cfg.referenceScan = reference;
     MgLruPolicy policy(frames, {&space}, costs, Rng(1), cfg);
 
     PageTable &table = space.table();
@@ -367,26 +361,25 @@ constexpr unsigned kBigResidencyStride = 4;
  * per pass). The steady-state regime on a machine this size: the hot
  * set is a sliver of the 64M-page slab, so an aging pass is walk-
  * bound, not promotion-bound. Denser young fractions shift time into
- * visitYoungPte, which both scan paths replay identically and which
- * therefore only dilutes the walk comparison (at 1/64 the measured
- * gap drops to ~1.1x for that reason).
+ * the serial apply, which is the same work at any worker count and
+ * therefore only dilutes the comparison.
  */
 constexpr unsigned kBigAccessedStride = 1024;
 /** Timed aging passes per measurement. */
 constexpr int kBigScanPasses = 3;
-/** Harvest workers for the sharded side. */
+/** Harvest workers for the pooled side. */
 constexpr unsigned kBigScanWorkers = 4;
 
 /**
  * PTE-scan throughput of a full aging pass over the 64M-page
- * machine: the legacy serial region walk vs the sharded
- * harvest-then-apply walk. Both are bit-identical by contract (the
- * differential and fingerprint tests prove it), so the ratio is pure
- * host-side scan throughput. The machine is sized so region
- * streaming dominates: every region present, few young PTEs.
+ * machine, with @p workers harvest threads. Results are identical at
+ * every worker count (the invariance and fingerprint tests prove
+ * it), so the ratio between counts is pure host-side scan
+ * throughput. The machine is sized so region streaming dominates:
+ * every region present, few young PTEs.
  */
 double
-bigScanPtesPerSec(bool sharded)
+bigScanPtesPerSec(unsigned workers)
 {
     FrameTable frames(static_cast<std::uint32_t>(
         kBigScanPages / kBigResidencyStride + 1));
@@ -397,8 +390,7 @@ bigScanPtesPerSec(bool sharded)
     cfg.scanMode = ScanMode::All;
     cfg.agingLowPages = 0;
     cfg.agingEvictGate = 0;
-    cfg.shardedScan = sharded;
-    cfg.scanWorkers = sharded ? kBigScanWorkers : 1;
+    cfg.scanWorkers = workers;
     MgLruPolicy policy(frames, {&space}, costs, Rng(1), cfg);
 
     PageTable &table = space.table();
@@ -434,7 +426,7 @@ bigScanPtesPerSec(bool sharded)
 /**
  * FNV-1a over every integral field of a trial — the same fingerprint
  * tests/harness/bit_identity_test.cpp pins. perf_core only needs
- * equality between the serial and sharded runs; the absolute value is
+ * equality between the 1- and 4-worker runs; the absolute value is
  * pinned by the test suite.
  */
 std::uint64_t
@@ -554,22 +546,21 @@ unpackedLaneBytes(const RigView &rig)
     return sizer.unpackedSize();
 }
 
-/** Serial-vs-sharded fingerprint identity on a 1M-page trial. */
+/** 1- vs 4-harvest-worker fingerprint identity on a 1M-page trial. */
 bool
 big1mFingerprintIdentity()
 {
     ExperimentConfig cfg = bigCell(ScalePreset::Big1M);
     cfg.capacityRatio = 0.5;
-    cfg.mgTweak = [](MgLruConfig &mg) { mg.shardedScan = false; };
-    const std::uint64_t serial =
+    cfg.mgTweak = [](MgLruConfig &mg) { mg.scanWorkers = 1; };
+    const std::uint64_t one =
         trialFingerprint(runTrial(cfg, cfg.baseSeed));
     cfg.mgTweak = [](MgLruConfig &mg) {
-        mg.shardedScan = true;
         mg.scanWorkers = kBigScanWorkers;
     };
-    const std::uint64_t sharded =
+    const std::uint64_t pooled =
         trialFingerprint(runTrial(cfg, cfg.baseSeed));
-    return serial == sharded;
+    return one == pooled;
 }
 
 std::vector<ExperimentConfig>
@@ -628,8 +619,8 @@ main(int argc, char **argv)
 
     if (smoke_big_machine) {
         // CI smoke: one 64M-page (256 GiB) trial must complete inside
-        // the step's wall-clock budget, and the 1M-page serial-vs-
-        // sharded fingerprints must agree. No JSON is written.
+        // the step's wall-clock budget, and the 1M-page fingerprints
+        // at 1 and 4 harvest workers must agree. No JSON is written.
         const ExperimentConfig big_cfg = bigCell(ScalePreset::Big64M);
         std::printf("big-machine smoke: %s at Big64M (64M pages)...\n",
                     big_cfg.label().c_str());
@@ -647,12 +638,12 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(
                         big.policy.ptesScanned));
         const bool identity = big1mFingerprintIdentity();
-        std::printf("  serial/sharded fingerprint identity: %s\n",
-                    identity ? "yes" : "NO");
+        std::printf("  1/%u-worker fingerprint identity: %s\n",
+                    kBigScanWorkers, identity ? "yes" : "NO");
 
         // Checkpoint round-trip at Big1M: a mid-trial snapshot must
         // restore bit-identically at machine scale, not just on the
-        // Small cells the unit tests cover. (The serial/sharded pin
+        // Small cells the unit tests cover. (The worker-count pin
         // above uses mgTweak, which is uncacheable by design, so this
         // runs the plain Big1M cell.)
         ExperimentConfig ck_cfg = bigCell(ScalePreset::Big1M);
@@ -709,32 +700,22 @@ main(int argc, char **argv)
                 "timing wheel %.0f ev/s: %.2fx\n\n",
                 churn_legacy_eps, churn_wheel_eps, churn_speedup);
 
-    // --- 2. Aging-scan throughput: bitmap word path vs reference. --
+    // --- 2. Aging-scan throughput per access pattern. --------------
     std::printf("aging scan: %llu-page VMA, %d passes, "
                 "median of 3...\n",
                 static_cast<unsigned long long>(kScanPages),
                 kScanPasses);
     constexpr std::size_t kNumPatterns =
         sizeof(kScanPatterns) / sizeof(kScanPatterns[0]);
-    double scan_ref_pps[kNumPatterns];
     double scan_word_pps[kNumPatterns];
-    double scan_speedup[kNumPatterns];
-    double scan_geomean = 1.0;
     for (std::size_t p = 0; p < kNumPatterns; ++p) {
         const ScanPattern &pat = kScanPatterns[p];
-        scan_ref_pps[p] = median3(
-            [&pat] { return scanPtesPerSec(pat, true); });
-        scan_word_pps[p] = median3(
-            [&pat] { return scanPtesPerSec(pat, false); });
-        scan_speedup[p] = scan_word_pps[p] / scan_ref_pps[p];
-        scan_geomean *= scan_speedup[p];
-        std::printf("  %-36s reference %.0f PTEs/s, "
-                    "word-at-a-time %.0f PTEs/s: %.2fx\n",
-                    pat.label, scan_ref_pps[p], scan_word_pps[p],
-                    scan_speedup[p]);
+        scan_word_pps[p] =
+            median3([&pat] { return scanPtesPerSec(pat); });
+        std::printf("  %-36s %.0f PTEs/s\n", pat.label,
+                    scan_word_pps[p]);
     }
-    scan_geomean = std::pow(scan_geomean, 1.0 / kNumPatterns);
-    std::printf("  geomean speedup: %.2fx\n\n", scan_geomean);
+    std::printf("\n");
 
     // --- 3. Single-trial wall time (Small scale, min of 5). --------
     ExperimentConfig trial_cfg;
@@ -853,18 +834,18 @@ main(int argc, char **argv)
     std::printf("  speedup:      %.2fx (identical results: %s)\n\n",
                 sweep_speedup, identical ? "yes" : "NO");
 
-    // --- 5. Big machine: 64M pages, serial vs sharded scan. --------
+    // --- 5. Big machine: 64M pages, 1 vs 4 harvest workers. -------
     std::printf("big machine: %llu-page scan (1/%u resident), "
                 "%d passes...\n",
                 static_cast<unsigned long long>(kBigScanPages),
                 kBigResidencyStride, kBigScanPasses);
-    const double big_serial_pps = bigScanPtesPerSec(false);
-    const double big_sharded_pps = bigScanPtesPerSec(true);
+    const double big_serial_pps = bigScanPtesPerSec(1);
+    const double big_sharded_pps = bigScanPtesPerSec(kBigScanWorkers);
     const double big_scan_speedup = big_serial_pps > 0.0
                                         ? big_sharded_pps /
                                               big_serial_pps
                                         : 0.0;
-    std::printf("  aging scan   serial %.0f PTEs/s, sharded@%u "
+    std::printf("  aging scan   1 worker %.0f PTEs/s, %u workers "
                 "%.0f PTEs/s: %.2fx\n",
                 big_serial_pps, kBigScanWorkers, big_sharded_pps,
                 big_scan_speedup);
@@ -885,8 +866,8 @@ main(int argc, char **argv)
                     big_trial.kernel.evictions));
 
     const bool big_identity = big1mFingerprintIdentity();
-    std::printf("  serial/sharded fingerprint identity (Big1M): %s\n\n",
-                big_identity ? "yes" : "NO");
+    std::printf("  1/%u-worker fingerprint identity (Big1M): %s\n\n",
+                kBigScanWorkers, big_identity ? "yes" : "NO");
 
     // --- 6. Fast-forward: checkpointed sweep, functional warmup. ---
     // A fig06-style capacity grid where every trial shares a long
@@ -1182,18 +1163,11 @@ main(int argc, char **argv)
                  kScanPasses);
     for (std::size_t p = 0; p < kNumPatterns; ++p) {
         std::fprintf(out,
-                     "      \"%s\": {\n"
-                     "        \"reference_ptes_per_sec\": %.0f,\n"
-                     "        \"word_ptes_per_sec\": %.0f,\n"
-                     "        \"speedup\": %.3f\n      }%s\n",
-                     kScanPatterns[p].key, scan_ref_pps[p],
-                     scan_word_pps[p], scan_speedup[p],
+                     "      \"%s\": {\"word_ptes_per_sec\": %.0f}%s\n",
+                     kScanPatterns[p].key, scan_word_pps[p],
                      p + 1 < kNumPatterns ? "," : "");
     }
-    std::fprintf(out,
-                 "    },\n"
-                 "    \"geomean_speedup\": %.3f\n  },\n",
-                 scan_geomean);
+    std::fprintf(out, "    }\n  },\n");
     std::fprintf(out,
                  "  \"trial\": {\n"
                  "    \"cell\": \"%s\",\n"

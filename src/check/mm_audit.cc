@@ -158,8 +158,8 @@ MmAuditor::checkPtes(AuditReport &rep, WalkContext &ctx) const
     std::vector<ShardPteOut> outs(tasks.size());
     const unsigned workers =
         workerOverride() != 0 ? workerOverride() : 1;
-    parallelFor(workers, tasks.size(), [&](std::size_t t) {
-        harvestPteShard(tasks[t].sp, tasks[t].shard, outs[t]);
+    parallelMap(workers, outs, [&](std::size_t t, ShardPteOut &slot) {
+        harvestPteShard(tasks[t].sp, tasks[t].shard, slot);
     });
 
     std::size_t t = 0;

@@ -93,11 +93,12 @@ runColocation(const ColocationConfig &config)
     result.trials.resize(effectiveTrials(config.trials));
     // Each trial writes only its own pre-sized slot, so results are
     // independent of claim order and of the worker count.
-    parallelFor(hostWorkers(), result.trials.size(), [&](std::size_t t) {
-        // Same seed derivation as trialSeed() in sweep.cc.
-        result.trials[t] = runColocationTrial(
-            config, config.baseSeed + 1000003ull * t);
-    });
+    parallelMap(hostWorkers(), result.trials,
+                [&](std::size_t t, ColocationTrialResult &slot) {
+                    // Same seed derivation as trialSeed() in sweep.cc.
+                    slot = runColocationTrial(
+                        config, config.baseSeed + 1000003ull * t);
+                });
     return result;
 }
 

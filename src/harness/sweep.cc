@@ -42,9 +42,9 @@ runSweep(const std::vector<ExperimentConfig> &cells,
     // Each task writes only its own flat slot, so results are
     // independent of claim order and of the worker count.
     std::vector<TrialResult> slots(tasks.size());
-    parallelFor(workers, tasks.size(), [&](std::size_t i) {
+    parallelMap(workers, slots, [&](std::size_t i, TrialResult &slot) {
         const ExperimentConfig &config = cells[tasks[i].cell];
-        slots[i] = runTrial(config, trialSeed(config, tasks[i].trial));
+        slot = runTrial(config, trialSeed(config, tasks[i].trial));
     });
 
     std::vector<ExperimentResult> results(cells.size());

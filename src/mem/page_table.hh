@@ -25,14 +25,14 @@
  *
  * Regions are further grouped into fixed shards (kRegionsPerShard)
  * carrying coarse mapped/present counters. Shards are the unit of
- * parallel harvesting: a worker owning a shard touches only that
- * shard's bitmap words and flag bytes, so disjoint shards can be
- * scanned concurrently without synchronization, and the auditor can
+ * parallel harvesting: the MG-LRU aging harvest and the auditor read
+ * disjoint shards concurrently through the const views, and every
+ * mutation happens afterwards on one thread; the auditor can also
  * cross-check shard totals without walking the whole table serially.
  *
  * Coherence rule: every mutation of a Present/Accessed/Mapped PTE flag
  * must go through the tracked mutators below (mapFrame, unmapToSwap,
- * setAccessed, testAndClearAccessed, harvestYoungWord, ...), never
+ * setAccessed, testAndClearAccessed, clearAccessedBits, ...), never
  * through PteRef::setFlag directly — that is what keeps the bitmaps,
  * the per-region counters, the shard counters, the summary words, and
  * the running totals in lockstep. MmAuditor cross-checks all of them
@@ -205,7 +205,7 @@ class PageTable
     /**
      * Clear the bits of @p mask in region @p r's accessed word @p w
      * (bitmap side only). The caller owns the matching PTE flag
-     * fixups — this is the word-store half of the aging scan's
+     * fixups — this is the word-store half of the aging apply's
      * "word-store plus per-PTE fixup" clearing.
      */
     void
@@ -213,35 +213,6 @@ class PageTable
                       std::uint64_t mask)
     {
         accessedBits_[r * kWordsPerRegion + w] &= ~mask;
-    }
-
-    /**
-     * Aging-harvest primitive: return the present&accessed mask of
-     * bitmap word @p wi and clear those accessed bits, both in the
-     * bitmap word and in the affected PTE flag bytes — the fused
-     * tracked-mutator form of accessedWord + clearAccessedBits +
-     * per-PTE testAndClearAccessed.
-     *
-     * Safe to call concurrently for DISTINCT words: it reads and
-     * writes only word @p wi of the accessed bitmap plus the flag
-     * bytes of that word's own 64 PTEs, so workers harvesting
-     * disjoint shards never touch the same memory location.
-     */
-    std::uint64_t
-    harvestYoungWord(std::uint64_t wi)
-    {
-        const std::uint64_t young = accessedBits_[wi] & presentBits_[wi];
-        if (young == 0)
-            return 0;
-        accessedBits_[wi] &= ~young;
-        const Vpn base = wi * 64;
-        for (std::uint64_t m = young; m != 0; m &= m - 1) {
-            const auto bit =
-                static_cast<std::uint64_t>(std::countr_zero(m));
-            pteFlags_[base + bit] &=
-                static_cast<std::uint8_t>(~Pte::Accessed);
-        }
-        return young;
     }
 
     // ---- Tracked mutators (keep bitmaps in lockstep) ----------------

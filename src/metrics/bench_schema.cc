@@ -105,7 +105,7 @@ struct Checker
         }
     }
 
-    /** legacy/word (or legacy/wheel) throughput pair plus speedup. */
+    /** baseline/fast throughput pair plus speedup. */
     void
     throughputPair(const JsonValue &obj, const std::string &path,
                    const char *baseline_key, const char *fast_key)
@@ -155,16 +155,15 @@ validateBenchCore(const std::string &json_text)
     if (const JsonValue *scan = c.object(doc, "", "aging_scan")) {
         c.positiveNumber(*scan, "aging_scan", "pages");
         c.positiveNumber(*scan, "aging_scan", "passes");
-        c.positiveNumber(*scan, "aging_scan", "geomean_speedup");
         if (const JsonValue *pats =
                 c.object(*scan, "aging_scan", "patterns")) {
             for (const char *key :
                  {"dense", "sparse", "ten_pct_accessed"}) {
                 if (const JsonValue *p =
                         c.object(*pats, "aging_scan.patterns", key)) {
-                    c.throughputPair(
+                    c.positiveNumber(
                         *p, std::string("aging_scan.patterns.") + key,
-                        "reference_ptes_per_sec", "word_ptes_per_sec");
+                        "word_ptes_per_sec");
                 }
             }
         }
@@ -208,7 +207,7 @@ validateBenchCore(const std::string &json_text)
             c.positiveNumber(*trial, "big_machine.trial",
                              "faults_per_sec");
         }
-        // Serial and sharded scans of the same machine must report
+        // The walk at 1 and at 4 harvest workers must report
         // identical TrialResult fingerprints; a divergent document
         // is invalid, not merely slow.
         const bool required = true;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <span>
 
 #include "metrics/sampler.hh"
 #include "sim/parallel.hh"
@@ -183,27 +184,6 @@ MgLruPolicy::onPageRemoved(Pfn pfn)
     return makeShadow(minSeq_, pi.tier);
 }
 
-bool
-MgLruPolicy::shouldScanRegion(std::uint64_t key, CostSink &costs)
-{
-    switch (config_.scanMode) {
-      case ScanMode::All:
-        return true;
-      case ScanMode::Random:
-        return rng_.bernoulli(config_.randomScanProb);
-      case ScanMode::Bloom:
-        costs.charge(costs_.bloomOp);
-        // Before the first walk has populated a filter, the kernel
-        // walks everything it finds.
-        if (!filterWarm_)
-            return true;
-        return filters_[activeFilter_].maybeContains(key);
-      case ScanMode::None:
-      default:
-        return false;
-    }
-}
-
 void
 MgLruPolicy::visitYoungPte(PteView pte, std::uint64_t promote_seq,
                            CostSink &costs)
@@ -222,72 +202,122 @@ MgLruPolicy::visitYoungPte(PteView pte, std::uint64_t promote_seq,
 }
 
 void
-MgLruPolicy::scanRegion(AddressSpace &space, std::uint64_t region,
+MgLruPolicy::ScanChunk::reset(std::uint64_t first, std::uint64_t n)
+{
+    firstRegion = first;
+    numRegions = n;
+    empty = present = rejected = scanned = young = 0;
+    words.clear();
+    bloomKeys.clear();
+}
+
+bool
+MgLruPolicy::RegionFilter::admits(std::uint64_t key,
+                                  std::uint64_t region) const
+{
+    if (bloom != nullptr && !bloom->maybeContains(key))
+        return false;
+    if (picks != nullptr) {
+        const std::uint64_t i = region - pickBase;
+        return (picks[i / 64] >> (i % 64)) & 1u;
+    }
+    return true;
+}
+
+void
+MgLruPolicy::drawRandomPicks(const PageTable &table, std::uint64_t first,
+                             std::uint64_t n)
+{
+    // One draw per present region, in ascending region order, tested
+    // with the same summary bit the harvest reads. Nothing else draws
+    // from rng_ during a slice, so the sequence does not depend on the
+    // worker count or on how the slice splits into chunks.
+    randomPicks_.assign((n + 63) / 64, 0);
+    for (std::uint64_t r = table.nextPresentRegion(first); r < first + n;
+         r = table.nextPresentRegion(r + 1)) {
+        if (rng_.bernoulli(config_.randomScanProb))
+            randomPicks_[(r - first) / 64] |= 1ull << ((r - first) % 64);
+    }
+}
+
+void
+MgLruPolicy::harvestChunk(const PageTable &table,
+                          const AddressSpace &space,
+                          const RegionFilter &filter,
+                          ScanChunk &chunk) const
+{
+    // Runs concurrently with other chunks' harvests. It reads bitmap
+    // words and the frozen filter and writes only its own slot; every
+    // mutation happens in the serial applyChunk. Only `present &
+    // accessed` bits are young: an accessed bit on a non-present PTE
+    // is neither reported nor cleared.
+    const std::uint64_t end = chunk.firstRegion + chunk.numRegions;
+    for (std::uint64_t r = chunk.firstRegion; r < end; ++r) {
+        if (!table.anyPresent(r)) {
+            ++chunk.empty;
+            continue;
+        }
+        ++chunk.present;
+        if (!filter.admits(regionKey(space, r), r)) {
+            ++chunk.rejected;
+            continue;
+        }
+        ++chunk.scanned;
+        std::uint64_t young = 0;
+        for (std::uint64_t w = 0; w < PageTable::kWordsPerRegion; ++w) {
+            const std::uint64_t mask =
+                table.accessedWord(r, w) & table.presentWord(r, w);
+            if (mask == 0)
+                continue;
+            young += static_cast<std::uint64_t>(std::popcount(mask));
+            chunk.words.push_back(
+                YoungWord{r * PageTable::kWordsPerRegion + w, mask});
+        }
+        chunk.young += young;
+        if (young >= config_.youngDensityThreshold)
+            chunk.bloomKeys.push_back(regionKey(space, r));
+    }
+}
+
+void
+MgLruPolicy::applyChunk(PageTable &table, const ScanChunk &chunk,
                         std::uint64_t promote_seq, CostSink &costs)
 {
-    PageTable &table = space.table();
-    const Vpn base = regionBase(region);
+    // Each charge is truncated once from double, then multiplied by an
+    // integer count: CostSink::charge is a plain sum, so this equals a
+    // per-region (and per-PTE) accumulation bit for bit.
     const double ws = costs_.walkScale;
-    // The SIMULATED walker reads every slot of the leaf table page;
-    // sparse regions pay the full linear cost — exactly why naive full
-    // scans are wasteful (Sec. III-B). The host-side implementation
-    // below touches only the young PTEs, but the charge stays linear.
-    costs.charge(static_cast<SimDuration>(
-        ws * static_cast<double>(costs_.pteScan * kPtesPerRegion)));
-    stats_.ptesScanned += kPtesPerRegion;
+    // The SIMULATED walker reads every slot of each scanned leaf table
+    // page; sparse regions pay the full linear cost — exactly why
+    // naive full scans are wasteful (Sec. III-B). The host touches
+    // only the young words.
+    const auto pteScanCost = static_cast<SimDuration>(
+        ws * static_cast<double>(costs_.pteScan * kPtesPerRegion));
+    costs.charge(pteScanCost * static_cast<SimDuration>(chunk.scanned));
+    stats_.ptesScanned += chunk.scanned * kPtesPerRegion;
     // Clearing a live accessed bit costs a TLB shootdown.
     const auto youngClearCost = static_cast<SimDuration>(
         ws * static_cast<double>(costs_.youngClear));
-    std::uint32_t young = 0;
+    costs.charge(youngClearCost * static_cast<SimDuration>(chunk.young));
 
-    if (config_.referenceScan) {
-        // Reference implementation: one Pte at a time, exactly the
-        // pre-bitmap loop. Kept selectable so differential tests can
-        // prove the word path below is behavior-identical.
-        for (Vpn v = base; v < base + kPtesPerRegion; ++v) {
-            const auto pte = table.at(v);
-            if (!pte.present())
-                continue;
-            if (!table.testAndClearAccessed(v))
-                continue;
-            costs.charge(youngClearCost);
-            ++young;
+    for (const YoungWord &yw : chunk.words) {
+        table.clearAccessedBits(yw.index / PageTable::kWordsPerRegion,
+                                yw.index % PageTable::kWordsPerRegion,
+                                yw.mask);
+        const Vpn wbase = yw.index * 64;
+        for (std::uint64_t m = yw.mask; m != 0; m &= m - 1) {
+            const auto pte = table.at(
+                wbase + static_cast<std::uint64_t>(std::countr_zero(m)));
+            // lint:pte-direct-ok(clearAccessedBits above already
+            // reconciled the bitmap word for this whole word; this
+            // per-bit store only mirrors it into the Pte, which the
+            // word-wide op leaves to this loop on purpose)
+            pte.clearFlag(Pte::Accessed);
             visitYoungPte(pte, promote_seq, costs);
         }
-    } else {
-        // Word-at-a-time: only `present & accessed` bits cost PTE
-        // loads; a cold or empty word costs two bitmap loads total.
-        // Accessed-bit clearing is one word store per word plus a
-        // per-PTE flag fixup only for the set bits. Masking with
-        // `present` matters: the per-slot loop above never clears the
-        // accessed bit of a non-present PTE, so neither may we.
-        for (std::uint64_t w = 0; w < PageTable::kWordsPerRegion; ++w) {
-            std::uint64_t hot = table.accessedWord(region, w) &
-                                table.presentWord(region, w);
-            if (hot == 0)
-                continue;
-            table.clearAccessedBits(region, w, hot);
-            const Vpn wbase = base + w * 64;
-            do {
-                const auto bit = static_cast<unsigned>(
-                    std::countr_zero(hot));
-                hot &= hot - 1;
-                const auto pte = table.at(wbase + bit);
-                // lint:pte-direct-ok(clearAccessedBits above already
-                // reconciled the bitmap word and region counters for
-                // this whole word; this per-bit store only mirrors it
-                // into the Pte, which the word-wide op leaves to the
-                // fixup loop on purpose)
-                pte.clearFlag(Pte::Accessed);
-                costs.charge(youngClearCost);
-                ++young;
-                visitYoungPte(pte, promote_seq, costs);
-            } while (hot != 0);
-        }
     }
-
-    if (young >= config_.youngDensityThreshold) {
-        filters_[1 - activeFilter_].add(regionKey(space, region));
+    for (const std::uint64_t key : chunk.bloomKeys) {
+        filters_[1 - activeFilter_].add(key);
         costs.charge(costs_.bloomOp);
         ++mgStats_.bloomInsertions;
     }
@@ -352,134 +382,14 @@ MgLruPolicy::ageStep(CostSink &costs, std::uint32_t region_budget)
         return true;
     }
 
-    if (useShardedScan())
-        return ageStepSharded(costs, region_budget);
-
-    // The per-region visit charge is truncated per region (matching
-    // the per-slot reference), then multiplied for batched skips —
-    // never cast(n * cost), which would round differently.
     const auto regionVisitCost = static_cast<SimDuration>(
         costs_.walkScale * static_cast<double>(costs_.regionVisit));
-    std::uint64_t visited = 0;
-    while (walk_.spaceIdx < spaces_.size()) {
-        AddressSpace &space = *spaces_[walk_.spaceIdx];
-        PageTable &table = space.table();
-        const std::uint64_t nr = table.numRegions();
-        while (walk_.region < nr) {
-            if (visited >= region_budget)
-                return false; // pass continues on the next slice
-            const std::uint64_t next =
-                table.nextPresentRegion(walk_.region);
-            if (next > walk_.region) {
-                // A run of regions with no present PTE: the per-slot
-                // walker would visit and skip each one (a present-free
-                // region never consults the Bloom filter or the RNG),
-                // so batching the run keeps charges, stats, and RNG
-                // draws identical while costing one summary-bitmap
-                // scan on the host.
-                const std::uint64_t n =
-                    std::min(next - walk_.region,
-                             region_budget - visited);
-                costs.charge(regionVisitCost *
-                             static_cast<SimDuration>(n));
-                stats_.regionsVisited += n;
-                stats_.regionsSkipped += n;
-                visited += n;
-                walk_.region += n;
-                continue;
-            }
-            const std::uint64_t r = walk_.region++;
-            ++visited;
-            costs.charge(regionVisitCost);
-            ++stats_.regionsVisited;
-            if (!shouldScanRegion(regionKey(space, r), costs)) {
-                ++stats_.regionsSkipped;
-                continue;
-            }
-            scanRegion(space, r, walk_.promoteSeq, costs);
-        }
-        ++walk_.spaceIdx;
-        walk_.region = 0;
-    }
-    finishWalk();
-    return true;
-}
-
-bool
-MgLruPolicy::useShardedScan() const
-{
-    // Random mode draws the RNG once per present region, in walk
-    // order — state the order-free harvest cannot reproduce. The
-    // reference scan exists precisely to pin the legacy loop.
-    return config_.shardedScan && !config_.referenceScan &&
-           config_.scanMode != ScanMode::Random;
-}
-
-void
-MgLruPolicy::harvestChunk(PageTable &table, const AddressSpace &space,
-                          const ScanChunk &chunk,
-                          const RegionBloomFilter *filter,
-                          ChunkHarvest &out) const
-{
-    // Runs concurrently with other chunks' harvests. Reads bitmap
-    // words and the (frozen) active Bloom filter; its only writes are
-    // harvestYoungWord's accessed-bit clears, confined to this
-    // chunk's own words and flag bytes. No policy state is touched —
-    // that all happens in the serial apply loop.
-    const std::uint64_t end = chunk.firstRegion + chunk.numRegions;
-    for (std::uint64_t r = chunk.firstRegion; r < end; ++r) {
-        if (!table.anyPresent(r)) {
-            ++out.empty;
-            continue;
-        }
-        ++out.present;
-        if (filter != nullptr &&
-            !filter->maybeContains(regionKey(space, r))) {
-            ++out.rejected;
-            continue;
-        }
-        ++out.scanned;
-        std::uint64_t young = 0;
-        for (std::uint64_t w = 0; w < PageTable::kWordsPerRegion; ++w) {
-            std::uint64_t mask = table.harvestYoungWord(
-                r * PageTable::kWordsPerRegion + w);
-            if (mask == 0)
-                continue;
-            young += static_cast<std::uint64_t>(std::popcount(mask));
-            const Vpn wbase = regionBase(r) + w * 64;
-            do {
-                out.youngVpns.push_back(
-                    wbase + static_cast<std::uint64_t>(
-                                std::countr_zero(mask)));
-                mask &= mask - 1;
-            } while (mask != 0);
-        }
-        out.young += young;
-        if (young >= config_.youngDensityThreshold)
-            out.bloomKeys.push_back(regionKey(space, r));
-    }
-}
-
-bool
-MgLruPolicy::ageStepSharded(CostSink &costs,
-                            std::uint32_t region_budget)
-{
-    // Same per-region charge quantities as the legacy loop: each
-    // truncated once from double, then multiplied by integer counts
-    // (CostSink::charge is a plain sum, so count * cost == the legacy
-    // per-region accumulation bit for bit).
-    const double ws = costs_.walkScale;
-    const auto regionVisitCost = static_cast<SimDuration>(
-        ws * static_cast<double>(costs_.regionVisit));
-    const auto pteScanCost = static_cast<SimDuration>(
-        ws * static_cast<double>(costs_.pteScan * kPtesPerRegion));
-    const auto youngClearCost = static_cast<SimDuration>(
-        ws * static_cast<double>(costs_.youngClear));
     const bool bloom = config_.scanMode == ScanMode::Bloom;
-    // The active filter is frozen for the whole pass (inserts go to
-    // the inactive one), so concurrent reads are safe.
-    const RegionBloomFilter *filter =
-        (bloom && filterWarm_) ? &filters_[activeFilter_] : nullptr;
+    RegionFilter filter;
+    // Before the first walk has populated a filter, the kernel walks
+    // every present region (the lookup is charged all the same).
+    if (bloom && filterWarm_)
+        filter.bloom = &filters_[activeFilter_];
 
     std::uint64_t visited = 0;
     while (walk_.spaceIdx < spaces_.size()) {
@@ -489,61 +399,46 @@ MgLruPolicy::ageStepSharded(CostSink &costs,
         while (walk_.region < nr) {
             if (visited >= region_budget)
                 return false; // pass continues on the next slice
-            // Every region costs exactly one budget unit in the
-            // legacy loop too (empty-run batching included), so the
-            // slice boundary is content-independent.
+            // Every region costs one budget unit, present or not, so
+            // the slice boundary is content-independent.
+            const std::uint64_t first = walk_.region;
             const std::uint64_t take = std::min<std::uint64_t>(
-                nr - walk_.region, region_budget - visited);
-
-            // Split [region, region + take) at shard boundaries.
-            chunkScratch_.clear();
-            for (std::uint64_t r = walk_.region, left = take;
-                 left > 0;) {
-                const std::uint64_t n = std::min(
-                    kRegionsPerShard - r % kRegionsPerShard, left);
-                chunkScratch_.push_back(ScanChunk{r, n});
-                r += n;
-                left -= n;
+                nr - first, region_budget - visited);
+            if (config_.scanMode == ScanMode::Random) {
+                drawRandomPicks(table, first, take);
+                filter.picks = randomPicks_.data();
+                filter.pickBase = first;
             }
-            harvestScratch_.assign(chunkScratch_.size(),
-                                   ChunkHarvest{});
 
-            // Parallel harvest: chunks claim slots atomically but
-            // write disjoint output, so completion order is
-            // unobservable.
-            parallelFor(scanWorkers_, chunkScratch_.size(),
-                        [&](std::size_t ci) {
-                            harvestChunk(table, space,
-                                         chunkScratch_[ci], filter,
-                                         harvestScratch_[ci]);
+            // Split [first, first + take) at shard boundaries.
+            std::size_t n = 0;
+            for (std::uint64_t r = first, left = take; left > 0; ++n) {
+                const std::uint64_t len = std::min(
+                    kRegionsPerShard - r % kRegionsPerShard, left);
+                if (n == chunks_.size())
+                    chunks_.emplace_back();
+                chunks_[n].reset(r, len);
+                r += len;
+                left -= len;
+            }
+            const std::span<ScanChunk> slice(chunks_.data(), n);
+            parallelMap(scanWorkers_, slice,
+                        [&](std::size_t, ScanChunk &chunk) {
+                            harvestChunk(table, space, filter, chunk);
                         });
 
             // Serial apply in ascending chunk (= region) order: the
             // only order-sensitive state is generation-list pushFront
-            // order, replayed here exactly as the legacy walk would.
-            for (std::size_t ci = 0; ci < chunkScratch_.size(); ++ci) {
-                const ScanChunk &ch = chunkScratch_[ci];
-                const ChunkHarvest &h = harvestScratch_[ci];
+            // order, which therefore never depends on the workers.
+            for (const ScanChunk &chunk : slice) {
                 costs.charge(regionVisitCost *
-                             static_cast<SimDuration>(ch.numRegions));
-                stats_.regionsVisited += ch.numRegions;
-                stats_.regionsSkipped += h.empty + h.rejected;
+                             static_cast<SimDuration>(chunk.numRegions));
+                stats_.regionsVisited += chunk.numRegions;
+                stats_.regionsSkipped += chunk.empty + chunk.rejected;
                 if (bloom)
                     costs.charge(costs_.bloomOp *
-                                 static_cast<SimDuration>(h.present));
-                costs.charge(pteScanCost *
-                             static_cast<SimDuration>(h.scanned));
-                stats_.ptesScanned += h.scanned * kPtesPerRegion;
-                costs.charge(youngClearCost *
-                             static_cast<SimDuration>(h.young));
-                for (const Vpn v : h.youngVpns)
-                    visitYoungPte(table.at(v), walk_.promoteSeq,
-                                  costs);
-                for (const std::uint64_t key : h.bloomKeys) {
-                    filters_[1 - activeFilter_].add(key);
-                    costs.charge(costs_.bloomOp);
-                    ++mgStats_.bloomInsertions;
-                }
+                                 static_cast<SimDuration>(chunk.present));
+                applyChunk(table, chunk, walk_.promoteSeq, costs);
             }
             walk_.region += take;
             visited += take;
@@ -637,9 +532,17 @@ MgLruPolicy::selectVictims(std::vector<Pfn> &out, std::size_t max,
             ++stats_.secondChances;
             ++stats_.promotions;
             if (config_.evictNeighborScan) {
+                // The walk's harvest and apply over this one region,
+                // unfiltered. Eviction reached the region through the
+                // rmap, so there is no region-visit charge.
                 ++mgStats_.neighborScans;
                 const std::uint64_t promoted_before = stats_.promotions;
-                scanRegion(*pi.space, regionOf(pi.vpn), maxSeq_, costs);
+                PageTable &table = pi.space->table();
+                neighborChunk_.reset(regionOf(pi.vpn), 1);
+                harvestChunk(table, *pi.space, RegionFilter{},
+                             neighborChunk_);
+                assert(neighborChunk_.scanned == 1); // pfn is mapped
+                applyChunk(table, neighborChunk_, maxSeq_, costs);
                 mgStats_.neighborPromotions +=
                     stats_.promotions - promoted_before;
             }
@@ -691,12 +594,16 @@ MgLruPolicy::visitState(StateIO &io)
     // (maxNrGens), replayed at reconstruction; only the anchors move.
     for (auto &gen : gens_)
         gen.visitState(io);
-    io.u64(minSeq_);
-    io.u64(maxSeq_);
+    // Restored scalars index gens_ and filters_: refuse any value the
+    // live object could not hold, before anything is applied.
+    const std::uint64_t min_seq = io.u64(minSeq_);
+    const std::uint64_t max_seq = io.u64(maxSeq_);
+    io.require(min_seq <= max_seq &&
+               max_seq - min_seq < config_.maxNrGens);
     io.u64(resident_);
     filters_[0].visitState(io);
     filters_[1].visitState(io);
-    io.u32(activeFilter_);
+    io.require(io.u32(activeFilter_) <= 1);
     io.boolean(filterWarm_);
     pid_.visitState(io);
     io.u64(mgStats_.genCreations);
@@ -710,11 +617,13 @@ MgLruPolicy::visitState(StateIO &io)
     io.u32(starvedRounds_);
     io.u64(evictedAtLastAge_);
     io.u64(lastPassNs_);
-    io.boolean(walk_.active);
+    const bool walking = io.boolean(walk_.active);
     io.u64(walk_.spaceIdx);
     io.u64(walk_.region);
     io.boolean(walk_.canInc);
-    io.u64(walk_.promoteSeq);
+    const std::uint64_t promote_seq = io.u64(walk_.promoteSeq);
+    io.require(!walking || promote_seq == max_seq ||
+               promote_seq == max_seq + 1);
     rng_.visitState(io);
 }
 

@@ -22,9 +22,17 @@
  *    promote into the same generation — the precision loss the paper
  *    calls out (Sec. V-B).
  *
+ *    There is one walk. Each slice is split at shard boundaries into
+ *    chunks; a read-only harvest (optionally on worker threads)
+ *    collects each chunk's young bitmap words, and a serial apply in
+ *    ascending region order clears them, charges the walk and moves
+ *    pages between generations. The variants below differ only in
+ *    which present regions the harvest admits (DESIGN.md Sec. 4f).
+ *
  *  - Eviction: scans the oldest generation, walking the rmap per page
  *    like Clock, but on finding a referenced page it additionally
- *    scans the *surrounding PTEs* of that page's page-table region,
+ *    scans the *surrounding PTEs* of that page's page-table region
+ *    (the walk's harvest and apply over that one region, unfiltered),
  *    promoting other referenced pages at linear-scan cost and feeding
  *    dense regions back into the Bloom filter (the aging/eviction
  *    feedback loop, Sec. III-C).
@@ -38,7 +46,8 @@
  *   Gen-14    -> maxNrGens = 2^14
  *   Scan-All  -> ScanMode::All   (aging scans every region)
  *   Scan-None -> ScanMode::None  (aging scans nothing)
- *   Scan-Rand -> ScanMode::Random with p = 0.5
+ *   Scan-Rand -> ScanMode::Random with p = 0.5 (one draw per present
+ *                region, in walk order, before each slice's harvest)
  */
 
 #ifndef PAGESIM_POLICY_MGLRU_MGLRU_POLICY_HH
@@ -121,29 +130,11 @@ struct MgLruConfig
      */
     SimDuration minAgingGap = msecs(25);
     /**
-     * Use the per-slot reference implementation of scanRegion instead
-     * of the word-at-a-time bitmap path. Behavior (charges, stats,
-     * promotions, PTE end-states) is identical by contract — this
-     * switch exists so differential and bit-identity tests can prove
-     * it. Not a simulation knob; leave it off outside tests.
-     */
-    bool referenceScan = false;
-    /**
-     * Shard-sliced aging walk: split each slice at shard boundaries,
-     * harvest young PTEs per shard (optionally on worker threads),
-     * then apply charges/promotions serially in ascending shard
-     * order. Behavior (charges, stats, promotions, PTE and list
-     * end-states) is bit-identical to the legacy loop by construction
-     * — see DESIGN.md Sec. 4f. Ignored under ScanMode::Random (the
-     * legacy loop draws the RNG per present region, an order the
-     * harvest cannot reproduce) and under referenceScan.
-     */
-    bool shardedScan = true;
-    /**
-     * Harvest worker threads for the sharded walk. 0 resolves from
-     * the PAGESIM_WORKERS env override, defaulting to 1 — which runs
-     * the harvest inline (no threads), so parallelism is strictly
-     * opt-in and never oversubscribes sweep workers.
+     * Harvest worker threads for the aging walk. Results are the same
+     * at every count. 0 resolves from the PAGESIM_WORKERS env
+     * override, defaulting to 1 — which runs the harvest inline (no
+     * threads), so parallelism is strictly opt-in and never
+     * oversubscribes sweep workers.
      */
     unsigned scanWorkers = 0;
 };
@@ -262,52 +253,78 @@ class MgLruPolicy : public ReplacementPolicy
     /** Recompute a file page's tier from its use count. */
     void updateTier(PageInfoRef pi);
 
-    bool shouldScanRegion(std::uint64_t key, CostSink &costs);
-    void scanRegion(AddressSpace &space, std::uint64_t region,
-                    std::uint64_t promote_seq, CostSink &costs);
-    /** Shared tail of both scanRegion paths for one young PTE. */
+    /** Tier and generation update for one young PTE. */
     void visitYoungPte(PteView pte, std::uint64_t promote_seq,
                        CostSink &costs);
 
-    /** One shard-aligned run of regions within an aging slice. */
-    struct ScanChunk
+    /** One bitmap word's `present & accessed` bits. */
+    struct YoungWord
     {
-        std::uint64_t firstRegion;
-        std::uint64_t numRegions;
-    };
-    /**
-     * Per-chunk harvest output. Region tallies plus the young VPNs
-     * (ascending) and the region keys that crossed the Bloom density
-     * threshold, in region order — everything the serial apply step
-     * needs to replay the legacy walk's effects exactly.
-     */
-    struct ChunkHarvest
-    {
-        std::uint64_t empty = 0;    ///< regions with no present PTE
-        std::uint64_t present = 0;  ///< regions with a present PTE
-        std::uint64_t rejected = 0; ///< present, Bloom-filtered out
-        std::uint64_t scanned = 0;  ///< present, actually scanned
-        std::uint64_t young = 0;    ///< accessed bits harvested
-        std::vector<Vpn> youngVpns;
-        std::vector<std::uint64_t> bloomKeys;
+        std::uint64_t index; ///< flat bitmap word index (vpn / 64)
+        std::uint64_t mask;
     };
 
-    /** ageStep body for the sharded walk (see MgLruConfig). */
-    bool ageStepSharded(CostSink &costs, std::uint32_t region_budget);
-    /** Harvest one chunk: read-only apart from accessed-bit clears. */
-    void harvestChunk(PageTable &table, const AddressSpace &space,
-                      const ScanChunk &chunk,
-                      const RegionBloomFilter *filter,
-                      ChunkHarvest &out) const;
-    /** Sharded walk applicable to the current configuration? */
-    bool useShardedScan() const;
+    /**
+     * One shard-aligned run of regions and what the harvest found
+     * there: region tallies, the young words (ascending) and the keys
+     * of regions that crossed the Bloom density threshold (in region
+     * order) — everything the serial apply needs. It is the harvest's
+     * parallelMap slot, reused across slices so the walk does not
+     * allocate once its buffers have grown.
+     */
+    struct ScanChunk
+    {
+        std::uint64_t firstRegion = 0;
+        std::uint64_t numRegions = 0;
+        std::uint64_t empty = 0;    ///< regions with no present PTE
+        std::uint64_t present = 0;  ///< regions with a present PTE
+        std::uint64_t rejected = 0; ///< present, not admitted
+        std::uint64_t scanned = 0;  ///< present and admitted
+        std::uint64_t young = 0;    ///< young PTEs harvested
+        std::vector<YoungWord> words;
+        std::vector<std::uint64_t> bloomKeys;
+
+        /** Start over on regions [first, first + n). */
+        void reset(std::uint64_t first, std::uint64_t n);
+    };
+
+    /**
+     * Which present regions a harvest admits. Both sources are frozen
+     * while harvests run: the active Bloom filter takes no inserts
+     * during a pass (they go to the other one), and the Scan-Rand
+     * picks are drawn serially before the slice's harvest.
+     */
+    struct RegionFilter
+    {
+        /** Warm active filter (Bloom mode), else null: admit all. */
+        const RegionBloomFilter *bloom = nullptr;
+        /** Scan-Rand picks, bit (r - pickBase), else null. */
+        const std::uint64_t *picks = nullptr;
+        std::uint64_t pickBase = 0;
+
+        bool admits(std::uint64_t key, std::uint64_t region) const;
+    };
+
+    /** Draw the Scan-Rand picks for regions [first, first + n). */
+    void drawRandomPicks(const PageTable &table, std::uint64_t first,
+                         std::uint64_t n);
+    /** Harvest one chunk. Reads only; safe to run concurrently. */
+    void harvestChunk(const PageTable &table, const AddressSpace &space,
+                      const RegionFilter &filter,
+                      ScanChunk &chunk) const;
+    /**
+     * Apply a harvested chunk: PTE-scan and young-clear charges,
+     * accessed-bit clears, promotions and Bloom inserts. The per-region
+     * visit and admission charges belong to the walk, not to here.
+     */
+    void applyChunk(PageTable &table, const ScanChunk &chunk,
+                    std::uint64_t promote_seq, CostSink &costs);
 
     FrameTable &frames_;
     std::vector<AddressSpace *> spaces_;
     // lint:state-cov-ok(cost table fixed at construction from the validated config)
     MmCosts costs_;
     Rng rng_;
-    // lint:state-cov-ok(construction parameter; the restore rig is rebuilt from the same validated config)
     MgLruConfig config_;
     // lint:state-cov-ok(display name fixed at construction)
     std::string name_;
@@ -348,10 +365,12 @@ class MgLruPolicy : public ReplacementPolicy
     // lint:state-cov-ok(resolved worker count, a pure function of config and hardware)
     unsigned scanWorkers_ = 1;
     /** Slice scratch, reused across slices to avoid reallocation. */
-    // lint:state-cov-ok(per-slice scratch, rebuilt at the start of every sharded walk)
-    std::vector<ScanChunk> chunkScratch_;
-    // lint:state-cov-ok(per-slice scratch, rebuilt at the start of every sharded walk)
-    std::vector<ChunkHarvest> harvestScratch_;
+    // lint:state-cov-ok(per-slice scratch, reset at the start of every slice)
+    std::vector<ScanChunk> chunks_;
+    // lint:state-cov-ok(per-slice scratch, redrawn at the start of every Scan-Rand slice)
+    std::vector<std::uint64_t> randomPicks_;
+    // lint:state-cov-ok(per-scan scratch, reset at the start of every neighbor scan)
+    ScanChunk neighborChunk_;
 
     void startWalk();
     void finishWalk();

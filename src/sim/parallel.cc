@@ -43,25 +43,20 @@ hostWorkers()
 }
 
 void
-parallelFor(unsigned workers, std::size_t nchunks,
-            const std::function<void(std::size_t)> &fn)
+detail::runPool(unsigned workers, std::size_t n,
+                const std::function<void(std::size_t)> &task)
 {
-    if (workers <= 1 || nchunks <= 1) {
-        for (std::size_t i = 0; i < nchunks; ++i)
-            fn(i);
-        return;
-    }
-    if (workers > nchunks)
-        workers = static_cast<unsigned>(nchunks);
+    if (workers > n)
+        workers = static_cast<unsigned>(n);
 
     std::atomic<std::size_t> next{0};
-    auto drain = [&next, nchunks, &fn] {
+    auto drain = [&next, n, &task] {
         while (true) {
             const std::size_t i =
                 next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= nchunks)
+            if (i >= n)
                 return;
-            fn(i);
+            task(i);
         }
     };
     std::vector<std::thread> pool;

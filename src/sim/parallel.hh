@@ -2,17 +2,18 @@
  * @file
  * Host-side worker pool for deterministic fan-out.
  *
- * parallelFor() runs a fixed set of chunks across host threads with an
- * atomic claim counter. It is a HOST-speed facility only: callers must
- * keep simulated state deterministic themselves, which in this repo
- * means the harvest/apply pattern — workers write into pre-sized
- * per-chunk output slots touching disjoint memory, and the caller
- * merges the slots serially in fixed chunk order. Which worker ran
- * which chunk, and in what wall-clock order, is then unobservable.
+ * parallelMap() fills a fixed array of slots across host threads with
+ * an atomic claim counter. Each task is handed its own slot and writes
+ * nothing else (tools/lint's par-safety rule checks that the task
+ * writes only its parameters and locals); the caller then merges the
+ * slots serially in index order. Which worker filled which slot, and
+ * in what wall-clock order, is therefore unobservable. It is a
+ * HOST-speed facility only: simulated state never changes inside a
+ * task.
  *
  * PAGESIM_WORKERS pins the worker count for every pool user (sweep and
- * colocation trial fan-out, sharded aging scans, sharded audits) —
- * needed in CI and in the serial-vs-sharded differential tests.
+ * colocation trial fan-out, the MG-LRU aging harvest, sharded audits)
+ * — needed in CI and in the worker-count invariance tests.
  */
 
 #ifndef PAGESIM_SIM_PARALLEL_HH
@@ -20,6 +21,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <span>
 
 namespace pagesim
 {
@@ -41,17 +43,35 @@ unsigned workerOverride();
  */
 unsigned hostWorkers();
 
+namespace detail
+{
+/** Run @p task(0..n-1), each once, on up to @p workers threads. */
+void runPool(unsigned workers, std::size_t n,
+             const std::function<void(std::size_t)> &task);
+} // namespace detail
+
 /**
- * Invoke @p fn(0) ... @p fn(nchunks - 1), each exactly once, across
+ * Invoke @p fn(i, slots[i]) for every slot, each exactly once, across
  * at most @p workers host threads (the calling thread included).
- * workers <= 1 or nchunks <= 1 degenerates to an inline ascending
- * loop — no threads, bit-identical results, which is what keeps the
- * default single-worker configuration equivalent to the serial path.
- * Chunk completion order is nondeterministic otherwise; callers own
- * merge ordering.
+ * @p slots is any contiguous range (a vector, or a span over a prefix
+ * of reused scratch). workers <= 1 or fewer than two slots degenerates
+ * to an inline ascending loop — no threads, no type erasure. Slot
+ * completion order is nondeterministic otherwise; callers own merge
+ * ordering.
  */
-void parallelFor(unsigned workers, std::size_t nchunks,
-                 const std::function<void(std::size_t)> &fn);
+template <typename Slots, typename Fn>
+void
+parallelMap(unsigned workers, Slots &&slots, const Fn &fn)
+{
+    const std::span span{slots};
+    if (workers <= 1 || span.size() <= 1) {
+        for (std::size_t i = 0; i < span.size(); ++i)
+            fn(i, span[i]);
+        return;
+    }
+    detail::runPool(workers, span.size(),
+                    [&](std::size_t i) { fn(i, span[i]); });
+}
 
 } // namespace pagesim
 

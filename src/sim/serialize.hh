@@ -783,8 +783,14 @@ class StateIO
         return src_ != nullptr && src_->exhausted() && !mismatch_;
     }
 
-    void u32(std::uint32_t &v) { field(v); }
-    void u64(std::uint64_t &v) { field(v); }
+    /**
+     * Scalar fields. Each returns the value in the image (the live
+     * value when saving or sizing), in Check mode too, so a body can
+     * range-check decoded fields against each other with require()
+     * before a Load has stored anything.
+     */
+    std::uint32_t u32(std::uint32_t &v) { return field(v); }
+    std::uint64_t u64(std::uint64_t &v) { return field(v); }
 
     void
     f64(double &v)
@@ -795,13 +801,26 @@ class StateIO
             v = std::bit_cast<double>(bits);
     }
 
-    void
+    bool
     boolean(bool &v)
     {
         std::uint8_t b = v ? 1 : 0;
         raw(b);
         if (loading() && ok())
             v = b != 0;
+        return b != 0;
+    }
+
+    /**
+     * Refuse the image unless @p valid: a decoded scalar outside the
+     * range the object's invariants allow (an index, a window) fails
+     * the decode in Check mode, before anything is applied.
+     */
+    void
+    require(bool valid)
+    {
+        if (!valid)
+            fail();
     }
 
     /** An enum stored as one byte; a value past @p last fails. */
@@ -1074,13 +1093,14 @@ class StateIO
 
     /** An object field: only a clean Load stores into it. */
     template <typename T>
-    void
+    T
     field(T &v)
     {
         T x = v;
         raw(x);
         if (loading() && ok())
             v = x;
+        return x;
     }
 
     /**

@@ -18,6 +18,10 @@
  *    one-tenant colocation): binding memcg limits, the slow tier and
  *    the fast-forward driver are pinned on their own, because the
  *    three plain cells above reach none of those paths.
+ *  - The one-aging-walk refactor (Scan-Rand's region choice became a
+ *    serial pre-pass, the harvest became read-only): the Scan-Rand
+ *    and Scan-All cells, plus the 1M-page pin at 1 and 4 harvest
+ *    workers.
  *
  * If a fingerprint changes, the refactor being tested altered
  * simulated behavior: find the divergence, don't re-record. Only
@@ -168,15 +172,15 @@ TEST(BitIdentity, ScanAllPinned)
 }
 
 /*
- * PR 6 pin: the SoA metadata + sharded-scan refactor, captured on a
- * 1M-page (4 GiB) YCSB machine — large enough that the aging scan
- * crosses many shards and the sharded slicing/merge logic carries the
- * whole trial. Runs the same trial twice, serial and sharded, and
- * checks both against the recorded value: a fingerprint mismatch
- * means the refactor altered simulated behavior; a serial/sharded
- * split means the sharded walk diverged from the contract.
+ * Pin for the SoA metadata + sharded-scan refactor, captured on a
+ * 1M-page (4 GiB) YCSB machine — large enough that the aging walk
+ * crosses many shards and its slicing/merge logic carries the whole
+ * trial. Runs the same trial at 1 and at 4 harvest workers and checks
+ * both against the recorded value: a fingerprint mismatch means a
+ * refactor altered simulated behavior; a split between the two means
+ * the result depends on the worker count.
  */
-TEST(BitIdentity, Big1MSerialAndShardedPinned)
+TEST(BitIdentity, Big1MOneAndFourWorkersPinned)
 {
     ExperimentConfig cfg;
     cfg.workload = WorkloadKind::YcsbA;
@@ -186,19 +190,14 @@ TEST(BitIdentity, Big1MSerialAndShardedPinned)
     cfg.scale = ScalePreset::Big1M;
     cfg.baseSeed = 12345;
 
-    cfg.mgTweak = [](MgLruConfig &mg) {
-        mg.shardedScan = false;
-    };
-    const std::uint64_t serial = fingerprint(runTrial(cfg, 12345));
+    cfg.mgTweak = [](MgLruConfig &mg) { mg.scanWorkers = 1; };
+    const std::uint64_t one = fingerprint(runTrial(cfg, 12345));
 
-    cfg.mgTweak = [](MgLruConfig &mg) {
-        mg.shardedScan = true;
-        mg.scanWorkers = 4;
-    };
-    const std::uint64_t sharded = fingerprint(runTrial(cfg, 12345));
+    cfg.mgTweak = [](MgLruConfig &mg) { mg.scanWorkers = 4; };
+    const std::uint64_t four = fingerprint(runTrial(cfg, 12345));
 
-    EXPECT_EQ(serial, 15456000562956673319ull);
-    EXPECT_EQ(sharded, serial);
+    EXPECT_EQ(one, 15456000562956673319ull);
+    EXPECT_EQ(four, one);
 }
 
 /** fingerprint() plus the tiered-memory counters. */

@@ -257,7 +257,9 @@ TEST(CheckpointIdentity, DifferentialAcrossPoliciesAndBackends)
     // ISSUE acceptance: bit-identical across >= 2 policies and both
     // swap backends, at seeds unrelated to the pinned one.
     std::uint64_t seed = 909090;
-    for (PolicyKind policy : {PolicyKind::MgLru, PolicyKind::Clock}) {
+    // Scan-Rand is the one variant whose walk draws the RNG.
+    for (PolicyKind policy :
+         {PolicyKind::MgLru, PolicyKind::Clock, PolicyKind::ScanRand}) {
         for (SwapKind swap : {SwapKind::Ssd, SwapKind::Zram}) {
             expectFastForwardIdentity(
                 smallConfig(WorkloadKind::YcsbA, policy, swap), seed);
@@ -751,9 +753,49 @@ TEST(CheckpointCorruption, OutOfRangeIndicesAreNamedErrors)
         ASSERT_TRUE(io.ok() && !io.mismatched()) << "mm layout moved?";
         const std::size_t at = mm.size() - src.remaining();
         ASSERT_EQ(readLe(mm, at, 4), 1u) << "memcg count moved?";
-        mm[at] = 2;
-        cases.push_back({"memcg-count", "mm", mm,
+        std::vector<std::uint8_t> bad = mm;
+        bad[at] = 2;
+        cases.push_back({"memcg-count", "mm", bad,
                          CheckpointError::Kind::ConfigMismatch});
+
+        // The lone memcg's MG-LRU policy ends the section. From the
+        // front: the count, 7 u64 + 2 u32 memcg counters, 10 u64
+        // policy stats and 4 generation-list anchors (u32, u32, u64)
+        // lead to minSeq and maxSeq. From the back: 41 bytes of RNG
+        // state, then walk.promoteSeq; walk.active is 18 bytes before
+        // it; activeFilter sits before filterWarm (1), the PID (4 tiers
+        // x 56), the MG-LRU counters (64), starvedRounds (4),
+        // evictedAtLastAge (8), lastPassNs (8), the walk (26) and the
+        // RNG (41).
+        const std::size_t min_at = at + 4 + 64 + 80 + 64;
+        const std::size_t max_at = min_at + 8;
+        const std::size_t promote_at = mm.size() - 41 - 8;
+        const std::size_t active_at = promote_at - 18;
+        const std::size_t filter_at = mm.size() - 376 - 4;
+        const std::uint64_t min_seq = readLe(mm, min_at, 8);
+        const std::uint64_t max_seq = readLe(mm, max_at, 8);
+        ASSERT_TRUE(min_seq <= max_seq && max_seq - min_seq < 4 &&
+                    readLe(mm, filter_at, 4) <= 1 &&
+                    mm[active_at] <= 1)
+            << "MG-LRU layout moved?";
+
+        bad = mm;
+        bad[filter_at] = 2;
+        cases.push_back({"mglru-active-filter", "mm", bad,
+                         CheckpointError::Kind::Unsupported});
+        bad = mm;
+        writeLe(bad, max_at, min_seq + 4); // five live generations
+        cases.push_back({"mglru-seq-window", "mm", bad,
+                         CheckpointError::Kind::Unsupported});
+        bad = mm;
+        writeLe(bad, min_at, max_seq + 1); // minSeq past maxSeq
+        cases.push_back({"mglru-seq-order", "mm", bad,
+                         CheckpointError::Kind::Unsupported});
+        bad = mm;
+        bad[active_at] = 1;
+        writeLe(bad, promote_at, max_seq + 2);
+        cases.push_back({"mglru-promote-seq", "mm", bad,
+                         CheckpointError::Kind::Unsupported});
     }
     // An actor state byte past the last SimActor::State. The first
     // actor record starts after the u32 count and its u64 length.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -250,8 +251,8 @@ TEST(Sweep, ResultCacheKeyCoversAuditCadence)
 
 TEST(Sweep, WorkersOverrideParsing)
 {
-    // The PAGESIM_WORKERS plumbing shared by runSweep, the sharded
-    // aging scan, and the auditor. workerOverride() caches its getenv
+    // The PAGESIM_WORKERS plumbing shared by runSweep, the aging
+    // harvest, and the auditor. workerOverride() caches its getenv
     // read, so the parser is exercised directly.
     EXPECT_EQ(parseWorkersOverride(nullptr), 0u);
     EXPECT_EQ(parseWorkersOverride(""), 0u);
@@ -265,6 +266,27 @@ TEST(Sweep, WorkersOverrideParsing)
     EXPECT_EQ(parseWorkersOverride("lots"), 0u);
     EXPECT_EQ(parseWorkersOverride("4x"), 0u);
     EXPECT_EQ(parseWorkersOverride("1025"), 0u);
+}
+
+TEST(Sweep, ParallelMapFillsEachSlotOnce)
+{
+    // Every pool user is a slot fill: each task gets its own slot by
+    // reference, exactly once, at any worker count, and a span over a
+    // prefix of reused scratch leaves the rest alone.
+    for (const unsigned workers : {1u, 4u}) {
+        std::vector<std::size_t> slots(37, 0);
+        parallelMap(workers, slots, [](std::size_t i, std::size_t &slot) {
+            slot += i + 1;
+        });
+        for (std::size_t i = 0; i < slots.size(); ++i)
+            EXPECT_EQ(slots[i], i + 1) << "workers " << workers;
+
+        parallelMap(workers, std::span(slots).first(5),
+                    [](std::size_t, std::size_t &slot) { slot = 0; });
+        for (std::size_t i = 0; i < slots.size(); ++i)
+            EXPECT_EQ(slots[i], i < 5 ? 0 : i + 1)
+                << "workers " << workers;
+    }
 }
 
 TEST(Sweep, ExplicitWorkersBeatsOverride)

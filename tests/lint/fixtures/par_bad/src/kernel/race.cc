@@ -1,12 +1,13 @@
-// Fixture: every unsafe write shape inside a parallelFor lambda.
-// Expected: five unwaived par-safety findings — a compound write to
-// a captured member, a prefix increment of a captured member, a
-// mutating container call on a captured vector, a tracked PageTable
-// mutator (PageTable arity, so mut-pte stays silent — the race is
-// the point here, not the spelling), and a write to a member inside
-// a same-file helper reached from the lambda. The chunk-local
-// counter, the out_[ci] slot writes, and the serial merge after the
-// parallelFor must NOT be flagged.
+// Fixture: every unsafe write shape inside a parallelMap lambda.
+// Expected: six unwaived par-safety findings — a write to another
+// task's slot through a subscript of the captured slot array, a
+// compound write to a captured member, a prefix increment of a
+// captured member, a mutating container call on a captured vector, a
+// tracked PageTable mutator (PageTable arity, so mut-pte stays silent
+// — the race is the point here, not the spelling), and a write to a
+// member inside a same-file helper reached from the lambda. The
+// local counter, the lambda's own slot parameter, and the serial
+// merge after the parallelMap must NOT be flagged.
 #include "sim/parallel.hh"
 
 namespace fixture
@@ -40,9 +41,10 @@ class Racer
 void
 Racer::run()
 {
-    parallelFor(8, [&](std::size_t ci) {
+    parallelMap(8, out_, [&](std::size_t ci, Slot &slot) {
         long local = 0;
         ++local;
+        slot.count += 1;
         out_[ci].count += 1;
         total_ += 1;
         ++misses_;

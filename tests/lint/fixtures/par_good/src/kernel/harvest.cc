@@ -1,9 +1,8 @@
-// Fixture: the sanctioned harvest/apply shape — workers fill
-// per-chunk slots through a helper whose parameter inherits the
-// chunk-indexed argument's safety, read shared state through
-// harvestYoungWord (the fused harvest-safe mutator), and the serial
-// merge after parallelFor writes shared members freely. One
-// deliberate shared write inside the lambda carries a par-ok waiver.
+// Fixture: the sanctioned harvest/apply shape — each task fills its
+// own slot through a helper whose parameter inherits the slot
+// parameter's safety, reads shared state only, and the serial merge
+// after parallelMap writes shared members freely. One deliberate
+// shared write inside the lambda carries a par-ok waiver.
 // Expected: exactly one par-safety finding, waived.
 #include "sim/parallel.hh"
 
@@ -22,9 +21,9 @@ class Gatherer
     void run();
 
   private:
-    void harvestChunk(Out &out, std::size_t base)
+    void harvestChunk(Out &out, std::size_t base) const
     {
-        const unsigned long word = table_.harvestYoungWord(base);
+        const unsigned long word = table_.accessedWord(base);
         out.young += popcount(word);
         ++out.walked;
     }
@@ -38,9 +37,9 @@ class Gatherer
 void
 Gatherer::run()
 {
-    parallelFor(outs_.size(), [&](std::size_t ci) {
-        harvestChunk(outs_[ci], ci * 64);
-        // lint:par-ok(single-chunk warmup mode runs this lambda serially by the parallel.hh contract)
+    parallelMap(4, outs_, [&](std::size_t ci, Out &slot) {
+        harvestChunk(slot, ci * 64);
+        // lint:par-ok(single-slot warmup mode runs this lambda serially by the parallel.hh contract)
         rounds_ += 1;
     });
     for (const Out &o : outs_)

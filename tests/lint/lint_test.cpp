@@ -259,13 +259,13 @@ TEST(LintParSafety, FlagsEveryUnsafeWriteShape)
 {
     const LintResult r = lintTree("par_bad");
     EXPECT_FALSE(r.configError);
-    // total_ +=, ++misses_, shared_.push_back, the tracked
-    // testAndClearAccessed, and hits_ += inside the chased helper —
-    // and nothing for the local, the out_[ci] slot, or the serial
-    // merge after the parallelFor.
-    EXPECT_EQ(countUnwaived(r, "par-safety"), 5);
+    // out_[ci] (a subscript grants no safety), total_ +=, ++misses_,
+    // shared_.push_back, the tracked testAndClearAccessed, and hits_
+    // += inside the chased helper — and nothing for the local, the
+    // slot parameter, or the serial merge after the parallelMap.
+    EXPECT_EQ(countUnwaived(r, "par-safety"), 6);
     EXPECT_TRUE(hasFatalFindings(r));
-    bool sawHelper = false, sawMutator = false;
+    bool sawHelper = false, sawMutator = false, sawSubscript = false;
     for (const Finding &f : r.findings) {
         if (f.message.find("helper 'bump'") != std::string::npos)
             sawHelper = true;
@@ -273,9 +273,12 @@ TEST(LintParSafety, FlagsEveryUnsafeWriteShape)
                            "'testAndClearAccessed'") !=
             std::string::npos)
             sawMutator = true;
+        if (f.message.find("'out_'") != std::string::npos)
+            sawSubscript = true;
     }
     EXPECT_TRUE(sawHelper);
     EXPECT_TRUE(sawMutator);
+    EXPECT_TRUE(sawSubscript);
     // The PageTable-arity spelling keeps mut-pte out of this tree:
     // the race is the finding, not the mutator spelling.
     EXPECT_EQ(countRule(r, "mut-pte"), 0);
@@ -286,8 +289,8 @@ TEST(LintParSafety, ChunkLocalHarvestShapePasses)
     const LintResult r = lintTree("par_good");
     EXPECT_FALSE(r.configError);
     EXPECT_FALSE(hasFatalFindings(r));
-    // harvestChunk's out parameter inherits outs_[ci]'s safety,
-    // harvestYoungWord is sanctioned, the serial merge is outside
+    // harvestChunk's out parameter inherits the slot parameter's
+    // safety, the table is only read, the serial merge is outside
     // the lambda span; only the waived rounds_ write is reported.
     EXPECT_EQ(countRule(r, "par-safety"), 1);
     EXPECT_EQ(countUnwaived(r, "par-safety"), 0);

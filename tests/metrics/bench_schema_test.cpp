@@ -43,23 +43,10 @@ goodDocument()
     "pages": 65536,
     "passes": 24,
     "patterns": {
-      "dense": {
-        "reference_ptes_per_sec": 100000000,
-        "word_ptes_per_sec": 400000000,
-        "speedup": 4.0
-      },
-      "sparse": {
-        "reference_ptes_per_sec": 200000000,
-        "word_ptes_per_sec": 900000000,
-        "speedup": 4.5
-      },
-      "ten_pct_accessed": {
-        "reference_ptes_per_sec": 150000000,
-        "word_ptes_per_sec": 600000000,
-        "speedup": 4.0
-      }
-    },
-    "geomean_speedup": 4.16
+      "dense": {"word_ptes_per_sec": 400000000},
+      "sparse": {"word_ptes_per_sec": 900000000},
+      "ten_pct_accessed": {"word_ptes_per_sec": 600000000}
+    }
   },
   "trial": {
     "cell": "TPC-H/MG-LRU/SSD/50%",
@@ -225,9 +212,18 @@ TEST(BenchSchema, DetectsMissingField)
 TEST(BenchSchema, DetectsNonPositiveSpeedup)
 {
     const auto problems = validateBenchCore(
-        patch(goodDocument(), "\"geomean_speedup\": 4.16",
-              "\"geomean_speedup\": 0"));
-    expectOneProblemAt(problems, "aging_scan.geomean_speedup");
+        patch(goodDocument(), "\"speedup\": 1.66",
+              "\"speedup\": 0"));
+    expectOneProblemAt(problems, "event_queue.churn.speedup");
+}
+
+TEST(BenchSchema, DetectsZeroScanRate)
+{
+    const auto problems = validateBenchCore(
+        patch(goodDocument(), "\"word_ptes_per_sec\": 400000000",
+              "\"word_ptes_per_sec\": 0"));
+    expectOneProblemAt(problems,
+                       "aging_scan.patterns.dense.word_ptes_per_sec");
 }
 
 TEST(BenchSchema, DetectsNegativeThroughput)

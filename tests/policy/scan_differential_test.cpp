@@ -1,21 +1,21 @@
 /**
  * @file
- * Differential tests for the word-at-a-time aging scan. The bitmap
- * path in MgLruPolicy::scanRegion is a pure optimization: with
- * MgLruConfig::referenceScan selecting the per-slot reference loop,
- * any driving sequence must produce bit-identical charged costs,
- * stats, generation structure, and PTE end-states. A full-trial check
- * extends the contract end to end through the kernel layer (where the
- * resident-hit fast path also sits on the access path).
+ * Differential tests for MG-LRU's aging walk. The word-at-a-time
+ * harvest must find exactly the young PTEs a per-slot test-and-clear
+ * finds (tests/policy/scan_reference.hh), in the same order and with
+ * the same PTE/bitmap end state; and the walk's results (charged
+ * costs, stats, generation structure, PTE end-states) must not depend
+ * on the number of harvest workers, for every region-choice mode.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
-#include "harness/experiment.hh"
 #include "policy/mglru/mglru_policy.hh"
 #include "policy_test_util.hh"
+#include "scan_reference.hh"
 #include "sim/rng.hh"
 
 namespace pagesim
@@ -34,77 +34,6 @@ struct RunSignature
     std::uint64_t pteHash = 0;
     std::uint64_t pageHash = 0;
 };
-
-/**
- * Drive one MgLruPolicy instance through a randomized mix of touches,
- * faults, evictions, sliced aging steps, and full aging passes. The
- * sequence depends only on @p seed and @p mode, never on @p reference.
- */
-RunSignature
-drive(std::uint64_t seed, ScanMode mode, bool reference)
-{
-    PolicyHarness h(128, 1024);
-    MgLruConfig cfg;
-    cfg.scanMode = mode;
-    cfg.agingLowPages = 0;
-    cfg.agingEvictGate = 0;
-    cfg.referenceScan = reference;
-    MgLruPolicy policy(h.frames, {&h.space}, h.costs, Rng(seed), cfg);
-
-    Rng rng(seed * 9176 + 13);
-    CostSink sink;
-    std::vector<Pfn> victims;
-    for (int step = 0; step < 3000; ++step) {
-        const double dice = rng.nextDouble();
-        if (dice < 0.50) {
-            const Vpn vpn = h.base() + rng.uniformInt(0, 1023);
-            const auto pte = h.space.table().at(vpn);
-            if (pte.present())
-                h.space.table().setAccessed(vpn);
-            else if (h.frames.freeFrames() > 0)
-                h.makeResident(policy, vpn);
-        } else if (dice < 0.75) {
-            victims.clear();
-            policy.selectVictims(victims, 4, sink);
-            for (const Pfn pfn : victims)
-                h.completeEviction(policy, pfn);
-        } else if (dice < 0.90) {
-            // Sliced walk: exercises the batched empty-region skip.
-            policy.ageStep(sink, 8);
-        } else {
-            policy.age(sink);
-        }
-    }
-
-    RunSignature sig;
-    sig.charged = sink.total();
-    sig.stats = policy.stats();
-    sig.mg = policy.mgStats();
-    sig.minSeq = policy.minSeq();
-    sig.maxSeq = policy.maxSeq();
-    for (Vpn vpn = h.base(); vpn < h.base() + 1024; ++vpn) {
-        const auto pte = h.space.table().at(vpn);
-        const std::uint64_t flags =
-            (pte.present() ? 1u : 0u) | (pte.accessed() ? 2u : 0u) |
-            (pte.dirty() ? 4u : 0u) | (pte.swapped() ? 8u : 0u) |
-            (pte.slow() ? 16u : 0u);
-        const std::uint64_t value =
-            pte.present() ? pte.pfn()
-                          : (pte.swapped() ? pte.swapSlot() : 0u);
-        sig.pteHash = splitmix64(sig.pteHash ^ (vpn * 31 + flags) ^
-                                 (value << 32) ^ pte.shadow());
-    }
-    for (Pfn pfn = 0; pfn < h.frames.totalFrames(); ++pfn) {
-        const auto pi = h.frames.info(pfn);
-        if (pi.free())
-            continue;
-        sig.pageHash =
-            splitmix64(sig.pageHash ^ (pi.vpn << 20) ^ (pi.gen << 8) ^
-                       (static_cast<std::uint64_t>(pi.refs) << 4) ^
-                       pi.tier);
-    }
-    return sig;
-}
 
 void
 expectIdentical(const RunSignature &a, const RunSignature &b)
@@ -132,21 +61,7 @@ expectIdentical(const RunSignature &a, const RunSignature &b)
     EXPECT_EQ(a.pageHash, b.pageHash);
 }
 
-TEST(ScanDifferential, WordScanMatchesReferenceAcrossModes)
-{
-    for (const ScanMode mode :
-         {ScanMode::Bloom, ScanMode::All, ScanMode::Random}) {
-        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-            SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(
-                             mode)) +
-                         " seed=" + std::to_string(seed));
-            expectIdentical(drive(seed, mode, /*reference=*/false),
-                            drive(seed, mode, /*reference=*/true));
-        }
-    }
-}
-
-/** Access patterns for the sharded-scan differential. */
+/** Access patterns for the worker-count invariance test. */
 enum class TouchPattern
 {
     Uniform, ///< whole-space uniform random
@@ -178,12 +93,12 @@ patternVpn(TouchPattern pattern, Rng &rng, int step, Vpn base,
 
 /**
  * Drive a multi-shard machine and snapshot everything observable.
- * The sharded scan must be a pure scheduling change: for any seed,
- * pattern, and worker count, its end state equals the legacy serial
- * walk's bit for bit.
+ * The harvest worker count is a pure scheduling choice: for any seed,
+ * pattern and region-choice mode, the end state at @p workers equals
+ * the one at 1 worker bit for bit.
  */
 RunSignature
-driveSharded(std::uint64_t seed, TouchPattern pattern, bool sharded,
+driveSharded(std::uint64_t seed, TouchPattern pattern, ScanMode mode,
              unsigned workers)
 {
     // Span several shards so slices split into multiple chunks and
@@ -194,8 +109,8 @@ driveSharded(std::uint64_t seed, TouchPattern pattern, bool sharded,
     MgLruConfig cfg;
     cfg.agingLowPages = 0;
     cfg.agingEvictGate = 0;
-    cfg.shardedScan = sharded;
-    cfg.scanWorkers = workers == 0 ? 1 : workers;
+    cfg.scanMode = mode;
+    cfg.scanWorkers = workers;
     MgLruPolicy policy(h.frames, {&h.space}, h.costs, Rng(seed), cfg);
     EXPECT_GE(h.space.table().numShards(), 3u);
 
@@ -258,20 +173,24 @@ driveSharded(std::uint64_t seed, TouchPattern pattern, bool sharded,
 
 TEST(ScanDifferential, ShardedScanMatchesSerialAcrossPatterns)
 {
-    for (const TouchPattern pattern :
-         {TouchPattern::Uniform, TouchPattern::Hotspot,
-          TouchPattern::Strided}) {
-        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-            SCOPED_TRACE("pattern=" +
-                         std::to_string(static_cast<int>(pattern)) +
-                         " seed=" + std::to_string(seed));
-            const RunSignature serial =
-                driveSharded(seed, pattern, /*sharded=*/false, 1);
-            for (const unsigned workers : {1u, 2u, 4u}) {
-                SCOPED_TRACE("workers=" + std::to_string(workers));
-                expectIdentical(serial, driveSharded(seed, pattern,
-                                                     /*sharded=*/true,
-                                                     workers));
+    for (const ScanMode mode :
+         {ScanMode::Bloom, ScanMode::All, ScanMode::Random}) {
+        for (const TouchPattern pattern :
+             {TouchPattern::Uniform, TouchPattern::Hotspot,
+              TouchPattern::Strided}) {
+            for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+                SCOPED_TRACE(
+                    "mode=" + std::to_string(static_cast<int>(mode)) +
+                    " pattern=" +
+                    std::to_string(static_cast<int>(pattern)) +
+                    " seed=" + std::to_string(seed));
+                const RunSignature one =
+                    driveSharded(seed, pattern, mode, 1);
+                for (const unsigned workers : {2u, 4u}) {
+                    SCOPED_TRACE("workers=" + std::to_string(workers));
+                    expectIdentical(
+                        one, driveSharded(seed, pattern, mode, workers));
+                }
             }
         }
     }
@@ -279,72 +198,101 @@ TEST(ScanDifferential, ShardedScanMatchesSerialAcrossPatterns)
 
 TEST(ScanDifferential, ShardedScanDoesRealWork)
 {
-    // Guard against the sharded path silently falling back to the
-    // legacy walk (or the harness shrinking to a single shard).
-    const RunSignature sig =
-        driveSharded(7, TouchPattern::Hotspot, true, 4);
-    EXPECT_GT(sig.stats.ptesScanned, 0u);
-    EXPECT_GT(sig.stats.regionsVisited, 0u);
-    EXPECT_GT(sig.stats.evicted, 0u);
+    // Guard against the harness shrinking to a single shard or the
+    // walk scanning nothing, in every region-choice mode.
+    for (const ScanMode mode :
+         {ScanMode::Bloom, ScanMode::All, ScanMode::Random}) {
+        SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(mode)));
+        const RunSignature sig =
+            driveSharded(7, TouchPattern::Hotspot, mode, 4);
+        EXPECT_GT(sig.stats.ptesScanned, 0u);
+        EXPECT_GT(sig.stats.regionsVisited, 0u);
+        EXPECT_GT(sig.stats.promotions, 0u);
+        EXPECT_GT(sig.stats.evicted, 0u);
+    }
 }
 
-TEST(ScanDifferential, ReferenceScanIsActuallyExercised)
+TEST(ScanDifferential, WordPathMatchesPerSlotOracle)
 {
-    // Guard against the switch rotting: both paths must do real work.
-    const RunSignature sig = drive(7, ScanMode::All, true);
-    EXPECT_GT(sig.stats.ptesScanned, 0u);
-    EXPECT_GT(sig.stats.promotions, 0u);
-    EXPECT_GT(sig.stats.evicted, 0u);
-}
+    // One Scan-All pass over a machine with young, cold, swapped and
+    // never-resident PTEs, some carrying accessed bits while not
+    // present. A copy of the page table is scanned slot by slot; the
+    // policy's walk must find the same young VPNs in the same order
+    // and leave the same PTE flags and bitmap words behind.
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE("seed=" + std::to_string(seed));
+        constexpr std::uint64_t kPages = 4096;
+        PolicyHarness h(1024, kPages);
+        MgLruConfig cfg;
+        cfg.scanMode = ScanMode::All;
+        cfg.agingLowPages = 0;
+        cfg.agingEvictGate = 0;
+        MgLruPolicy policy(h.frames, {&h.space}, h.costs, Rng(seed),
+                           cfg);
+        PageTable &table = h.space.table();
 
-TEST(ScanDifferential, FullTrialIsBitIdentical)
-{
-    // End to end: a whole TPC-H trial through the kernel layer, the
-    // aging daemon, and swap must not change by a single event when
-    // the scan implementation is swapped.
-    ExperimentConfig cfg;
-    cfg.workload = WorkloadKind::Tpch;
-    cfg.policy = PolicyKind::MgLru;
-    cfg.swap = SwapKind::Ssd;
-    cfg.capacityRatio = 0.5;
-    cfg.scale = ScalePreset::Small;
+        Rng rng(seed * 31 + 5);
+        std::vector<Pfn> resident;
+        for (int i = 0; i < 900; ++i) {
+            const Vpn vpn = h.base() + rng.uniformInt(0, kPages - 1);
+            if (!table.at(vpn).present() && !table.at(vpn).swapped())
+                resident.push_back(h.makeResident(policy, vpn));
+        }
+        // Swap some out: their PTEs stay mapped but not present.
+        for (std::size_t i = 0; i < resident.size(); i += 7)
+            h.completeEviction(policy, resident[i]);
+        // Re-arm accessed bits: ~40% of present PTEs, ~20% of the
+        // rest, including swapped and never-resident slots.
+        std::uint64_t stale = 0;
+        for (Vpn v = h.base(); v < h.base() + kPages; ++v) {
+            table.clearAccessed(v);
+            const bool present = table.at(v).present();
+            if (rng.nextDouble() < (present ? 0.4 : 0.2)) {
+                table.setAccessed(v);
+                stale += present ? 0 : 1;
+            }
+        }
+        ASSERT_GT(stale, 0u);
 
-    const TrialResult fast = runTrial(cfg, 42);
-    cfg.mgTweak = [](MgLruConfig &mg) { mg.referenceScan = true; };
-    const TrialResult ref = runTrial(cfg, 42);
+        PageTable oracle = table;
+        std::vector<Vpn> want;
+        for (std::uint64_t r = 0; r < oracle.numRegions(); ++r) {
+            const std::vector<Vpn> young = referenceYoungScan(oracle, r);
+            want.insert(want.end(), young.begin(), young.end());
+        }
+        ASSERT_FALSE(want.empty());
 
-    EXPECT_EQ(fast.runtimeNs, ref.runtimeNs);
-    EXPECT_EQ(fast.majorFaults, ref.majorFaults);
-    EXPECT_EQ(fast.kernel.minorFaults, ref.kernel.minorFaults);
-    EXPECT_EQ(fast.kernel.evictions, ref.kernel.evictions);
-    EXPECT_EQ(fast.kernel.dirtyWritebacks, ref.kernel.dirtyWritebacks);
-    EXPECT_EQ(fast.kernel.cleanDrops, ref.kernel.cleanDrops);
-    EXPECT_EQ(fast.kernel.readaheadReads, ref.kernel.readaheadReads);
-    EXPECT_EQ(fast.kernel.readaheadHits, ref.kernel.readaheadHits);
-    EXPECT_EQ(fast.kernel.allocStalls, ref.kernel.allocStalls);
-    EXPECT_EQ(fast.policy.ptesScanned, ref.policy.ptesScanned);
-    EXPECT_EQ(fast.policy.regionsVisited, ref.policy.regionsVisited);
-    EXPECT_EQ(fast.policy.regionsSkipped, ref.policy.regionsSkipped);
-    EXPECT_EQ(fast.policy.promotions, ref.policy.promotions);
-    EXPECT_EQ(fast.policy.evicted, ref.policy.evicted);
-    EXPECT_EQ(fast.policy.refaults, ref.policy.refaults);
-    EXPECT_EQ(fast.mglru.genCreations, ref.mglru.genCreations);
-    EXPECT_EQ(fast.mglru.bloomInsertions, ref.mglru.bloomInsertions);
-    EXPECT_EQ(fast.mglru.neighborScans, ref.mglru.neighborScans);
-    EXPECT_EQ(fast.mglru.neighborPromotions,
-              ref.mglru.neighborPromotions);
-    EXPECT_EQ(fast.swap.reads, ref.swap.reads);
-    EXPECT_EQ(fast.swap.writes, ref.swap.writes);
-    EXPECT_EQ(fast.swap.totalReadLatency, ref.swap.totalReadLatency);
-    EXPECT_EQ(fast.swap.totalWriteLatency, ref.swap.totalWriteLatency);
-    EXPECT_EQ(fast.kswapdCpuNs, ref.kswapdCpuNs);
-    EXPECT_EQ(fast.agingCpuNs, ref.agingCpuNs);
-    EXPECT_EQ(fast.agingPasses, ref.agingPasses);
-    ASSERT_EQ(fast.threadFinishNs.size(), ref.threadFinishNs.size());
-    for (std::size_t i = 0; i < fast.threadFinishNs.size(); ++i) {
-        EXPECT_EQ(fast.threadFinishNs[i], ref.threadFinishNs[i]);
-        EXPECT_EQ(fast.threadBlockedFaults[i],
-                  ref.threadBlockedFaults[i]);
+        CostSink sink;
+        const std::uint64_t before = policy.maxSeq();
+        policy.age(sink);
+        ASSERT_EQ(policy.maxSeq(), before + 1);
+        // Every young page moved to the new youngest generation with
+        // pushFront, so that list holds them in reverse visit order.
+        std::vector<Vpn> got;
+        for (Pfn pfn = policy.genListAt(policy.maxSeq()).head();
+             pfn != kInvalidPfn; pfn = h.frames.info(pfn).next)
+            got.push_back(h.frames.info(pfn).vpn);
+        std::reverse(got.begin(), got.end());
+        EXPECT_EQ(got, want);
+
+        std::uint64_t survived = 0;
+        for (Vpn v = 0; v < table.span(); ++v) {
+            ASSERT_EQ(table.at(v).accessed(), oracle.at(v).accessed())
+                << "vpn " << v;
+            ASSERT_EQ(table.at(v).present(), oracle.at(v).present())
+                << "vpn " << v;
+            survived += table.at(v).accessed() ? 1 : 0;
+        }
+        EXPECT_EQ(survived, stale);
+        for (std::uint64_t r = 0; r < table.numRegions(); ++r) {
+            for (std::uint64_t w = 0; w < PageTable::kWordsPerRegion;
+                 ++w) {
+                ASSERT_EQ(table.accessedWord(r, w),
+                          oracle.accessedWord(r, w));
+                ASSERT_EQ(table.presentWord(r, w),
+                          oracle.presentWord(r, w));
+            }
+        }
     }
 }
 

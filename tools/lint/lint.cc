@@ -248,7 +248,7 @@ runLint(const LintOptions &options)
         collectUnorderedNames(sf, unorderedNames[sf.stem]);
 
     // Pass 1: the semantic model (classes, fields, method bodies,
-    // parallelFor lambdas) across every file, so a .cc's out-of-line
+    // parallelMap lambdas) across every file, so a .cc's out-of-line
     // visitState pairs with the field list in its header.
     CodeModel model;
     for (const SourceFile &sf : sources)

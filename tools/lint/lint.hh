@@ -17,14 +17,14 @@
  *  state-coverage (state-cov) every non-static data member of a class
  *                          that defines visitState must be referenced
  *                          in its visitState body
- *  parallel-safety (par-safety) lambdas passed to parallelFor may
- *                          write only chunk-local state (locals,
- *                          [chunk]-subscripted slots) — the
+ *  parallel-safety (par-safety) lambdas passed to parallelMap may
+ *                          write only their parameters (the index
+ *                          and their own slot) and locals — the
  *                          harvest/apply contract of sim/parallel.hh
  *
  * The last two run over a pass-1 semantic model (model.hh) built from
  * the same token stream: class/field declarations, member-function
- * body spans, and parallelFor lambda captures.
+ * body spans, and parallelMap lambda captures.
  *
  * Violations are waived inline with `// lint:<waiver>(<reason>)` — an
  * empty reason is itself an error — or whole files are excused per

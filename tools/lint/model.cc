@@ -676,7 +676,7 @@ parseCaptures(const std::vector<Token> &toks, std::size_t open,
         site.captureAllByRef = true;
 }
 
-/** Model the lambda argument of one parallelFor(...) call. */
+/** Model the lambda argument of one parallelMap(...) call. */
 void
 recordParallelSite(const SourceFile &sf, std::size_t callOpen,
                    std::size_t callClose, int line, CodeModel &out)
@@ -828,14 +828,14 @@ buildModelFromFile(const SourceFile &sf, CodeModel &out)
                            });
     };
 
-    // ---- Pass B: out-of-line methods, free functions, parallelFor --
+    // ---- Pass B: out-of-line methods, free functions, parallelMap --
     for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
         const Token &t = toks[i];
         if (!isIdent(t) || !punctIs(toks[i + 1], "("))
             continue;
 
-        // parallelFor call sites (anywhere, including method bodies).
-        if (t.text == "parallelFor") {
+        // parallelMap call sites (anywhere, including method bodies).
+        if (t.text == "parallelMap") {
             const std::size_t close = matchParen(toks, i + 1);
             if (close != kNpos)
                 recordParallelSite(sf, i + 1, close, t.line, out);

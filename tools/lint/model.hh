@@ -12,7 +12,7 @@
  *  - member-function bodies as brace-matched token spans, including
  *    out-of-line `Class::method(...) { ... }` definitions matched
  *    back to the class by name across files,
- *  - lambdas passed to `parallelFor(...)` call sites, with their
+ *  - lambdas passed to `parallelMap(...)` call sites, with their
  *    capture lists, parameter names, and body spans.
  *
  * Like the lexer it is not a compiler front end: heuristics are
@@ -71,17 +71,17 @@ struct ClassDecl
     std::vector<FieldDecl> fields;
 };
 
-/** One lambda handed to a parallelFor(...) call. */
+/** One lambda handed to a parallelMap(...) call. */
 struct ParallelSite
 {
     const SourceFile *file;
-    int line; ///< line of the parallelFor identifier
+    int line; ///< line of the parallelMap identifier
     bool captureAllByRef = false;   ///< [&]
     bool captureAllByValue = false; ///< [=]
     bool capturesThis = false;      ///< [this] (members are by-ref)
     std::vector<std::string> refCaptures;   ///< [&x]
     std::vector<std::string> valueCaptures; ///< [x], [x = expr]
-    /** Lambda parameter names; params[0] is the chunk index. */
+    /** Lambda parameter names: the slot index, then the slot. */
     std::vector<std::string> params;
     std::size_t bodyOpen = 0;  ///< '{' of the lambda body
     std::size_t bodyClose = 0; ///< matching '}'
@@ -99,7 +99,7 @@ struct CodeModel
      * not count as "defines visitState").
      */
     std::map<std::string, std::vector<MethodDef>> methods;
-    /** parallelFor lambdas grouped by SourceFile::relPath. */
+    /** parallelMap lambdas grouped by SourceFile::relPath. */
     std::map<std::string, std::vector<ParallelSite>> parallelSites;
 
     /** First body for @p klass :: @p name, or nullptr. */
@@ -108,7 +108,7 @@ struct CodeModel
 
     /**
      * Bodies for an UNQUALIFIED method name across every class
-     * (used to chase one level of helper calls from a parallelFor
+     * (used to chase one level of helper calls from a parallelMap
      * lambda when the callee lives in the same file).
      */
     std::vector<const MethodDef *>
@@ -116,7 +116,7 @@ struct CodeModel
 };
 
 /**
- * Add @p file's classes, fields, method bodies, and parallelFor
+ * Add @p file's classes, fields, method bodies, and parallelMap
  * sites to @p out. The SourceFile must outlive the model (the
  * driver builds the model after the source vector is final).
  */

@@ -70,8 +70,8 @@ ruleDescription(const std::string &rule)
                         "in the same body"},
         {"state-cov", "every field of a checkpointable class is "
                       "referenced in its visitState"},
-        {"par-safety", "parallelFor lambdas write only chunk-local "
-                       "state"},
+        {"par-safety", "parallelMap lambdas write only their "
+                       "parameters and locals"},
         {"lint-waiver-reason", "waivers must carry a written reason"},
         {"lint-unused-waiver", "waivers must match a finding"},
     };

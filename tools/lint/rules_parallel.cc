@@ -2,30 +2,27 @@
  * @file
  * Parallel-harvest safety rule family (par-safety).
  *
- * sim/parallel.hh's contract: a lambda handed to parallelFor runs
- * concurrently on host threads, so it may write ONLY chunk-local
- * state — its own locals, its parameters, and slots subscripted by
- * the chunk index (out[ci], scratch_[ci]). Everything else it can
- * reach is shared across workers, and a write there is a host-level
- * race that breaks the bit-identity the harvest/apply pattern
- * guarantees. PR 6 enforced this by convention and differential
- * tests; this rule enforces it at the source level.
+ * sim/parallel.hh's contract: a lambda handed to parallelMap runs
+ * concurrently on host threads and is handed its own slot, so it may
+ * write ONLY its parameters (the index and that slot) and its own
+ * locals. Everything else it can reach is shared across workers, and
+ * a write there is a host-level race that breaks the bit-identity
+ * the harvest/apply pattern guarantees. A `[&]` lambda can still
+ * name captured state, and the compiler does not stop it; this rule
+ * does, at the source level.
  *
  * What is checked, over the pass-1 model's lambda spans:
  *
  *  - assignments (`=`, compound `op=`), `++`/`--`: the written chain
- *    must root at a chunk-local name or pass through a subscript
- *    that is exactly the chunk parameter;
+ *    must root at a parameter or a local — a subscript grants no
+ *    safety (`out_[i] = ...` is a write to captured `out_`);
  *  - mutating container calls (push_back, emplace_back, insert,
- *    erase, clear, resize, assign, ...) on non-chunk-local
- *    receivers;
+ *    erase, clear, resize, assign, ...) on receivers that are not
+ *    parameters or locals;
  *  - tracked PTE mutators (setFlag, clearFlag, mapFrame,
  *    unmapToSwap, unmapDiscard, testAndClearAccessed) on ANY
  *    receiver: they move region counters and totals shared across
- *    chunk boundaries, so they are unsafe inside a harvest no matter
- *    whose word the chunk owns. harvestYoungWord is the sanctioned
- *    fused mutator (it touches only the chunk's own bitmap words)
- *    and is deliberately allowed.
+ *    slot boundaries, so they belong in the serial apply.
  *
  * Unqualified calls to methods defined IN THE SAME FILE are chased
  * (transitively, bounded depth): each callee parameter inherits the
@@ -84,7 +81,6 @@ isMutatingCall(const std::string &name)
 /**
  * Tracked PTE/PageTable mutators: flagged on any receiver inside a
  * parallel region (they update shared region counters/totals).
- * harvestYoungWord is NOT here: it is the fused harvest-safe one.
  */
 bool
 isTrackedMutator(const std::string &name)
@@ -116,7 +112,7 @@ isChaseKeyword(const std::string &s)
 
 /**
  * Collect names DECLARED inside [open, close) — locals are
- * chunk-private by construction. Heuristic: an identifier preceded
+ * task-private by construction. Heuristic: an identifier preceded
  * by a type-ish token (identifier that is not a statement keyword,
  * or '>', or '&'/'*' that itself follows an identifier/'>') and
  * followed by '=', ';', '{', '(', '[', ':' or ',' opens a
@@ -203,26 +199,14 @@ collectLocals(const std::vector<Token> &toks, std::size_t open,
 /** A write target resolved back (or forward) along a member chain. */
 struct Target
 {
-    bool ok = false;            ///< chain was resolvable
-    std::string base;           ///< leftmost (root) identifier
-    bool subscriptSafe = false; ///< some step was [<chunkParam>]
+    bool ok = false;  ///< chain was resolvable
+    std::string base; ///< leftmost (root) identifier
     int line = 0;
 };
 
-bool
-subscriptIsChunk(const std::vector<Token> &toks, std::size_t open,
-                 std::size_t closeBracket,
-                 const std::string &chunkParam)
-{
-    return !chunkParam.empty() && closeBracket == open + 2 &&
-           isIdent(toks[open + 1]) &&
-           toks[open + 1].text == chunkParam;
-}
-
 /** Resolve the chain ENDING at @p e (e.g. `out.presentFast`). */
 Target
-resolveBack(const std::vector<Token> &toks, std::size_t e,
-            const std::string &chunkParam)
+resolveBack(const std::vector<Token> &toks, std::size_t e)
 {
     Target out;
     std::size_t i = e;
@@ -239,8 +223,6 @@ resolveBack(const std::vector<Token> &toks, std::size_t e,
                 if (j == 0)
                     return out;
             }
-            if (subscriptIsChunk(toks, j, i, chunkParam))
-                out.subscriptSafe = true;
             if (j == 0)
                 return out;
             i = j - 1;
@@ -266,7 +248,7 @@ resolveBack(const std::vector<Token> &toks, std::size_t e,
 /** Resolve the chain STARTING at @p s (prefix ++/--). */
 Target
 resolveForward(const std::vector<Token> &toks, std::size_t s,
-               std::size_t limit, const std::string &chunkParam)
+               std::size_t limit)
 {
     Target out;
     if (s >= limit || !isIdent(toks[s]))
@@ -293,8 +275,6 @@ resolveForward(const std::vector<Token> &toks, std::size_t s,
             }
             if (j >= limit)
                 return out;
-            if (subscriptIsChunk(toks, i, j, chunkParam))
-                out.subscriptSafe = true;
             i = j + 1;
             continue;
         }
@@ -309,21 +289,15 @@ struct ParScope
     const SourceFile *file; ///< file holding the span
     std::size_t open;       ///< '{'
     std::size_t close;      ///< matching '}'
-    std::set<std::string> safe; ///< chunk-local names
-    std::string chunkParam;     ///< "" = subscripts grant no safety
+    std::set<std::string> safe; ///< parameter and local names
     std::string where;          ///< message context
 };
 
-/** Is the call ARGUMENT segment [a, b) chunk-local? */
+/** Is the call ARGUMENT segment [a, b) task-private? */
 bool
 argIsSafe(const std::vector<Token> &toks, std::size_t a, std::size_t b,
           const ParScope &scope)
 {
-    for (std::size_t i = a; i + 2 < b; ++i) {
-        if (punctIs(toks[i], "[") &&
-            subscriptIsChunk(toks, i, i + 2, scope.chunkParam))
-            return true; // e.g. tasks[t].sp, scratch_[ci]
-    }
     if (a >= b)
         return false;
     const Token &first = toks[a];
@@ -392,7 +366,6 @@ chaseCallee(const std::vector<Token> &toks, std::size_t nameIdx,
     inner.file = callee->file;
     inner.open = callee->bodyOpen;
     inner.close = callee->bodyClose;
-    inner.chunkParam = ""; // subscript safety does not transfer
     inner.where = "helper '" + name + "' called from " + scope.where;
     for (std::size_t k = 0;
          k < callee->params.size() && k < args.size(); ++k) {
@@ -415,22 +388,16 @@ analyzeSpan(const ParScope &scopeIn, const SourceFile &lintFile,
     const std::vector<Token> &toks = scope.file->lex.tokens;
     collectLocals(toks, scope.open, scope.close, scope.safe);
 
-    const auto targetSafe = [&](const Target &t) {
-        return t.ok && (t.subscriptSafe ||
-                        scope.safe.count(t.base) != 0);
-    };
     const auto flagWrite = [&](const Target &t, int line,
                                const std::string &what) {
-        if (t.ok && targetSafe(t))
-            return;
-        if (!t.ok)
-            return; // opaque chain: no claim
+        if (!t.ok || scope.safe.count(t.base) != 0)
+            return; // opaque chain (no claim), or task-private
         out.push_back(Finding{
             lintFile.relPath, line, kRuleParSafety,
             what + " '" + t.base + "' in " + scope.where +
-                ": workers share it, so concurrent chunks race — "
-                "write to a per-chunk slot (indexed by the chunk "
-                "parameter) and merge serially, or waive with "
+                ": workers share it, so concurrent tasks race — "
+                "write to the task's own slot parameter and merge "
+                "serially, or waive with "
                 "lint:par-ok(<why race-free>)"});
     };
 
@@ -446,13 +413,12 @@ analyzeSpan(const ParScope &scopeIn, const SourceFile &lintFile,
                               punctIs(toks[i - 1], "]") ||
                               punctIs(toks[i - 1], ")"));
                 if (postfix) {
-                    const Target tg = resolveBack(toks, i - 1,
-                                                  scope.chunkParam);
+                    const Target tg = resolveBack(toks, i - 1);
                     flagWrite(tg, t.line, "increment of shared state");
                 } else if (i + 2 < scope.close &&
                            isIdent(toks[i + 2])) {
-                    const Target tg = resolveForward(
-                        toks, i + 2, scope.close, scope.chunkParam);
+                    const Target tg =
+                        resolveForward(toks, i + 2, scope.close);
                     flagWrite(tg, t.line, "increment of shared state");
                 }
                 ++i; // consume the second '+'/'-'
@@ -487,8 +453,7 @@ analyzeSpan(const ParScope &scopeIn, const SourceFile &lintFile,
                 }
                 if (targetEnd == kNpos || targetEnd >= scope.close)
                     continue;
-                const Target tg =
-                    resolveBack(toks, targetEnd, scope.chunkParam);
+                const Target tg = resolveBack(toks, targetEnd);
                 flagWrite(tg, t.line, "write to shared state");
                 continue;
             }
@@ -507,16 +472,15 @@ analyzeSpan(const ParScope &scopeIn, const SourceFile &lintFile,
                 "tracked mutator '" + t.text + "' inside " +
                     scope.where +
                     ": it moves region counters/totals shared "
-                    "across chunks — harvest accessed bits with "
-                    "harvestYoungWord and apply mutations in the "
-                    "serial merge, or waive with lint:par-ok(...)"});
+                    "across slots — read in the task and apply "
+                    "mutations in the serial merge, or waive with "
+                    "lint:par-ok(...)"});
             continue;
         }
         // ---- mutating container calls on shared receivers ---------
         if (memberCall && isMutatingCall(t.text)) {
             if (i >= 2) {
-                const Target tg =
-                    resolveBack(toks, i - 2, scope.chunkParam);
+                const Target tg = resolveBack(toks, i - 2);
                 flagWrite(tg, t.line,
                           "mutating call '" + t.text +
                               "' on shared state");
@@ -548,9 +512,7 @@ runParallelRules(const SourceFile &file, const RuleContext &ctx,
         scope.file = site.file;
         scope.open = site.bodyOpen;
         scope.close = site.bodyClose;
-        scope.chunkParam =
-            site.params.empty() ? "" : site.params[0];
-        scope.where = "parallelFor lambda (line " +
+        scope.where = "parallelMap lambda (line " +
                       std::to_string(site.line) + ")";
         for (const std::string &p : site.params) {
             if (!p.empty())
