@@ -38,11 +38,18 @@
  *     with each image's packed size beside its unpacked lane bytes.
  *     Every GB/s is over unpacked (input) lane bytes, so it stays
  *     comparable across lane-encoding changes.
+ *  7. Trial memory: peak RSS of one Big1M YCSB-A/MG-LRU/50% trial on
+ *     SSD and on ZRAM, each run in a fresh child process forked
+ *     before any pool thread starts (3 samples: min/median/max of
+ *     ru_maxrss), with the swap device's peak queue depth beside it.
+ *     A saturated SSD's queued I/O is the big-trial memory cost this
+ *     section tracks.
  *
  * Usage: perf_core [output.json]   (default: BENCH_core.json in cwd)
  */
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <ctime>
@@ -67,6 +74,10 @@
 #include "sim/simulation.hh"
 #include "swap/swap_manager.hh"
 #include "workload/workload.hh"
+
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 namespace
 {
@@ -546,6 +557,90 @@ unpackedLaneBytes(const RigView &rig)
     return sizer.unpackedSize();
 }
 
+/** One trial's memory footprint, as measured in its own process. */
+struct MemorySample
+{
+    double peakRssMb = 0.0;
+    std::uint64_t peakQueueDepth = 0;
+};
+
+/**
+ * Run @p cfg's trial in a forked child and report the child's peak
+ * RSS (ru_maxrss) and the swap device's peak queue depth. fork()
+ * copies only the calling thread, so this must run before the process
+ * starts any pool thread. False if the child could not be run.
+ */
+bool
+forkedTrialMemory(const ExperimentConfig &cfg, MemorySample &out)
+{
+    int fds[2];
+    if (pipe(fds) != 0)
+        return false;
+    std::fflush(nullptr);
+    const pid_t pid = fork();
+    if (pid < 0) {
+        close(fds[0]);
+        close(fds[1]);
+        return false;
+    }
+    if (pid == 0) {
+        close(fds[0]);
+        const TrialResult r = runTrial(cfg, cfg.baseSeed);
+        rusage ru{};
+        getrusage(RUSAGE_SELF, &ru);
+        const MemorySample sample{static_cast<double>(ru.ru_maxrss) /
+                                      1024.0,
+                                  r.swap.peakQueueDepth};
+        const bool sent = write(fds[1], &sample, sizeof sample) ==
+                          static_cast<ssize_t>(sizeof sample);
+        _exit(sent ? 0 : 1);
+    }
+    close(fds[1]);
+    MemorySample sample;
+    const bool got = read(fds[0], &sample, sizeof sample) ==
+                     static_cast<ssize_t>(sizeof sample);
+    close(fds[0]);
+    int status = 0;
+    waitpid(pid, &status, 0);
+    if (!got || !WIFEXITED(status) || WEXITSTATUS(status) != 0)
+        return false;
+    out = sample;
+    return true;
+}
+
+/** Section 7: trial memory of one swap medium, 3 fresh children. */
+struct TrialMemory
+{
+    static constexpr int kSamples = 3;
+    ExperimentConfig cfg;
+    /** Sorted peak RSS samples, MiB. */
+    std::array<double, kSamples> rssMb{};
+    std::uint64_t peakQueueDepth = 0;
+    bool ok = true;
+};
+
+TrialMemory
+measureTrialMemory(SwapKind swap)
+{
+    TrialMemory out;
+    out.cfg = bigCell(ScalePreset::Big1M);
+    out.cfg.swap = swap;
+    for (double &rss : out.rssMb) {
+        MemorySample sample;
+        out.ok = forkedTrialMemory(out.cfg, sample) && out.ok;
+        rss = sample.peakRssMb;
+        out.peakQueueDepth = sample.peakQueueDepth;
+    }
+    std::sort(out.rssMb.begin(), out.rssMb.end());
+    std::printf("  %s, Big1M: peak RSS %.1f / %.1f / %.1f MiB "
+                "(min / median / max), peak queue depth %llu%s\n",
+                out.cfg.label().c_str(), out.rssMb[0], out.rssMb[1],
+                out.rssMb[2],
+                static_cast<unsigned long long>(out.peakQueueDepth),
+                out.ok ? "" : " (a child FAILED)");
+    return out;
+}
+
 /** 1- vs 4-harvest-worker fingerprint identity on a 1M-page trial. */
 bool
 big1mFingerprintIdentity()
@@ -661,6 +756,15 @@ main(int argc, char **argv)
                     ck_ok ? "yes" : "NO");
         return (identity && ck_ok) ? 0 : 2;
     }
+
+    // --- Trial memory, measured first: its children are forked
+    // before any section starts a pool thread. ---------------------
+    std::printf("trial memory: Big1M, %d fresh child processes per "
+                "medium...\n",
+                TrialMemory::kSamples);
+    const TrialMemory ssd_memory = measureTrialMemory(SwapKind::Ssd);
+    const TrialMemory zram_memory = measureTrialMemory(SwapKind::Zram);
+    std::printf("\n");
 
     // --- 1. Event-queue dispatch throughput. -----------------------
     constexpr std::uint64_t kQueueEvents = 3000000;
@@ -1287,6 +1391,29 @@ main(int argc, char **argv)
     };
     emitImage("image", mglru_image, false);
     emitImage("clock_image", clock_image, true);
+    std::fprintf(out, "  },\n");
+    std::fprintf(out,
+                 "  \"trial_memory\": {\n"
+                 "    \"samples\": %d,\n"
+                 "    \"estimator\": \"ru_maxrss of a fresh child "
+                 "process per sample\",\n",
+                 TrialMemory::kSamples);
+    const auto emitMemory = [&](const char *key, const TrialMemory &mem,
+                                bool last) {
+        std::fprintf(out,
+                     "    \"%s\": {\n"
+                     "      \"cell\": \"%s\",\n"
+                     "      \"scale\": \"Big1M\",\n"
+                     "      \"peak_rss_mb\": {\"min\": %.1f, "
+                     "\"median\": %.1f, \"max\": %.1f},\n"
+                     "      \"peak_queue_depth\": %llu\n    }%s\n",
+                     key, mem.cfg.label().c_str(), mem.rssMb[0],
+                     mem.rssMb[1], mem.rssMb[2],
+                     static_cast<unsigned long long>(mem.peakQueueDepth),
+                     last ? "" : ",");
+    };
+    emitMemory("ssd", ssd_memory, false);
+    emitMemory("zram", zram_memory, true);
     std::fprintf(out, "  }\n");
     std::fprintf(out, "}\n");
     std::fclose(out);
@@ -1294,8 +1421,11 @@ main(int argc, char **argv)
 
     // Non-zero exit if the parallel sweep, the sharded scan, or a
     // checkpoint restore ever diverges from the straight-through
-    // path, or an image fails to capture or restore — a cheap
-    // determinism canary in CI.
-    return (identical && big_identity && ckpt_identical && img_ok) ? 0
-                                                                   : 2;
+    // path, an image fails to capture or restore, or a trial-memory
+    // child fails — a cheap determinism canary in CI.
+    const bool memory_ok = ssd_memory.ok && zram_memory.ok;
+    return (identical && big_identity && ckpt_identical && img_ok &&
+            memory_ok)
+               ? 0
+               : 2;
 }

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <type_traits>
 
 #include "kernel/aging_daemon.hh"
 #include "kernel/kswapd.hh"
@@ -10,6 +11,26 @@
 
 namespace pagesim
 {
+
+namespace
+{
+
+/**
+ * Wrap a swap I/O completion, holding it to the budget that keeps a
+ * queued I/O heap-free: at most 16 B, trivially copyable.
+ */
+template <typename F>
+SwapDevice::Callback
+ioCompletion(F fn)
+{
+    static_assert(sizeof(F) <= 16,
+                  "swap completions capture at most 16 B");
+    static_assert(std::is_trivially_copyable_v<F>,
+                  "swap completions capture plain values only");
+    return SwapDevice::Callback(fn);
+}
+
+} // namespace
 
 MemoryManager::MemoryManager(Simulation &sim, FrameTable &frames,
                              SwapManager &swap,
@@ -184,28 +205,17 @@ MemoryManager::accessImpl(SimActor &actor, AddressSpace &space, Vpn vpn,
     pte.setFlag(Pte::InIo);
     addIoWaiter(space, vpn, actor);
     ++swapInsInFlight_;
-    std::uint32_t spanToken = UINT32_MAX;
+    DemandReadTag tag{DemandReadTag::kNoSpan, fd_access};
     if (metrics_) {
-        spanToken = metrics_->spans().openDemand(
+        const std::uint32_t token = metrics_->spans().openDemand(
             sim_.now(), vpn, metrics_->trackFor(actor),
             reclaimCpu);
+        assert(token < DemandReadTag::kNoSpan);
+        tag.spanToken = token;
     }
-    dev.submit(slot, false,
-               [this, &space, vpn, slot, pfn, shadow, fd_access,
-                spanToken] {
-        --swapInsInFlight_;
-        if (metrics_ && spanToken != UINT32_MAX) {
-            const SwapDevice &d = swap_.device();
-            metrics_->spans().closeDemand(spanToken, sim_.now(),
-                                          d.lastOpQueueWait(),
-                                          d.lastOpService());
-        }
-        finishSwapIn(space, vpn, slot, pfn,
-                     ResidencyKind::SwapInDemand, shadow, fd_access);
-        // Any other fault that piled onto this in-flight read shared
-        // its I/O; their waits close as they wake.
-        wakeIoWaiters(space, vpn, FaultPhase::SharedSwapInWait);
-    });
+    dev.submit(slot, false, ioCompletion([this, pfn, tag] {
+        completeDemandRead(pfn, tag);
+    }));
     issueReadahead(space, vpn);
     return AccessOutcome::Blocked;
 }
@@ -587,10 +597,52 @@ MemoryManager::swapOutPage(FrameTable &table, Pfn pfn,
     // Async writeback: the frame stays busy until the write lands.
     pte.setFlag(Pte::InIo);
     ++writebacksInFlight_;
-    FrameTable *owner = &table;
-    dev.submit(slot, true, [this, owner, &space, vpn, pfn, slot] {
-        completeWriteback(*owner, space, vpn, pfn, slot);
-    });
+    const bool slow = &table == &slowFrames_;
+    dev.submit(slot, true, ioCompletion([this, pfn, slow] {
+        completeWriteback(pfn, slow);
+    }));
+}
+
+void
+MemoryManager::completeDemandRead(Pfn pfn, DemandReadTag tag)
+{
+    const auto pi = frames_.info(pfn);
+    assert(pi.space != nullptr);
+    AddressSpace &space = *pi.space;
+    const Vpn vpn = pi.vpn;
+    const auto pte = space.table().at(vpn);
+    assert(pte.swapped() && pte.inIo());
+    --swapInsInFlight_;
+    if (metrics_ && tag.spanToken != DemandReadTag::kNoSpan) {
+        const SwapDevice &d = swap_.device();
+        metrics_->spans().closeDemand(tag.spanToken, sim_.now(),
+                                      d.lastOpQueueWait(),
+                                      d.lastOpService());
+    }
+    finishSwapIn(space, vpn, pte.swapSlot(), pfn,
+                 ResidencyKind::SwapInDemand, pte.shadow(),
+                 tag.fdAccess != 0);
+    // Any other fault that piled onto this in-flight read shared its
+    // I/O; their waits close as they wake.
+    wakeIoWaiters(space, vpn, FaultPhase::SharedSwapInWait);
+}
+
+void
+MemoryManager::completeReadahead(Pfn pfn)
+{
+    const auto pi = frames_.info(pfn);
+    assert(pi.space != nullptr);
+    AddressSpace &space = *pi.space;
+    const Vpn vpn = pi.vpn;
+    const auto pte = space.table().at(vpn);
+    assert(pte.swapped() && pte.inIo());
+    --swapInsInFlight_;
+    finishSwapIn(space, vpn, pte.swapSlot(), pfn,
+                 ResidencyKind::SwapInReadahead, pte.shadow());
+    pi.fromReadahead = true;
+    // Demand faults that landed on this in-flight readahead shared its
+    // I/O; their waits close as they wake.
+    wakeIoWaiters(space, vpn, FaultPhase::SharedSwapInWait);
 }
 
 void
@@ -622,14 +674,20 @@ MemoryManager::finishSwapIn(AddressSpace &space, Vpn vpn, SwapSlot slot,
 }
 
 void
-MemoryManager::completeWriteback(FrameTable &table, AddressSpace &space,
-                                 Vpn vpn, Pfn pfn, SwapSlot slot)
+MemoryManager::completeWriteback(Pfn pfn, bool slow)
 {
+    FrameTable &table = slow ? slowFrames_ : frames_;
+    const auto pi = table.info(pfn);
+    assert(!pi.free());
+    AddressSpace &space = *pi.space;
+    const Vpn vpn = pi.vpn;
+    const auto pte = space.table().at(vpn);
+    assert(pte.swapped() && pte.inIo());
+    const SwapSlot slot = pte.swapSlot();
     assert(writebacksInFlight_ > 0);
     --writebacksInFlight_;
     swap_.recordContents(slot, contentTag(space, vpn));
 
-    const auto pte = space.table().at(vpn);
     pte.clearFlag(Pte::InIo);
 
     const WaitKey key{&space, vpn};
@@ -644,14 +702,13 @@ MemoryManager::completeWriteback(FrameTable &table, AddressSpace &space,
         ++stats_.writebackRemaps;
         traceEmit(TraceEvent::WritebackRemap, vpn);
         const std::uint32_t shadow = pte.shadow();
-        if (&table == &slowFrames_) {
+        if (slow) {
             // Slow-tier page: restore slow residency (not
             // policy-tracked), back on the demotion FIFO.
             space.table().mapFrame(vpn, pfn);
             pte.setFlag(Pte::Slow);
             space.table().setAccessed(vpn);
             pte.clearShadow();
-            const auto pi = table.info(pfn);
             pi.backing = slot;
             pi.refs = 0;
             slowList_.pushFront(pfn);
@@ -663,7 +720,6 @@ MemoryManager::completeWriteback(FrameTable &table, AddressSpace &space,
         return;
     }
 
-    const auto pi = table.info(pfn);
     pi.backing = kInvalidSlot;
     unchargeIfFast(table, pi);
     table.release(pfn);
@@ -706,7 +762,6 @@ MemoryManager::issueReadahead(AddressSpace &space, Vpn vpn)
             break;
         mcg.charge(frames_.info(f2));
         const SwapSlot s2 = p2.swapSlot();
-        const std::uint32_t shadow2 = p2.shadow();
         p2.setFlag(Pte::InIo);
         ++issued;
         ++swapInsInFlight_;
@@ -717,15 +772,8 @@ MemoryManager::issueReadahead(AddressSpace &space, Vpn vpn)
         // device models its own service time, and demand faults that
         // land on this in-flight slot charge their wait in handleFault
         // when they block on the shared I/O.
-        dev.submit(s2, false, [this, &space, v2, s2, f2, shadow2] {
-            --swapInsInFlight_;
-            finishSwapIn(space, v2, s2, f2,
-                         ResidencyKind::SwapInReadahead, shadow2);
-            frames_.info(f2).fromReadahead = true;
-            // Demand faults that landed on this in-flight readahead
-            // shared its I/O; their waits close as they wake.
-            wakeIoWaiters(space, v2, FaultPhase::SharedSwapInWait);
-        });
+        dev.submit(s2, false,
+                   ioCompletion([this, f2] { completeReadahead(f2); }));
     }
 }
 

@@ -452,9 +452,40 @@ class MemoryManager
                       Pfn pfn, ResidencyKind kind, std::uint32_t shadow,
                       bool fd_access = false);
 
-    /** Dirty writeback completed; free or remap-to-waiter. */
-    void completeWriteback(FrameTable &table, AddressSpace &space,
-                           Vpn vpn, Pfn pfn, SwapSlot slot);
+    /*
+     * Swap I/O completions. While a page is InIo its frame (owned by
+     * (space, vpn), on no list) and its PTE (Swapped|InIo, value =
+     * slot, shadow kept) are frozen, so a completion recovers space
+     * and vpn from the frame and slot and shadow from the PTE; its
+     * capture carries only what neither records (DESIGN.md "Swap I/O
+     * completions").
+     */
+
+    /**
+     * What a demand read's completion needs beyond the frame and PTE,
+     * packed into 4 B so its capture fits SwapDevice::Callback.
+     */
+    struct DemandReadTag
+    {
+        /** Metrics span token, kNoSpan when metrics are detached. */
+        std::uint32_t spanToken : 31;
+        /** The fault came through fdAccess (buffered I/O). */
+        std::uint32_t fdAccess : 1;
+
+        static constexpr std::uint32_t kNoSpan = (1u << 31) - 1;
+    };
+
+    /** Demand swap-in read of @p pfn completed. */
+    void completeDemandRead(Pfn pfn, DemandReadTag tag);
+
+    /** Readahead read of @p pfn completed. */
+    void completeReadahead(Pfn pfn);
+
+    /**
+     * Dirty writeback of @p pfn completed (@p slow: it is a slow-tier
+     * frame); free or remap-to-waiter.
+     */
+    void completeWriteback(Pfn pfn, bool slow);
 
     /** Issue readahead around a demand fault (async devices only). */
     void issueReadahead(AddressSpace &space, Vpn vpn);

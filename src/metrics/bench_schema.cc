@@ -305,6 +305,30 @@ validateBenchCore(const std::string &json_text)
         }
     }
 
+    if (const JsonValue *mem = c.object(doc, "", "trial_memory")) {
+        c.positiveNumber(*mem, "trial_memory", "samples");
+        c.nonEmptyString(*mem, "trial_memory", "estimator");
+        for (const char *key : {"ssd", "zram"}) {
+            const JsonValue *m = c.object(*mem, "trial_memory", key);
+            if (m == nullptr)
+                continue;
+            const std::string path = std::string("trial_memory.") + key;
+            c.nonEmptyString(*m, path, "cell");
+            c.nonEmptyString(*m, path, "scale");
+            if (const JsonValue *rss = c.object(*m, path, "peak_rss_mb")) {
+                for (const char *stat : {"min", "median", "max"})
+                    c.positiveNumber(*rss, path + ".peak_rss_mb", stat);
+            }
+            // A synchronous device never queues: ZRAM's depth is 0 by
+            // construction. An SSD trial at this scale saturates the
+            // device, so a zero there means the probe measured nothing.
+            if (std::string(key) == "ssd")
+                c.positiveNumber(*m, path, "peak_queue_depth");
+            else
+                c.finiteNumber(*m, path, "peak_queue_depth");
+        }
+    }
+
     return c.problems;
 }
 

@@ -27,7 +27,11 @@ namespace pagesim
  *  - every section perf_core emits is present with its fields
  *    (event_queue hold/churn, aging_scan patterns, trial,
  *    metrics_overhead, big_machine, sweep, checkpoint, serializer
- *    with its whole-image serializer.image and serializer.clock_image);
+ *    with its whole-image serializer.image and serializer.clock_image,
+ *    trial_memory with its ssd and zram cells);
+ *  - each trial_memory cell's peak_rss_mb min/median/max is > 0, and
+ *    the SSD cell's peak_queue_depth is > 0 (ZRAM's is 0: it never
+ *    queues);
  *  - throughputs, wall times, and speedups are finite and > 0;
  *  - each whole image's image_mb is below its unpacked_mb (the lanes
  *    really pack);

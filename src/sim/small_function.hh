@@ -5,12 +5,26 @@
  * The event queue dispatches hundreds of millions of callbacks per
  * sweep; `std::function` heap-allocates any capture larger than its
  * ~2-pointer SBO, which puts an allocator round-trip on the hot path
- * for every SSD completion (whose capture carries a whole Request).
- * SmallFunction sizes its inline buffer for the largest capture the
- * simulator actually schedules (audited: SimActor dispatch/sleep
- * lambdas at 16 B, MemoryManager retry timers at 8 B, SSD completions
- * at 56 B) and keeps a heap fallback so oversized captures still work,
+ * for every capture past it. SmallFunction sizes its inline buffer
+ * for the largest capture its user actually schedules and keeps a
+ * heap fallback so oversized (or over-aligned) captures still work,
  * just slower.
+ *
+ * Audited capture sizes:
+ *  - event queue, SmallFunction<64>: SimActor dispatch/sleep lambdas
+ *    at 16 B, MemoryManager retry timers at 8 B, SSD completion
+ *    events at 56 B (`[this, Request, started]`).
+ *  - swap completions, SwapDevice::Callback = SmallFunction<16>: the
+ *    kernel's demand-read, readahead and writeback captures are each
+ *    at most 16 B and trivially copyable (static_asserts at the
+ *    submit sites in kernel/memory_manager.cc), so a queued SSD
+ *    request owns no heap allocation — no `std::function` anywhere
+ *    on the swap I/O path.
+ *
+ * The buffer is aligned to `alignof(void *)`, not `max_align_t`:
+ * every capture above is pointers and integers, and the tighter
+ * alignment keeps SmallFunction<16> at 24 B and SmallFunction<64> at
+ * 72 B. A capture that needs more alignment takes the heap fallback.
  *
  * Unlike `std::function` it is move-only, so callables owning
  * move-only state (unique_ptr captures) are also accepted.
@@ -88,17 +102,20 @@ class SmallFunction
         /**
          * Inline AND trivially copyable/destructible: moves are a raw
          * memcpy with no indirect call and destruction is free. This
-         * is the hot case — every capture the simulator schedules
-         * except SSD completions (whose Request owns a std::function)
-         * is a bundle of pointers and integers.
+         * is the hot case — the swap completions are bundles of
+         * pointers and integers; the event queue's SSD completion
+         * events hold one such SmallFunction<16> and relocate it
+         * through the indirect path.
          */
         bool trivial;
     };
 
+    static constexpr std::size_t kAlign = alignof(void *);
+
     template <typename F>
     static constexpr bool kFitsInline =
         sizeof(F) <= InlineSize &&
-        alignof(F) <= alignof(std::max_align_t) &&
+        alignof(F) <= kAlign &&
         std::is_nothrow_move_constructible_v<F>;
 
     template <typename F>
@@ -161,7 +178,7 @@ class SmallFunction
     }
 
     const Ops *ops_ = nullptr;
-    alignas(std::max_align_t) unsigned char buf_[InlineSize];
+    alignas(kAlign) unsigned char buf_[InlineSize];
 };
 
 } // namespace pagesim

@@ -52,7 +52,7 @@ SsdSwapDevice::serviceTime(bool is_write)
 void
 SsdSwapDevice::submit(SwapSlot, bool is_write, Callback cb)
 {
-    Request req{is_write, events_.now(), 0, std::move(cb)};
+    Request req{std::move(cb), events_.now(), is_write};
     if (inFlight_ < config_.parallelism) {
         startOne(std::move(req));
     } else {
@@ -67,15 +67,18 @@ void
 SsdSwapDevice::startOne(Request req)
 {
     ++inFlight_;
-    req.started = events_.now();
+    const SimTime started = events_.now();
     const SimDuration service = serviceTime(req.isWrite);
-    events_.scheduleAfter(service, [this, r = std::move(req)]() mutable {
-        complete(std::move(r));
-    });
+    auto done = [this, r = std::move(req), started]() mutable {
+        complete(std::move(r), started);
+    };
+    static_assert(sizeof(done) <= 56,
+                  "completion events must stay inline in the queue");
+    events_.scheduleAfter(service, std::move(done));
 }
 
 void
-SsdSwapDevice::complete(Request req)
+SsdSwapDevice::complete(Request req, SimTime started)
 {
     --inFlight_;
     const SimDuration latency = events_.now() - req.submitted;
@@ -95,8 +98,8 @@ SsdSwapDevice::complete(Request req)
     }
     // Expose the queue-wait/service split for the completion callback
     // (latency-attribution spans read it there).
-    lastQueueWait_ = req.started - req.submitted;
-    lastService_ = events_.now() - req.started;
+    lastQueueWait_ = started - req.submitted;
+    lastService_ = events_.now() - started;
     req.cb();
 }
 

@@ -7,6 +7,13 @@
  * bounded internal parallelism (an NCQ-style window) and FIFO queueing
  * behind it, plus small log-normal service variation so I/O completion
  * order isn't artificially lock-stepped.
+ *
+ * Under the paper's saturated-swap regime the FIFO holds up to ~10^5
+ * writebacks, so its record is kept small: the 16-byte inline
+ * completion, the submit time and the op kind, 40 B with no heap
+ * allocation behind it. The service-start time is known only once a
+ * request leaves the queue, so it rides in the completion event's
+ * capture instead of the queued record.
  */
 
 #ifndef PAGESIM_SWAP_SSD_DEVICE_HH
@@ -91,16 +98,19 @@ class SsdSwapDevice : public SwapDevice
     void visitState(StateIO &io) override;
 
   private:
+    /** One queued or in-flight op. */
     struct Request
     {
-        bool isWrite;
-        SimTime submitted;
-        SimTime started = 0; ///< service start (set by startOne)
         Callback cb;
+        SimTime submitted;
+        bool isWrite;
     };
+    static_assert(sizeof(Request) <= 40,
+                  "a saturated SSD queues ~10^5 of these");
 
     void startOne(Request req);
-    void complete(Request req);
+    /** Finish @p req, whose service began at @p started. */
+    void complete(Request req, SimTime started);
     SimDuration serviceTime(bool is_write);
 
     /** Service-time multiplier considering the GC state at @p now. */

@@ -6,7 +6,12 @@
  *
  *  - block-style devices (SSD): asynchronous, queued; callers block
  *    while an I/O is in flight. Modeled by submit() + completion
- *    callback.
+ *    callback. The callback is a 16-byte inline SmallFunction: a
+ *    saturated SSD queues ~10^5 writebacks, and a heap-allocated
+ *    closure per queued I/O was the largest single cost in a big
+ *    trial's peak RSS. The kernel's completions capture only what
+ *    the frame and PTE cannot tell them (DESIGN.md "Swap I/O
+ *    completions").
  *  - ZRAM: synchronous (de)compression on the *caller's* CPU. There is
  *    no device-side queue; the cost is CPU work, which matters because
  *    it contends with application threads. Modeled by cpuCost().
@@ -18,11 +23,11 @@
 #define PAGESIM_SWAP_SWAP_DEVICE_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "mem/types.hh"
 #include "sim/serialize.hh"
+#include "sim/small_function.hh"
 #include "sim/types.hh"
 
 namespace pagesim
@@ -57,7 +62,12 @@ struct SwapDeviceStats
 class SwapDevice
 {
   public:
-    using Callback = std::function<void()>;
+    /**
+     * Completion callback. 16 B inline covers every kernel capture;
+     * a larger one still works, through SmallFunction's heap
+     * fallback.
+     */
+    using Callback = SmallFunction<16>;
 
     virtual ~SwapDevice() = default;
 
@@ -69,7 +79,8 @@ class SwapDevice
 
     /**
      * Asynchronous submit (only when !synchronous()). @p cb runs at
-     * completion time, in event context.
+     * completion time, in event context. A synchronous device refuses
+     * it with std::logic_error.
      */
     virtual void submit(SwapSlot slot, bool is_write, Callback cb) = 0;
 

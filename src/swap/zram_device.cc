@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 #include <vector>
 
 namespace pagesim
@@ -10,6 +11,15 @@ namespace pagesim
 ZramSwapDevice::ZramSwapDevice(const ZramConfig &config)
     : config_(config)
 {
+}
+
+void
+ZramSwapDevice::submit(SwapSlot, bool, Callback)
+{
+    throw std::logic_error(
+        "swap device '" + name_ +
+        "' is synchronous: submit() is unsupported (use cpuCost() and "
+        "noteSyncOp())");
 }
 
 std::uint32_t

@@ -49,12 +49,12 @@ class ZramSwapDevice : public SwapDevice
     const std::string &name() const override { return name_; }
     bool synchronous() const override { return true; }
 
-    void
-    submit(SwapSlot, bool, Callback) override
-    {
-        // ZRAM is synchronous; the kernel path never queues it.
-        // (cpuCost()/noteSyncOp() is the supported interface.)
-    }
+    /**
+     * ZRAM is synchronous: cpuCost()/noteSyncOp() is its interface.
+     * A submit would strand its page InIo with no completion ever
+     * coming, so it throws std::logic_error naming the device.
+     */
+    void submit(SwapSlot slot, bool is_write, Callback cb) override;
 
     SimDuration cpuCost(SwapSlot slot, bool is_write) const override;
 

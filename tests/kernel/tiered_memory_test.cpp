@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "kernel_test_util.hh"
 
 namespace pagesim
@@ -149,6 +151,101 @@ TEST(TieredMemory, SlowTierOverflowsToSwap)
         << "FIFO tail of the slow tier goes to swap";
     EXPECT_GT(h.device->stats().writes, 0u);
     EXPECT_LE(h.mm->slowFrames().usedFrames(), 8u);
+}
+
+/** Slow-tier frames whose pages are under SSD writeback. */
+std::vector<Pfn>
+slowFramesUnderWriteback(const TieredHarness &h)
+{
+    std::vector<Pfn> out;
+    const FrameTable &slow = h.mm->slowFrames();
+    for (Pfn pfn = 0; pfn < slow.totalFrames(); ++pfn) {
+        const auto pi = slow.info(pfn);
+        if (!pi.free() && pi.space->table().at(pi.vpn).inIo())
+            out.push_back(pfn);
+    }
+    return out;
+}
+
+/**
+ * Fill fast memory with dirty pages, then reclaim (without running
+ * the event queue) until a slow-tier page's writeback is in flight.
+ */
+std::vector<Pfn>
+startSlowWritebacks(TieredHarness &h)
+{
+    fill(h, 30);
+    CostSink sink;
+    for (int i = 0; i < 8; ++i) {
+        h.mm->reclaimBatch(sink, true);
+        std::vector<Pfn> busy = slowFramesUnderWriteback(h);
+        if (!busy.empty())
+            return busy;
+    }
+    return {};
+}
+
+TEST(TieredMemory, SlowWritebackRemapsOrReleasesSlowFrame)
+{
+    // Re-accessed before the write lands: the waiter gets the slow
+    // frame back (swap-cache reuse), still in the slow tier.
+    {
+        TieredHarness h(32, 8);
+        const std::vector<Pfn> busy = startSlowWritebacks(h);
+        ASSERT_FALSE(busy.empty());
+        const Pfn spfn = busy.front();
+        const Vpn vpn = h.mm->slowFrames().info(spfn).vpn;
+        const auto pte = h.space.table().at(vpn);
+        ASSERT_TRUE(pte.swapped() && pte.inIo() && !pte.present());
+        const SwapSlot slot = pte.swapSlot();
+        const std::uint64_t remaps = h.mm->stats().writebackRemaps;
+
+        bool waited = false;
+        ProbeActor probe(h.sim, [&](ProbeActor &self) {
+            if (!waited) {
+                CostSink sink;
+                waited = true;
+                EXPECT_EQ(h.mm->access(self, h.space, vpn, false, sink),
+                          Outcome::Blocked);
+                self.block();
+                return;
+            }
+            self.finish();
+        });
+        probe.start();
+        ASSERT_TRUE(h.sim.runToCompletion(20000000));
+
+        EXPECT_EQ(h.mm->stats().writebackRemaps, remaps + 1);
+        EXPECT_TRUE(pte.present());
+        EXPECT_TRUE(pte.slow()) << "remapped back into the slow tier";
+        EXPECT_FALSE(pte.inIo());
+        EXPECT_EQ(pte.pfn(), spfn);
+        const auto pi = h.mm->slowFrames().info(spfn);
+        EXPECT_EQ(pi.listId, h.mm->slowList().listId())
+            << "back on the slow tier's FIFO";
+        EXPECT_EQ(pi.backing, slot) << "swap copy kept for a clean drop";
+    }
+    // Not re-accessed: the write lands and the slow frame is freed.
+    {
+        TieredHarness h(32, 8);
+        const std::vector<Pfn> busy = startSlowWritebacks(h);
+        ASSERT_FALSE(busy.empty());
+        const std::uint32_t used = h.mm->slowFrames().usedFrames();
+        std::vector<Vpn> vpns;
+        for (Pfn spfn : busy)
+            vpns.push_back(h.mm->slowFrames().info(spfn).vpn);
+
+        h.sim.events().run();
+
+        EXPECT_EQ(h.mm->slowFrames().usedFrames(), used - busy.size());
+        for (Pfn spfn : busy)
+            EXPECT_TRUE(h.mm->slowFrames().info(spfn).free());
+        for (Vpn vpn : vpns) {
+            const auto pte = h.space.table().at(vpn);
+            EXPECT_TRUE(pte.swapped());
+            EXPECT_FALSE(pte.present() || pte.inIo());
+        }
+    }
 }
 
 TEST(TieredMemory, DisabledTierKeepsLegacyBehavior)

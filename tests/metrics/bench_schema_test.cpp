@@ -147,6 +147,22 @@ goodDocument()
       "restore_gb_per_sec": 1.7,
       "round_trip_ok": true
     }
+  },
+  "trial_memory": {
+    "samples": 3,
+    "estimator": "ru_maxrss of a fresh child process per sample",
+    "ssd": {
+      "cell": "YCSB-A/MG-LRU/SSD/50%",
+      "scale": "Big1M",
+      "peak_rss_mb": {"min": 120.5, "median": 121.0, "max": 123.2},
+      "peak_queue_depth": 41000
+    },
+    "zram": {
+      "cell": "YCSB-A/MG-LRU/ZRAM/50%",
+      "scale": "Big1M",
+      "peak_rss_mb": {"min": 90.1, "median": 90.4, "max": 91.0},
+      "peak_queue_depth": 0
+    }
   }
 })";
 }
@@ -378,6 +394,19 @@ TEST(BenchSchema, DetectsMissingClockImage)
     const auto problems = validateBenchCore(
         patch(goodDocument(), "\"clock_image\"", "\"clock_img\""));
     expectOneProblemAt(problems, "serializer.clock_image");
+}
+
+TEST(BenchSchema, DetectsMissingOrZeroTrialMemoryField)
+{
+    expectOneProblemAt(
+        validateBenchCore(patch(goodDocument(),
+                                "\"peak_queue_depth\": 41000",
+                                "\"peak_queue_depth\": 0")),
+        "trial_memory.ssd.peak_queue_depth");
+    expectOneProblemAt(
+        validateBenchCore(patch(goodDocument(), "\"median\": 90.4",
+                                "\"medium\": 90.4")),
+        "trial_memory.zram.peak_rss_mb.median");
 }
 
 TEST(BenchSchema, ReportsMultipleProblems)

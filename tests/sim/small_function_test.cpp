@@ -3,9 +3,11 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <utility>
 
 #include "sim/small_function.hh"
+#include "swap/swap_device.hh"
 
 namespace pagesim
 {
@@ -53,6 +55,45 @@ TEST(SmallFunction, OversizedCaptureFallsBackToHeap)
     EXPECT_FALSE(fn.inlineStored());
     fn();
     EXPECT_EQ(out, 7u);
+}
+
+TEST(SmallFunction, SixteenByteCaptureIsInlineAndTrivial)
+{
+    // The shape of the kernel's swap completions: a pointer and two
+    // 32-bit values, exactly the 16 B SwapDevice::Callback holds.
+    std::uint64_t sum = 0;
+    std::uint64_t *target = &sum;
+    const std::uint32_t pfn = 7;
+    const std::uint32_t tag = 5;
+    auto done = [target, pfn, tag] { *target += pfn + tag; };
+    static_assert(sizeof(done) == 16);
+    static_assert(std::is_trivially_copyable_v<decltype(done)>);
+    static_assert(sizeof(SwapDevice::Callback) == 24,
+                  "16 B buffer + ops pointer, no max_align_t padding");
+    SwapDevice::Callback fn(done);
+    EXPECT_TRUE(fn.inlineStored());
+    SwapDevice::Callback moved(std::move(fn));
+    EXPECT_TRUE(moved.inlineStored());
+    moved();
+    EXPECT_EQ(sum, 12u);
+}
+
+TEST(SmallFunction, OverAlignedCaptureFallsBackToHeap)
+{
+    struct alignas(16) Wide
+    {
+        std::uint64_t lo;
+        std::uint64_t hi;
+    };
+    static_assert(alignof(Wide) > alignof(void *));
+    std::uint64_t out = 0;
+    const Wide w{1, 2};
+    // Small enough for the buffer, too aligned for it.
+    SmallFunction<64> fn([w, &out] { out = w.lo + w.hi; });
+    EXPECT_FALSE(fn.inlineStored());
+    SmallFunction<64> moved(std::move(fn));
+    moved();
+    EXPECT_EQ(out, 3u);
 }
 
 TEST(SmallFunction, MoveTransfersTarget)

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "swap/ssd_device.hh"
@@ -73,6 +76,28 @@ TEST(SsdDevice, LatencyStatsIncludeQueueing)
     // First write: 10ms. Second: 10ms queue + 10ms service = 20ms.
     EXPECT_DOUBLE_EQ(ssd.stats().meanWriteLatency(),
                      static_cast<double>(msecs(15)));
+}
+
+TEST(SsdDevice, QueuedOpsReportQueueWaitAndService)
+{
+    // One op at a time, three submitted at t=0: the k-th waits k
+    // service times in the FIFO, then spends one in service. The
+    // split is read where instrumentation reads it, inside the
+    // completion callback.
+    EventQueue events;
+    SsdSwapDevice ssd(events, Rng(1), fixedLatency(msecs(10), 1));
+    std::vector<std::pair<SimDuration, SimDuration>> seen;
+    for (int i = 0; i < 3; ++i) {
+        ssd.submit(i, i % 2 == 0, [&] {
+            seen.emplace_back(ssd.lastOpQueueWait(),
+                              ssd.lastOpService());
+        });
+    }
+    events.run();
+    ASSERT_EQ(seen.size(), 3u);
+    EXPECT_EQ(seen[0], std::make_pair(msecs(0), msecs(10)));
+    EXPECT_EQ(seen[1], std::make_pair(msecs(10), msecs(10)));
+    EXPECT_EQ(seen[2], std::make_pair(msecs(20), msecs(10)));
 }
 
 TEST(SsdDevice, JitterVariesServiceTimes)

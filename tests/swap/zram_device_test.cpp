@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "swap/zram_device.hh"
 
 namespace pagesim
@@ -11,6 +14,23 @@ TEST(ZramDevice, IsSynchronous)
 {
     ZramSwapDevice zram;
     EXPECT_TRUE(zram.synchronous());
+}
+
+TEST(ZramDevice, SubmitIsRefused)
+{
+    // A queued op on a synchronous device would never complete: its
+    // page would stay InIo and its waiters asleep. Refuse loudly.
+    ZramSwapDevice zram;
+    bool ran = false;
+    try {
+        zram.submit(3, true, [&ran] { ran = true; });
+        ADD_FAILURE() << "submit() on a synchronous device returned";
+    } catch (const std::logic_error &e) {
+        EXPECT_NE(std::string(e.what()).find("zram"), std::string::npos)
+            << e.what();
+    }
+    EXPECT_FALSE(ran);
+    EXPECT_EQ(zram.stats().writes, 0u);
 }
 
 TEST(ZramDevice, NominalCosts)
