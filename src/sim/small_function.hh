@@ -16,8 +16,8 @@
  *    events at 56 B (`[this, Request, started]`).
  *  - swap completions, SwapDevice::Callback = SmallFunction<16>: the
  *    kernel's demand-read, readahead and writeback captures are each
- *    at most 16 B and trivially copyable (static_asserts at the
- *    submit sites in kernel/memory_manager.cc), so a queued SSD
+ *    at most 16 B and trivially copyable (`ioCompletion()`'s
+ *    static_asserts in kernel/memory_manager.cc), so a queued SSD
  *    request owns no heap allocation — no `std::function` anywhere
  *    on the swap I/O path.
  *
