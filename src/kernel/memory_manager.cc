@@ -3,7 +3,6 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <type_traits>
 
 #include "kernel/aging_daemon.hh"
 #include "kernel/kswapd.hh"
@@ -11,26 +10,6 @@
 
 namespace pagesim
 {
-
-namespace
-{
-
-/**
- * Wrap a swap I/O completion, holding it to the budget that keeps a
- * queued I/O heap-free: at most 16 B, trivially copyable.
- */
-template <typename F>
-SwapDevice::Callback
-ioCompletion(F fn)
-{
-    static_assert(sizeof(F) <= 16,
-                  "swap completions capture at most 16 B");
-    static_assert(std::is_trivially_copyable_v<F>,
-                  "swap completions capture plain values only");
-    return SwapDevice::Callback(fn);
-}
-
-} // namespace
 
 MemoryManager::MemoryManager(Simulation &sim, FrameTable &frames,
                              SwapManager &swap,
@@ -213,9 +192,8 @@ MemoryManager::accessImpl(SimActor &actor, AddressSpace &space, Vpn vpn,
         assert(token < DemandReadTag::kNoSpan);
         tag.spanToken = token;
     }
-    dev.submit(slot, false, ioCompletion([this, pfn, tag] {
-        completeDemandRead(pfn, tag);
-    }));
+    dev.submit(slot, false,
+               [this, pfn, tag] { completeDemandRead(pfn, tag); });
     issueReadahead(space, vpn);
     return AccessOutcome::Blocked;
 }
@@ -598,9 +576,8 @@ MemoryManager::swapOutPage(FrameTable &table, Pfn pfn,
     pte.setFlag(Pte::InIo);
     ++writebacksInFlight_;
     const bool slow = &table == &slowFrames_;
-    dev.submit(slot, true, ioCompletion([this, pfn, slow] {
-        completeWriteback(pfn, slow);
-    }));
+    dev.submit(slot, true,
+               [this, pfn, slow] { completeWriteback(pfn, slow); });
 }
 
 void
@@ -772,8 +749,7 @@ MemoryManager::issueReadahead(AddressSpace &space, Vpn vpn)
         // device models its own service time, and demand faults that
         // land on this in-flight slot charge their wait in handleFault
         // when they block on the shared I/O.
-        dev.submit(s2, false,
-                   ioCompletion([this, f2] { completeReadahead(f2); }));
+        dev.submit(s2, false, [this, f2] { completeReadahead(f2); });
     }
 }
 

@@ -139,15 +139,25 @@ validateBenchCore(const std::string &json_text)
 
     if (const JsonValue *eq = c.object(doc, "", "event_queue")) {
         c.positiveNumber(*eq, "event_queue", "events");
-        c.positiveNumber(*eq, "event_queue", "outstanding");
-        c.positiveNumber(*eq, "event_queue", "speedup");
-        for (const char *section : {"hold", "churn"}) {
-            if (const JsonValue *s =
-                    c.object(*eq, "event_queue", section)) {
-                c.throughputPair(*s,
-                                 std::string("event_queue.") + section,
-                                 "legacy_heap_events_per_sec",
-                                 "wheel_events_per_sec");
+        c.positiveNumber(*eq, "event_queue", "samples");
+        c.nonEmptyString(*eq, "event_queue", "estimator");
+        const JsonValue *shapes = c.object(*eq, "event_queue", "shapes");
+        for (const char *shape :
+             {"outstanding_16", "outstanding_64", "outstanding_2048"}) {
+            const std::string path =
+                std::string("event_queue.shapes.") + shape;
+            const JsonValue *s =
+                shapes ? c.object(*shapes, "event_queue.shapes", shape)
+                       : nullptr;
+            if (s == nullptr)
+                continue;
+            c.positiveNumber(*s, path, "outstanding");
+            for (const char *run : {"hold", "churn"}) {
+                if (const JsonValue *r = c.object(*s, path, run)) {
+                    c.throughputPair(*r, path + "." + run,
+                                     "legacy_heap_events_per_sec",
+                                     "flat_heap_events_per_sec");
+                }
             }
         }
     }

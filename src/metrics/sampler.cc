@@ -50,8 +50,8 @@ PeriodicSampler::tick()
         return;
     }
     sampleOnce(queue_->now());
-    // SmallFunction capture: a single pointer, well within the inline
-    // storage budget.
+    // One pointer: well within the event callback's 16 B capture
+    // budget.
     queue_->scheduleAfter(every_, [this] { tick(); });
 }
 

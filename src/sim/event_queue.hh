@@ -6,43 +6,39 @@
  * Ties are broken by insertion order (FIFO among equal timestamps) so
  * simulations are fully deterministic for a given seed.
  *
- * Internally this is a hierarchical timing wheel rather than a binary
- * heap. Level l has 256 buckets of width 2^(10+8l) ns: level 0 buckets
- * span 1 µs, level 1 spans 262 µs, up to level 5 whose buckets span
- * ~13 days — six levels cover any delay a simulation can produce (a
- * tiny overflow heap catches the rest). Insertion appends the record
- * to the
- * bucket whose aligned window contains the target time: O(1) at every
- * timescale, no sift over the pending set. As the cursor enters a
- * higher-level bucket's window the bucket cascades one level down,
- * so every record reaches a level-0 bucket before it is due; a record
- * cascades at most once per level. Only the level-0 bucket under the
- * cursor is ordered, and even there the heap holds 24-byte
- * (when, seq, slot) keys while the records stay put — sift operations
- * move PODs, never callbacks. Per-level occupancy bitmaps let the
- * cursor jump over empty buckets in a few word scans.
+ * Internally this is one binary min-heap (std::push_heap/pop_heap)
+ * of 40-byte trivially copyable records {when, seq, callback}. The
+ * pending set is small: every actor holds at most one step or sleep
+ * event, the SSD model one completion per service slot, plus a few
+ * timers. pagesim_bench rounds (seeds 1-3) peak at 11-14 pending
+ * events on Big1M, 25-28 on the fig grid and 42-44 on three-tenant
+ * colocation, so the whole set is at most a few dozen 40-byte
+ * records in one array. A bucketed timing wheel sifts less (an
+ * isolated hold model on a 4-core Xeon measured it even with this
+ * heap at 16-64 pending and ~1.2-1.8x faster from 256 up), but
+ * inside a trial its buckets, cursor scans and larger records cost
+ * more than the sifts save: pagesim_bench's fig-grid and colocation
+ * workloads spend 12-18% less host CPU per reference on this heap.
  *
- * Callbacks are stored in a SmallFunction with inline capture storage,
- * so the schedule/dispatch cycle performs no heap allocation for any
- * callback type the simulator uses.
+ * Callbacks are InlineCalls (a function pointer plus 16 B of plain
+ * captures), so the schedule/dispatch cycle performs no heap
+ * allocation and the heap moves PODs.
  *
- * Dispatch order is strictly (time, insertion sequence) — identical to
- * the previous std::priority_queue implementation; tests cross-check
- * the two orderings on randomized schedules.
+ * Dispatch order is strictly (time, insertion sequence); tests
+ * cross-check it against a stable sort on randomized schedules.
  */
 
 #ifndef PAGESIM_SIM_EVENT_QUEUE_HH
 #define PAGESIM_SIM_EVENT_QUEUE_HH
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
-#include "sim/small_function.hh"
+#include "sim/inline_call.hh"
 #include "sim/types.hh"
 
 namespace pagesim
@@ -59,9 +55,9 @@ namespace pagesim
 class EventQueue
 {
   public:
-    using Callback = SmallFunction<64>;
+    using Callback = InlineCall;
 
-    EventQueue();
+    EventQueue() = default;
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -70,10 +66,10 @@ class EventQueue
     SimTime now() const { return now_; }
 
     /** Number of events waiting to run. */
-    std::size_t pending() const { return size_; }
+    std::size_t pending() const { return heap_.size(); }
 
     /** True when no events remain. */
-    bool empty() const { return size_ == 0; }
+    bool empty() const { return heap_.empty(); }
 
     /** Total number of events dispatched so far. */
     std::uint64_t dispatched() const { return dispatched_; }
@@ -93,7 +89,8 @@ class EventQueue
             when = now_;
         }
         const std::uint64_t id = nextSeq_++;
-        insert(when, id, std::move(cb));
+        heap_.push_back(Record{when, id, cb});
+        std::push_heap(heap_.begin(), heap_.end(), Later{});
         return id;
     }
 
@@ -101,7 +98,7 @@ class EventQueue
     std::uint64_t
     scheduleAfter(SimDuration delay, Callback cb)
     {
-        return schedule(now_ + delay, std::move(cb));
+        return schedule(now_ + delay, cb);
     }
 
     /**
@@ -111,23 +108,40 @@ class EventQueue
     bool
     runOne()
     {
-        if (!positionCursor())
+        if (heap_.empty())
             return false;
         dispatchFront();
         return true;
     }
 
     /** Run until the queue is empty or @p limit events were dispatched. */
-    void run(std::uint64_t limit = UINT64_MAX);
+    void
+    run(std::uint64_t limit = UINT64_MAX)
+    {
+        while (limit-- > 0 && runOne()) {
+        }
+    }
 
     /**
      * Run until simulated time reaches @p deadline (events at exactly
      * @p deadline still run) or the queue empties.
      */
-    void runUntil(SimTime deadline);
+    void
+    runUntil(SimTime deadline)
+    {
+        while (!heap_.empty() && heap_.front().when <= deadline)
+            dispatchFront();
+        if (now_ < deadline)
+            now_ = deadline;
+    }
 
     /** Run until @p done returns true (checked after each event). */
-    void runWhile(const std::function<bool()> &keep_going);
+    void
+    runWhile(const std::function<bool()> &keep_going)
+    {
+        while (keep_going() && runOne()) {
+        }
+    }
 
     /**
      * Checkpoint-restore support: move the clock of an EMPTY queue
@@ -142,9 +156,8 @@ class EventQueue
     void
     restoreClock(SimTime now)
     {
-        assert(size_ == 0 && "restoreClock requires an empty queue");
+        assert(heap_.empty() && "restoreClock requires an empty queue");
         now_ = now;
-        cursor_ = now & ~((SimTime{1} << kBaseBits) - 1);
     }
 
   private:
@@ -154,25 +167,11 @@ class EventQueue
         std::uint64_t seq;
         Callback cb;
     };
-
-    /** Dispatch-order key; slot indexes the bucket's record array. */
-    struct Key
-    {
-        SimTime when;
-        std::uint64_t seq;
-        std::uint32_t slot;
-    };
+    static_assert(sizeof(Record) == 40);
 
     /** Heap comparator: min-(when, seq) at the front. */
     struct Later
     {
-        bool
-        operator()(const Key &a, const Key &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
         bool
         operator()(const Record &a, const Record &b) const
         {
@@ -182,205 +181,20 @@ class EventQueue
         }
     };
 
-    /**
-     * One bucket's events. Inserts only append to slots. Higher-level
-     * buckets are emptied wholesale by a cascade; a level-0 bucket is
-     * activated when the cursor reaches it: activation builds the key
-     * heap, dispatch pops keys and moves the callback out of its slot,
-     * leaving the record hollow. When the heap drains, slots are
-     * discarded in one sweep (capacity retained).
-     */
-    struct Bucket
-    {
-        std::vector<Record> slots;
-        /** Dispatch-order heap; used by level-0 buckets only. */
-        std::vector<Key> keys;
-        /** Level-0 day keys is built for (kNoDay = not built). */
-        std::uint64_t builtDay = UINT64_MAX;
-    };
-
-    /** 256-bit occupancy map: one bit per bucket of a level. */
-    struct BitSet256
-    {
-        std::uint64_t w[4] = {0, 0, 0, 0};
-
-        void set(unsigned i) { w[i >> 6] |= 1ull << (i & 63); }
-        void clear(unsigned i) { w[i >> 6] &= ~(1ull << (i & 63)); }
-
-        /** Lowest set bit with index >= @p from, or -1. */
-        int
-        findGE(unsigned from) const
-        {
-            if (from >= 256)
-                return -1;
-            std::uint64_t word = w[from >> 6] & (~0ull << (from & 63));
-            for (unsigned i = from >> 6;;) {
-                if (word != 0)
-                    return static_cast<int>(
-                        (i << 6) + std::countr_zero(word));
-                if (++i == 4)
-                    return -1;
-                word = w[i];
-            }
-        }
-    };
-
-    static constexpr std::uint64_t kNoDay = UINT64_MAX;
-
-    /** log2 of the level-0 bucket width in ns (1 µs). */
-    static constexpr unsigned kBaseBits = 10;
-    /** log2 of the per-level bucket count (256). */
-    static constexpr unsigned kLevelBits = 8;
-    static constexpr unsigned kLevels = 6;
-    static constexpr std::uint64_t kBucketsPerLevel = 1ull << kLevelBits;
-    static constexpr std::uint64_t kIdxMask = kBucketsPerLevel - 1;
-    /** Times this far apart (xor-wise) from the cursor overflow. */
-    static constexpr unsigned kHorizonBits =
-        kBaseBits + kLevels * kLevelBits; // 2^56 ns ~ 833 days
-
-    /** Bit position of the bucket index for @p level. */
-    static constexpr unsigned
-    levelShift(unsigned level)
-    {
-        return kBaseBits + level * kLevelBits;
-    }
-
-    static std::uint64_t dayOf(SimTime t) { return t >> kBaseBits; }
-
-    Bucket &
-    bucketAt(unsigned level, unsigned idx)
-    {
-        return buckets_[level * kBucketsPerLevel + idx];
-    }
-
-    void
-    insert(SimTime when, std::uint64_t seq, Callback &&cb)
-    {
-        ++size_;
-        if (when < cursor_) [[unlikely]] {
-            // The cursor ran ahead of the clock (runUntil() advanced
-            // time without dispatching, then parked on the next
-            // event's bucket). Pull it back to now and re-file the
-            // pending set; dispatch itself never leaves the cursor
-            // ahead, so this stays off the hot path.
-            rehome();
-        }
-        if (place(when, seq, std::move(cb)))
-            ++bucketed_;
-    }
-
-    /**
-     * File an event into its wheel bucket (requires when >= cursor_).
-     * @return false when it went to the overflow heap instead.
-     */
-    bool
-    place(SimTime when, std::uint64_t seq, Callback &&cb)
-    {
-        const std::uint64_t x = when ^ cursor_;
-        if ((x >> kHorizonBits) != 0) [[unlikely]] {
-            overflow_.emplace_back(when, seq, std::move(cb));
-            std::push_heap(overflow_.begin(), overflow_.end(), Later{});
-            return false;
-        }
-        // The lowest level whose aligned window holds both the cursor
-        // and the target time, read off the highest differing bit
-        // (level-l windows are 2^(16+8l) ns wide).
-        unsigned level = 0;
-        if (x >= (1ull << (kBaseBits + kLevelBits)))
-            level = (std::bit_width(x) - kBaseBits - 1) / kLevelBits;
-        const unsigned idx = static_cast<unsigned>(
-            (when >> levelShift(level)) & kIdxMask);
-        Bucket &bucket = bucketAt(level, idx);
-        if (level == 0 && bucket.builtDay == dayOf(when)) {
-            // The cursor already activated this bucket: join its heap.
-            bucket.keys.push_back(
-                Key{when, seq,
-                    static_cast<std::uint32_t>(bucket.slots.size())});
-            std::push_heap(bucket.keys.begin(), bucket.keys.end(),
-                           Later{});
-        }
-        bucket.slots.emplace_back(when, seq, std::move(cb));
-        bits_[level].set(idx);
-        return true;
-    }
-
-    /** Re-distribute a bucket's records one level down. */
-    void cascade(unsigned level, unsigned idx);
-    /** Re-file every wheel record after pulling the cursor back. */
-    void rehome();
-    /** Move overflow records within the horizon into the wheel. */
-    void migrateOverflow();
-
-    /**
-     * Advance the cursor to the first bucket with pending events and
-     * build its key heap. @return false when the queue is empty.
-     */
-    bool
-    positionCursor()
-    {
-        if (size_ == 0)
-            return false;
-        // Fast path: the active bucket still has events.
-        Bucket &bucket = bucketAt(0, (cursor_ >> kBaseBits) & kIdxMask);
-        if (bucket.builtDay == dayOf(cursor_) && !bucket.keys.empty())
-            return true;
-        return positionCursorSlow();
-    }
-
-    bool positionCursorSlow();
-
-    /** Earliest pending record (positionCursor() must have succeeded). */
-    Record &
-    front()
-    {
-        Bucket &bucket = bucketAt(0, (cursor_ >> kBaseBits) & kIdxMask);
-        return bucket.slots[bucket.keys.front().slot];
-    }
-
-    /** Pop and run the earliest event (positionCursor() succeeded). */
+    /** Pop and run the earliest event (the heap is non-empty). */
     void
     dispatchFront()
     {
-        const unsigned idx =
-            static_cast<unsigned>((cursor_ >> kBaseBits) & kIdxMask);
-        Bucket &bucket = bucketAt(0, idx);
-        if (bucket.keys.size() > 1)
-            std::pop_heap(bucket.keys.begin(), bucket.keys.end(),
-                          Later{});
-        const Key key = bucket.keys.back();
-        bucket.keys.pop_back();
-        // Only the callback leaves the slot; when/seq ride in the key.
-        Callback cb = std::move(bucket.slots[key.slot].cb);
-        if (bucket.keys.empty()) {
-            // Bucket drained: discard the hollow records in one sweep.
-            bucket.slots.clear();
-            bucket.builtDay = kNoDay;
-            bits_[0].clear(idx);
-        }
-        --bucketed_;
-        --size_;
-        now_ = key.when;
+        std::pop_heap(heap_.begin(), heap_.end(), Later{});
+        Record rec = heap_.back();
+        heap_.pop_back();
+        now_ = rec.when;
         ++dispatched_;
-        cb();
+        rec.cb();
     }
 
-    /** All buckets, kLevels x kBucketsPerLevel, level-major. */
-    std::vector<Bucket> buckets_;
-    BitSet256 bits_[kLevels];
-    /** Events beyond the wheel horizon (min-heap; effectively unused:
-     *  no simulated delay approaches 2^56 ns). */
-    std::vector<Record> overflow_;
-    /**
-     * Wheel position: base of the level-0 bucket dispatch is at or
-     * headed to, aligned to 2^kBaseBits. Every wheel record satisfies
-     * when >= cursor_; an insert behind it triggers rehome().
-     */
-    SimTime cursor_ = 0;
-    /** Events residing in wheel buckets (excludes overflow_). */
-    std::size_t bucketed_ = 0;
-    /** Total pending events. */
-    std::size_t size_ = 0;
-
+    /** Pending events, a min-heap on (when, seq) under Later. */
+    std::vector<Record> heap_;
     SimTime now_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t dispatched_ = 0;

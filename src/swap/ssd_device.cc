@@ -9,8 +9,12 @@ namespace pagesim
 
 SsdSwapDevice::SsdSwapDevice(EventQueue &events, Rng rng,
                              const SsdConfig &config)
-    : events_(events), rng_(std::move(rng)), config_(config)
+    : events_(events), rng_(std::move(rng)), config_(config),
+      slots_(config.parallelism)
 {
+    // Hand out slot 0 first.
+    for (unsigned slot = config.parallelism; slot-- > 0;)
+        idle_.push_back(slot);
 }
 
 double
@@ -52,11 +56,11 @@ SsdSwapDevice::serviceTime(bool is_write)
 void
 SsdSwapDevice::submit(SwapSlot, bool is_write, Callback cb)
 {
-    Request req{std::move(cb), events_.now(), is_write};
-    if (inFlight_ < config_.parallelism) {
-        startOne(std::move(req));
+    const Request req{cb, events_.now(), is_write};
+    if (!idle_.empty()) {
+        startOne(req);
     } else {
-        queue_.push_back(std::move(req));
+        queue_.push_back(req);
         stats_.peakQueueDepth =
             std::max<std::uint64_t>(stats_.peakQueueDepth,
                                     queue_.size());
@@ -64,25 +68,22 @@ SsdSwapDevice::submit(SwapSlot, bool is_write, Callback cb)
 }
 
 void
-SsdSwapDevice::startOne(Request req)
+SsdSwapDevice::startOne(const Request &req)
 {
-    ++inFlight_;
-    const SimTime started = events_.now();
-    const SimDuration service = serviceTime(req.isWrite);
-    auto done = [this, r = std::move(req), started]() mutable {
-        complete(std::move(r), started);
-    };
-    static_assert(sizeof(done) <= 56,
-                  "completion events must stay inline in the queue");
-    events_.scheduleAfter(service, std::move(done));
+    const unsigned slot = idle_.back();
+    idle_.pop_back();
+    slots_[slot] = InService{req, events_.now()};
+    events_.scheduleAfter(serviceTime(req.isWrite),
+                          [this, slot] { complete(slot); });
 }
 
 void
-SsdSwapDevice::complete(Request req, SimTime started)
+SsdSwapDevice::complete(unsigned slot)
 {
-    --inFlight_;
-    const SimDuration latency = events_.now() - req.submitted;
-    if (req.isWrite) {
+    InService done = slots_[slot];
+    idle_.push_back(slot);
+    const SimDuration latency = events_.now() - done.req.submitted;
+    if (done.req.isWrite) {
         ++stats_.writes;
         stats_.totalWriteLatency += latency;
     } else {
@@ -92,15 +93,14 @@ SsdSwapDevice::complete(Request req, SimTime started)
     // Start the next queued request before running the completion so
     // the device stays saturated.
     if (!queue_.empty()) {
-        Request next = std::move(queue_.front());
+        startOne(queue_.front());
         queue_.pop_front();
-        startOne(std::move(next));
     }
     // Expose the queue-wait/service split for the completion callback
     // (latency-attribution spans read it there).
-    lastQueueWait_ = started - req.submitted;
-    lastService_ = events_.now() - started;
-    req.cb();
+    lastQueueWait_ = done.started - done.req.submitted;
+    lastService_ = events_.now() - done.started;
+    done.req.cb();
 }
 
 void

@@ -9,11 +9,12 @@
  * order isn't artificially lock-stepped.
  *
  * Under the paper's saturated-swap regime the FIFO holds up to ~10^5
- * writebacks, so its record is kept small: the 16-byte inline
- * completion, the submit time and the op kind, 40 B with no heap
- * allocation behind it. The service-start time is known only once a
- * request leaves the queue, so it rides in the completion event's
- * capture instead of the queued record.
+ * writebacks, so its record is kept small: the completion callback
+ * (an InlineCall, 24 B), the submit time and the op kind, 40 B with
+ * no heap allocation behind it. A request that starts service moves
+ * into one of `parallelism` service slots, which adds the
+ * service-start time; its completion event captures only
+ * `[this, slot]`.
  */
 
 #ifndef PAGESIM_SWAP_SSD_DEVICE_HH
@@ -21,6 +22,7 @@
 
 #include <deque>
 #include <string>
+#include <vector>
 
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
@@ -83,7 +85,11 @@ class SsdSwapDevice : public SwapDevice
 
     void noteSyncOp(SwapSlot, bool) override {}
 
-    unsigned inFlight() const { return inFlight_; }
+    unsigned
+    inFlight() const
+    {
+        return static_cast<unsigned>(slots_.size() - idle_.size());
+    }
     std::size_t queued() const { return queue_.size(); }
     /** GC episodes entered so far (diagnostic). */
     std::uint64_t gcEpisodes() const { return gcEpisodes_; }
@@ -92,7 +98,7 @@ class SsdSwapDevice : public SwapDevice
     bool
     quiescent() const override
     {
-        return inFlight_ == 0 && queue_.empty();
+        return idle_.size() == slots_.size() && queue_.empty();
     }
 
     void visitState(StateIO &io) override;
@@ -108,9 +114,17 @@ class SsdSwapDevice : public SwapDevice
     static_assert(sizeof(Request) <= 40,
                   "a saturated SSD queues ~10^5 of these");
 
-    void startOne(Request req);
-    /** Finish @p req, whose service began at @p started. */
-    void complete(Request req, SimTime started);
+    /** A request in service, and when its service began. */
+    struct InService
+    {
+        Request req;
+        SimTime started;
+    };
+
+    /** Start @p req in an idle service slot (one must be free). */
+    void startOne(const Request &req);
+    /** Finish the request in service slot @p slot. */
+    void complete(unsigned slot);
     SimDuration serviceTime(bool is_write);
 
     /** Service-time multiplier considering the GC state at @p now. */
@@ -122,7 +136,9 @@ class SsdSwapDevice : public SwapDevice
     SsdConfig config_;
     // lint:state-cov-ok(display name fixed at construction)
     std::string name_ = "ssd";
-    unsigned inFlight_ = 0;
+    /** One entry per NCQ window position; idle_ lists the free ones. */
+    std::vector<InService> slots_;
+    std::vector<unsigned> idle_;
     std::deque<Request> queue_;
     /** GC state: degraded until gcUntil_, next episode at nextGcAt_. */
     SimTime gcUntil_ = 0;

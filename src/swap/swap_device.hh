@@ -6,12 +6,12 @@
  *
  *  - block-style devices (SSD): asynchronous, queued; callers block
  *    while an I/O is in flight. Modeled by submit() + completion
- *    callback. The callback is a 16-byte inline SmallFunction: a
- *    saturated SSD queues ~10^5 writebacks, and a heap-allocated
- *    closure per queued I/O was the largest single cost in a big
- *    trial's peak RSS. The kernel's completions capture only what
- *    the frame and PTE cannot tell them (DESIGN.md "Swap I/O
- *    completions").
+ *    callback. The callback is the event queue's InlineCall (a
+ *    function pointer plus 16 B of plain captures): a saturated SSD
+ *    queues ~10^5 writebacks, and a heap-allocated closure per queued
+ *    I/O was the largest single cost in a big trial's peak RSS. The
+ *    kernel's completions capture only what the frame and PTE cannot
+ *    tell them (DESIGN.md "Swap I/O completions").
  *  - ZRAM: synchronous (de)compression on the *caller's* CPU. There is
  *    no device-side queue; the cost is CPU work, which matters because
  *    it contends with application threads. Modeled by cpuCost().
@@ -26,8 +26,8 @@
 #include <string>
 
 #include "mem/types.hh"
+#include "sim/inline_call.hh"
 #include "sim/serialize.hh"
-#include "sim/small_function.hh"
 #include "sim/types.hh"
 
 namespace pagesim
@@ -63,11 +63,10 @@ class SwapDevice
 {
   public:
     /**
-     * Completion callback. 16 B inline covers every kernel capture;
-     * a larger one still works, through SmallFunction's heap
-     * fallback.
+     * Completion callback: the event queue's callback type, so a
+     * capture over 16 B or not trivially copyable does not compile.
      */
-    using Callback = SmallFunction<16>;
+    using Callback = InlineCall;
 
     virtual ~SwapDevice() = default;
 

@@ -26,18 +26,31 @@ goodDocument()
   "host": {"cores": 8},
   "event_queue": {
     "events": 3000000,
-    "outstanding": 2048,
-    "hold": {
-      "legacy_heap_events_per_sec": 4000000,
-      "wheel_events_per_sec": 8000000,
-      "speedup": 2.0
-    },
-    "churn": {
-      "legacy_heap_events_per_sec": 3000000,
-      "wheel_events_per_sec": 5000000,
-      "speedup": 1.66
-    },
-    "speedup": 2.0
+    "samples": 3,
+    "estimator": "median of 3 runs per queue",
+    "shapes": {
+      "outstanding_16": {
+        "outstanding": 16,
+        "hold": {"legacy_heap_events_per_sec": 9000000,
+                 "flat_heap_events_per_sec": 30000000, "speedup": 3.33},
+        "churn": {"legacy_heap_events_per_sec": 3000000,
+                  "flat_heap_events_per_sec": 5000000, "speedup": 1.66}
+      },
+      "outstanding_64": {
+        "outstanding": 64,
+        "hold": {"legacy_heap_events_per_sec": 8000000,
+                 "flat_heap_events_per_sec": 20000000, "speedup": 2.5},
+        "churn": {"legacy_heap_events_per_sec": 7000000,
+                  "flat_heap_events_per_sec": 14000000, "speedup": 2.0}
+      },
+      "outstanding_2048": {
+        "outstanding": 2048,
+        "hold": {"legacy_heap_events_per_sec": 4000000,
+                 "flat_heap_events_per_sec": 7000000, "speedup": 1.75},
+        "churn": {"legacy_heap_events_per_sec": 3500000,
+                  "flat_heap_events_per_sec": 6000000, "speedup": 1.71}
+      }
+    }
   },
   "aging_scan": {
     "pages": 65536,
@@ -230,7 +243,24 @@ TEST(BenchSchema, DetectsNonPositiveSpeedup)
     const auto problems = validateBenchCore(
         patch(goodDocument(), "\"speedup\": 1.66",
               "\"speedup\": 0"));
-    expectOneProblemAt(problems, "event_queue.churn.speedup");
+    expectOneProblemAt(problems,
+                       "event_queue.shapes.outstanding_16.churn.speedup");
+}
+
+TEST(BenchSchema, DetectsMissingEventQueueShapeField)
+{
+    // The queue is timed at 16, 64 and 2,048 outstanding events, each
+    // against the legacy replica; a record carrying the old
+    // wheel_events_per_sec name (or dropping a shape) is malformed.
+    expectOneProblemAt(
+        validateBenchCore(patch(goodDocument(),
+                                "\"flat_heap_events_per_sec\": 20000000",
+                                "\"wheel_events_per_sec\": 20000000")),
+        "event_queue.shapes.outstanding_64.hold.flat_heap_events_per_sec");
+    expectOneProblemAt(
+        validateBenchCore(patch(goodDocument(), "\"outstanding_2048\"",
+                                "\"outstanding_4096\"")),
+        "event_queue.shapes.outstanding_2048");
 }
 
 TEST(BenchSchema, DetectsZeroScanRate)

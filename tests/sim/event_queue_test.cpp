@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <functional>
 #include <iterator>
+#include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -44,6 +46,33 @@ TEST(EventQueue, TiesBreakFifo)
     q.run();
     for (int i = 0; i < 8; ++i)
         EXPECT_EQ(order[i], i);
+}
+
+TEST(EventQueue, CallbackBudgetIsCheckedAtCompileTime)
+{
+    // A callback is a function pointer plus at most 16 B of plain
+    // captures; anything else must not compile.
+    std::uint64_t a = 0, b = 0, c = 0;
+    auto three_refs = [&a, &b, &c] { ++a, ++b, ++c; };
+    static_assert(sizeof(three_refs) == 24);
+    static_assert(
+        !std::is_constructible_v<EventQueue::Callback,
+                                 decltype(three_refs)>);
+    std::string name = "owned";
+    auto owns_string = [name] { (void)name.size(); };
+    static_assert(
+        !std::is_constructible_v<EventQueue::Callback,
+                                 decltype(owns_string)>);
+    auto two_refs = [&a, &b] { ++a, ++b; };
+    static_assert(
+        std::is_constructible_v<EventQueue::Callback, decltype(two_refs)>);
+    EventQueue q;
+    q.schedule(1, two_refs);
+    q.run();
+    EXPECT_EQ(a + b, 2u);
+    three_refs();
+    owns_string();
+    EXPECT_EQ(c, 1u);
 }
 
 TEST(EventQueue, ClockAdvancesToEventTime)
@@ -115,9 +144,9 @@ TEST(EventQueue, EventsCanScheduleMoreEvents)
     int depth = 0;
     std::function<void()> chain = [&] {
         if (++depth < 5)
-            q.scheduleAfter(1, chain);
+            q.scheduleAfter(1, [&chain] { chain(); });
     };
-    q.schedule(0, chain);
+    q.schedule(0, [&chain] { chain(); });
     q.run();
     EXPECT_EQ(depth, 5);
     EXPECT_EQ(q.now(), 4u);
@@ -134,11 +163,10 @@ TEST(EventQueue, RunWhileHonorsPredicate)
     EXPECT_EQ(count, 3);
 }
 
-// The timing wheel must dispatch in exactly the (when, seq) order the
-// original std::priority_queue implementation produced. These tests
-// cross-check against a reference model on randomized schedules that
-// exercise every internal path: same-bucket ties, cascades from every
-// level, the far-future overflow heap, and cursor pull-back.
+// The queue must dispatch in exactly (when, seq) order: the order a
+// stable sort of the schedule produces. These tests cross-check against
+// that reference on randomized schedules spanning ns to days, with
+// exact ties, events scheduled from callbacks, and runUntil() pauses.
 
 namespace
 {
@@ -177,8 +205,8 @@ referenceOrder(const std::vector<SimTime> &whens)
 TEST(EventQueue, RandomizedOrderMatchesReferenceAcrossTimescales)
 {
     MiniRng rng{0x2545f4914f6cdd1dull};
-    // Deltas spanning ns to minutes hit every wheel level plus the
-    // overflow heap; coarse quantization forces plenty of exact ties.
+    // Deltas spanning ns to days; coarse quantization forces plenty
+    // of exact ties.
     const SimTime spans[] = {1,         1000,        65536,
                              1000000,   100000000,   30000000000ull,
                              2000000000000ull};
@@ -203,45 +231,53 @@ TEST(EventQueue, RandomizedOrderMatchesReferenceAcrossTimescales)
 
 TEST(EventQueue, RandomizedSelfSchedulingMatchesReference)
 {
-    // Interleaved schedule-from-callback churn: the wheel state when
-    // an event fires differs from when it was inserted, so cascades
-    // and bucket activation run mid-dispatch, like the simulator.
-    MiniRng rng{0x9e3779b97f4a7c15ull};
-    EventQueue q;
-    std::vector<SimTime> whens;
-    std::vector<int> fired;
-    std::function<void(int)> spawn = [&](int fanout) {
-        for (int i = 0; i < fanout; ++i) {
-            const SimTime delta = (rng.next() % 3 == 0)
-                                      ? rng.next() % 300000000
-                                      : rng.next() % 50000;
-            const SimTime when = q.now() + (delta & ~0x3ull);
-            const int id = static_cast<int>(whens.size());
-            whens.push_back(when);
-            q.schedule(when, [&, id] {
-                fired.push_back(id);
-                if (whens.size() < 3000)
-                    spawn(static_cast<int>(rng.next() % 3));
-            });
+    // Interleaved schedule-from-callback churn: the heap's shape when
+    // an event fires differs from when it was inserted, like the
+    // simulator. Each callback captures one pointer to the shared
+    // state plus its id, inside the 16 B callback budget.
+    struct Churn
+    {
+        MiniRng rng{0x9e3779b97f4a7c15ull};
+        EventQueue q;
+        std::vector<SimTime> whens;
+        std::vector<int> fired;
+
+        void
+        spawn(int fanout)
+        {
+            for (int i = 0; i < fanout; ++i) {
+                const SimTime delta = (rng.next() % 3 == 0)
+                                          ? rng.next() % 300000000
+                                          : rng.next() % 50000;
+                const SimTime when = q.now() + (delta & ~0x3ull);
+                const int id = static_cast<int>(whens.size());
+                whens.push_back(when);
+                q.schedule(when, [this, id] {
+                    fired.push_back(id);
+                    if (whens.size() < 3000)
+                        spawn(static_cast<int>(rng.next() % 3));
+                });
+            }
         }
     };
-    spawn(64);
-    q.run();
-    const auto expect = referenceOrder(whens);
-    ASSERT_EQ(fired.size(), expect.size());
+    Churn churn;
+    churn.spawn(64);
+    churn.q.run();
+    const auto expect = referenceOrder(churn.whens);
+    ASSERT_EQ(churn.fired.size(), expect.size());
     for (std::size_t i = 0; i < expect.size(); ++i)
-        ASSERT_EQ(fired[i], expect[i].second) << "position " << i;
+        ASSERT_EQ(churn.fired[i], expect[i].second) << "position " << i;
 }
 
 TEST(EventQueue, InsertBehindParkedCursorKeepsOrder)
 {
-    // runUntil() can park the wheel cursor on a far-future event's
-    // bucket while the clock stays at the deadline; a later insert
-    // between the two must still dispatch first (the rehome path).
+    // runUntil() stops short of a far-future event while the clock
+    // moves to the deadline; a later insert between the two must
+    // still dispatch first.
     EventQueue q;
     std::vector<int> fired;
     q.schedule(5000000000ull, [&] { fired.push_back(2); });
-    q.runUntil(1000); // cursor now parked far ahead of the clock
+    q.runUntil(1000); // the far event stays pending
     EXPECT_EQ(q.now(), 1000u);
     q.schedule(2000, [&] { fired.push_back(0); });
     q.schedule(400000000ull, [&] { fired.push_back(1); });
@@ -252,12 +288,12 @@ TEST(EventQueue, InsertBehindParkedCursorKeepsOrder)
 
 TEST(EventQueue, RunUntilSplitsBucketAndLaterInsertsJoinHeap)
 {
-    // runUntil() can drain half of an activated bucket; survivors must
-    // stay ordered with events inserted into the built heap afterward.
+    // runUntil() can stop between two close events; the survivor must
+    // stay ordered with events inserted afterward.
     EventQueue q;
     std::vector<int> fired;
-    // Two events in the same level-0 bucket (1 us wide), one early
-    // one late; runUntil splits the bucket.
+    // Two events within 1 us, one early one late; runUntil splits
+    // them.
     q.schedule(10000000100ull, [&] { fired.push_back(1); });
     q.schedule(10000000900ull, [&] { fired.push_back(3); });
     q.runUntil(10000000500ull);
@@ -274,16 +310,15 @@ TEST(EventQueue, RunUntilSplitsBucketAndLaterInsertsJoinHeap)
 
 TEST(EventQueue, MassedTiesDispatchFifoAcrossBucketActivation)
 {
-    // FIFO among equal timestamps must survive the append-then-build
-    // bucket activation: insert before and after the bucket's heap is
-    // built, at the same instant.
+    // FIFO among equal timestamps must hold for ties inserted before
+    // dispatch starts and ties inserted later from a callback.
     EventQueue q;
     std::vector<int> fired;
     const SimTime t = 777777;
     for (int i = 0; i < 50; ++i)
         q.schedule(t, [&fired, i] { fired.push_back(i); });
-    // First dispatch activates the bucket; the callback then inserts
-    // more ties, which join the already-built heap.
+    // The first dispatch inserts more ties, which join the 50 already
+    // pending.
     q.schedule(t - 1, [&] {
         for (int i = 50; i < 80; ++i)
             q.schedule(t, [&fired, i] { fired.push_back(i); });

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -107,15 +109,21 @@ TEST(SsdDevice, JitterVariesServiceTimes)
     cfg.jitterSigma = 0.2;
     cfg.gcFactor = 1.0;
     SsdSwapDevice ssd(events, Rng(7), cfg);
-    std::vector<SimTime> completions;
-    SimTime prev = 0;
-    std::vector<SimDuration> services;
+    // Completions capture one pointer to this state (the callback
+    // budget is 16 B).
+    struct Seen
+    {
+        EventQueue &events;
+        SimTime lastDone = 0;
+        std::vector<SimDuration> services;
+    } seen{events, 0, {}};
     for (int i = 0; i < 20; ++i)
-        ssd.submit(i, false, [&] {
-            services.push_back(events.now() - prev);
-            prev = events.now();
+        ssd.submit(i, false, [s = &seen] {
+            s->services.push_back(s->events.now() - s->lastDone);
+            s->lastDone = s->events.now();
         });
     events.run();
+    const std::vector<SimDuration> &services = seen.services;
     bool varied = false;
     for (std::size_t i = 1; i < services.size(); ++i)
         varied |= services[i] != services[0];
@@ -125,6 +133,62 @@ TEST(SsdDevice, JitterVariesServiceTimes)
     for (auto s : services)
         sum += static_cast<double>(s);
     EXPECT_NEAR(sum / services.size(), msecs(10), msecs(2));
+}
+
+TEST(SsdDevice, OutOfOrderCompletionsReuseServiceSlots)
+{
+    // Jittered service times finish requests out of submit order, so
+    // slots free up in an order unrelated to the one they were filled
+    // in. Each completion must still see its own request's split.
+    EventQueue events;
+    SsdConfig cfg = fixedLatency(msecs(10), 4);
+    cfg.jitterSigma = 0.3;
+    SsdSwapDevice ssd(events, Rng(11), cfg);
+    constexpr int kOps = 64;
+    struct Probe
+    {
+        EventQueue &events;
+        SsdSwapDevice &ssd;
+        std::vector<SimTime> submitted;
+        std::vector<int> runs;
+        std::vector<int> order;
+        unsigned maxInFlight = 0;
+    } probe{events, ssd, {}, std::vector<int>(kOps, 0), {}};
+    struct Op
+    {
+        Probe *p;
+        int id;
+        void
+        operator()() const
+        {
+            ++p->runs[id];
+            p->order.push_back(id);
+            EXPECT_EQ(p->ssd.lastOpQueueWait() + p->ssd.lastOpService(),
+                      p->events.now() - p->submitted[id])
+                << "request " << id;
+            EXPECT_LE(p->ssd.inFlight(), 4u);
+        }
+    };
+    for (int i = 0; i < kOps; ++i) {
+        // Bursts of 8 every 15 ms outpace the 4-slot window, so later
+        // requests queue behind ones that are mid-service.
+        if (i % 8 == 0)
+            events.runUntil(events.now() + msecs(15));
+        probe.submitted.push_back(events.now());
+        ssd.submit(i, i % 3 == 0, Op{&probe, i});
+        probe.maxInFlight = std::max(probe.maxInFlight, ssd.inFlight());
+    }
+    events.run();
+    EXPECT_EQ(probe.runs, std::vector<int>(kOps, 1));
+    EXPECT_EQ(probe.maxInFlight, 4u);
+    EXPECT_GT(ssd.stats().peakQueueDepth, 0u);
+    EXPECT_FALSE(std::is_sorted(probe.order.begin(), probe.order.end()))
+        << "jitter should finish some requests out of submit order";
+    EXPECT_TRUE(ssd.quiescent());
+    EXPECT_EQ(ssd.inFlight(), 0u);
+    EXPECT_EQ(ssd.queued(), 0u);
+    EXPECT_EQ(ssd.stats().reads + ssd.stats().writes,
+              static_cast<std::uint64_t>(kOps));
 }
 
 TEST(SsdDevice, IsAsynchronous)

@@ -16,7 +16,7 @@
  *
  *   - pointer and reference members (rig wiring: the checkpoint
  *     layer re-links them by stable id, see harness/checkpoint.cc),
- *   - callback members (std::function / SmallFunction),
+ *   - callback members (std::function / InlineCall),
  *   - const members (fixed at construction, re-fed by config),
  *   - mutable members (a cache, by declaration).
  *
@@ -54,7 +54,7 @@ exemptReason(const std::string &typeText)
             return "pointer member (re-linked by stable id)";
         if (word == "&")
             return "reference member (wiring)";
-        if (word == "function" || word == "SmallFunction")
+        if (word == "function" || word == "InlineCall")
             return "callback member";
         if (word == "const")
             return "const member (fixed at construction)";
