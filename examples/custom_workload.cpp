@@ -124,7 +124,8 @@ runOnce(PolicyKind kind, double capacity_ratio, SimTime &runtime_out)
     SwapManager swap(device, mm_config.swapSlots);
     auto policy = makePolicy(kind, frames, {&space}, mm_config.costs,
                              sim.forkRng("policy"), {}, &sim.events());
-    MemoryManager mm(sim, frames, swap, *policy, mm_config);
+    MemoryManager mm(sim, frames, swap, {{MemcgConfig{}, policy.get()}},
+                     mm_config);
     Kswapd kswapd(sim, mm);
     mm.attachKswapd(&kswapd);
     kswapd.start();

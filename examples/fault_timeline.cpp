@@ -53,7 +53,8 @@ main(int argc, char **argv)
     auto policy = makePolicy(PolicyKind::MgLru, frames, {&space},
                              mm_config.costs, sim.forkRng("policy"),
                              {}, &sim.events());
-    MemoryManager mm(sim, frames, swap, *policy, mm_config);
+    MemoryManager mm(sim, frames, swap, {{MemcgConfig{}, policy.get()}},
+                     mm_config);
     Kswapd kswapd(sim, mm);
     mm.attachKswapd(&kswapd);
     kswapd.start();

@@ -71,7 +71,8 @@ runWithDaemon(WorkloadKind wk, double ratio, SimDuration slice_gap,
                 std::max<std::uint64_t>(total / 16, 64);
         },
         &sim.events());
-    MemoryManager mm(sim, frames, swap, *policy, mm_config);
+    MemoryManager mm(sim, frames, swap, {{MemcgConfig{}, policy.get()}},
+                     mm_config);
     Kswapd kswapd(sim, mm);
     mm.attachKswapd(&kswapd);
     kswapd.start();

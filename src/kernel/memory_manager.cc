@@ -13,16 +13,6 @@ namespace pagesim
 
 MemoryManager::MemoryManager(Simulation &sim, FrameTable &frames,
                              SwapManager &swap,
-                             ReplacementPolicy &policy,
-                             const MmConfig &config)
-    : MemoryManager(sim, frames, swap,
-                    std::vector<MemcgSpec>{{MemcgConfig{}, &policy}},
-                    config)
-{
-}
-
-MemoryManager::MemoryManager(Simulation &sim, FrameTable &frames,
-                             SwapManager &swap,
                              const std::vector<MemcgSpec> &specs,
                              const MmConfig &config)
     : sim_(sim), frames_(frames), swap_(swap), config_(config),

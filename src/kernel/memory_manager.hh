@@ -67,17 +67,11 @@ class MemoryManager
     };
 
     /**
-     * Single-tenant construction: one unlimited root memcg owning
-     * @p policy. Behaviorally identical to the pre-memcg manager —
-     * the pinned bit-identity fingerprints run through this ctor.
-     */
-    MemoryManager(Simulation &sim, FrameTable &frames, SwapManager &swap,
-                  ReplacementPolicy &policy, const MmConfig &config);
-
-    /**
-     * Multi-tenant construction: one memcg per spec, ids assigned in
-     * order (spec i becomes memcg id i). Address spaces select their
-     * group via AddressSpace::setMemcg before their first fault.
+     * One memcg per spec, ids assigned in order (spec i becomes memcg
+     * id i). Address spaces select their group via
+     * AddressSpace::setMemcg before their first fault; a single
+     * tenant is a one-element list `{{MemcgConfig{}, &policy}}` (one
+     * unlimited memcg, which every space joins by default).
      */
     MemoryManager(Simulation &sim, FrameTable &frames, SwapManager &swap,
                   const std::vector<MemcgSpec> &specs,

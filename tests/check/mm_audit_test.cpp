@@ -409,8 +409,9 @@ TEST(MmAudit, DetectsSlowTierCorruption)
     cfg.reclaimBatch = 8;
     cfg.directReclaimBelow = 0;
     h.config = cfg;
-    h.mm = std::make_unique<MemoryManager>(h.sim, h.frames, *h.swap,
-                                           *h.policy, cfg);
+    h.mm = std::make_unique<MemoryManager>(
+        h.sim, h.frames, *h.swap,
+        std::vector<MemcgSpec>{{MemcgConfig{}, h.policy.get()}}, cfg);
     h.auditor = std::make_unique<MmAuditor>(
         *h.mm, std::vector<const AddressSpace *>{&h.space});
     populate(h, 24);

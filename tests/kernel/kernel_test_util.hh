@@ -82,8 +82,10 @@ struct KernelHarness
         config.auditEvery = 1;
         policy = makePolicy(kind, frames, {&space}, config.costs,
                             sim.forkRng("policy"), {}, &sim.events());
-        mm = std::make_unique<MemoryManager>(sim, frames, *swap,
-                                             *policy, config);
+        mm = std::make_unique<MemoryManager>(
+            sim, frames, *swap,
+            std::vector<MemcgSpec>{{MemcgConfig{}, policy.get()}},
+            config);
         auditor = std::make_unique<MmAuditor>(
             *mm, std::vector<const AddressSpace *>{&space});
         auditor->installPeriodic(/*hard_fail=*/true);

@@ -31,8 +31,9 @@ struct TieredHarness : KernelHarness
         cfg.reclaimBatch = 8; // keep one batch within the slow tier
         cfg.directReclaimBelow = 0; // reclaim only when truly empty
         config = cfg;
-        mm = std::make_unique<MemoryManager>(sim, frames, *swap,
-                                             *policy, cfg);
+        mm = std::make_unique<MemoryManager>(
+            sim, frames, *swap,
+            std::vector<MemcgSpec>{{MemcgConfig{}, policy.get()}}, cfg);
         // The base-class auditor was bound to the replaced manager;
         // re-attach to the tiered one.
         auditor = std::make_unique<MmAuditor>(

@@ -89,8 +89,10 @@ struct ThreadHarness
         policy = makePolicy(PolicyKind::MgLru, frames, {&space},
                             config.costs, sim.forkRng("p"), {},
                             &sim.events());
-        mm = std::make_unique<MemoryManager>(sim, frames, swap,
-                                             *policy, config);
+        mm = std::make_unique<MemoryManager>(
+            sim, frames, swap,
+            std::vector<MemcgSpec>{{MemcgConfig{}, policy.get()}},
+            config);
     }
 
     Vpn base() const { return space.vmas().front().start; }
