@@ -53,13 +53,13 @@ TEST(EventQueue, CallbackBudgetIsCheckedAtCompileTime)
     // A callback is a function pointer plus at most 16 B of plain
     // captures; anything else must not compile.
     std::uint64_t a = 0, b = 0, c = 0;
-    auto three_refs = [&a, &b, &c] { ++a, ++b, ++c; };
+    [[maybe_unused]] auto three_refs = [&a, &b, &c] { ++a, ++b, ++c; };
     static_assert(sizeof(three_refs) == 24);
     static_assert(
         !std::is_constructible_v<EventQueue::Callback,
                                  decltype(three_refs)>);
-    std::string name = "owned";
-    auto owns_string = [name] { (void)name.size(); };
+    const std::string name = "owned";
+    [[maybe_unused]] auto owns_string = [name] { (void)name.size(); };
     static_assert(
         !std::is_constructible_v<EventQueue::Callback,
                                  decltype(owns_string)>);
@@ -70,9 +70,6 @@ TEST(EventQueue, CallbackBudgetIsCheckedAtCompileTime)
     q.schedule(1, two_refs);
     q.run();
     EXPECT_EQ(a + b, 2u);
-    three_refs();
-    owns_string();
-    EXPECT_EQ(c, 1u);
 }
 
 TEST(EventQueue, ClockAdvancesToEventTime)
