@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <vector>
 
 #include "mem/address_space.hh"
@@ -60,8 +61,12 @@ BM_FrameListMove(benchmark::State &state)
     AddressSpace space(0);
     space.map("m", 4096);
     FrameList a(frames, 1), b(frames, 2);
-    for (Vpn v = 0; v < 4096; ++v)
-        a.pushBack(frames.allocate(&space, v, false));
+    for (Vpn v = 0; v < 4096; ++v) {
+        const Pfn pfn = frames.allocate(&space, v, false);
+        if (pfn == kInvalidPfn)
+            std::abort();
+        a.pushBack(pfn);
+    }
     bool in_a = true;
     for (auto _ : state) {
         FrameList &from = in_a ? a : b;
@@ -74,66 +79,13 @@ BM_FrameListMove(benchmark::State &state)
 }
 BENCHMARK(BM_FrameListMove);
 
-/**
- * AoS replica of the page metadata record FrameTable used to hold per
- * frame, for the allocate-reset comparison below. Kept local to the
- * bench: the live tree is SoA-only.
- */
-struct LegacyPageInfo
-{
-    AddressSpace *space = nullptr;
-    Vpn vpn = 0;
-    Pfn prev = kInvalidPfn;
-    Pfn next = kInvalidPfn;
-    std::uint8_t listId = 0;
-    std::uint64_t gen = 0;
-    std::uint8_t tier = 0;
-    bool file = false;
-    bool fromReadahead = false;
-    SwapSlot backing = kInvalidSlot;
-    std::uint32_t refs = 0;
-};
-
 void
-BM_PageInfoResetAos(benchmark::State &state)
+BM_FrameTableChurn(benchmark::State &state)
 {
-    // Release/allocate churn against an AoS array: each allocate
-    // resets one whole record wherever the free list points,
-    // dirtying that record's cache line(s). Mirrors the SoA bench's
-    // free-list handling so only the layout differs.
-    std::vector<LegacyPageInfo> infos(1u << 16);
-    std::vector<Pfn> freeList;
-    AddressSpace space(0);
-    Pfn pfn = 0;
-    for (auto _ : state) {
-        freeList.push_back(pfn);
-        const Pfn got = freeList.back();
-        freeList.pop_back();
-        LegacyPageInfo &pi = infos[got];
-        pi.space = &space;
-        pi.vpn = got;
-        pi.prev = kInvalidPfn;
-        pi.next = kInvalidPfn;
-        pi.listId = 0;
-        pi.gen = 0;
-        pi.tier = 0;
-        pi.file = false;
-        pi.fromReadahead = false;
-        pi.backing = kInvalidSlot;
-        pi.refs = 0;
-        benchmark::DoNotOptimize(infos.data());
-        pfn = (pfn + 4097) & 0xffff; // LIFO-recycle-like stride
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PageInfoResetAos);
-
-void
-BM_PageInfoResetSoa(benchmark::State &state)
-{
-    // The live path: FrameTable release + allocate, where allocate
-    // resets the same logical record lane by lane (resetLanes). Same
-    // stride and free-list discipline as the AoS bench.
+    // Release/allocate churn on the live FrameTable: release returns a
+    // frame to the free list and allocate resets its whole record (the
+    // balloon and fault paths' per-frame cost). The stride walks the
+    // table like LIFO recycling after scattered frees.
     FrameTable frames(1u << 16);
     AddressSpace space(0);
     for (std::uint32_t i = 0; i < (1u << 16); ++i)
@@ -146,7 +98,7 @@ BM_PageInfoResetSoa(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_PageInfoResetSoa);
+BENCHMARK(BM_FrameTableChurn);
 
 void
 BM_PageTableScanRegion(benchmark::State &state)
@@ -252,7 +204,7 @@ BENCHMARK(BM_RngNextU64);
 
 // --- Checkpoint serializer throughput -------------------------------
 // The fast-forward path's cost model: a checkpoint is dominated by
-// packing the page-table and frame-table SoA lanes through
+// packing the page-table lanes and the frame records through
 // Sink/Source. These pin the round-trip rate at the Small end and at
 // the Big64M design point, so a regression in the lane codec shows up
 // here before it shows up as a slow sweep. Rates are over the lanes'

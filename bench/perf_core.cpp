@@ -1079,10 +1079,10 @@ main(int argc, char **argv)
                                   : 0.0;
     std::printf("  speedup: %.2fx\n\n", ff_speedup);
 
-    // --- 7. Checkpoint serializer: FrameTable lanes, whole images. -
+    // --- 7. Checkpoint serializer: FrameTable records, whole images.
     // A fully mapped table sliced across two dozen spaces, captured
     // through the checkpoint layer's StateIO with the rig's space
-    // table. StateIO::ownerLane memoizes per distinct owner; the
+    // table. StateIO::recordLanes memoizes per distinct owner; the
     // reference loop re-creates the removed per-frame pattern — one
     // std::function call and rig scan per mapped frame,
     // which is what held capture near 0.5 GB/s — on the same table,

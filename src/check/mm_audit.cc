@@ -309,6 +309,17 @@ MmAuditor::harvestPteShard(const AddressSpace *sp, std::uint64_t shard,
                             pi.free() ? std::string("free frame")
                                       : ownerString(pi.space, pi.vpn));
                     }
+                    // MemoryManager::access() resolves a hit on an
+                    // Accessed fast PTE without reading the frame, so
+                    // such a frame must hold no readahead credit.
+                    if (pte.accessed() && pi.fromReadahead) {
+                        addViolation(
+                            rep, AuditSubsystem::Pte,
+                            "readahead-credit-on-accessed-pte",
+                            sp->id(), vpn, pfn,
+                            "fromReadahead 0 under an Accessed PTE",
+                            "fromReadahead 1");
+                    }
                 } else if (pte.present() && pte.slow()) {
                     ++out.presentSlow;
                     const Pfn pfn = pte.pfn();

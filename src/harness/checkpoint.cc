@@ -187,7 +187,7 @@ checkSectionList(const std::vector<ParsedSection> &sections)
  * can only fail on a semantic mismatch, never on corruption.
  */
 CheckpointError
-parseImage(const std::vector<std::uint8_t> &bytes, ParsedImage &out)
+parseImage(const ByteBuffer &bytes, ParsedImage &out)
 {
     Source cur(bytes.data(), bytes.size());
 
@@ -425,8 +425,7 @@ loadCheckpointFile(const std::string &path, Checkpoint &out)
                          "cannot open '" + path + "'");
     const std::streamsize size = in.tellg();
     in.seekg(0);
-    std::vector<std::uint8_t> bytes(
-        static_cast<std::size_t>(size > 0 ? size : 0));
+    ByteBuffer bytes(static_cast<std::size_t>(size > 0 ? size : 0));
     if (!bytes.empty() &&
         !in.read(reinterpret_cast<char *>(bytes.data()), size))
         return makeError(CheckpointError::Kind::Io,

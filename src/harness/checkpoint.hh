@@ -3,7 +3,7 @@
  * Versioned, checksummed binary snapshots of a mid-trial simulator.
  *
  * A checkpoint captures every layer of a quiescent simulated machine —
- * page-table and frame-table SoA lanes, region/shard bitmaps, memcg
+ * page-table lanes, frame records, region/shard bitmaps, memcg
  * counters and each memcg's lruvec (policy) state, the swap ledger and
  * device (including ZRAM's compressed-pool contents), workload cursors,
  * actor scalar state, barrier membership, and the (when, seq) of every
@@ -131,7 +131,7 @@ struct Checkpoint
     std::uint64_t seed = 0;       ///< trial seed
     SimTime when = 0;             ///< sim clock at capture
     std::uint64_t refs = 0;       ///< total workload touches at capture
-    std::vector<std::uint8_t> bytes;
+    ByteBuffer bytes;
 };
 
 /**

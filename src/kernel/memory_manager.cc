@@ -1,5 +1,6 @@
 #include "kernel/memory_manager.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -657,9 +658,12 @@ MemoryManager::completeWriteback(Pfn pfn, bool slow)
 
     pte.clearFlag(Pte::InIo);
 
-    const WaitKey key{&space, vpn};
-    auto it = ioWaiters_.find(key);
-    if (it != ioWaiters_.end() && !it->second.empty()) {
+    const bool waited =
+        std::any_of(ioWaiters_.begin(), ioWaiters_.end(),
+                    [&](const IoWaiter &w) {
+                        return w.space == &space && w.vpn == vpn;
+                    });
+    if (waited) {
         // The page was re-wanted while under writeback; the frame
         // still holds its data, so remap instead of freeing
         // (swap-cache reuse). The waiter already counted an
@@ -746,22 +750,49 @@ MemoryManager::issueReadahead(AddressSpace &space, Vpn vpn)
 void
 MemoryManager::addIoWaiter(AddressSpace &space, Vpn vpn, SimActor &actor)
 {
-    ioWaiters_[WaitKey{&space, vpn}].push_back(&actor);
+    ioWaiters_.push_back(IoWaiter{&space, vpn, &actor});
 }
 
 void
 MemoryManager::wakeIoWaiters(AddressSpace &space, Vpn vpn,
                              FaultPhase phase)
 {
-    auto it = ioWaiters_.find(WaitKey{&space, vpn});
-    if (it == ioWaiters_.end())
-        return;
-    std::vector<SimActor *> waiters = std::move(it->second);
-    ioWaiters_.erase(it);
-    for (SimActor *actor : waiters) {
+    // Take the page's waiters out in registration order (the others
+    // keep theirs) before waking any, so a wake cannot see them.
+    assert(wakeScratch_.empty());
+    std::erase_if(ioWaiters_, [&](const IoWaiter &w) {
+        if (w.space != &space || w.vpn != vpn)
+            return false;
+        wakeScratch_.push_back(w.actor);
+        return true;
+    });
+    for (SimActor *actor : wakeScratch_) {
         if (metrics_)
             metrics_->spans().closeIoWait(*actor, sim_.now(), phase);
         actor->wake();
+    }
+    wakeScratch_.clear();
+}
+
+void
+MemoryManager::forEachIoWaiter(
+    const std::function<void(const AddressSpace &, Vpn, std::size_t)> &fn)
+    const
+{
+    std::vector<IoWaiter> keys = ioWaiters_;
+    std::sort(keys.begin(), keys.end(),
+              [](const IoWaiter &a, const IoWaiter &b) {
+                  if (a.space->id() != b.space->id())
+                      return a.space->id() < b.space->id();
+                  return a.vpn < b.vpn;
+              });
+    for (std::size_t i = 0; i < keys.size();) {
+        std::size_t j = i + 1;
+        while (j < keys.size() && keys[j].space == keys[i].space &&
+               keys[j].vpn == keys[i].vpn)
+            ++j;
+        fn(*keys[i].space, keys[i].vpn, j - i);
+        i = j;
     }
 }
 

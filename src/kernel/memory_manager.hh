@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -88,19 +87,23 @@ class MemoryManager
      * registered as a waiter and must block(); when woken it retries.
      *
      * The common case — present in the fast tier, accessed bit already
-     * set, no readahead credit pending — has no cost to charge and no
-     * flag, policy, metrics, or trace side effect, so it is resolved
-     * inline here without the accessImpl dispatch. fdAccess() never
-     * takes this path: resident fd hits must feed the policy's
-     * use-count/tier machinery on every access.
+     * set — has no cost to charge and no flag, policy, metrics, or
+     * trace side effect, so it is resolved inline here without the
+     * accessImpl dispatch, from the PTE alone. Such a frame holds no
+     * readahead credit: a readahead completion maps its frame without
+     * the accessed bit, and every path that sets the bit on a fast
+     * frame either follows the credit's clear (accessImpl) or a fresh
+     * allocate (MmAuditor's `readahead-credit-on-accessed-pte`).
+     * fdAccess() never takes this path: resident fd hits must feed
+     * the policy's use-count/tier machinery on every access.
      */
     AccessOutcome
     access(SimActor &actor, AddressSpace &space, Vpn vpn, bool is_write,
            CostSink &sink)
     {
         const auto pte = space.table().at(vpn);
-        if (pte.residentHot() &&
-            !frames_.info(pte.pfn()).fromReadahead) {
+        if (pte.residentHot()) {
+            assert(!frames_.info(pte.pfn()).fromReadahead);
             if (is_write)
                 pte.setFlag(Pte::Dirty);
             return AccessOutcome::Hit;
@@ -311,22 +314,15 @@ class MemoryManager
     /** Demotion-order FIFO over slow-tier frames. */
     const FrameList &slowList() const { return slowList_; }
 
-    /** Is an I/O waiter registered for (space, vpn)? */
-    bool
-    hasIoWaiters(const AddressSpace &space, Vpn vpn) const
-    {
-        auto it = ioWaiters_.find(WaitKey{&space, vpn});
-        return it != ioWaiters_.end() && !it->second.empty();
-    }
-
-    /** Visit every registered I/O-waiter key (audit walk). */
-    void
-    forEachIoWaiter(const std::function<void(const AddressSpace &, Vpn,
-                                             std::size_t)> &fn) const
-    {
-        for (const auto &[key, waiters] : ioWaiters_)
-            fn(*key.space, key.vpn, waiters.size());
-    }
+    /**
+     * Visit every page with registered I/O waiters, with its waiter
+     * count (audit walk), in (space id, vpn) order — not registration
+     * or pointer order — so the walk is the same on every run. Space
+     * ids are unique per simulation (contentTag() already relies on
+     * this to name page contents).
+     */
+    void forEachIoWaiter(const std::function<void(const AddressSpace &, Vpn,
+                                                  std::size_t)> &fn) const;
 
     /**
      * Stable content identity for the compression model: what a page's
@@ -345,24 +341,12 @@ class MemoryManager
     const FrameTable &slowFrames() const { return slowFrames_; }
 
   private:
-    /**
-     * Waiter-map key, ordered by (space id, vpn) — NOT by pointer
-     * value, so the audit walk (forEachIoWaiter) visits waiters in the
-     * same order on every run. Space ids are unique per simulation
-     * (contentTag() already relies on this to name page contents).
-     */
-    struct WaitKey
+    /** One actor blocked on (space, vpn)'s in-flight I/O. */
+    struct IoWaiter
     {
         const AddressSpace *space;
         Vpn vpn;
-
-        bool
-        operator<(const WaitKey &o) const
-        {
-            if (space->id() != o.space->id())
-                return space->id() < o.space->id();
-            return vpn < o.vpn;
-        }
+        SimActor *actor;
     };
 
     AccessOutcome accessImpl(SimActor &actor, AddressSpace &space,
@@ -536,7 +520,14 @@ class MemoryManager
     FrameList slowList_;
     TierStats tierStats_;
 
-    std::map<WaitKey, std::vector<SimActor *>> ioWaiters_;
+    /**
+     * Actors blocked on in-flight I/O, in registration order. Only a
+     * few are ever blocked at once (one per thread at most), so a scan
+     * beats a keyed map's node and vector per waited page.
+     */
+    std::vector<IoWaiter> ioWaiters_;
+    /** wakeIoWaiters scratch, empty outside it. */
+    std::vector<SimActor *> wakeScratch_;
     std::vector<SimActor *> frameWaiters_;
     /** A frame-stall retry timer is pending. */
     bool stallRetryArmed_ = false;

@@ -2,23 +2,24 @@
  * @file
  * Physical frame table, per-frame metadata, and the reverse map.
  *
- * Per-frame metadata (the analogue of struct page) is stored
- * structure-of-arrays: one flat lane per field, indexed by PFN. The
- * lanes record which (address space, VPN) a frame currently holds —
- * that mapping *is* the reverse map; what the policies pay for is the
- * simulated cost of walking it — plus the intrusive list linkage and
- * the policy-owned classification fields (Clock's list id, MG-LRU's
- * generation and tier).
+ * Per-frame metadata (the analogue of struct page) is one 48-byte
+ * record per frame, indexed by PFN. A record holds which (address
+ * space, VPN) the frame currently backs — that mapping *is* the
+ * reverse map; what the policies pay for is the simulated cost of
+ * walking it — plus the intrusive list linkage, the swap-cache
+ * backing, the memcg charge and the policy-owned classification
+ * fields (Clock's list id, MG-LRU's generation and tier).
  *
- * The SoA split is what lets a 64M-frame machine scan at interactive
- * speed: an aging pass touching only `gen` streams 8 bytes per frame
- * instead of dragging a 40+-byte struct through cache, and the
- * allocator's reset touches each lane once. `info()` hands out
- * PageInfoRef/PageInfoView proxies whose reference members preserve
- * the field-access syntax of the old struct, so policy code is
- * unchanged except for declarations.
+ * The fault and reclaim paths touch many fields of one frame at a
+ * time (allocate resets all of them; a list move, an eviction or a
+ * writeback completion reads and writes several), so one record puts
+ * them on one cache line where a lane per field cost a miss each.
+ * Only PFN-order streams (the auditor, the checkpoint codec) read one
+ * field across many frames, and they sweep the records once (see
+ * StateIO::recordLanes). `info()` hands out PageInfoRef/PageInfoView
+ * proxies whose reference members preserve field-access syntax.
  *
- * Contract: the intrusive-link lanes (prev/next/listId) may only be
+ * Contract: the intrusive-link fields (prev/next/listId) may only be
  * mutated by FrameList — pagesim-lint's mut-pageinfo rule enforces
  * this, mirroring mut-pte for PTE flags.
  */
@@ -26,11 +27,14 @@
 #ifndef PAGESIM_MEM_FRAME_TABLE_HH
 #define PAGESIM_MEM_FRAME_TABLE_HH
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "mem/types.hh"
+#include "sim/page_alloc.hh"
 #include "sim/serialize.hh"
 
 namespace pagesim
@@ -39,10 +43,10 @@ namespace pagesim
 class AddressSpace;
 
 /**
- * Mutable proxy over one frame's SoA lanes ("struct page" view).
- * Members are references into FrameTable's lanes, so `pi.gen = seq`
- * writes the lane directly; the proxy is freely copyable (copies
- * alias the same frame).
+ * Mutable proxy over one frame's record ("struct page" view). Members
+ * are references into FrameTable's record, so `pi.gen = seq` writes
+ * the field directly; the proxy is freely copyable (copies alias the
+ * same frame).
  */
 struct PageInfoRef
 {
@@ -77,7 +81,7 @@ struct PageInfoRef
     /**
      * Memory control group this frame is charged to; kNoMemcg while
      * free or kernel-private (balloon). Written only by Memcg
-     * charge/uncharge (pagesim-lint mut-memcg) so the lane and the
+     * charge/uncharge (pagesim-lint mut-memcg) so the field and the
      * group's usage counter cannot diverge.
      */
     MemcgId &memcg;
@@ -106,22 +110,17 @@ struct PageInfoView
 
 /**
  * The machine's physical memory: a fixed set of frames with a free
- * list and the per-frame metadata lanes. The lanes are sized once at
- * construction and never reallocate, so proxies stay valid for the
+ * list and one metadata record per frame. The records are sized once
+ * at construction and never reallocate, so proxies stay valid for the
  * table's lifetime.
  */
 class FrameTable
 {
   public:
     explicit
-    FrameTable(std::uint32_t nframes)
-        : space_(nframes, nullptr), vpn_(nframes, 0),
-          prev_(nframes, kInvalidPfn), next_(nframes, kInvalidPfn),
-          listId_(nframes, 0), gen_(nframes, 0), tier_(nframes, 0),
-          file_(nframes, 0), fromReadahead_(nframes, 0),
-          backing_(nframes, kInvalidSlot), refs_(nframes, 0),
-          memcg_(nframes, kNoMemcg)
+    FrameTable(std::uint32_t nframes) : recs_(nframes)
     {
+        std::fill(recs_.begin(), recs_.end(), kFreeRecord);
         freeList_.reserve(nframes);
         // Allocate ascending: push in reverse so pop_back yields pfn 0
         // first, giving deterministic, realistic low-to-high placement.
@@ -131,7 +130,7 @@ class FrameTable
 
     std::uint32_t totalFrames() const
     {
-        return static_cast<std::uint32_t>(space_.size());
+        return static_cast<std::uint32_t>(recs_.size());
     }
 
     std::uint32_t freeFrames() const
@@ -144,7 +143,11 @@ class FrameTable
         return totalFrames() - freeFrames();
     }
 
-    /** Grab a free frame; kInvalidPfn when memory is exhausted. */
+    /**
+     * Grab a free frame; kInvalidPfn when memory is exhausted. The
+     * frame's record is reset whole for its new tenant: every field
+     * starts at its default, so nothing leaks from the previous one.
+     */
     Pfn
     allocate(AddressSpace *space, Vpn vpn, bool file)
     {
@@ -152,8 +155,14 @@ class FrameTable
             return kInvalidPfn;
         const Pfn pfn = freeList_.back();
         freeList_.pop_back();
-        assert(space_[pfn] == nullptr);
-        resetLanes(pfn, space, vpn, file);
+        assert(recs_[pfn].space == nullptr);
+        // release() asserted the frame uncharged, so memcg is already
+        // kNoMemcg; the whole-record store rewrites it all the same.
+        Record r = kFreeRecord;
+        r.space = space;
+        r.vpn = vpn;
+        r.file = file ? 1 : 0;
+        recs_[pfn] = r;
         return pfn;
     }
 
@@ -161,33 +170,32 @@ class FrameTable
     void
     release(Pfn pfn)
     {
-        assert(space_[pfn] != nullptr);
-        assert(listId_[pfn] == 0 && "frame still on a policy list");
-        assert(memcg_[pfn] == kNoMemcg && "frame still charged");
-        space_[pfn] = nullptr;
+        Record &r = recs_[pfn];
+        assert(r.space != nullptr);
+        assert(r.listId == 0 && "frame still on a policy list");
+        assert(r.memcg == kNoMemcg && "frame still charged");
+        r.space = nullptr;
         freeList_.push_back(pfn);
     }
 
     PageInfoRef
     info(Pfn pfn)
     {
-        assert(pfn < space_.size());
-        return PageInfoRef{space_[pfn],   vpn_[pfn],  prev_[pfn],
-                           next_[pfn],    listId_[pfn], gen_[pfn],
-                           tier_[pfn],    file_[pfn],
-                           fromReadahead_[pfn], backing_[pfn],
-                           refs_[pfn],    memcg_[pfn]};
+        assert(pfn < recs_.size());
+        Record &r = recs_[pfn];
+        return PageInfoRef{r.space, r.vpn,  r.prev, r.next,
+                           r.listId, r.gen, r.tier, r.file,
+                           r.fromReadahead, r.backing, r.refs, r.memcg};
     }
 
     PageInfoView
     info(Pfn pfn) const
     {
-        assert(pfn < space_.size());
-        return PageInfoView{space_[pfn],   vpn_[pfn],  prev_[pfn],
-                            next_[pfn],    listId_[pfn], gen_[pfn],
-                            tier_[pfn],    file_[pfn],
-                            fromReadahead_[pfn], backing_[pfn],
-                            refs_[pfn],    memcg_[pfn]};
+        assert(pfn < recs_.size());
+        const Record &r = recs_[pfn];
+        return PageInfoView{r.space, r.vpn,  r.prev, r.next,
+                            r.listId, r.gen, r.tier, r.file,
+                            r.fromReadahead, r.backing, r.refs, r.memcg};
     }
 
     /**
@@ -202,79 +210,62 @@ class FrameTable
     const std::vector<Pfn> &freeList() const { return freeList_; }
 
     /**
-     * Checkpoint every lane. The space_ lane holds raw pointers, so it
-     * travels as owner ids (StateIO::ownerLane); everything else moves
-     * via bulk podVec. Every per-frame lane must hold exactly one entry
-     * per frame of THIS table, so an image from a machine of another
-     * size is a mismatch, refused by the checkpoint's check pass before
-     * anything is applied. The free list is captured verbatim — its
-     * ORDER is allocator state (pop_back yields the next pfn).
+     * Checkpoint every record field, one packed lane per field in the
+     * order below (StateIO::recordLanes: one sweep over the records).
+     * The owner pointer travels as link-table ids. Each lane must hold
+     * exactly one entry per frame of THIS table, so an image from a
+     * machine of another size is a mismatch, refused by the
+     * checkpoint's check pass before anything is applied. The free
+     * list is captured verbatim — its ORDER is allocator state
+     * (pop_back yields the next pfn).
      */
     void
     visitState(StateIO &io)
     {
-        io.ownerLane(space_);
-        io.lane(vpn_);
-        io.lane(prev_);
-        io.lane(next_);
-        io.lane(listId_);
-        io.lane(gen_);
-        io.lane(tier_);
-        io.lane(file_);
-        io.lane(fromReadahead_);
-        io.lane(backing_);
-        io.lane(refs_);
-        io.lane(memcg_);
-        io.podVec(freeList_, space_.size());
+        io.recordLanes(std::span<Record>(recs_),
+                       StateIO::owner(&Record::space), &Record::vpn,
+                       &Record::prev, &Record::next, &Record::listId,
+                       &Record::gen, &Record::tier, &Record::file,
+                       &Record::fromReadahead, &Record::backing,
+                       &Record::refs, &Record::memcg);
+        io.podVec(freeList_, recs_.size());
     }
 
   private:
     /**
-     * Reset every lane of @p pfn for a new tenant — the SoA
-     * equivalent of the old aggregate `pi = PageInfo{...}` reset.
-     * Keep in lockstep with the lane members: a lane missing here
-     * would leak state from the frame's previous tenant.
+     * One frame's metadata; see PageInfoRef for each field. No member
+     * initializers: the table fills whole records from kFreeRecord.
      */
-    void
-    resetLanes(Pfn pfn, AddressSpace *space, Vpn vpn, bool file)
+    struct Record
     {
-        space_[pfn] = space;
-        vpn_[pfn] = vpn;
-        prev_[pfn] = kInvalidPfn;
-        next_[pfn] = kInvalidPfn;
-        listId_[pfn] = 0;
-        gen_[pfn] = 0;
-        tier_[pfn] = 0;
-        file_[pfn] = file ? 1 : 0;
-        fromReadahead_[pfn] = 0;
-        backing_[pfn] = kInvalidSlot;
-        refs_[pfn] = 0;
-        // release() asserts the lane was uncharged, so this is only a
-        // reset-contract formality (the lane name memcg_ is the raw
-        // storage, not the PageInfo member mut-memcg guards).
-        memcg_[pfn] = kNoMemcg;
-    }
+        AddressSpace *space;
+        Vpn vpn;
+        std::uint64_t gen;
+        Pfn prev;
+        Pfn next;
+        SwapSlot backing;
+        std::uint32_t refs;
+        MemcgId memcg;
+        std::uint8_t listId;
+        std::uint8_t tier;
+        std::uint8_t file;
+        std::uint8_t fromReadahead;
+    };
+    static_assert(sizeof(Record) == 48, "one record per 48 bytes");
 
-    /** Per-frame metadata lanes (structure-of-arrays, PFN-indexed). */
-    std::vector<AddressSpace *> space_;
-    std::vector<Vpn> vpn_;
-    std::vector<Pfn> prev_;
-    std::vector<Pfn> next_;
-    std::vector<std::uint8_t> listId_;
-    std::vector<std::uint64_t> gen_;
-    std::vector<std::uint8_t> tier_;
-    std::vector<std::uint8_t> file_;
-    std::vector<std::uint8_t> fromReadahead_;
-    std::vector<SwapSlot> backing_;
-    std::vector<std::uint32_t> refs_;
-    std::vector<MemcgId> memcg_;
+    /** A free frame's record, and the reset base of an allocated one. */
+    static constexpr Record kFreeRecord{nullptr,     0,       0, kInvalidPfn,
+                                        kInvalidPfn, kInvalidSlot, 0, kNoMemcg,
+                                        0,           0,       0, 0};
+
+    std::vector<Record, PageMappedAllocator<Record, true>> recs_;
     std::vector<Pfn> freeList_;
 };
 
 /**
  * Intrusive doubly-linked list over frames.
  *
- * Uses the prev/next/listId lanes, so membership moves are O(1) — the
+ * Uses the prev/next/listId fields, so membership moves are O(1) — the
  * property the paper leans on when arguing generation-count increases
  * are cheap ("moving page metadata between generation lists is an O(1)
  * operation", Sec. V-B). A frame may be on at most one FrameList; the
@@ -429,7 +420,7 @@ class FrameList
 
     /**
      * Checkpoint the list anchors. The member links live in the
-     * FrameTable lanes (captured by FrameTable::visitState); only the
+     * FrameTable records (captured by FrameTable::visitState); only the
      * head/tail/size anchors are per-list state.
      */
     void

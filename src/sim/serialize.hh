@@ -13,8 +13,8 @@
  * section level (see harness/checkpoint.hh); the byte stream only
  * needs to be deterministic, not evolvable.
  *
- * Lanes (StateIO::lane, podVec, ownerLane: every SoA frame and PTE
- * lane, and every other POD array) travel packed. A lane is a u64
+ * Lanes (StateIO::lane, podVec, recordLanes: every frame-record field,
+ * every PTE lane, and every other POD array) travel packed. A lane is a u64
  * element count, a u64 packed length, then the payload. Elements are
  * read as the widest of 8/4/2/1-byte words that tiles them, and each
  * word is XORed with the word before it in the lane. The XORed words
@@ -28,8 +28,8 @@
  * collapse to a byte per block, small counters to a byte per word, and
  * random lanes (prev/next links) stay near their raw size. Encoding and
  * decoding are word-at-a-time with no lane-sized buffer on either side:
- * Save stages packed blocks through a fixed chunk buffer, and Load
- * decodes in place. Decoding first walks the lane's framing (a header
+ * Save grows the Sink by a lane's bound, packs in place and truncates
+ * the rest, and Load decodes in place. Decoding first walks the lane's framing (a header
  * outside 0..w and 0x80, a mask bit past the lane's end, a block longer
  * than the bytes left, or bytes left over all fail), so a Load that
  * fails stores nothing, and Check mode validates the framing without
@@ -80,15 +80,20 @@
 #define PAGESIM_SIM_SERIALIZE_HH
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <optional>
+#include <span>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "sim/page_alloc.hh"
 
 namespace pagesim
 {
@@ -208,6 +213,12 @@ checksum64(const void *data, std::size_t len)
     return h;
 }
 
+/**
+ * A checkpoint image's bytes. Page-mapped (sim/page_alloc.hh): a freed
+ * image goes back to the OS, and a Sink grows without zeroing.
+ */
+using ByteBuffer = std::vector<std::uint8_t, PageMappedAllocator<std::uint8_t>>;
+
 /** Append-only little-endian byte buffer. */
 class Sink
 {
@@ -221,15 +232,17 @@ class Sink
     void
     u32(std::uint32_t v)
     {
+        std::uint8_t *p = grow(4);
         for (int i = 0; i < 4; ++i)
-            buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+            p[i] = static_cast<std::uint8_t>(v >> (8 * i));
     }
 
     void
     u64(std::uint64_t v)
     {
+        std::uint8_t *p = grow(8);
         for (int i = 0; i < 8; ++i)
-            buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+            p[i] = static_cast<std::uint8_t>(v >> (8 * i));
     }
 
     void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
@@ -239,15 +252,40 @@ class Sink
     void
     bytes(const void *data, std::size_t len)
     {
-        const auto *p = static_cast<const std::uint8_t *>(data);
-        buf_.insert(buf_.end(), p, p + len);
+        if (len != 0)
+            std::memcpy(grow(len), data, len);
     }
+
+    /**
+     * Append @p n uninitialized bytes and return where they start, for
+     * an encoder that writes a bounded region in place and then
+     * truncate()s what it did not use. The pointer is valid until the
+     * next append.
+     */
+    std::uint8_t *
+    grow(std::size_t n)
+    {
+        const std::size_t at = buf_.size();
+        if (buf_.capacity() - at < n)
+            buf_.reserve(std::max(at + n, 2 * buf_.capacity()));
+        buf_.resize(at + n);
+        return buf_.data() + at;
+    }
+
+    /** Drop every byte from @p size on (size <= size()). */
+    void
+    truncate(std::size_t size)
+    {
+        assert(size <= buf_.size());
+        buf_.resize(size);
+    }
+
 
     /**
      * Capacity hint for bulk captures. Growing a multi-hundred-MB
      * buffer by geometric doubling re-copies the accumulated bytes
-     * several times over; a caller that knows its footprint (SoA
-     * lane sums, section payload totals) reserves once instead.
+     * several times over; a caller that knows its footprint (packed
+     * lane bounds, section payload totals) reserves once instead.
      */
     void reserve(std::size_t n) { buf_.reserve(n); }
 
@@ -264,18 +302,18 @@ class Sink
             buf_[offset + i] = static_cast<std::uint8_t>(v >> (8 * i));
     }
 
-    const std::vector<std::uint8_t> &data() const { return buf_; }
+    const ByteBuffer &data() const { return buf_; }
     std::size_t size() const { return buf_.size(); }
 
     /** Move the buffer out (no copy); the Sink is left empty. */
-    std::vector<std::uint8_t>
+    ByteBuffer
     take() &&
     {
         return std::move(buf_);
     }
 
   private:
-    std::vector<std::uint8_t> buf_;
+    ByteBuffer buf_;
 };
 
 /**
@@ -377,6 +415,13 @@ namespace detail
 /** Words per packed-lane block (one bit each in a sparse mask). */
 constexpr std::size_t kLaneBlockWords = 64;
 
+/**
+ * Records per step of StateIO::recordLanes's sweep: whole blocks, and
+ * few enough that a step's records stay in L1 while every lane visits
+ * them.
+ */
+constexpr std::size_t kSweepRecords = 4 * kLaneBlockWords;
+
 /** Header of a sparse block; a width block's header is its width. */
 constexpr std::uint8_t kSparseBlock = 0x80;
 
@@ -439,75 +484,69 @@ scanLane(const std::uint8_t *p, std::size_t len, std::uint64_t words,
 }
 
 /**
- * Packs a lane of @p Word words into a Sink: the packed-length slot on
- * construction, blocks as words arrive, the backfilled length on
- * finish(). Blocks are staged in a fixed buffer and appended in
- * chunks. The XOR chain runs across put() calls; every put() but the
- * last must carry a whole number of blocks.
+ * Packs a lane of @p Word words in place into a region the caller
+ * sized to the lane's payload bound (packedLaneBound() less the 16
+ * framing bytes). Every block stays inside its share of that bound,
+ * stray tail bytes included, so lanes packed side by side into
+ * adjacent slices never overwrite each other. The XOR chain runs
+ * across put() calls; every put() but the last must carry a whole
+ * number of blocks.
  */
 template <typename Word>
 class LaneEncoder
 {
   public:
-    explicit LaneEncoder(Sink &sink) : sink_(sink), slot_(sink.size())
-    {
-        sink_.u64(0);
-    }
+    explicit LaneEncoder(std::uint8_t *out) : out_(out) {}
 
     LaneEncoder(const LaneEncoder &) = delete;
     LaneEncoder &operator=(const LaneEncoder &) = delete;
 
-    /** Append @p words words read from @p in. */
+    /**
+     * Append @p words words read from @p in, one every @p Stride bytes
+     * (a record field's stride; packed by default).
+     */
+    template <std::size_t Stride = sizeof(Word)>
     void
     put(const void *in, std::size_t words)
     {
         const auto *p = static_cast<const unsigned char *>(in);
         while (words > 0) {
             const std::size_t k = std::min(words, kLaneBlockWords);
-            block(p, k);
-            p += k * sizeof(Word);
+            // A full block gets a constant trip count, so the delta and
+            // narrowing loops vectorize.
+            if (k == kLaneBlockWords)
+                encodeBlock<kLaneBlockWords, Stride>(p, k);
+            else
+                encodeBlock<0, Stride>(p, k);
+            p += k * Stride;
             words -= k;
         }
     }
 
-    /** Flush the staged blocks and backfill the packed length. */
-    void
-    finish()
-    {
-        sink_.bytes(stage_, used_);
-        used_ = 0;
-        sink_.patchU64(slot_, sink_.size() - slot_ - 8);
-    }
+    /** Packed bytes written so far. */
+    std::size_t bytes() const { return used_; }
 
   private:
-    static constexpr std::size_t kStageBytes = std::size_t{1} << 14;
-    static constexpr std::size_t kMaxBlockBytes =
-        9 + kLaneBlockWords * sizeof(Word);
-
-    void
-    block(const unsigned char *in, std::size_t k)
-    {
-        // A full block gets a constant trip count, so the delta and
-        // narrowing loops vectorize.
-        if (k == kLaneBlockWords)
-            encodeBlock<kLaneBlockWords>(in, k);
-        else
-            encodeBlock<0>(in, k);
-        if (used_ >= kStageBytes) {
-            sink_.bytes(stage_, used_);
-            used_ = 0;
-        }
-    }
-
-    /** Encode @p k words (@p K of them when @p K is nonzero). */
-    template <std::size_t K>
+    /**
+     * Encode @p k words (@p K of them when @p K is nonzero). Stray
+     * whole-word stores end at most 9 + k * sizeof(Word) bytes past
+     * the block's start: a sparse block is chosen only when it holds
+     * fewer than k - 1 words, and a narrowed block's last store ends
+     * (k - 1) * width + sizeof(Word) bytes into its body.
+     */
+    template <std::size_t K, std::size_t Stride>
     void
     encodeBlock(const unsigned char *in, std::size_t k)
     {
         const std::size_t n = K != 0 ? K : k;
         Word x[kLaneBlockWords + 1];
         x[0] = prev_;
-        std::memcpy(x + 1, in, n * sizeof(Word));
+        if constexpr (Stride == sizeof(Word)) {
+            std::memcpy(x + 1, in, n * sizeof(Word));
+        } else {
+            for (std::size_t i = 0; i < n; ++i)
+                std::memcpy(&x[i + 1], in + i * Stride, sizeof(Word));
+        }
         prev_ = x[n];
         Word delta[kLaneBlockWords];
         Word any = 0;
@@ -519,10 +558,10 @@ class LaneEncoder
         }
         const std::size_t width =
             (static_cast<std::size_t>(std::bit_width(any)) + 7) / 8;
-        unsigned char *out = stage_ + used_;
+        std::uint8_t *out = out_;
         if (9 + nonzero * sizeof(Word) < 1 + n * width) {
             *out++ = kSparseBlock;
-            unsigned char *mask_at = out;
+            std::uint8_t *mask_at = out;
             out += 8;
             std::uint64_t mask = 0;
             for (std::size_t i = 0; i < n; ++i) {
@@ -535,28 +574,26 @@ class LaneEncoder
             }
             std::memcpy(mask_at, &mask, 8);
         } else {
-            *out++ = static_cast<unsigned char>(width);
+            *out++ = static_cast<std::uint8_t>(width);
             if (width == sizeof(Word)) {
                 std::memcpy(out, delta, n * sizeof(Word));
             } else if (width == 1) {
                 for (std::size_t i = 0; i < n; ++i)
-                    out[i] = static_cast<unsigned char>(delta[i]);
+                    out[i] = static_cast<std::uint8_t>(delta[i]);
             } else if (width != 0) {
-                // Whole-word stores, each overwritten by the next; the
-                // stage's tail slack absorbs the last one's spill.
+                // Whole-word stores, each overwritten by the next.
                 for (std::size_t i = 0; i < n; ++i)
                     std::memcpy(out + i * width, &delta[i], sizeof(Word));
             }
             out += n * width;
         }
-        used_ = static_cast<std::size_t>(out - stage_);
+        used_ += static_cast<std::size_t>(out - out_);
+        out_ = out;
     }
 
-    Sink &sink_;
-    std::size_t slot_;
-    Word prev_ = 0;
+    std::uint8_t *out_;
     std::size_t used_ = 0;
-    unsigned char stage_[kStageBytes + kMaxBlockBytes + sizeof(Word)];
+    Word prev_ = 0;
 };
 
 /**
@@ -575,7 +612,11 @@ class LaneDecoder
     {
     }
 
-    /** Decode the next @p words words into @p out. */
+    /**
+     * Decode the next @p words words into @p out, one every @p Stride
+     * bytes (a record field's stride; packed by default).
+     */
+    template <std::size_t Stride = sizeof(Word)>
     void
     get(void *out, std::size_t words)
     {
@@ -589,13 +630,13 @@ class LaneDecoder
             if (deltas(delta, k)) {
                 for (std::size_t i = 0; i < k; ++i) {
                     prev = static_cast<Word>(prev ^ delta[i]);
-                    std::memcpy(o + i * sizeof(Word), &prev, sizeof(Word));
+                    std::memcpy(o + i * Stride, &prev, sizeof(Word));
                 }
             } else {
                 for (std::size_t i = 0; i < k; ++i)
-                    std::memcpy(o + i * sizeof(Word), &prev, sizeof(Word));
+                    std::memcpy(o + i * Stride, &prev, sizeof(Word));
             }
-            o += k * sizeof(Word);
+            o += k * Stride;
             words -= k;
         }
         prev_ = prev;
@@ -721,6 +762,119 @@ struct StateLinks
         return static_cast<std::uint32_t>(at - actors.begin());
     }
 };
+
+/**
+ * A record field that travels as owner ids in the link tables rather
+ * than as pointer bits (see StateIO::recordLanes and StateIO::owner).
+ */
+template <typename Rec>
+struct OwnerField
+{
+    AddressSpace *Rec::*member;
+};
+
+namespace detail
+{
+
+/**
+ * How StateIO::recordLanes moves one field of a record array, a block
+ * of records at a time. A plain field moves its bytes as one lane
+ * word, read and written in place at the record stride.
+ */
+template <typename Rec, typename F>
+struct FieldLane;
+
+template <typename Rec, typename T>
+struct FieldLane<Rec, T Rec::*>
+{
+    static_assert(std::is_trivially_copyable_v<T>);
+    using Word = LaneWord<T>;
+    static_assert(sizeof(T) == sizeof(Word),
+                  "a record field packs as exactly one lane word");
+    /** Decoded words need no check beyond the lane's framing. */
+    static constexpr bool kIds = false;
+
+    T Rec::*member;
+
+    void
+    save(LaneEncoder<Word> &enc, const Rec *r, std::size_t k,
+         const StateLinks &)
+    {
+        enc.template put<sizeof(Rec)>(&(r->*member), k);
+    }
+
+    void
+    load(LaneDecoder<Word> &dec, Rec *r, std::size_t k,
+         const StateLinks &) const
+    {
+        dec.template get<sizeof(Rec)>(&(r->*member), k);
+    }
+};
+
+/**
+ * An owner field travels as u32 ids. Consecutive frames mostly share
+ * an owner (allocation order yields runs), so Save looks an id up only
+ * when the owner changes.
+ */
+template <typename Rec>
+struct FieldLane<Rec, OwnerField<Rec>>
+{
+    using Word = std::uint32_t;
+    /** Every decoded id must name a space in the link tables. */
+    static constexpr bool kIds = true;
+
+    OwnerField<Rec> field;
+    /** The run being saved or loaded: its owner and id. */
+    const AddressSpace *last = nullptr;
+    AddressSpace *loaded = nullptr;
+    Word lastId = StateLinks::kNoSpace;
+
+    void
+    save(LaneEncoder<Word> &enc, const Rec *r, std::size_t k,
+         const StateLinks &links)
+    {
+        Word ids[kSweepRecords];
+        for (std::size_t i = 0; i < k; ++i) {
+            const AddressSpace *owner = r[i].*field.member;
+            if (owner != nullptr && owner != last) {
+                last = owner;
+                lastId = links.spaceId(owner);
+            }
+            ids[i] = owner != nullptr ? lastId : StateLinks::kNoSpace;
+        }
+        enc.put(ids, k);
+    }
+
+    /** Every id names a space; ids are looked up once per run. */
+    static bool
+    valid(const Word *ids, std::size_t k, const StateLinks &links)
+    {
+        AddressSpace *owner = nullptr;
+        for (std::size_t i = 0; i < k; ++i)
+            if ((i == 0 || ids[i] != ids[i - 1]) &&
+                !links.spaceAt(ids[i], owner))
+                return false;
+        return true;
+    }
+
+    /** Ids already passed valid(); looked up once per run. */
+    void
+    load(LaneDecoder<Word> &dec, Rec *r, std::size_t k,
+         const StateLinks &links)
+    {
+        Word ids[kSweepRecords];
+        dec.get(ids, k);
+        for (std::size_t i = 0; i < k; ++i) {
+            if (ids[i] != lastId) {
+                lastId = ids[i];
+                links.spaceAt(lastId, loaded);
+            }
+            r[i].*field.member = loaded;
+        }
+    }
+};
+
+} // namespace detail
 
 /**
  * The checkpoint archive (see the file comment): one visitState body
@@ -949,65 +1103,38 @@ class StateIO
             fail();
     }
 
-    /**
-     * The frame-owner lane, as a packed lane of u32 ids in the link
-     * tables. Consecutive frames mostly share an owner (allocation
-     * order yields runs), so Save looks an id up only when the owner
-     * changes. Ids go through a fixed chunk buffer both ways; decoding
-     * (in Check mode too) validates every id.
-     */
-    void
-    ownerLane(std::vector<AddressSpace *> &owners)
+    /** An owner-pointer field for recordLanes (travels as ids). */
+    template <typename Rec>
+    static OwnerField<Rec>
+    owner(AddressSpace *Rec::*member)
     {
-        using Id = std::uint32_t;
-        constexpr std::size_t kChunk = 4096;
-        static_assert(kChunk % detail::kLaneBlockWords == 0);
-        std::uint64_t n = owners.size();
-        raw(n);
-        if (mode_ == Mode::Size) {
-            size_ += detail::packedLaneBound(n, sizeof(Id)) - 8;
-            unpacked_ += n * sizeof(Id);
-            return;
-        }
-        Id ids[kChunk];
-        if (mode_ == Mode::Save) {
-            detail::LaneEncoder<Id> enc(*sink_);
-            const AddressSpace *last = nullptr;
-            Id lastId = StateLinks::kNoSpace;
-            for (std::size_t at = 0; at < owners.size(); at += kChunk) {
-                const std::size_t k = std::min(kChunk, owners.size() - at);
-                for (std::size_t i = 0; i < k; ++i) {
-                    const AddressSpace *owner = owners[at + i];
-                    if (owner != nullptr && owner != last) {
-                        last = owner;
-                        lastId = links_->spaceId(owner);
-                    }
-                    ids[i] = owner != nullptr ? lastId : StateLinks::kNoSpace;
-                }
-                enc.put(ids, k);
-            }
-            return enc.finish();
-        }
-        std::size_t len = 0;
-        const std::uint8_t *p = openLane(n, 1, len);
-        if (p == nullptr)
-            return;
-        if (n != owners.size())
-            return mismatch();
-        if (!detail::scanLane(p, len, n, sizeof(Id)))
-            return fail();
-        detail::LaneDecoder<Id> dec(p, len);
-        for (std::size_t at = 0; at < owners.size(); at += kChunk) {
-            const std::size_t k = std::min(kChunk, owners.size() - at);
-            dec.get(ids, k);
-            for (std::size_t i = 0; i < k; ++i) {
-                AddressSpace *owner = nullptr;
-                if (!links_->spaceAt(ids[i], owner))
-                    return fail();
-                if (loading())
-                    owners[at + i] = owner;
-            }
-        }
+        return {member};
+    }
+
+    /**
+     * A record array whose length is fixed by construction (the frame
+     * table), as one packed lane per field in @p fields order: each
+     * lane has exactly the bytes lane() would write for a vector of
+     * that field's values, and an owner() field has the bytes of a u32
+     * lane of link-table ids. Fields are member pointers to 1-, 2-, 4-
+     * or 8-byte members, or owner().
+     *
+     * Every mode makes a single sweep over the records in 64-record
+     * blocks, each lane with its own encoder or decoder, so a record
+     * is read or written once, not once per field. Save packs each lane
+     * in place into its own slice of the lanes' Size bound, then slides
+     * the packed lanes together (an untouched slice tail is never
+     * resident). Load and Check first open every lane in order (count,
+     * framing, and for owner() fields every id), so a Load that fails
+     * writes no record; any count other than recs.size() is a
+     * mismatch.
+     */
+    template <typename Rec, typename... Fields>
+    void
+    recordLanes(std::span<Rec> recs, Fields... fields)
+    {
+        recordLanesImpl(recs, std::index_sequence_for<Fields...>{},
+                        detail::FieldLane<Rec, Fields>{fields}...);
     }
 
     /** A list of actors (barrier waiters) as link-table indices. */
@@ -1146,9 +1273,15 @@ class StateIO
             return;
         }
         if (mode_ == Mode::Save) {
-            detail::LaneEncoder<Word> enc(*sink_);
-            enc.put(v.data(), v.size() * kPerElem);
-            return enc.finish();
+            const std::uint64_t words = n * kPerElem;
+            const std::size_t at = sink_->size();
+            detail::LaneEncoder<Word> enc(
+                sink_->grow(detail::packedLaneBound(words, sizeof(Word)) -
+                            8) +
+                8);
+            enc.put(v.data(), static_cast<std::size_t>(words));
+            sink_->patchU64(at, enc.bytes());
+            return sink_->truncate(at + 8 + enc.bytes());
         }
         std::size_t len = 0;
         const std::uint8_t *p = openLane(n, kPerElem, len);
@@ -1164,6 +1297,158 @@ class StateIO
         v.resize(static_cast<std::size_t>(n));
         detail::LaneDecoder<Word>(p, len).get(v.data(),
                                               static_cast<std::size_t>(words));
+    }
+
+    template <typename Rec, std::size_t... I, typename... Lanes>
+    void
+    recordLanesImpl(std::span<Rec> recs, std::index_sequence<I...>,
+                    Lanes... lanes)
+    {
+        constexpr std::size_t kLanes = sizeof...(Lanes);
+        const std::uint64_t n = recs.size();
+        const std::size_t bound[kLanes] = {static_cast<std::size_t>(
+            detail::packedLaneBound(n, sizeof(typename Lanes::Word)))...};
+        if (mode_ == Mode::Size) {
+            for (const std::size_t b : bound)
+                size_ += b;
+            unpacked_ += ((8 + n * sizeof(typename Lanes::Word)) + ...);
+            return;
+        }
+        if (mode_ == Mode::Save) {
+            // Lane k packs into its own slice of the lanes' bounds,
+            // starting where the bounds of lanes 0..k-1 end.
+            std::size_t slice[kLanes];
+            std::size_t total = 0;
+            for (std::size_t k = 0; k < kLanes; ++k) {
+                slice[k] = total;
+                total += bound[k];
+            }
+            const std::size_t base = sink_->size();
+            std::uint8_t *const region = sink_->grow(total);
+            std::tuple<detail::LaneEncoder<typename Lanes::Word>...> enc(
+                (region + slice[I] + 16)...);
+            sweep(recs, enc, lanes...);
+            // Slide each packed lane down behind the one before it; a
+            // lane never moves past its own slice's start. Once a lane
+            // has moved, its slice past the packed end is scratch: hand
+            // those pages back at once, so the slices and the packed
+            // lanes are never both resident.
+            const std::size_t len[kLanes] = {std::get<I>(enc).bytes()...};
+            std::size_t end = 0;
+            for (const std::size_t l : len)
+                end += 16 + l;
+            std::size_t to = 0;
+            for (std::size_t k = 0; k < kLanes; ++k) {
+                to = packSlice(region, slice[k], to, n, len[k]);
+                releasePages(region + std::max(end, slice[k]),
+                             region + slice[k] + bound[k]);
+            }
+            return sink_->truncate(base + to);
+        }
+        const std::uint8_t *at[kLanes] = {};
+        std::size_t len[kLanes] = {};
+        if (!(openRecordLane(lanes, n, at[I], len[I]) && ...) || !loading())
+            return;
+        std::tuple<detail::LaneDecoder<typename Lanes::Word>...> dec(
+            detail::LaneDecoder<typename Lanes::Word>(at[I], len[I])...);
+        for (std::size_t first = 0; first < n;
+             first += detail::kSweepRecords) {
+            const std::size_t k = std::min<std::size_t>(
+                detail::kSweepRecords, n - first);
+            Rec *r = recs.data() + first;
+            // Claim the next step's lines while this one decodes: the
+            // first lane to write a line would otherwise wait on it.
+            if (first + k < n) {
+                const auto *next = reinterpret_cast<const char *>(r + k);
+                const std::size_t ahead =
+                    std::min<std::size_t>(detail::kSweepRecords,
+                                          n - first - k) *
+                    sizeof(Rec);
+                for (std::size_t b = 0; b < ahead; b += 64)
+                    __builtin_prefetch(next + b, 1);
+            }
+            (lanes.load(std::get<I>(dec), r, k, *links_), ...);
+        }
+    }
+
+    /** The Save sweep: every lane's encoder, a step of records at a time. */
+    template <typename Rec, typename Encoders, typename... Lanes>
+    void
+    sweep(std::span<Rec> recs, Encoders &enc, Lanes &...lanes)
+    {
+        sweepImpl(recs, enc, std::index_sequence_for<Lanes...>{}, lanes...);
+    }
+
+    template <typename Rec, typename Encoders, std::size_t... I,
+              typename... Lanes>
+    void
+    sweepImpl(std::span<Rec> recs, Encoders &enc, std::index_sequence<I...>,
+              Lanes &...lanes)
+    {
+        for (std::size_t at = 0; at < recs.size();
+             at += detail::kSweepRecords) {
+            const std::size_t k = std::min<std::size_t>(
+                detail::kSweepRecords, recs.size() - at);
+            const Rec *r = recs.data() + at;
+            (lanes.save(std::get<I>(enc), r, k, *links_), ...);
+        }
+    }
+
+    /**
+     * Frame the lane packed at @p slice in @p region (count, packed
+     * length, then its @p len payload bytes) at @p to; returns where
+     * the next lane goes.
+     */
+    static std::size_t
+    packSlice(std::uint8_t *region, std::size_t slice, std::size_t to,
+              std::uint64_t n, std::size_t len)
+    {
+        if (to != slice)
+            std::memmove(region + to + 16, region + slice + 16, len);
+        const std::uint64_t head[2] = {n, len};
+        std::memcpy(region + to, head, sizeof(head));
+        return to + 16 + len;
+    }
+
+    /**
+     * Decode one record lane's count and framing (and, for owner
+     * fields, every id); false once the Source failed or mismatched.
+     */
+    template <typename Lane>
+    bool
+    openRecordLane(const Lane &, std::uint64_t n, const std::uint8_t *&p,
+                   std::size_t &len)
+    {
+        using Word = typename Lane::Word;
+        std::uint64_t count = n;
+        raw(count);
+        p = openLane(count, 1, len);
+        if (p == nullptr)
+            return false;
+        if (count != n) {
+            mismatch();
+            return false;
+        }
+        if (!detail::scanLane(p, len, count, sizeof(Word))) {
+            fail();
+            return false;
+        }
+        if constexpr (Lane::kIds) {
+            detail::LaneDecoder<Word> dec(p, len);
+            Word ids[detail::kLaneBlockWords];
+            for (std::uint64_t at = 0; at < n;
+                 at += detail::kLaneBlockWords) {
+                const std::size_t k = static_cast<std::size_t>(
+                    std::min<std::uint64_t>(detail::kLaneBlockWords,
+                                            n - at));
+                dec.get(ids, k);
+                if (!Lane::valid(ids, k, *links_)) {
+                    fail();
+                    return false;
+                }
+            }
+        }
+        return true;
     }
 
     Mode mode_;

@@ -70,9 +70,6 @@ class WorkThread : public SimActor
     void step() override;
 
   private:
-    /** Charge pending work and reschedule; true if we yielded. */
-    bool flushIfDue(CostSink &sink, bool force);
-
     MemoryManager &mm_;
     Workload &workload_;
     AddressSpace &space_;

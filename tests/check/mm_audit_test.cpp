@@ -166,6 +166,37 @@ TEST(MmAudit, DetectsSpuriousInIoFlag)
     h.space.table().at(v).clearFlag(Pte::InIo);
 }
 
+TEST(MmAudit, DetectsReadaheadCreditOnAccessedPte)
+{
+    KernelHarness h(64, 256);
+    populate(h, 32);
+    const Vpn v = findVpn(h, 32, [](PteView p) {
+        return p.present() && !p.slow() && p.accessed();
+    });
+    ASSERT_NE(v, AuditViolation::kNoVpn);
+    const Pfn pfn = h.space.table().at(v).pfn();
+    // access() would take its PTE-only hit path here and never clear
+    // the credit, so the readahead hit would go uncounted.
+    h.frames.info(pfn).fromReadahead = 1;
+
+    const AuditReport rep = h.auditor->audit();
+    ASSERT_FALSE(rep.clean());
+    bool located = false;
+    for (const AuditViolation &viol : rep.violations) {
+        if (viol.invariant == "readahead-credit-on-accessed-pte") {
+            EXPECT_EQ(viol.subsystem, AuditSubsystem::Pte);
+            EXPECT_EQ(viol.spaceId, h.space.id());
+            EXPECT_EQ(viol.vpn, v);
+            EXPECT_EQ(viol.pfn, pfn);
+            located = true;
+        }
+    }
+    EXPECT_TRUE(located) << rep.toString();
+
+    h.frames.info(pfn).fromReadahead = 0;
+    EXPECT_TRUE(h.auditor->audit().clean());
+}
+
 TEST(MmAudit, DetectsListMembershipCorruption)
 {
     KernelHarness h(64, 256);

@@ -499,27 +499,27 @@ TEST(CheckpointCorruption, RejectedImagesApplyNothing)
     struct Case
     {
         const char *name;
-        void (*corrupt)(std::vector<std::uint8_t> &);
+        void (*corrupt)(ByteBuffer &);
         CheckpointError::Kind want;
     };
     const Case cases[] = {
         {"truncated-header",
-         [](std::vector<std::uint8_t> &b) { b.resize(10); },
+         [](ByteBuffer &b) { b.resize(10); },
          CheckpointError::Kind::Truncated},
         {"truncated-payload",
-         [](std::vector<std::uint8_t> &b) { b.resize(b.size() - 5); },
+         [](ByteBuffer &b) { b.resize(b.size() - 5); },
          CheckpointError::Kind::Truncated},
         {"bad-magic",
-         [](std::vector<std::uint8_t> &b) { b[0] ^= 0xff; },
+         [](ByteBuffer &b) { b[0] ^= 0xff; },
          CheckpointError::Kind::BadMagic},
         {"version-skew-old-v1-image",
-         [](std::vector<std::uint8_t> &b) { b[8] = 1; },
+         [](ByteBuffer &b) { b[8] = 1; },
          CheckpointError::Kind::VersionMismatch},
         {"flipped-payload-byte",
-         [](std::vector<std::uint8_t> &b) { b[b.size() - 1] ^= 0x01; },
+         [](ByteBuffer &b) { b[b.size() - 1] ^= 0x01; },
          CheckpointError::Kind::FingerprintMismatch},
         {"renamed-section",
-         [](std::vector<std::uint8_t> &b) { b[52] = 'x'; },
+         [](ByteBuffer &b) { b[52] = 'x'; },
          CheckpointError::Kind::SectionMissing},
     };
 
@@ -561,7 +561,7 @@ TEST(CheckpointCorruption, RejectedImagesApplyNothing)
 
 /** Little-endian field of @p width bytes at @p off. */
 std::uint64_t
-readLe(const std::vector<std::uint8_t> &b, std::size_t off, int width)
+readLe(const ByteBuffer &b, std::size_t off, int width)
 {
     std::uint64_t v = 0;
     for (int i = 0; i < width; ++i)
@@ -570,7 +570,7 @@ readLe(const std::vector<std::uint8_t> &b, std::size_t off, int width)
 }
 
 void
-writeLe(std::vector<std::uint8_t> &b, std::size_t off, std::uint64_t v)
+writeLe(ByteBuffer &b, std::size_t off, std::uint64_t v)
 {
     for (int i = 0; i < 8; ++i)
         b[off + i] = static_cast<std::uint8_t>(v >> (8 * i));
@@ -583,8 +583,8 @@ writeLe(std::vector<std::uint8_t> &b, std::size_t off, std::uint64_t v)
  * validation can refuse it.
  */
 void
-replaceSection(std::vector<std::uint8_t> &image, const std::string &name,
-               const std::vector<std::uint8_t> &payload)
+replaceSection(ByteBuffer &image, const std::string &name,
+               const ByteBuffer &payload)
 {
     std::size_t off = 44; // past magic, version, hash, seed, when, refs
     const std::uint64_t nsections = readLe(image, off, 4);
@@ -653,8 +653,8 @@ TEST(CheckpointCorruption, FrameCountMismatchIsConfigMismatch)
 }
 
 /** Copy of section @p name's payload in @p image. */
-std::vector<std::uint8_t>
-sectionPayload(const std::vector<std::uint8_t> &image,
+ByteBuffer
+sectionPayload(const ByteBuffer &image,
                const std::string &name)
 {
     std::size_t off = 48; // past the header and section count
@@ -693,7 +693,7 @@ TEST(CheckpointCorruption, OutOfRangeIndicesAreNamedErrors)
     {
         const char *name;
         const char *section;
-        std::vector<std::uint8_t> payload;
+        ByteBuffer payload;
         CheckpointError::Kind want;
     };
     std::vector<Case> cases;
@@ -721,7 +721,7 @@ TEST(CheckpointCorruption, OutOfRangeIndicesAreNamedErrors)
     // packed lane of u32 ids: re-encode it through StateIO with the
     // first frame's id out of range and keep the other lanes.
     {
-        const std::vector<std::uint8_t> frames =
+        const ByteBuffer frames =
             sectionPayload(good.bytes, "frames");
         const std::uint32_t nframes = view.frames->totalFrames();
         std::vector<std::uint32_t> ids(nframes, StateLinks::kNoSpace);
@@ -739,7 +739,7 @@ TEST(CheckpointCorruption, OutOfRangeIndicesAreNamedErrors)
     // the (empty) slow-tier frame table and the slow list anchors;
     // decode past them to find it.
     {
-        std::vector<std::uint8_t> mm = sectionPayload(good.bytes, "mm");
+        ByteBuffer mm = sectionPayload(good.bytes, "mm");
         Source src(mm.data(), mm.size());
         StateIO io(src, nullptr, StateIO::Mode::Check);
         for (int i = 0; i < 21; ++i) {
@@ -753,7 +753,7 @@ TEST(CheckpointCorruption, OutOfRangeIndicesAreNamedErrors)
         ASSERT_TRUE(io.ok() && !io.mismatched()) << "mm layout moved?";
         const std::size_t at = mm.size() - src.remaining();
         ASSERT_EQ(readLe(mm, at, 4), 1u) << "memcg count moved?";
-        std::vector<std::uint8_t> bad = mm;
+        ByteBuffer bad = mm;
         bad[at] = 2;
         cases.push_back({"memcg-count", "mm", bad,
                          CheckpointError::Kind::ConfigMismatch});
@@ -800,7 +800,7 @@ TEST(CheckpointCorruption, OutOfRangeIndicesAreNamedErrors)
     // An actor state byte past the last SimActor::State. The first
     // actor record starts after the u32 count and its u64 length.
     {
-        std::vector<std::uint8_t> actors = sectionPayload(good.bytes,
+        ByteBuffer actors = sectionPayload(good.bytes,
                                                           "actors");
         actors[4 + 8] = 0x7f;
         cases.push_back({"actor-state", "actors", actors,
@@ -857,12 +857,12 @@ TEST(CheckpointCorruption, VersionTwoImageIsRefused)
 struct FramedSection
 {
     std::string name;
-    std::vector<std::uint8_t> payload;
+    ByteBuffer payload;
 };
 
 /** The sections of @p image, in image order. */
 std::vector<FramedSection>
-splitSections(const std::vector<std::uint8_t> &image)
+splitSections(const ByteBuffer &image)
 {
     std::vector<FramedSection> out;
     std::size_t off = 48; // past the header and section count
@@ -886,8 +886,8 @@ splitSections(const std::vector<std::uint8_t> &image)
  * re-checksummed, and the section count rewritten, so only the
  * section-list check can refuse it.
  */
-std::vector<std::uint8_t>
-withSections(const std::vector<std::uint8_t> &image,
+ByteBuffer
+withSections(const ByteBuffer &image,
              const std::vector<FramedSection> &sections)
 {
     Sink out;

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "kernel_test_util.hh"
 
 namespace pagesim
@@ -155,6 +159,64 @@ TEST(MemoryManager, DuplicateFaultWaitsOnExistingIo)
     EXPECT_EQ(h.device->stats().reads, 1u) << "one I/O, two waiters";
     EXPECT_EQ(h.mm->stats().majorFaults, 1u);
     EXPECT_EQ(h.mm->stats().ioWaitFaults, 1u);
+}
+
+TEST(MemoryManager, IoWaitersWakeInRegistrationOrderAndAuditInKeyOrder)
+{
+    MultiKernelHarness h(std::vector<MultiKernelHarness::TenantSetup>(2));
+    AddressSpace &s0 = *h.spaces[0];
+    AddressSpace &s1 = *h.spaces[1];
+    // Three swapped-out pages, far enough apart that no readahead
+    // window reaches from one to another.
+    const Vpn p0 = h.base(0) + 2;
+    const Vpn q0 = h.base(0) + 60;
+    const Vpn p1 = h.base(1) + 30;
+    for (const auto &[space, vpn] :
+         {std::pair{&s0, p0}, std::pair{&s0, q0}, std::pair{&s1, p1}}) {
+        // lint:pte-direct-ok(seeds a swapped-out PTE from the
+        // never-mapped state; no tracked bitmap is touched and the
+        // PageTable mutator asserts present())
+        space->table().at(vpn).unmapToSwap(h.swap->allocate(), 0);
+    }
+
+    // Registration order p1, p0 (c's demand read), p0 (a waits on
+    // it), q0; the audit walk must still see (space id, vpn) order.
+    std::vector<char> p0_wakes;
+    std::vector<std::tuple<std::uint32_t, Vpn, std::size_t>> audit;
+    const auto actor = [&](char name, AddressSpace &space, Vpn vpn) {
+        return [&, name, vpn](ProbeActor &self) {
+            CostSink sink;
+            const Outcome o = h.mm->access(self, space, vpn, false, sink);
+            if (o == Outcome::Blocked) {
+                if (name == 'd')
+                    h.mm->forEachIoWaiter(
+                        [&](const AddressSpace &sp, Vpn v, std::size_t n) {
+                            audit.emplace_back(sp.id(), v, n);
+                        });
+                self.block();
+                return;
+            }
+            if (vpn == p0)
+                p0_wakes.push_back(name);
+            self.finish();
+        };
+    };
+    ProbeActor a(h.sim, actor('a', s0, p0));
+    ProbeActor b(h.sim, actor('b', s1, p1));
+    ProbeActor c(h.sim, actor('c', s0, p0));
+    ProbeActor d(h.sim, actor('d', s0, q0));
+    b.start();
+    c.start();
+    a.start();
+    d.start();
+    EXPECT_TRUE(h.sim.runToCompletion());
+
+    using Key = std::tuple<std::uint32_t, Vpn, std::size_t>;
+    EXPECT_EQ(audit, (std::vector<Key>{
+                         {0, p0, 2}, {0, q0, 1}, {1, p1, 1}}));
+    EXPECT_EQ(p0_wakes, (std::vector<char>{'c', 'a'}));
+    EXPECT_EQ(h.mm->stats().ioWaitFaults, 1u);
+    EXPECT_TRUE(h.mm->quiescentForCheckpoint());
 }
 
 TEST(MemoryManager, ReadaheadPullsNeighborSlots)

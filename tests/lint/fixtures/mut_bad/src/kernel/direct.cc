@@ -4,8 +4,8 @@
 // testAndClearAccessed/0); the table calls and the untracked Dirty
 // write stay clean. Plus exactly three mut-pageinfo findings (the
 // prev/next/listId assignments in relink); the reads, comparisons,
-// and untracked-lane writes stay clean. Plus exactly two mut-memcg
-// findings (the charge-lane assignments in recharge); the comparison,
+// and untracked-field writes stay clean. Plus exactly two mut-memcg
+// findings (the charge-field assignments in recharge); the comparison,
 // read, and accessor calls stay clean.
 #include "mem/page_table.hh"
 
@@ -30,21 +30,21 @@ touch(Pte &pte, PageTable &table, Vpn vpn, Pfn pfn, SwapSlot slot)
 void
 relink(PageInfoRef pi, FrameList &list, Pfn pfn)
 {
-    pi.prev = pfn;          // flagged: link lane write
+    pi.prev = pfn;          // flagged: link field write
     pi->next = kInvalidPfn; // flagged: arrow spelling too
-    pi.listId = 3;          // flagged: membership lane write
+    pi.listId = 3;          // flagged: membership field write
 
     list.pushBack(pfn);     // the sanctioned spelling
     const Pfn p = pi.prev;  // read: clean
     if (pi.next == pfn)     // comparison: clean
-        pi.gen = 0;         // untracked lane: clean
+        pi.gen = 0;         // untracked field: clean
     (void)p;
 }
 
 void
 recharge(PageInfoRef pi, AddressSpace &space)
 {
-    pi.memcg = 0;            // flagged: charge lane write
+    pi.memcg = 0;            // flagged: charge field write
     pi->memcg = kNoMemcg;    // flagged: arrow spelling too
 
     space.setMemcg(1);       // different mutator name: clean

@@ -112,10 +112,10 @@ TEST(LintMutator, FlagsEveryDirectPteSpelling)
     // spellings or the untracked Dirty write.
     EXPECT_EQ(countUnwaived(r, "mut-pte"), 5);
     // prev/next/listId assignments in relink — and nothing for the
-    // FrameList call, lane reads, comparisons, or untracked lanes.
+    // FrameList call, field reads, comparisons, or untracked fields.
     EXPECT_EQ(countUnwaived(r, "mut-pageinfo"), 3);
-    // memcg lane assignments in recharge — and nothing for the
-    // setMemcg/memcg() accessors, lane reads, or comparisons.
+    // memcg field assignments in recharge — and nothing for the
+    // setMemcg/memcg() accessors, field reads, or comparisons.
     EXPECT_EQ(countUnwaived(r, "mut-memcg"), 2);
     EXPECT_EQ(static_cast<int>(r.findings.size()), 10);
 }

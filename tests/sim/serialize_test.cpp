@@ -93,7 +93,7 @@ TEST(Sink, PatchU64BackfillsLittleEndianInPlace)
     sink.u64(0);
     sink.u8(0xbb);
     sink.patchU64(slot, 0x0102030405060708ull);
-    const std::vector<std::uint8_t> want = {0xaa, 0x08, 0x07, 0x06, 0x05,
+    const ByteBuffer want = {0xaa, 0x08, 0x07, 0x06, 0x05,
                                             0x04, 0x03, 0x02, 0x01, 0xbb};
     EXPECT_EQ(sink.data(), want);
 }
@@ -104,7 +104,7 @@ TEST(Sink, TakeMovesTheBufferOut)
     sink.reserve(4096);
     sink.u32(7);
     const std::uint8_t *storage = sink.data().data();
-    const std::vector<std::uint8_t> bytes = std::move(sink).take();
+    const ByteBuffer bytes = std::move(sink).take();
     EXPECT_EQ(bytes.data(), storage) << "take() must not copy";
     EXPECT_EQ(bytes.size(), 4u);
 }
@@ -168,7 +168,7 @@ filledSample()
     return s;
 }
 
-std::vector<std::uint8_t>
+ByteBuffer
 saveSample(Sample s)
 {
     Sink sink;
@@ -180,7 +180,7 @@ saveSample(Sample s)
 TEST(StateIO, EveryModeWalksTheSameBytes)
 {
     Sample s = filledSample();
-    const std::vector<std::uint8_t> bytes = saveSample(s);
+    const ByteBuffer bytes = saveSample(s);
 
     // Size mode counts scalars exactly and each packed lane at its
     // documented bound, 16 + words*w + ceil(words/64)*9; Save never
@@ -222,7 +222,7 @@ TEST(StateIO, EveryModeWalksTheSameBytes)
 
 TEST(StateIO, CheckModeReadsLaneCountsWithoutStoring)
 {
-    const std::vector<std::uint8_t> bytes = saveSample(filledSample());
+    const ByteBuffer bytes = saveSample(filledSample());
 
     // The same image against a live object whose fixed lane is one
     // entry longer: a mismatch, in Check and Load mode alike, and a
@@ -256,7 +256,7 @@ TEST(StateIO, CheckModeReadsLaneCountsWithoutStoring)
 TEST(StateIO, DecodedIdsAndEnumsOutsideTheirRangeFail)
 {
     // An enum byte past the last enumerator.
-    std::vector<std::uint8_t> bytes = saveSample(filledSample());
+    ByteBuffer bytes = saveSample(filledSample());
     bytes[4 + 8 + 8 + 1] = 3;
     Sample fresh;
     Source src(bytes.data(), bytes.size());
@@ -273,10 +273,15 @@ TEST(StateIO, DecodedIdsAndEnumsOutsideTheirRangeFail)
         StateIO ids_io(sink);
         std::vector<std::uint32_t> ids = {StateLinks::kNoSpace, id};
         ids_io.lane(ids);
-        std::vector<AddressSpace *> owners(2);
+        struct Owned
+        {
+            AddressSpace *owner = nullptr;
+        };
+        std::vector<Owned> owners(2);
         Source owner_src(sink.data().data(), sink.size());
         StateIO owner_io(owner_src, nullptr);
-        owner_io.ownerLane(owners);
+        owner_io.recordLanes(std::span<Owned>(owners),
+                             StateIO::owner(&Owned::owner));
         EXPECT_FALSE(owner_io.ok()) << id;
     }
     Sink sink;
@@ -465,7 +470,7 @@ TEST(PackedLane, ConstantLanesCollapseAndRandomOnesStayNearRaw)
 
 /** A malformed lane must fail Check and Load alike and store nothing. */
 void
-expectRefused(const char *name, const std::vector<std::uint8_t> &bytes)
+expectRefused(const char *name, const ByteBuffer &bytes)
 {
     for (const StateIO::Mode mode :
          {StateIO::Mode::Check, StateIO::Mode::Load}) {
@@ -486,18 +491,18 @@ TEST(PackedLane, MalformedLanesFailAndStoreNothing)
     Sink good;
     StateIO save(good);
     save.podVec(random);
-    const std::vector<std::uint8_t> &bytes = good.data();
+    const ByteBuffer &bytes = good.data();
     ASSERT_EQ(bytes[16], 4u) << "first block should be full width";
 
-    std::vector<std::uint8_t> truncated(bytes.begin(), bytes.end() - 1);
+    ByteBuffer truncated(bytes.begin(), bytes.end() - 1);
     expectRefused("truncated by one byte", truncated);
 
-    std::vector<std::uint8_t> wide = bytes;
+    ByteBuffer wide = bytes;
     wide[16] = 5; // a width past the u32 word
     expectRefused("header above the word width", wide);
 
     // A trailing byte the packed length claims but no block uses.
-    std::vector<std::uint8_t> trailing = bytes;
+    ByteBuffer trailing = bytes;
     trailing.push_back(0);
     const std::uint64_t grown = bytes.size() - 16 + 1;
     std::memcpy(trailing.data() + 8, &grown, 8);

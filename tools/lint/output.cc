@@ -59,9 +59,9 @@ ruleDescription(const std::string &rule)
         {"det-unordered-iter",
          "no iteration over unordered containers"},
         {"mut-pte", "tracked PTE flags change only via PageTable"},
-        {"mut-pageinfo", "PageInfo link lanes writable by FrameList "
+        {"mut-pageinfo", "PageInfo link fields writable by FrameList "
                          "only"},
-        {"mut-memcg", "PageInfo memcg lane moves with Memcg usage "
+        {"mut-memcg", "PageInfo memcg field moves with Memcg usage "
                       "only"},
         {"layer-dag", "includes must follow the declarative layer "
                       "DAG"},

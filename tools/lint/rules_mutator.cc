@@ -24,15 +24,15 @@
  * Untracked flags (Dirty, InIo, Slow, File) stay writable on the Pte
  * directly; setFlag/clearFlag on them is not flagged.
  *
- * mut-memcg guards the memcg charge lane: a frame's PageInfo memcg
+ * mut-memcg guards the memcg charge field: a frame's PageInfo memcg
  * field and the owning Memcg's usage counter move only together,
  * inside Memcg::charge/uncharge — a stray `.memcg =` write makes
  * usage() and the auditor's recount diverge. Any `x.memcg =` /
  * `x->memcg =` assignment spelling is flagged (memcg.hh, which
  * implements charge/uncharge, is allowlisted).
  *
- * mut-pageinfo guards the PageInfo side the same way: the SoA link
- * lanes (prev, next, listId) thread every frame through exactly one
+ * mut-pageinfo guards the PageInfo side the same way: the link fields
+ * (prev, next, listId) thread every frame through exactly one
  * FrameList, and FrameList is the only code allowed to write them —
  * a stray write corrupts a generation list without touching the list
  * it claims membership of. The rule flags any `x.prev =` / `x->next
@@ -86,7 +86,7 @@ runMutatorRules(const SourceFile &file, const RuleContext &,
             (prev.text != "." && prev.text != "->"))
             continue;
 
-        // mut-pageinfo: assignment to a PageInfo link lane. The
+        // mut-pageinfo: assignment to a PageInfo link field. The
         // lexer fuses no "==" digraph, so require a lone "=": the
         // next token after it must not be another "=".
         if ((t.text == "prev" || t.text == "next" ||
@@ -98,14 +98,14 @@ runMutatorRules(const SourceFile &file, const RuleContext &,
              toks[i + 2].text != "=")) {
             out.push_back(Finding{
                 file.relPath, t.line, kRuleMutPageInfo,
-                "direct write to PageInfo link lane '" + t.text +
+                "direct write to PageInfo link field '" + t.text +
                     "' outside FrameList: generation-list membership "
-                    "and the listId lane desync — use FrameList "
+                    "and the listId field desync — use FrameList "
                     "push/remove"});
             continue;
         }
 
-        // mut-memcg: assignment to the PageInfo memcg charge lane.
+        // mut-memcg: assignment to the PageInfo memcg charge field.
         // Same lone-"=" shape as mut-pageinfo; `x.memcg(` calls
         // (AddressSpace accessor) fall through to the "(" check.
         if (t.text == "memcg" &&
@@ -116,8 +116,8 @@ runMutatorRules(const SourceFile &file, const RuleContext &,
              toks[i + 2].text != "=")) {
             out.push_back(Finding{
                 file.relPath, t.line, kRuleMutMemcg,
-                "direct write to the PageInfo memcg lane outside "
-                    "Memcg::charge/uncharge: the lane and the group's "
+                "direct write to the PageInfo memcg field outside "
+                    "Memcg::charge/uncharge: the field and the group's "
                     "usage counter desync — charge through the Memcg"});
             continue;
         }
