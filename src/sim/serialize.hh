@@ -80,7 +80,6 @@
 #define PAGESIM_SIM_SERIALIZE_HH
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cassert>
 #include <cstdint>
