@@ -47,9 +47,12 @@ scenario(bool smoke)
     const ScalePreset scale =
         smoke ? ScalePreset::Small : ScalePreset::Default;
     config.tenants = {
-        {"ycsb", WorkloadKind::YcsbA, scale},
-        {"tpch", WorkloadKind::Tpch, scale},
-        {"pagerank", WorkloadKind::PageRank, scale},
+        {.name = "ycsb", .workload = WorkloadKind::YcsbA, .scale = scale,
+         .policy = std::nullopt},
+        {.name = "tpch", .workload = WorkloadKind::Tpch, .scale = scale,
+         .policy = std::nullopt},
+        {.name = "pagerank", .workload = WorkloadKind::PageRank,
+         .scale = scale, .policy = std::nullopt},
     };
     return config;
 }

@@ -2,8 +2,9 @@
  * @file
  * Microbenchmarks (google-benchmark) for the core data structures the
  * characterization rests on: the Bloom filter, generation-list moves,
- * page-table walks, the zipfian generator, the latency histogram, and
- * the event queue. These establish that the paper's "O(1) generation
+ * page-table walks, the zipfian generator and the KV store's lookup
+ * math behind YCSB op generation, the latency histogram, and the
+ * event queue. These establish that the paper's "O(1) generation
  * move" claim holds in this implementation and quantify per-op costs.
  */
 
@@ -13,6 +14,8 @@
 #include <cstdlib>
 #include <vector>
 
+#include "harness/experiment.hh"
+#include "kv/kv_store.hh"
 #include "mem/address_space.hh"
 #include "mem/frame_table.hh"
 #include "policy/mglru/bloom_filter.hh"
@@ -140,7 +143,47 @@ BM_ZipfianDraw(benchmark::State &state)
         acc ^= zipf.next(rng);
     benchmark::DoNotOptimize(acc);
 }
-BENCHMARK(BM_ZipfianDraw)->Arg(1000)->Arg(100000);
+BENCHMARK(BM_ZipfianDraw)->Arg(1000)->Arg(48000)->Arg(100000);
+
+void
+BM_KvStoreLookup(benchmark::State &state)
+{
+    // The per-request layout math: bucket page plus slab page(s) of
+    // one item of the Default store (48,000 items).
+    const KvStore store{KvConfig{}};
+    const std::uint64_t n = store.items();
+    std::uint64_t item = 0, acc = 0;
+    for (auto _ : state) {
+        // A prime stride visits every item without a divide here.
+        if ((item += 7919) >= n)
+            item -= n;
+        Vpn pages[2];
+        acc ^= store.bucketPageOf(item);
+        acc ^= pages[store.itemPagesOf(item, pages) - 1];
+    }
+    benchmark::DoNotOptimize(acc);
+}
+BENCHMARK(BM_KvStoreLookup);
+
+void
+BM_YcsbStreamDrain(benchmark::State &state)
+{
+    // One YCSB-A Default thread's whole op stream (load shard,
+    // barrier, zipfian requests); time_per_op is per stream op.
+    const auto wl = makeWorkload(WorkloadKind::YcsbA, ScalePreset::Default);
+    std::uint64_t ops = 0;
+    for (auto _ : state) {
+        auto stream = wl->stream(0);
+        Op op;
+        while (stream->next(op))
+            ++ops;
+    }
+    benchmark::DoNotOptimize(ops);
+    state.counters["time_per_op"] = benchmark::Counter(
+        static_cast<double>(ops),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_YcsbStreamDrain)->Unit(benchmark::kMillisecond);
 
 void
 BM_HistogramRecord(benchmark::State &state)

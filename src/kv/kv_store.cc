@@ -1,6 +1,5 @@
 #include "kv/kv_store.hh"
 
-#include <cassert>
 #include <numeric>
 
 namespace pagesim
@@ -9,20 +8,23 @@ namespace pagesim
 namespace
 {
 
-constexpr std::uint64_t kBucketBytes = 8; // head pointer per bucket
+std::uint64_t
+bucketCount(const KvConfig &config)
+{
+    const auto buckets = static_cast<std::uint64_t>(
+        static_cast<double>(config.items) / config.bucketLoad);
+    return buckets == 0 ? 1 : buckets;
+}
 
 } // namespace
 
 KvStore::KvStore(const KvConfig &config)
-    : config_(config)
+    : config_(config), bucketMod_(bucketCount(config)),
+      itemMod_(config.items)
 {
-    assert(config_.items > 0);
-    buckets_ = static_cast<std::uint64_t>(
-        static_cast<double>(config_.items) / config_.bucketLoad);
-    if (buckets_ == 0)
-        buckets_ = 1;
     bucketPages_ =
-        (buckets_ * kBucketBytes + kPageSize - 1) / kPageSize;
+        (bucketMod_.divisor() * kBucketBytes + kPageSize - 1) /
+        kPageSize;
     slabPages_ = (config_.items * config_.itemBytes + kPageSize - 1) /
                  kPageSize;
     // Slab placement permutation slot = (a*item + b) mod items: pick a
@@ -45,37 +47,6 @@ KvStore::mapInto(AddressSpace &space)
 {
     bucketBase_ = space.map("kv.buckets", bucketPages_);
     slabBase_ = space.map("kv.slab", slabPages_);
-}
-
-Vpn
-KvStore::bucketPageOf(std::uint64_t key) const
-{
-    const std::uint64_t bucket =
-        splitmix64(key ^ config_.seed) % buckets_;
-    return bucketBase_ + bucket * kBucketBytes / kPageSize;
-}
-
-std::uint64_t
-KvStore::slotOf(std::uint64_t item) const
-{
-    assert(item < config_.items);
-    return (permA_ * item + permB_) % config_.items;
-}
-
-unsigned
-KvStore::itemPagesOf(std::uint64_t item, Vpn pages[2]) const
-{
-    const std::uint64_t slot = slotOf(item);
-    const std::uint64_t off = slot * config_.itemBytes;
-    const std::uint64_t first = off / kPageSize;
-    const std::uint64_t last =
-        (off + config_.itemBytes - 1) / kPageSize;
-    pages[0] = slabBase_ + first;
-    if (last != first) {
-        pages[1] = slabBase_ + last;
-        return 2;
-    }
-    return 1;
 }
 
 } // namespace pagesim

@@ -8,11 +8,16 @@
  * the item's slab page(s). Keys hash to buckets uniformly; item
  * *popularity* skew comes from the YCSB request generator, not the
  * layout — matching how memcached behaves under a zipfian trace.
+ *
+ * Both per-request remainders (key -> bucket, item -> slot) divide by
+ * counts fixed at construction, so they are FastMod multiplies rather
+ * than 64-bit divides; the results are the same integers.
  */
 
 #ifndef PAGESIM_KV_KV_STORE_HH
 #define PAGESIM_KV_KV_STORE_HH
 
+#include <cassert>
 #include <cstdint>
 
 #include "mem/address_space.hh"
@@ -47,13 +52,32 @@ class KvStore
     std::uint64_t items() const { return config_.items; }
 
     /** Bucket page a key's lookup touches. */
-    Vpn bucketPageOf(std::uint64_t key) const;
+    Vpn
+    bucketPageOf(std::uint64_t key) const
+    {
+        const std::uint64_t bucket =
+            bucketMod_(splitmix64(key ^ config_.seed));
+        return bucketBase_ + bucket * kBucketBytes / kPageSize;
+    }
 
     /**
      * Slab pages item @p item occupies: fills @p pages[0..1];
      * returns 1 or 2.
      */
-    unsigned itemPagesOf(std::uint64_t item, Vpn pages[2]) const;
+    unsigned
+    itemPagesOf(std::uint64_t item, Vpn pages[2]) const
+    {
+        const std::uint64_t off = slotOf(item) * config_.itemBytes;
+        const std::uint64_t first = off / kPageSize;
+        const std::uint64_t last =
+            (off + config_.itemBytes - 1) / kPageSize;
+        pages[0] = slabBase_ + first;
+        if (last != first) {
+            pages[1] = slabBase_ + last;
+            return 2;
+        }
+        return 1;
+    }
 
     /**
      * The slab slot an item lives in. Items are placed by a
@@ -61,7 +85,12 @@ class KvStore
      * are NOT adjacent in the slab (allocation order != key order,
      * as in a real slab allocator under churn).
      */
-    std::uint64_t slotOf(std::uint64_t item) const;
+    std::uint64_t
+    slotOf(std::uint64_t item) const
+    {
+        assert(item < config_.items);
+        return itemMod_(permA_ * item + permB_);
+    }
 
     std::uint64_t bucketPages() const { return bucketPages_; }
     std::uint64_t slabPages() const { return slabPages_; }
@@ -69,8 +98,12 @@ class KvStore
     Vpn slabBase() const { return slabBase_; }
 
   private:
+    static constexpr std::uint64_t kBucketBytes = 8; // head pointer
+
     KvConfig config_;
-    std::uint64_t buckets_;
+    /** % bucket count, % item count. */
+    FastMod bucketMod_;
+    FastMod itemMod_;
     std::uint64_t bucketPages_;
     std::uint64_t slabPages_;
     std::uint64_t permA_ = 1;

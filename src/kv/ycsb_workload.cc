@@ -57,6 +57,37 @@ class YcsbStream : public OpStream
             op = queue_[queueHead_++];
             return true;
         }
+        return refill(op);
+    }
+
+    void
+    visitState(StateIO &io) override
+    {
+        // loadHi_/requests_ are pure functions of the config, replayed
+        // at construction; only the cursors and the draw state move.
+        io.enumU8(phase_, Phase::Requests);
+        io.u64(loadLo_);
+        io.u64(done_);
+        rng_.visitState(io);
+        io.objects(queue_, 64); // a request expands to a handful of ops
+        io.u64(queueHead_);
+    }
+
+  private:
+    enum class Phase
+    {
+        Load,
+        BarrierThenMark,
+        Requests,
+    };
+
+    /**
+     * Expand the next load/request into the queue and return its first
+     * op. Kept out of line so next()'s drain path stays a few loads.
+     */
+    [[gnu::noinline]] bool
+    refill(Op &op)
+    {
         queue_.clear();
         queueHead_ = 0;
 
@@ -64,7 +95,7 @@ class YcsbStream : public OpStream
           case Phase::Load: {
             if (loadLo_ >= loadHi_) {
                 phase_ = Phase::BarrierThenMark;
-                return next(op);
+                return refill(op);
             }
             const std::uint64_t item = loadLo_++;
             pushItemOps(item, true, false);
@@ -99,27 +130,6 @@ class YcsbStream : public OpStream
         }
         return false;
     }
-
-    void
-    visitState(StateIO &io) override
-    {
-        // loadHi_/requests_ are pure functions of the config, replayed
-        // at construction; only the cursors and the draw state move.
-        io.enumU8(phase_, Phase::Requests);
-        io.u64(loadLo_);
-        io.u64(done_);
-        rng_.visitState(io);
-        io.objects(queue_, 64); // a request expands to a handful of ops
-        io.u64(queueHead_);
-    }
-
-  private:
-    enum class Phase
-    {
-        Load,
-        BarrierThenMark,
-        Requests,
-    };
 
     void
     pushItemOps(std::uint64_t item, bool write, bool read_bucket_first)

@@ -9,26 +9,6 @@
 namespace pagesim
 {
 
-std::uint64_t
-splitmix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-namespace
-{
-
-inline std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-} // namespace
-
 Rng::Rng(std::uint64_t seed)
 {
     // Expand the seed with splitmix64, per the xoshiro authors'
@@ -50,29 +30,6 @@ Rng::fork(std::uint64_t stream) const
     std::uint64_t seed = splitmix64(s_[0] ^ rotl(s_[2], 17) ^
                                     splitmix64(stream * 0xd1342543de82ef95ull + 1));
     return Rng(seed);
-}
-
-std::uint64_t
-Rng::nextU64()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
-}
-
-double
-Rng::nextDouble()
-{
-    // 53 high bits -> uniform in [0,1).
-    return static_cast<double>(nextU64() >> 11) * 0x1.0p-53;
 }
 
 std::uint64_t
@@ -141,15 +98,20 @@ Rng::exponential(double mean)
 double
 Rng::logNormalMean(double mean, double sigma)
 {
-    // If X ~ LogNormal(mu, sigma), E[X] = exp(mu + sigma^2/2);
-    // solve for mu to hit the requested linear-space mean.
-    const double mu = std::log(mean) - 0.5 * sigma * sigma;
-    return std::exp(normal(mu, sigma));
+    return std::exp(normal(logNormalMu(mean, sigma), sigma));
 }
+
+namespace
+{
+
+/** Largest integer exponent the pow-free Zipfian path evaluates. */
+constexpr double kMaxPowK = 128;
+
+} // namespace
 
 ZipfianGenerator::ZipfianGenerator(std::uint64_t n, double theta,
                                    bool scrambled)
-    : n_(n), theta_(theta), scrambled_(scrambled)
+    : n_(n), theta_(theta), scrambled_(scrambled), modN_(n)
 {
     assert(n_ >= 1);
     assert(theta_ > 0.0 && theta_ < 1.0);
@@ -159,6 +121,19 @@ ZipfianGenerator::ZipfianGenerator(std::uint64_t n, double theta,
     eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n_), 1.0 - theta_)) /
            (1.0 - zeta2 / zetan_);
     thetaPowHalf_ = std::pow(0.5, theta_);
+
+    // next() draws x in [1-eta, 1]. Turn the pow-free path on only if
+    // x^k is within 2^-42 (relative) of x^alpha for every such x,
+    // counting the squaring's rounding (k*2^-52) and the factor
+    // x^(alpha-k) = exp((alpha-k) ln x), whose distance from 1 is
+    // about |alpha-k| |ln(1-eta)|; and only if x^k cannot underflow
+    // (e^-700 > DBL_MIN), so every product stays normal.
+    const double k = std::nearbyint(alpha_);
+    const double lnLow = std::log1p(-eta_); // ln(1 - eta)
+    if (eta_ >= 0.0 && eta_ < 1.0 && k >= 1.0 && k <= kMaxPowK &&
+        -lnLow * k <= 700.0 &&
+        k * 0x1p-52 + std::fabs(alpha_ - k) * -lnLow <= 0x1p-42)
+        powK_ = static_cast<unsigned>(k);
 }
 
 double
@@ -183,28 +158,6 @@ ZipfianGenerator::zeta(std::uint64_t n, double theta)
     std::lock_guard<std::mutex> lock(mutex);
     memo.emplace(key, sum);
     return sum;
-}
-
-std::uint64_t
-ZipfianGenerator::next(Rng &rng)
-{
-    const double u = rng.nextDouble();
-    const double uz = u * zetan_;
-    std::uint64_t rank;
-    if (uz < 1.0) {
-        rank = 0;
-    } else if (uz < 1.0 + thetaPowHalf_) {
-        rank = 1;
-    } else {
-        rank = static_cast<std::uint64_t>(
-            static_cast<double>(n_) *
-            std::pow(eta_ * u - eta_ + 1.0, alpha_));
-        if (rank >= n_)
-            rank = n_ - 1;
-    }
-    if (!scrambled_)
-        return rank;
-    return splitmix64(rank) % n_;
 }
 
 } // namespace pagesim

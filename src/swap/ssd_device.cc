@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <utility>
 
 namespace pagesim
@@ -10,6 +11,10 @@ namespace pagesim
 SsdSwapDevice::SsdSwapDevice(EventQueue &events, Rng rng,
                              const SsdConfig &config)
     : events_(events), rng_(std::move(rng)), config_(config),
+      jitterMu_{Rng::logNormalMu(static_cast<double>(config.readLatency),
+                                 config.jitterSigma),
+                Rng::logNormalMu(static_cast<double>(config.writeLatency),
+                                 config.jitterSigma)},
       slots_(config.parallelism)
 {
     // Hand out slot 0 first.
@@ -44,11 +49,11 @@ SsdSwapDevice::gcMultiplier(SimTime now)
 SimDuration
 SsdSwapDevice::serviceTime(bool is_write)
 {
-    const SimDuration base =
-        is_write ? config_.writeLatency : config_.readLatency;
-    double service = static_cast<double>(base);
+    double service = static_cast<double>(
+        is_write ? config_.writeLatency : config_.readLatency);
     if (config_.jitterSigma > 0.0)
-        service = rng_.logNormalMean(service, config_.jitterSigma);
+        service = std::exp(rng_.normal(jitterMu_[is_write],
+                                       config_.jitterSigma));
     service *= gcMultiplier(events_.now());
     return static_cast<SimDuration>(std::max(service, 1.0));
 }

@@ -136,6 +136,13 @@ class SsdSwapDevice : public SwapDevice
     SsdConfig config_;
     // lint:state-cov-ok(display name fixed at construction)
     std::string name_ = "ssd";
+    /**
+     * Log-space location of the service-time jitter, indexed by
+     * is_write: the mu Rng::logNormalMean would recompute from the
+     * same mean on every I/O.
+     */
+    // lint:state-cov-ok(derived from the construction config)
+    double jitterMu_[2];
     /** One entry per NCQ window position; idle_ lists the free ones. */
     std::vector<InService> slots_;
     std::vector<unsigned> idle_;

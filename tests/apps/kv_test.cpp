@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <numeric>
 #include <set>
 
 #include "kv/ycsb_workload.hh"
@@ -66,8 +67,9 @@ TEST(KvStore, ItemPagesInsideSlab)
             EXPECT_GE(pages[k], store.slabBase());
             EXPECT_LT(pages[k], store.slabBase() + store.slabPages());
         }
-        if (n == 2)
+        if (n == 2) {
             EXPECT_EQ(pages[1], pages[0] + 1);
+        }
     }
 }
 
@@ -95,6 +97,30 @@ TEST(KvStore, BucketPagesInsideBucketArray)
         const Vpn b = store.bucketPageOf(k);
         EXPECT_GE(b, store.bucketBase());
         EXPECT_LT(b, store.bucketBase() + store.bucketPages());
+    }
+}
+
+TEST(KvStore, LookupsMatchModuloReference)
+{
+    // Every item of the Default store against the `%` formulas the
+    // FastMod remainders replace; the slab permutation's (a, b) are
+    // re-derived exactly as the constructor picks them.
+    const KvConfig cfg; // Default: 48,000 items, one bucket per item
+    KvStore store(cfg);
+    AddressSpace space(0);
+    store.mapInto(space);
+    const std::uint64_t n = cfg.items;
+    const auto buckets = static_cast<std::uint64_t>(
+        static_cast<double>(n) / cfg.bucketLoad);
+    std::uint64_t a = splitmix64(cfg.seed) % n;
+    while (a == 0 || std::gcd(a, n) != 1)
+        a = (a + 1) % n;
+    const std::uint64_t b = splitmix64(cfg.seed ^ 0xbeef) % n;
+    for (std::uint64_t item = 0; item < n; ++item) {
+        const std::uint64_t bucket = splitmix64(item ^ cfg.seed) % buckets;
+        ASSERT_EQ(store.bucketPageOf(item),
+                  store.bucketBase() + bucket * 8 / kPageSize);
+        ASSERT_EQ(store.slotOf(item), (a * item + b) % n);
     }
 }
 

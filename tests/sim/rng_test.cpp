@@ -241,5 +241,128 @@ TEST(Zipfian, MemoizedZetaIsBitIdenticalAcrossThreads)
     EXPECT_EQ(zipfDigest(kN, 0.78, 99), kWant078);
 }
 
+/**
+ * The draw as it was before the pow-free path: a copy of the
+ * constructor's doubles and of the rank's pow expression, so a change
+ * to either side shows up as a mismatch.
+ */
+class PowReferenceZipfian
+{
+  public:
+    PowReferenceZipfian(std::uint64_t n, double theta) : n_(n)
+    {
+        double zetan = 0.0;
+        for (std::uint64_t i = 1; i <= n; ++i)
+            zetan += 1.0 / std::pow(static_cast<double>(i), theta);
+        const double zeta2 = 1.0 + 1.0 / std::pow(2.0, theta);
+        zetan_ = zetan;
+        alpha_ = 1.0 / (1.0 - theta);
+        eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
+               (1.0 - zeta2 / zetan);
+        thetaPowHalf_ = std::pow(0.5, theta);
+    }
+
+    double alpha() const { return alpha_; }
+    double eta() const { return eta_; }
+
+    std::uint64_t
+    rankOf(double u) const
+    {
+        const double uz = u * zetan_;
+        if (uz < 1.0)
+            return 0;
+        if (uz < 1.0 + thetaPowHalf_)
+            return 1;
+        const auto rank = static_cast<std::uint64_t>(
+            static_cast<double>(n_) *
+            std::pow(eta_ * u - eta_ + 1.0, alpha_));
+        return rank >= n_ ? n_ - 1 : rank;
+    }
+
+  private:
+    std::uint64_t n_;
+    double zetan_;
+    double alpha_;
+    double eta_;
+    double thetaPowHalf_;
+};
+
+TEST(Zipfian, FastPathMatchesPowReference)
+{
+    struct Case
+    {
+        std::uint64_t n;
+        double theta;
+        unsigned k; // expected pow-free exponent, 0 = all fallback
+    };
+    // Default and Big1M item counts at YCSB's skew, the integer-alpha
+    // thetas 0.8 (k 5) and 0.95 (k 20), and theta 0.6 (alpha 2.5).
+    const Case cases[] = {
+        {48000, 0.99, 100}, {262144, 0.99, 100}, {48000, 0.8, 5},
+        {100000, 0.95, 20}, {48000, 0.6, 0},
+    };
+    constexpr int kDraws = 2'000'000;
+    for (const Case &c : cases) {
+        SCOPED_TRACE(testing::Message() << "n=" << c.n
+                                        << " theta=" << c.theta);
+        ZipfianGenerator z(c.n, c.theta, false);
+        EXPECT_EQ(z.powFreeExponent(), c.k);
+        const PowReferenceZipfian ref(c.n, c.theta);
+        Rng r1(0x5eed + c.n), r2(0x5eed + c.n);
+        int mismatches = 0;
+        for (int i = 0; i < kDraws; ++i)
+            mismatches += z.next(r1) != ref.rankOf(r2.nextDouble());
+        EXPECT_EQ(mismatches, 0);
+
+        // Random draws almost never land within a few ulps of a rank
+        // boundary, where x^k and pow can truncate apart and only the
+        // bracket test keeps them equal. Invert the formula at ranks
+        // across [2, n) and try the 64 doubles on each side of each
+        // crossing.
+        int probes = 0;
+        for (std::uint64_t r = 2; r < c.n; r += c.n / 2000 + 1) {
+            const double x = std::pow(static_cast<double>(r) /
+                                          static_cast<double>(c.n),
+                                      1.0 / ref.alpha());
+            double u = (x - 1.0 + ref.eta()) / ref.eta();
+            for (int i = 0; i < 64; ++i)
+                u = std::nextafter(u, 0.0);
+            for (int i = 0; i < 128; ++i, u = std::nextafter(u, 1.0)) {
+                if (u < 0.0 || u >= 1.0)
+                    continue;
+                ++probes;
+                mismatches += z.rankOf(u) != ref.rankOf(u);
+            }
+        }
+        EXPECT_GT(probes, 100000);
+        EXPECT_EQ(mismatches, 0);
+    }
+}
+
+TEST(FastMod, MatchesHardwareRemainder)
+{
+    std::vector<std::uint64_t> divisors = {
+        1, 2, 3, 7, 48000, 262144, (1ull << 32) - 1, 1ull << 32,
+        (1ull << 32) + 1, 1ull << 63, (1ull << 63) + 1, UINT64_MAX - 1,
+        UINT64_MAX};
+    Rng r(53);
+    for (int i = 0; i < 200; ++i) {
+        // Random divisors of every width, not just full 64-bit ones.
+        const std::uint64_t d = r.nextU64() >> r.uniformInt(0, 63);
+        divisors.push_back(d == 0 ? 1 : d);
+    }
+    for (const std::uint64_t d : divisors) {
+        const FastMod mod(d);
+        ASSERT_EQ(mod.divisor(), d);
+        std::vector<std::uint64_t> xs = {0,        1,     d - 1, d,
+                                         d + 1,    2 * d, UINT64_MAX,
+                                         UINT64_MAX - 1};
+        for (int i = 0; i < 2000; ++i)
+            xs.push_back(r.nextU64());
+        for (const std::uint64_t x : xs)
+            ASSERT_EQ(mod(x), x % d) << "x=" << x << " d=" << d;
+    }
+}
+
 } // namespace
 } // namespace pagesim

@@ -199,5 +199,30 @@ TEST(SsdDevice, IsAsynchronous)
     EXPECT_EQ(ssd.cpuCost(0, true), 0u);
 }
 
+TEST(SsdDevice, JitterDrawsMatchLogNormalMeanPath)
+{
+    // The per-direction log-space location is computed once at
+    // construction; each service time must still be the very double
+    // Rng::logNormalMean yields for that direction's mean.
+    EventQueue events;
+    SsdConfig cfg = fixedLatency(msecs(1), 1);
+    cfg.readLatency = msecs(1) + usecs(500);
+    cfg.writeLatency = msecs(2) + usecs(300);
+    cfg.jitterSigma = 0.05;
+    SsdSwapDevice ssd(events, Rng(99), cfg);
+    Rng ref(99);
+    Rng pick(5);
+    for (int i = 0; i < 10000; ++i) {
+        const bool is_write = pick.bernoulli(0.5);
+        ssd.submit(0, is_write, [] {});
+        events.run();
+        const double mean = static_cast<double>(
+            is_write ? cfg.writeLatency : cfg.readLatency);
+        const auto want = static_cast<SimDuration>(
+            std::max(ref.logNormalMean(mean, cfg.jitterSigma), 1.0));
+        ASSERT_EQ(ssd.lastOpService(), want) << "op " << i;
+    }
+}
+
 } // namespace
 } // namespace pagesim
