@@ -122,7 +122,7 @@ ZipfianGenerator::ZipfianGenerator(std::uint64_t n, double theta,
            (1.0 - zeta2 / zetan_);
     thetaPowHalf_ = std::pow(0.5, theta_);
 
-    // next() draws x in [1-eta, 1]. Turn the pow-free path on only if
+    // rankOf() maps u to x in [1-eta, 1]. Turn the pow-free path on only if
     // x^k is within 2^-42 (relative) of x^alpha for every such x,
     // counting the squaring's rounding (k*2^-52) and the factor
     // x^(alpha-k) = exp((alpha-k) ln x), whose distance from 1 is

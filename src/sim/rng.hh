@@ -186,7 +186,7 @@ class Rng
  * but most draws skip `pow`: when alpha = 1/(1-theta) rounds to a small
  * integer k (theta 0.99 -> 100, 0.8 -> 5), x^k by squaring decides the
  * rank whenever the result is provably far from an integer boundary
- * (see next() and DESIGN.md "Zipfian draws without pow"). The scramble's
+ * (see rankOf() and DESIGN.md "Zipfian draws without pow"). The scramble's
  * `% n` is a FastMod.
  */
 class ZipfianGenerator
