@@ -3,9 +3,10 @@
  * Microbenchmarks (google-benchmark) for the core data structures the
  * characterization rests on: the Bloom filter, generation-list moves,
  * page-table walks, the zipfian generator and the KV store's lookup
- * math behind YCSB op generation, the latency histogram, and the
- * event queue. These establish that the paper's "O(1) generation
- * move" claim holds in this implementation and quantify per-op costs.
+ * math behind YCSB op generation, op-stream draining, the latency
+ * histogram, and the event queue. These establish that the paper's
+ * "O(1) generation move" claim holds in this implementation and
+ * quantify per-op costs.
  */
 
 #include <benchmark/benchmark.h>
@@ -23,6 +24,7 @@
 #include "sim/rng.hh"
 #include "sim/serialize.hh"
 #include "stats/histogram.hh"
+#include "workload/access_pattern.hh"
 
 namespace
 {
@@ -184,6 +186,47 @@ BM_YcsbStreamDrain(benchmark::State &state)
         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_YcsbStreamDrain)->Unit(benchmark::kMillisecond);
+
+void
+BM_PatternStreamDrain(benchmark::State &state)
+{
+    // A PatternStream draining 64K-op runs of one segment kind: 0 =
+    // SeqTouch, 1 = scrambled zipfian RandTouch over 1M pages, 2 =
+    // IndexedTouch over a 4K-page list. time_per_op is per stream op.
+    constexpr std::uint64_t kRun = 1u << 16;
+    std::vector<std::uint32_t> offsets(kRun);
+    Rng rng(17);
+    for (std::uint32_t &o : offsets)
+        o = static_cast<std::uint32_t>(rng.uniformInt(0, 4095));
+    RandTouch zipf;
+    zipf.span = 1u << 20;
+    zipf.count = kRun;
+    zipf.zipfTheta = ZipfianGenerator::kDefaultTheta;
+    const Segment segments[] = {
+        SeqTouch{0, kRun, false, false, 0},
+        zipf,
+        IndexedTouch{offsets.data(), kRun, 0, false, 0},
+    };
+    const Segment &seg = segments[state.range(0)];
+    static const char *const kLabels[] = {"seq", "zipf", "indexed"};
+    state.SetLabel(kLabels[state.range(0)]);
+    std::uint64_t ops = 0;
+    for (auto _ : state) {
+        PatternStream stream({seg, seg, seg, seg});
+        Op op;
+        while (stream.next(op))
+            ++ops;
+        benchmark::DoNotOptimize(op);
+    }
+    state.counters["time_per_op"] = benchmark::Counter(
+        static_cast<double>(ops),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_PatternStreamDrain)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_HistogramRecord(benchmark::State &state)

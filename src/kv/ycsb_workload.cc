@@ -49,28 +49,55 @@ class YcsbStream : public OpStream
             T);
     }
 
-    bool
-    next(Op &op) override
-    {
-        // A request/load expands to several ops; drain the queue first.
-        if (queueHead_ < queue_.size()) {
-            op = queue_[queueHead_++];
-            return true;
-        }
-        return refill(op);
-    }
-
     void
     visitState(StateIO &io) override
     {
         // loadHi_/requests_ are pure functions of the config, replayed
-        // at construction; only the cursors and the draw state move.
+        // at construction; only the cursors, the draw state and the
+        // current expansion (the block) move.
         io.enumU8(phase_, Phase::Requests);
-        io.u64(loadLo_);
-        io.u64(done_);
+        io.require(io.u64(loadLo_) <= loadHi_);
+        io.require(io.u64(done_) <= requests_);
         rng_.visitState(io);
-        io.objects(queue_, 64); // a request expands to a handful of ops
-        io.u64(queueHead_);
+        OpStream::visitState(io);
+    }
+
+  protected:
+    /** Expand the next load or request into @p out: one per block. */
+    std::size_t
+    refill(Op *out) override
+    {
+        switch (phase_) {
+          case Phase::Load:
+            if (loadLo_ < loadHi_) {
+                std::size_t n = writeItemOps(out, loadLo_++, true, false);
+                out[n++] = Op::makeCompute(wl_.config_.computePerRequest);
+                return n;
+            }
+            phase_ = Phase::BarrierThenMark;
+            [[fallthrough]];
+          case Phase::BarrierThenMark:
+            out[0] = Op::makeBarrier(0);
+            out[1] = Op::makePhase(1);
+            phase_ = Phase::Requests;
+            return 2;
+          case Phase::Requests: {
+            if (done_ >= requests_)
+                return 0;
+            ++done_;
+            const std::uint64_t item = zipf_.next(rng_);
+            const bool is_read =
+                rng_.nextDouble() < ycsbReadFraction(wl_.config_.mix);
+            const std::uint32_t klass =
+                is_read ? kYcsbRead : kYcsbWrite;
+            out[0] = Op::makeRequestStart(klass);
+            std::size_t n = 1 + writeItemOps(out + 1, item, !is_read, true);
+            out[n++] = Op::makeCompute(wl_.config_.computePerRequest);
+            out[n++] = Op::makeRequestEnd(klass);
+            return n;
+          }
+        }
+        return 0;
     }
 
   private:
@@ -81,67 +108,20 @@ class YcsbStream : public OpStream
         Requests,
     };
 
-    /**
-     * Expand the next load/request into the queue and return its first
-     * op. Kept out of line so next()'s drain path stays a few loads.
-     */
-    [[gnu::noinline]] bool
-    refill(Op &op)
-    {
-        queue_.clear();
-        queueHead_ = 0;
-
-        switch (phase_) {
-          case Phase::Load: {
-            if (loadLo_ >= loadHi_) {
-                phase_ = Phase::BarrierThenMark;
-                return refill(op);
-            }
-            const std::uint64_t item = loadLo_++;
-            pushItemOps(item, true, false);
-            queue_.push_back(
-                Op::makeCompute(wl_.config_.computePerRequest));
-            op = queue_[queueHead_++];
-            return true;
-          }
-          case Phase::BarrierThenMark:
-            queue_.push_back(Op::makeBarrier(0));
-            queue_.push_back(Op::makePhase(1));
-            phase_ = Phase::Requests;
-            op = queue_[queueHead_++];
-            return true;
-          case Phase::Requests: {
-            if (done_ >= requests_)
-                return false;
-            ++done_;
-            const std::uint64_t item = zipf_.next(rng_);
-            const bool is_read =
-                rng_.nextDouble() < ycsbReadFraction(wl_.config_.mix);
-            const std::uint32_t klass =
-                is_read ? kYcsbRead : kYcsbWrite;
-            queue_.push_back(Op::makeRequestStart(klass));
-            pushItemOps(item, !is_read, true);
-            queue_.push_back(
-                Op::makeCompute(wl_.config_.computePerRequest));
-            queue_.push_back(Op::makeRequestEnd(klass));
-            op = queue_[queueHead_++];
-            return true;
-          }
-        }
-        return false;
-    }
-
-    void
-    pushItemOps(std::uint64_t item, bool write, bool read_bucket_first)
+    /** Write an item lookup's touches to @p out; return how many. */
+    std::size_t
+    writeItemOps(Op *out, std::uint64_t item, bool write,
+                 bool read_bucket_first)
     {
         // Lookup: bucket page (read; write on insert), then the item's
         // slab page(s).
-        queue_.push_back(Op::makeTouch(wl_.store_.bucketPageOf(item),
-                                       !read_bucket_first));
+        out[0] = Op::makeTouch(wl_.store_.bucketPageOf(item),
+                               !read_bucket_first);
         Vpn pages[2];
         const unsigned n = wl_.store_.itemPagesOf(item, pages);
         for (unsigned i = 0; i < n; ++i)
-            queue_.push_back(Op::makeTouch(pages[i], write));
+            out[1 + i] = Op::makeTouch(pages[i], write);
+        return 1 + n;
     }
 
     YcsbWorkload &wl_;
@@ -152,13 +132,9 @@ class YcsbStream : public OpStream
     ZipfianGenerator zipf_;
     Phase phase_ = Phase::Load;
     std::uint64_t loadLo_ = 0;
-    // lint:state-cov-ok(load partition bound, a pure function of config replayed at construction)
     std::uint64_t loadHi_ = 0;
-    // lint:state-cov-ok(per-thread request target, a pure function of config replayed at construction)
     std::uint64_t requests_ = 0;
     std::uint64_t done_ = 0;
-    std::vector<Op> queue_;
-    std::size_t queueHead_ = 0;
 };
 
 YcsbWorkload::YcsbWorkload(const YcsbConfig &config)

@@ -6,26 +6,34 @@
  * Ties are broken by insertion order (FIFO among equal timestamps) so
  * simulations are fully deterministic for a given seed.
  *
- * Internally this is one binary min-heap (std::push_heap/pop_heap)
- * of 40-byte trivially copyable records {when, seq, callback}. The
- * pending set is small: every actor holds at most one step or sleep
- * event, the SSD model one completion per service slot, plus a few
- * timers. pagesim_bench rounds (seeds 1-3) peak at 11-14 pending
- * events on Big1M, 25-28 on the fig grid and 42-44 on three-tenant
- * colocation, so the whole set is at most a few dozen 40-byte
- * records in one array. A bucketed timing wheel sifts less (an
- * isolated hold model on a 4-core Xeon measured it even with this
- * heap at 16-64 pending and ~1.2-1.8x faster from 256 up), but
+ * Internally this is one binary min-heap of 40-byte trivially
+ * copyable records {when, seq, callback}. The pending set is small:
+ * every actor holds at most one step or sleep event, the SSD model
+ * one completion per service slot, plus a few timers. pagesim_bench
+ * rounds (seeds 1-3) peak at 11-14 pending events on Big1M, 25-28 on
+ * the fig grid and 42-44 on three-tenant colocation, so the whole set
+ * is at most a few dozen records in one array. (A bucketed timing
+ * wheel sifts less in an isolated hold model from 256 pending up, but
  * inside a trial its buckets, cursor scans and larger records cost
- * more than the sifts save: pagesim_bench's fig-grid and colocation
- * workloads spend 12-18% less host CPU per reference on this heap.
+ * more than the sifts save.)
+ *
+ * Fused dispatch: the queue runs the root's callback in place and
+ * leaves the root slot as a hole while it runs. The callback's first
+ * schedule() fills the hole with the new record (the hole walks down
+ * the smaller-child path to a leaf and the record sifts up from
+ * there, as std::pop_heap places its last element), so an actor that
+ * re-schedules itself every chunk costs one sift instead of a pop plus
+ * a push. If the callback schedules nothing, the last record fills the
+ * hole the same way. While the hole is open, pending() and empty()
+ * do not count it, and runOne() must not be re-entered (asserted).
  *
  * Callbacks are InlineCalls (a function pointer plus 16 B of plain
  * captures), so the schedule/dispatch cycle performs no heap
  * allocation and the heap moves PODs.
  *
  * Dispatch order is strictly (time, insertion sequence); tests
- * cross-check it against a stable sort on randomized schedules.
+ * cross-check it against a stable sort on randomized schedules,
+ * including schedules made from inside callbacks.
  */
 
 #ifndef PAGESIM_SIM_EVENT_QUEUE_HH
@@ -65,11 +73,11 @@ class EventQueue
     /** Current simulated time. */
     SimTime now() const { return now_; }
 
-    /** Number of events waiting to run. */
-    std::size_t pending() const { return heap_.size(); }
+    /** Number of events waiting to run (not the one running). */
+    std::size_t pending() const { return heap_.size() - (hole_ ? 1 : 0); }
 
     /** True when no events remain. */
-    bool empty() const { return heap_.empty(); }
+    bool empty() const { return pending() == 0; }
 
     /** Total number of events dispatched so far. */
     std::uint64_t dispatched() const { return dispatched_; }
@@ -89,8 +97,14 @@ class EventQueue
             when = now_;
         }
         const std::uint64_t id = nextSeq_++;
-        heap_.push_back(Record{when, id, cb});
-        std::push_heap(heap_.begin(), heap_.end(), Later{});
+        if (hole_) {
+            // First schedule from the running callback: take its slot.
+            hole_ = false;
+            fillRoot(Record{when, id, cb});
+        } else {
+            heap_.push_back(Record{when, id, cb});
+            std::push_heap(heap_.begin(), heap_.end(), Later{});
+        }
         return id;
     }
 
@@ -181,20 +195,65 @@ class EventQueue
         }
     };
 
-    /** Pop and run the earliest event (the heap is non-empty). */
+    /**
+     * Run the earliest event (the heap is non-empty) with its slot
+     * left as a hole for the callback's first schedule(); if it
+     * schedules nothing, the last record fills the hole.
+     */
     void
     dispatchFront()
     {
-        std::pop_heap(heap_.begin(), heap_.end(), Later{});
-        Record rec = heap_.back();
-        heap_.pop_back();
-        now_ = rec.when;
+        assert(!hole_ && "runOne() re-entered from a callback");
+        const Record &front = heap_.front();
+        now_ = front.when;
         ++dispatched_;
-        rec.cb();
+        Callback cb = front.cb;
+        hole_ = true;
+        cb();
+        if (hole_) {
+            hole_ = false;
+            const Record last = heap_.back();
+            heap_.pop_back();
+            if (!heap_.empty())
+                fillRoot(last);
+        }
     }
 
-    /** Pending events, a min-heap on (when, seq) under Later. */
+    /**
+     * Place @p rec into the hole at the root: walk the hole down the
+     * smaller-child path to a leaf (one compare a level), then sift
+     * @p rec up from there.
+     */
+    void
+    fillRoot(const Record &rec)
+    {
+        Record *const h = heap_.data();
+        const std::size_t n = heap_.size();
+        const Later later;
+        std::size_t hole = 0;
+        for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+            if (child + 1 < n && later(h[child], h[child + 1]))
+                ++child;
+            h[hole] = h[child];
+            hole = child;
+        }
+        while (hole > 0) {
+            const std::size_t parent = (hole - 1) / 2;
+            if (!later(h[parent], rec))
+                break;
+            h[hole] = h[parent];
+            hole = parent;
+        }
+        h[hole] = rec;
+    }
+
+    /**
+     * Pending events, a min-heap on (when, seq) under Later; while a
+     * callback runs, heap_[0] is its stale record (the hole).
+     */
     std::vector<Record> heap_;
+    /** heap_[0] is the running event's slot, not yet refilled. */
+    bool hole_ = false;
     SimTime now_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t dispatched_ = 0;

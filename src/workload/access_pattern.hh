@@ -90,36 +90,42 @@ struct PhaseSeg
 using Segment = std::variant<SeqTouch, RandTouch, IndexedTouch,
                              ComputeSeg, BarrierSeg, PhaseSeg>;
 
-/** Expands a segment list into an Op stream. */
+/**
+ * Expands a segment list into an Op stream.
+ *
+ * Each refill() writes up to kBlockOps ops of ONE segment in a tight
+ * loop for that segment's kind, so a block never spans two segments.
+ * The cursor (index_, emitted_, rng_) runs at the end of the block; a
+ * checkpoint holds instead the cursor after the last op handed out,
+ * exactly what a per-op stream would hold there (see visitState()).
+ */
 class PatternStream : public OpStream
 {
   public:
     explicit PatternStream(std::vector<Segment> segments);
 
-    bool next(Op &op) override;
+    void visitState(StateIO &io) override;
 
-    void
-    visitState(StateIO &io) override
-    {
-        io.u64(index_);
-        io.u64(emitted_);
-        io.optional(rng_, Rng(1));
-        // zipf_ is pure function-of-segment state: rebuilt lazily on
-        // the next draw, consuming no RNG values at construction.
-        if (io.loading())
-            zipf_.reset();
-    }
+  protected:
+    std::size_t refill(Op *block) override;
 
   private:
     bool advanceSegment();
 
-    // lint:state-cov-ok(segment list is the construction input, replayed from the workload spec)
+    /**
+     * Ops a segment emits one at a time, tracked by emitted_; 0 for
+     * the single-op kinds, which advance the moment they emit.
+     */
+    static std::uint64_t runLength(const Segment &seg);
+
     std::vector<Segment> segments_;
     std::size_t index_ = 0;
     std::uint64_t emitted_ = 0;
     /** Lazily built generator state for the current RandTouch. */
     std::optional<Rng> rng_;
     std::unique_ptr<ZipfianGenerator> zipf_;
+    /** rng_ as it stood before the current RandTouch block's draws. */
+    Rng blockRng_;
 };
 
 } // namespace pagesim

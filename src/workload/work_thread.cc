@@ -22,14 +22,16 @@ WorkThread::step()
     CostSink sink;
     const SimDuration chunk = mm_.config().appChunk;
     while (true) {
-        Op op;
+        // The op is used in place, in the stream's block or in
+        // pending_; only an op that must be retried is copied.
+        const Op *op;
         if (havePending_) {
-            op = pending_;
+            op = &pending_;
             havePending_ = false;
-        } else if (!stream_->next(op)) {
+        } else if ((op = stream_->take()) == nullptr) {
             if (carry_ > 0) {
                 // Charge the tail of accumulated work, then finish on
-                // the next dispatch (next() must stay false).
+                // the next dispatch (take() must stay null).
                 const SimDuration w = carry_;
                 carry_ = 0;
                 yieldAfter(w);
@@ -40,24 +42,24 @@ WorkThread::step()
             return;
         }
 
-        switch (op.kind) {
+        switch (op->kind) {
           case Op::Kind::Compute:
-            carry_ += op.compute;
+            carry_ += op->compute;
             break;
 
           case Op::Kind::Touch:
           case Op::Kind::FdTouch: {
             ++tstats_.touches;
-            carry_ += op.compute; // per-touch application work
-            op.compute = 0;       // don't double-charge on fault retry
+            carry_ += op->compute; // per-touch application work
             const auto outcome =
-                op.kind == Op::Kind::FdTouch
-                    ? mm_.fdAccess(*this, space_, op.vpn, op.write, sink)
-                    : mm_.access(*this, space_, op.vpn, op.write, sink);
+                op->kind == Op::Kind::FdTouch
+                    ? mm_.fdAccess(*this, space_, op->vpn, op->write, sink)
+                    : mm_.access(*this, space_, op->vpn, op->write, sink);
             carry_ += sink.take();
             if (outcome == MemoryManager::AccessOutcome::Blocked) {
                 ++tstats_.blockedFaults;
-                pending_ = op;
+                pending_ = *op;
+                pending_.compute = 0; // don't double-charge on retry
                 havePending_ = true;
                 block();
                 return;
@@ -69,14 +71,14 @@ WorkThread::step()
             // Synchronization points need exact timestamps: charge any
             // accumulated work first and retry the op.
             if (carry_ > 0) {
-                pending_ = op;
+                pending_ = *op;
                 havePending_ = true;
                 const SimDuration w = carry_;
                 carry_ = 0;
                 yieldAfter(w);
                 return;
             }
-            SimBarrier *barrier = workload_.barrier(op.id);
+            SimBarrier *barrier = workload_.barrier(op->id);
             if (barrier != nullptr) {
                 ++tstats_.barriersPassed;
                 if (!barrier->arrive(*this)) {
@@ -91,19 +93,19 @@ WorkThread::step()
           case Op::Kind::RequestEnd:
           case Op::Kind::Phase: {
             if (carry_ > 0) {
-                pending_ = op;
+                pending_ = *op;
                 havePending_ = true;
                 const SimDuration w = carry_;
                 carry_ = 0;
                 yieldAfter(w);
                 return;
             }
-            if (op.kind == Op::Kind::RequestStart) {
+            if (op->kind == Op::Kind::RequestStart) {
                 requestStart_ = now();
-            } else if (op.kind == Op::Kind::RequestEnd) {
-                workload_.recordRequest(op.id, now() - requestStart_);
+            } else if (op->kind == Op::Kind::RequestEnd) {
+                workload_.recordRequest(op->id, now() - requestStart_);
             } else {
-                workload_.phaseReached(tid_, op.id, now());
+                workload_.phaseReached(tid_, op->id, now());
             }
             break;
           }

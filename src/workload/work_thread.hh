@@ -10,6 +10,10 @@
  * mid-stream; the pending op is retried after wake-up. Latency
  * markers and barriers flush accumulated work first so their
  * timestamps are exact.
+ *
+ * Ops are used in place in the stream's block (OpStream::take()); an
+ * op is copied into pending_ only when it must be retried after a
+ * block or a yield.
  */
 
 #ifndef PAGESIM_WORKLOAD_WORK_THREAD_HH
@@ -77,6 +81,7 @@ class WorkThread : public SimActor
     unsigned tid_;
     std::unique_ptr<OpStream> stream_;
 
+    /** The op to retry first: a blocked touch or a deferred marker. */
     Op pending_{};
     bool havePending_ = false;
     /** Work accrued before an involuntary block, charged after wake. */

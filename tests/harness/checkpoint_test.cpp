@@ -32,6 +32,7 @@
 #include "mem/frame_table.hh"
 #include "sim/serialize.hh"
 #include "workload/barrier.hh"
+#include "workload/work_thread.hh"
 #include "workload/workload.hh"
 
 namespace pagesim
@@ -821,6 +822,155 @@ TEST(CheckpointCorruption, OutOfRangeIndicesAreNamedErrors)
     // image.
     const CheckpointError retry = restoreCheckpoint(view, hash, seed, good);
     ASSERT_TRUE(retry.ok()) << retry.message;
+}
+
+/** The bodies of the actors section's length-prefixed records. */
+std::vector<ByteBuffer>
+actorRecords(const ByteBuffer &actors)
+{
+    std::vector<ByteBuffer> records;
+    const std::uint64_t count = readLe(actors, 0, 4);
+    std::size_t at = 4;
+    for (std::uint64_t i = 0; i < count; ++i) {
+        const std::size_t len = readLe(actors, at, 8);
+        records.emplace_back(actors.begin() + at + 8,
+                             actors.begin() + at + 8 + len);
+        at += 8 + len;
+    }
+    EXPECT_EQ(at, actors.size()) << "actors section layout moved?";
+    return records;
+}
+
+/** The actors section payload holding @p records. */
+ByteBuffer
+joinActorRecords(const std::vector<ByteBuffer> &records)
+{
+    Sink sink;
+    sink.u32(static_cast<std::uint32_t>(records.size()));
+    for (const ByteBuffer &r : records) {
+        sink.u64(r.size());
+        sink.bytes(r.data(), r.size());
+    }
+    return sink.data();
+}
+
+TEST(CheckpointCorruption, StreamCursorsOutOfRangeAreNamedErrors)
+{
+    // Re-checksummed images whose op-stream cursors lie outside the
+    // stream: each must be refused with a named error before anything
+    // is applied, never by silently ending the thread or by reading
+    // past the stream's op block. A work thread's record ends with its
+    // stream's cursor, after the SimActor scalars (state byte and five
+    // u64) and the thread's own (pending op 22 B, havePending, carry,
+    // requestStart and four stats).
+    constexpr std::size_t kStreamAt = 1 + 40 + 22 + 1 + 8 + 8 + 32;
+    constexpr std::uint64_t kPast = ~0ull;
+    const std::uint64_t seed = 12345;
+
+    struct Case
+    {
+        const char *name;
+        ByteBuffer body; ///< the first work thread's edited record
+    };
+    auto check = [&](WorkloadKind kind, auto make_cases) {
+        const ExperimentConfig cfg =
+            smallConfig(kind, PolicyKind::MgLru, SwapKind::Ssd);
+        const std::uint64_t hash = configPrefixHash(cfg);
+        const Checkpoint good = captureAtBoundary(cfg, seed, 20000);
+        TrialRigOptions opts;
+        opts.forRestore = true;
+        opts.deferObservers = true;
+        TrialRig rig(cfg, seed, opts);
+        const RigView view = rig.view();
+
+        std::size_t thread = 0;
+        while (thread < view.actors.size() &&
+               dynamic_cast<WorkThread *>(view.actors[thread]) == nullptr)
+            ++thread;
+        ASSERT_LT(thread, view.actors.size());
+        std::vector<ByteBuffer> records =
+            actorRecords(sectionPayload(good.bytes, "actors"));
+        ASSERT_EQ(records.size(), view.actors.size());
+
+        const std::vector<Case> cases = make_cases(records[thread]);
+        ASSERT_FALSE(cases.empty()) << workloadKindName(kind);
+        for (const Case &c : cases) {
+            std::vector<ByteBuffer> edited = records;
+            edited[thread] = c.body;
+            Checkpoint bad = good;
+            replaceSection(bad.bytes, "actors", joinActorRecords(edited));
+            const CheckpointError err =
+                restoreCheckpoint(view, hash, seed, bad);
+            EXPECT_EQ(err.kind, CheckpointError::Kind::Unsupported)
+                << c.name << ": " << err.message;
+            EXPECT_NE(err.message.find("actors"), std::string::npos)
+                << c.name << ": " << err.message;
+        }
+        // Refused before apply: the same rig still accepts the
+        // pristine image.
+        const CheckpointError retry =
+            restoreCheckpoint(view, hash, seed, good);
+        ASSERT_TRUE(retry.ok()) << retry.message;
+    };
+
+    // YcsbStream: phase byte, loadLo, done, 41 B of RNG, then the
+    // block as the request queue was stored (count, 22 B ops, head).
+    check(WorkloadKind::YcsbA, [&](const ByteBuffer &body) {
+        std::vector<Case> cases;
+        const std::size_t count_at = kStreamAt + 1 + 8 + 8 + 41;
+        const std::uint64_t n = readLe(body, count_at, 8);
+        const std::size_t head_at = count_at + 8 + 22 * n;
+        const bool layout_ok = n <= OpStream::kBlockOps &&
+                               body.size() == head_at + 8 &&
+                               readLe(body, head_at, 8) <= n;
+        EXPECT_TRUE(layout_ok) << "YCSB stream layout moved?";
+        if (!layout_ok)
+            return cases;
+
+        // A full-capacity block plus one op, the bytes all present:
+        // only the capacity check can refuse it.
+        ByteBuffer bad = body;
+        bad.insert(bad.begin() + head_at,
+                   22 * (OpStream::kBlockOps + 1 - n), 0);
+        writeLe(bad, count_at, OpStream::kBlockOps + 1);
+        cases.push_back({"ycsb-block-length", bad});
+        bad = body;
+        writeLe(bad, head_at, n + 1);
+        cases.push_back({"ycsb-head", bad});
+        bad = body;
+        writeLe(bad, kStreamAt + 1, kPast);
+        cases.push_back({"ycsb-load-window", bad});
+        bad = body;
+        writeLe(bad, kStreamAt + 9, kPast);
+        cases.push_back({"ycsb-requests-done", bad});
+        return cases;
+    });
+
+    // PatternStream (PageRank has no RandTouch, so no generator):
+    // index, emitted, then a zero has-RNG byte.
+    check(WorkloadKind::PageRank, [&](const ByteBuffer &body) {
+        std::vector<Case> cases;
+        const bool layout_ok =
+            body.size() == kStreamAt + 17 && body.back() == 0;
+        EXPECT_TRUE(layout_ok) << "pattern stream layout moved?";
+        if (!layout_ok)
+            return cases;
+        ByteBuffer bad = body;
+        writeLe(bad, kStreamAt, kPast);
+        cases.push_back({"pattern-index", bad});
+        bad = body;
+        writeLe(bad, kStreamAt + 8, kPast);
+        cases.push_back({"pattern-emitted", bad});
+        bad = body;
+        bad.back() = 1;
+        Sink rng_bytes;
+        StateIO io(rng_bytes);
+        Rng(1).visitState(io);
+        bad.insert(bad.end(), rng_bytes.data().begin(),
+                   rng_bytes.data().end());
+        cases.push_back({"pattern-rng-off-randtouch", bad});
+        return cases;
+    });
 }
 
 TEST(CheckpointCorruption, VersionTwoImageIsRefused)

@@ -326,5 +326,216 @@ TEST(EventQueue, MassedTiesDispatchFifoAcrossBucketActivation)
         EXPECT_EQ(fired[i], i);
 }
 
+// Fused dispatch: the running event's slot stays a hole until its
+// callback's first schedule() fills it; a callback that schedules
+// nothing lets the last record fill it. Either way the order must stay
+// (when, seq), and pending()/empty() must never count the hole.
+
+/**
+ * A schedule where every event's callback schedules @p fanout more
+ * at @p delta past now (first-generation events only), checked
+ * against the stable-sort reference and against the expected
+ * pending() count inside every callback.
+ */
+void
+expectFusedOrder(int fanout, SimTime delta, const char *tag)
+{
+    struct State
+    {
+        EventQueue q;
+        std::vector<SimTime> whens;
+        std::vector<int> fired;
+        std::size_t outstanding = 0;
+        int fanout = 0;
+        SimTime delta = 0;
+        bool pendingOk = true;
+
+        void
+        add(SimTime when, bool spawns)
+        {
+            const int id = static_cast<int>(whens.size());
+            whens.push_back(when);
+            ++outstanding;
+            if (spawns) {
+                q.schedule(when, [this, id] { run(id, true); });
+            } else {
+                q.schedule(when, [this, id] { run(id, false); });
+            }
+        }
+
+        void
+        run(int id, bool spawns)
+        {
+            fired.push_back(id);
+            --outstanding;
+            pendingOk &= q.pending() == outstanding &&
+                         q.empty() == (outstanding == 0);
+            if (!spawns)
+                return;
+            for (int i = 0; i < fanout; ++i) {
+                add(q.now() + delta, false);
+                pendingOk &= q.pending() == outstanding;
+            }
+        }
+    };
+    State st;
+    st.fanout = fanout;
+    st.delta = delta;
+    // Distinct times 10 apart, plus ties at 20 and 40: a +1 schedule
+    // lands before every other pending event, +0 ties with the ties.
+    for (const SimTime when : {10u, 20u, 20u, 30u, 40u, 40u, 40u, 50u})
+        st.add(when, true);
+    st.q.run();
+    const auto expect = referenceOrder(st.whens);
+    ASSERT_EQ(st.fired.size(), expect.size()) << tag;
+    for (std::size_t i = 0; i < expect.size(); ++i)
+        EXPECT_EQ(st.fired[i], expect[i].second) << tag << " position " << i;
+    EXPECT_TRUE(st.pendingOk) << tag << ": pending() counted the hole";
+    EXPECT_TRUE(st.q.empty()) << tag;
+}
+
+TEST(EventQueue, FusedDispatchKeepsOrderForEachFanout)
+{
+    for (const int fanout : {0, 1, 3}) {
+        const std::string f = "fanout " + std::to_string(fanout);
+        expectFusedOrder(fanout, 0, (f + " at now").c_str());
+        expectFusedOrder(fanout, 1, (f + " before all pending").c_str());
+        expectFusedOrder(fanout, 1000000,
+                         (f + " after all pending").c_str());
+    }
+}
+
+TEST(EventQueue, PendingAndEmptyInsideCallbacksExcludeTheRunningEvent)
+{
+    // Callbacks capture one pointer to this, inside the 16 B budget.
+    struct Probe
+    {
+        EventQueue q;
+        std::vector<std::size_t> pending;
+        std::vector<bool> empty;
+
+        void
+        look()
+        {
+            pending.push_back(q.pending());
+            empty.push_back(q.empty());
+        }
+    };
+
+    Probe lone;
+    lone.q.schedule(5, [p = &lone] {
+        p->look();
+        p->q.scheduleAfter(1, [p] { p->look(); });
+        p->look();
+    });
+    lone.q.run();
+    EXPECT_EQ(lone.pending, (std::vector<std::size_t>{0, 1, 0}));
+    EXPECT_EQ(lone.empty, (std::vector<bool>{true, false, true}));
+
+    // With others pending: the running event is never counted, before
+    // or after it schedules.
+    Probe crowd;
+    for (int i = 0; i < 4; ++i)
+        crowd.q.schedule(100 + i, [p = &crowd] { p->look(); });
+    crowd.q.schedule(50, [p = &crowd] {
+        p->look();
+        p->q.scheduleAfter(0, [p] { p->look(); });
+        p->q.scheduleAfter(500, [p] { p->look(); });
+        p->look();
+    });
+    crowd.q.run();
+    EXPECT_EQ(crowd.pending,
+              (std::vector<std::size_t>{4, 6, 5, 4, 3, 2, 1, 0}));
+    EXPECT_EQ(crowd.empty.back(), true);
+}
+
+TEST(EventQueue, RandomizedFusedDispatchMatchesReference)
+{
+    // The self-scheduling cross-check with every fused-dispatch path:
+    // callbacks schedule 0 to 3 events (0 leaves the hole to the last
+    // record, the first of several fills it, the rest push), at now,
+    // just after it, or far out; runUntil() pauses let schedules from
+    // outside any callback interleave.
+    struct Churn
+    {
+        MiniRng rng{0xd1b54a32d192ed03ull};
+        EventQueue q;
+        std::vector<SimTime> whens;
+        std::vector<int> fired;
+        std::size_t outstanding = 0;
+        bool pendingOk = true;
+
+        void
+        add(SimTime delta)
+        {
+            const SimTime when = q.now() + delta;
+            const int id = static_cast<int>(whens.size());
+            whens.push_back(when);
+            ++outstanding;
+            q.schedule(when, [this, id] {
+                fired.push_back(id);
+                --outstanding;
+                pendingOk &= q.pending() == outstanding;
+                if (whens.size() < 6000)
+                    spawn(static_cast<int>(rng.next() % 4));
+            });
+        }
+
+        SimTime
+        delta()
+        {
+            switch (rng.next() % 4) {
+              case 0:
+                return 0;
+              case 1:
+                return 1 + rng.next() % 8;
+              case 2:
+                return rng.next() % 50000;
+              default:
+                return rng.next() % 300000000;
+            }
+        }
+
+        void
+        spawn(int fanout)
+        {
+            for (int i = 0; i < fanout; ++i)
+                add(delta());
+        }
+    };
+    Churn churn;
+    churn.spawn(48);
+    SimTime deadline = 0;
+    while (!churn.q.empty()) {
+        deadline += 20000000;
+        churn.q.runUntil(deadline);
+        churn.pendingOk &= churn.q.pending() == churn.outstanding;
+        if (churn.whens.size() < 6000)
+            churn.spawn(static_cast<int>(churn.rng.next() % 3));
+    }
+    const auto expect = referenceOrder(churn.whens);
+    ASSERT_EQ(churn.fired.size(), expect.size());
+    for (std::size_t i = 0; i < expect.size(); ++i)
+        ASSERT_EQ(churn.fired[i], expect[i].second) << "position " << i;
+    EXPECT_TRUE(churn.pendingOk);
+    EXPECT_GT(churn.whens.size(), 5000u);
+}
+
+#ifndef NDEBUG
+TEST(EventQueueDeathTest, RunOneReenteredFromCallbackAsserts)
+{
+    // The running event's slot is a hole until the callback schedules;
+    // a nested dispatch would pop the hole.
+    EXPECT_DEATH(
+        {
+            EventQueue q;
+            q.schedule(1, [] {});
+            q.schedule(0, [&q] { q.runOne(); });
+            q.run();
+        },
+        "re-entered");
+}
+#endif
+
 } // namespace
 } // namespace pagesim

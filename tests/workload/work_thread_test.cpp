@@ -168,27 +168,22 @@ TEST(WorkThread, RequestLatencyCoversFaultTime)
       public:
         explicit ReqStream(Vpn vpn) : vpn_(vpn) {}
 
-        bool
-        next(Op &op) override
+      protected:
+        std::size_t
+        refill(Op *out) override
         {
-            switch (i_++) {
-              case 0:
-                op = Op::makeRequestStart(0);
-                return true;
-              case 1:
-                op = Op::makeTouch(vpn_, false);
-                return true;
-              case 2:
-                op = Op::makeRequestEnd(0);
-                return true;
-              default:
-                return false;
-            }
+            if (done_)
+                return 0;
+            done_ = true;
+            out[0] = Op::makeRequestStart(0);
+            out[1] = Op::makeTouch(vpn_, false);
+            out[2] = Op::makeRequestEnd(0);
+            return 3;
         }
 
       private:
         Vpn vpn_;
-        int i_ = 0;
+        bool done_ = false;
     };
     class ReqWorkload : public ScriptWorkload
     {
