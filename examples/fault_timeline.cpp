@@ -1,19 +1,25 @@
 /**
  * @file
- * Fault timeline: flight-recorder view of one trial.
+ * Fault timeline: the event-rate view of one trial.
  *
- * Assembles a machine by hand with a TraceBuffer AND a
- * MetricsCollector attached, runs one TPC-H trial, and prints
- * fault/eviction/stall rate timelines as sparklines plus burstiness
- * metrics — making the mechanisms behind the paper's variance figures
- * visible: JVM full-GC fault storms show up as spikes, reclaim
- * pressure as eviction plateaus. The metrics layer then breaks the
- * same faults down by phase (metrics/ observability API).
+ * Assembles a machine by hand with a Full-mode MetricsCollector
+ * attached, runs one TPC-H trial, and prints the sampler's event-rate
+ * columns (major faults, evictions, stalls, readahead, ...) as
+ * sparklines plus their burstiness — making the mechanisms behind the
+ * paper's variance figures visible: JVM full-GC fault storms show up
+ * as spikes, reclaim pressure as eviction plateaus. The metrics report
+ * then breaks the same faults down by phase.
  *
- * Usage: fault_timeline [seed] [buckets]
+ * Self-check: after a final sample, every rate column must sum to its
+ * kernel counter's growth since attach; the program exits 1 if one
+ * does not.
+ *
+ * Usage: fault_timeline [seed]
  */
 
+#include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <memory>
 
 #include "harness/experiment.hh"
@@ -21,10 +27,10 @@
 #include "kernel/memory_manager.hh"
 #include "kernel/mm_metrics.hh"
 #include "metrics/export.hh"
+#include "stats/summary.hh"
 #include "stats/table.hh"
 #include "swap/ssd_device.hh"
 #include "swap/swap_manager.hh"
-#include "trace/trace.hh"
 #include "workload/work_thread.hh"
 
 using namespace pagesim;
@@ -33,7 +39,6 @@ int
 main(int argc, char **argv)
 {
     const std::uint64_t seed = argc > 1 ? std::atoll(argv[1]) : 7;
-    const unsigned buckets = argc > 2 ? std::atoi(argv[2]) : 60;
 
     Simulation sim(12, seed);
     auto workload = makeWorkload(WorkloadKind::Tpch,
@@ -59,12 +64,14 @@ main(int argc, char **argv)
     mm.attachKswapd(&kswapd);
     kswapd.start();
 
-    TraceBuffer trace(1u << 22);
-    mm.attachTrace(&trace);
-
+    // Half-second rows: a ~30 s trial gives ~60-glyph sparklines.
     MetricsConfig metrics_config;
     metrics_config.mode = MetricsMode::Full;
+    metrics_config.sampleEvery = msecs(500);
     MetricsCollector collector(metrics_config);
+    std::vector<std::uint64_t> at_attach;
+    for (const EventRate &rate : eventRates())
+        at_attach.push_back(rate.count(mm));
     attachStandardMetrics(collector, mm);
 
     WorkloadContext ctx;
@@ -82,36 +89,48 @@ main(int argc, char **argv)
         std::fprintf(stderr, "did not converge\n");
         return 1;
     }
+    // Close the last interval so each column covers the whole trial.
+    collector.sampler().stop();
+    collector.sampler().sampleOnce(sim.now());
 
-    const SimTime end = sim.now();
-    const SimDuration bucket = end / buckets + 1;
+    const MetricsSnapshot snapshot = collector.snapshot(sim.now());
+    const SampleSeries &ts = snapshot.timeseries;
     std::printf("TPC-H / MG-LRU / SSD / 50%%, seed %llu — runtime "
-                "%s, %s per bucket\n\n",
+                "%s, %s per sample\n\n",
                 static_cast<unsigned long long>(seed),
-                fmtNanos(static_cast<double>(end)).c_str(),
-                fmtNanos(static_cast<double>(bucket)).c_str());
-    for (TraceEvent ev :
-         {TraceEvent::MajorFault, TraceEvent::Eviction,
-          TraceEvent::DirtyWriteback, TraceEvent::DirectReclaim,
-          TraceEvent::AgingPass, TraceEvent::AllocStall,
-          TraceEvent::ReadaheadRead, TraceEvent::ReadaheadHit,
-          TraceEvent::WritebackRemap, TraceEvent::IoWaitFault}) {
-        const auto series = trace.rateSeries(ev, bucket, end);
-        std::printf("%-16s |%s| n=%llu burstiness=%.2f\n",
-                    traceEventName(ev).c_str(),
-                    asciiSparkline(series).c_str(),
-                    static_cast<unsigned long long>(trace.count(ev)),
-                    trace.burstiness(ev, bucket, end));
+                fmtNanos(static_cast<double>(sim.now())).c_str(),
+                fmtNanos(static_cast<double>(metrics_config.sampleEvery))
+                    .c_str());
+    int status = 0;
+    for (std::size_t i = 0; i < eventRates().size(); ++i) {
+        const EventRate &rate = eventRates()[i];
+        const auto col = std::find(ts.names.begin(), ts.names.end(),
+                                   rate.probe);
+        if (col == ts.names.end()) {
+            std::fprintf(stderr, "missing column %s\n", rate.probe);
+            return 1;
+        }
+        Summary column;
+        column.addAll(ts.columns[std::distance(ts.names.begin(), col)]);
+        const std::uint64_t n = rate.count(mm) - at_attach[i];
+        std::printf("%-24s |%s| n=%llu burstiness=%.2f\n", rate.probe,
+                    asciiSparkline(column.samples()).c_str(),
+                    static_cast<unsigned long long>(n), column.cv());
+        if (column.sum() != static_cast<double>(n)) {
+            std::fprintf(stderr, "%s sums to %.0f, counter grew %llu\n",
+                         rate.probe, column.sum(),
+                         static_cast<unsigned long long>(n));
+            status = 1;
+        }
     }
     std::puts("\nSpikes spanning every series at once are JVM full-GC "
               "storms — the trial-to-trial variance quantum of the "
               "paper's Fig. 2. Re-run with another seed to watch them "
               "move.");
 
-    // The metrics layer sees the same trial with latency attribution:
-    // where each fault's time went, and policy internals over time.
+    // The same trial with latency attribution: where each fault's
+    // time went, and policy internals over time.
     std::puts("");
-    std::fputs(metricsReport(collector.snapshot(sim.now())).c_str(),
-               stdout);
-    return 0;
+    std::fputs(metricsReport(snapshot).c_str(), stdout);
+    return status;
 }

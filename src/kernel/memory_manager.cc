@@ -66,7 +66,6 @@ MemoryManager::accessImpl(SimActor &actor, AddressSpace &space, Vpn vpn,
             // First demand use of a speculative page: readahead hit.
             pi.fromReadahead = false;
             ++stats_.readaheadHits;
-            traceEmit(TraceEvent::ReadaheadHit, vpn);
             if (metrics_) {
                 metrics_->spans().instant(
                     InstantEvent::ReadaheadHit, sim_.now(), vpn,
@@ -92,7 +91,6 @@ MemoryManager::accessImpl(SimActor &actor, AddressSpace &space, Vpn vpn,
         // for it rather than issuing duplicate I/O.
         ++stats_.ioWaitFaults;
         ++memcgOf(space).stats().ioWaitFaults;
-        traceEmit(TraceEvent::IoWaitFault, vpn);
         if (metrics_) {
             metrics_->spans().openIoWait(
                 actor, vpn, sim_.now(), metrics_->trackFor(actor));
@@ -109,7 +107,6 @@ MemoryManager::accessImpl(SimActor &actor, AddressSpace &space, Vpn vpn,
         sink.charge(config_.costs.faultFixed);
         ++stats_.minorFaults;
         ++memcgOf(space).stats().minorFaults;
-        traceEmit(TraceEvent::MinorFault, vpn);
         space.table().mapFrame(vpn, pfn);
         policyFor(space).onPageResident(pfn, ResidencyKind::NewAnon, 0);
         if (fd_access) {
@@ -137,7 +134,6 @@ MemoryManager::accessImpl(SimActor &actor, AddressSpace &space, Vpn vpn,
     sink.charge(config_.costs.faultFixed);
     ++stats_.majorFaults;
     ++memcgOf(space).stats().majorFaults;
-    traceEmit(TraceEvent::MajorFault, vpn);
     const SwapSlot slot = pte.swapSlot();
     const std::uint32_t shadow = pte.shadow();
     SwapDevice &dev = swap_.device();
@@ -204,7 +200,6 @@ MemoryManager::allocFrame(SimActor &actor, AddressSpace &space, Vpn vpn,
         // pagesim does not model.
         ++stats_.directReclaims;
         ++mcg.stats().directReclaims;
-        traceEmit(TraceEvent::DirectReclaim);
         reclaimFromLruvec(mcg, config_.reclaimBatch, sink, true);
         finishReclaimBatch();
     }
@@ -213,7 +208,6 @@ MemoryManager::allocFrame(SimActor &actor, AddressSpace &space, Vpn vpn,
         // inline (fanning out across memcgs when there are several).
         ++stats_.directReclaims;
         ++mcg.stats().directReclaims;
-        traceEmit(TraceEvent::DirectReclaim);
         reclaimBatch(sink, true);
     }
     Pfn pfn = frames_.allocate(&space, vpn, file);
@@ -232,12 +226,11 @@ MemoryManager::allocFrame(SimActor &actor, AddressSpace &space, Vpn vpn,
             // the no-writeback-in-flight case where no completion will
             // ever wake us.
             ++stats_.allocStalls;
-            traceEmit(TraceEvent::AllocStall, vpn);
             // One instant per stall BURST (first waiter), not per
             // stalling fault: tens of thousands of faults pile up
             // during a storm, and the per-fault signal is already
-            // carried by the alloc-stall counter, the AllocStall trace
-            // events, and the sampled mm.alloc_stall_depth series.
+            // carried by the alloc-stall counter and the sampled
+            // mm.alloc_stall_rate and mm.alloc_stall_depth series.
             if (metrics_ && frameWaiters_.empty()) {
                 metrics_->spans().instant(
                     InstantEvent::AllocStall, sim_.now(), vpn,
@@ -324,7 +317,6 @@ MemoryManager::reclaimFromLruvec(Memcg &mcg, std::uint32_t max,
         // which therefore pays the page-table walk — the largest
         // latency quantum MG-LRU injects into fault paths.
         ++stats_.directAging;
-        traceEmit(TraceEvent::AgingPass);
         policy.age(sink);
     }
     std::size_t n = policy.selectVictims(victimScratch_, max, sink);
@@ -455,7 +447,6 @@ MemoryManager::tryDemote(Pfn pfn, CostSink &sink)
     frames_.release(pfn);
     wakeFrameWaiters();
     ++tierStats_.demotions;
-    traceEmit(TraceEvent::Demotion, vpn);
     return true;
 }
 
@@ -492,7 +483,6 @@ MemoryManager::tryPromote(Pfn slow_pfn, CostSink &sink)
     slowFrames_.release(slow_pfn);
     policyFor(space).onPageResident(fast, ResidencyKind::SwapInDemand, 0);
     ++tierStats_.promotions;
-    traceEmit(TraceEvent::Promotion, vpn);
     maybeWakeKswapd();
 }
 
@@ -522,7 +512,6 @@ MemoryManager::swapOutPage(FrameTable &table, Pfn pfn,
 
     space.table().unmapToSwap(vpn, slot, shadow);
     ++stats_.evictions;
-    traceEmit(TraceEvent::Eviction, vpn);
 
     if (!need_write) {
         // Clean page whose swap copy is still valid: drop without I/O.
@@ -535,7 +524,6 @@ MemoryManager::swapOutPage(FrameTable &table, Pfn pfn,
     }
 
     ++stats_.dirtyWritebacks;
-    traceEmit(TraceEvent::DirtyWriteback, vpn);
     SwapDevice &dev = swap_.device();
     if (functional_) {
         // Fast-forward warmup: the write "lands" instantly. Contents
@@ -637,7 +625,6 @@ MemoryManager::finishSwapIn(AddressSpace &space, Vpn vpn, SwapSlot slot,
         }
     } else if (kind == ResidencyKind::SwapInReadahead) {
         ++stats_.readaheadReads;
-        traceEmit(TraceEvent::ReadaheadRead, vpn);
     }
 }
 
@@ -671,7 +658,6 @@ MemoryManager::completeWriteback(Pfn pfn, bool slow)
         // incremented here — counting a minor fault too would inflate
         // the fault totals the fig benches report.
         ++stats_.writebackRemaps;
-        traceEmit(TraceEvent::WritebackRemap, vpn);
         const std::uint32_t shadow = pte.shadow();
         if (slow) {
             // Slow-tier page: restore slow residency (not

@@ -32,7 +32,6 @@
 #include "sim/actor.hh"
 #include "sim/simulation.hh"
 #include "swap/swap_manager.hh"
-#include "trace/trace.hh"
 
 namespace pagesim
 {
@@ -87,8 +86,8 @@ class MemoryManager
      * registered as a waiter and must block(); when woken it retries.
      *
      * The common case — present in the fast tier, accessed bit already
-     * set — has no cost to charge and no flag, policy, metrics, or
-     * trace side effect, so it is resolved inline here without the
+     * set — has no cost to charge and no flag, policy, counter or
+     * metrics side effect, so it is resolved inline here without the
      * accessImpl dispatch, from the PTE alone. Such a frame holds no
      * readahead credit: a readahead completion maps its frame without
      * the accessed bit, and every path that sets the bit on a fast
@@ -179,8 +178,6 @@ class MemoryManager
 
     void attachKswapd(Kswapd *kswapd) { kswapd_ = kswapd; }
     void attachAgingDaemon(AgingDaemon *aging) { aging_ = aging; }
-    /** Attach a flight recorder (nullptr detaches; off by default). */
-    void attachTrace(TraceBuffer *trace) { trace_ = trace; }
 
     /**
      * Attach a metrics collector (nullptr detaches; off by default).
@@ -499,15 +496,7 @@ class MemoryManager
 
     Kswapd *kswapd_ = nullptr;
     AgingDaemon *aging_ = nullptr;
-    TraceBuffer *trace_ = nullptr;
     MetricsCollector *metrics_ = nullptr;
-
-    void
-    traceEmit(TraceEvent event, Vpn vpn = 0)
-    {
-        if (trace_ != nullptr)
-            trace_->emit(sim_.now(), event, vpn);
-    }
 
     /** Owner tag for balloon frames (never policy-visible). */
     // lint:state-cov-ok(owner tag only: balloon frames are never policy-visible and balloonVpn_ is serialized)

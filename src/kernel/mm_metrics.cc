@@ -5,6 +5,47 @@
 namespace pagesim
 {
 
+namespace
+{
+
+template <std::uint64_t FaultStats::*Counter>
+std::uint64_t
+faultCount(const MemoryManager &mm)
+{
+    return mm.stats().*Counter;
+}
+
+template <std::uint64_t TierStats::*Counter>
+std::uint64_t
+tierCount(const MemoryManager &mm)
+{
+    return mm.tierStats().*Counter;
+}
+
+const EventRate kEventRates[] = {
+    {"mm.major_fault_rate", faultCount<&FaultStats::majorFaults>},
+    {"mm.minor_fault_rate", faultCount<&FaultStats::minorFaults>},
+    {"mm.io_wait_fault_rate", faultCount<&FaultStats::ioWaitFaults>},
+    {"mm.eviction_rate", faultCount<&FaultStats::evictions>},
+    {"mm.dirty_writeback_rate", faultCount<&FaultStats::dirtyWritebacks>},
+    {"mm.writeback_remap_rate", faultCount<&FaultStats::writebackRemaps>},
+    {"mm.readahead_read_rate", faultCount<&FaultStats::readaheadReads>},
+    {"mm.readahead_hit_rate", faultCount<&FaultStats::readaheadHits>},
+    {"mm.direct_reclaim_rate", faultCount<&FaultStats::directReclaims>},
+    {"mm.direct_aging_rate", faultCount<&FaultStats::directAging>},
+    {"mm.alloc_stall_rate", faultCount<&FaultStats::allocStalls>},
+    {"mm.demotion_rate", tierCount<&TierStats::demotions>},
+    {"mm.promotion_rate", tierCount<&TierStats::promotions>},
+};
+
+} // namespace
+
+std::span<const EventRate>
+eventRates()
+{
+    return kEventRates;
+}
+
 void
 attachStandardMetrics(MetricsCollector &collector, MemoryManager &mm)
 {
@@ -28,14 +69,15 @@ attachStandardMetrics(MetricsCollector &collector, MemoryManager &mm)
     sampler.probe("mm.swapins_in_flight", [&mm] {
         return static_cast<double>(mm.swapInsInFlight());
     });
-    sampler.probe("mm.major_fault_rate",
-                  [&mm, prev = std::uint64_t{0}]() mutable {
-                      const std::uint64_t cur =
-                          mm.stats().majorFaults;
-                      const std::uint64_t d = cur - prev;
-                      prev = cur;
-                      return static_cast<double>(d);
-                  });
+    for (const EventRate &rate : kEventRates) {
+        sampler.probe(rate.probe, [&mm, count = rate.count,
+                                   prev = rate.count(mm)]() mutable {
+            const std::uint64_t cur = count(mm);
+            const std::uint64_t d = cur - prev;
+            prev = cur;
+            return static_cast<double>(d);
+        });
+    }
 
     // Swap-area probes.
     const SwapManager &swap = mm.swap();

@@ -7,7 +7,6 @@
 #include <cstring>
 
 #include "stats/table.hh"
-#include "trace/trace.hh"
 
 namespace pagesim
 {
@@ -284,6 +283,27 @@ metricsJsonl(const MetricsSnapshot &s)
 }
 
 std::string
+asciiSparkline(const std::vector<double> &values)
+{
+    static const char *kLevels[] = {"▁", "▂", "▃", "▄",
+                                    "▅", "▆", "▇", "█"};
+    double max = 0.0;
+    for (const double v : values) {
+        if (std::isfinite(v))
+            max = std::max(max, v);
+    }
+    std::string out;
+    for (const double v : values) {
+        std::size_t level = 0;
+        if (max > 0.0 && std::isfinite(v) && v > 0.0)
+            level = std::min<std::size_t>(
+                static_cast<std::size_t>(v / max * 7.0), 7);
+        out += kLevels[level];
+    }
+    return out;
+}
+
+std::string
 metricsReport(const MetricsSnapshot &s)
 {
     std::string out;
@@ -324,8 +344,6 @@ metricsReport(const MetricsSnapshot &s)
     const SampleSeries &ts = s.timeseries;
     if (!ts.empty()) {
         appendf(out, "timeseries (%zu samples):\n", ts.rows());
-        // Sparklines need integers; rescale each probe so its maximum
-        // maps near the top glyph while preserving shape.
         std::size_t width = 0;
         for (const std::string &n : ts.names)
             width = std::max(width, n.size());
@@ -337,19 +355,9 @@ metricsReport(const MetricsSnapshot &s)
             }
             if (!ts.columns[col].empty())
                 last = ts.columns[col].back();
-            std::vector<std::uint64_t> scaled;
-            scaled.reserve(ts.rows());
-            for (const double v : ts.columns[col]) {
-                const double x =
-                    (std::isfinite(v) && maxv > 0.0)
-                        ? std::max(0.0, v) / maxv * 1000.0
-                        : 0.0;
-                scaled.push_back(
-                    static_cast<std::uint64_t>(std::llround(x)));
-            }
             appendf(out, "  %-*s ", static_cast<int>(width),
                     ts.names[col].c_str());
-            out += asciiSparkline(scaled);
+            out += asciiSparkline(ts.columns[col]);
             appendf(out, "  max %.4g last %.4g\n", maxv, last);
         }
     }

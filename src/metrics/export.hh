@@ -21,6 +21,7 @@
 #define PAGESIM_METRICS_EXPORT_HH
 
 #include <string>
+#include <vector>
 
 #include "metrics/collector.hh"
 
@@ -35,6 +36,12 @@ std::string timeseriesCsv(const SampleSeries &series);
 
 /** One JSON object per line: meta, counters, gauges, hists, spans. */
 std::string metricsJsonl(const MetricsSnapshot &snapshot);
+
+/**
+ * One glyph per value ("▁▂▅█…"), the largest at the full block; zero,
+ * negative and non-finite values at the lowest.
+ */
+std::string asciiSparkline(const std::vector<double> &values);
 
 /** Terminal report: tables of counters/latencies + probe sparklines. */
 std::string metricsReport(const MetricsSnapshot &snapshot);

@@ -3,17 +3,20 @@
  * Metrics-layer tests: registry handles and snapshot ordering, fault
  * span bookkeeping and the phase-sum reconciliation invariant,
  * deferred aggregation, exporter well-formedness (the Chrome trace
- * must parse), and cross-trial snapshot determinism.
+ * must parse), cross-trial snapshot determinism, and the sampler's
+ * kernel event-rate columns.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 
 #include "../kernel/kernel_test_util.hh"
 #include "harness/experiment.hh"
+#include "kernel/mm_metrics.hh"
 #include "metrics/collector.hh"
 #include "metrics/export.hh"
 #include "metrics/fault_spans.hh"
@@ -272,6 +275,111 @@ TEST(MetricsIntegration, OffModeProducesAnEmptySnapshot)
     const TrialResult r =
         runTrial(smallMetricsCell(MetricsMode::Off), 7);
     EXPECT_TRUE(r.metrics.empty());
+}
+
+/** Column @p name of @p ts; fails the test if it is missing. */
+const std::vector<double> &
+column(const SampleSeries &ts, const std::string &name)
+{
+    const auto it = std::find(ts.names.begin(), ts.names.end(), name);
+    EXPECT_NE(it, ts.names.end()) << name;
+    static const std::vector<double> kMissing;
+    return it == ts.names.end()
+               ? kMissing
+               : ts.columns[static_cast<std::size_t>(
+                     it - ts.names.begin())];
+}
+
+TEST(MetricsIntegration, RateColumnsStartAtZeroAfterWarmup)
+{
+    ExperimentConfig cfg = smallMetricsCell(MetricsMode::Full);
+    cfg.warmupRefs = 10000;
+    const TrialResult r = runTrial(cfg, 7);
+    const SampleSeries &ts = r.metrics.timeseries;
+    ASSERT_FALSE(ts.empty());
+    // Observers attach at the warmup boundary, after faults have
+    // already happened; the first row must not report them as a burst.
+    ASSERT_GT(r.majorFaults + r.kernel.minorFaults, 0u);
+    for (const EventRate &rate : eventRates()) {
+        const std::vector<double> &col = column(ts, rate.probe);
+        ASSERT_FALSE(col.empty()) << rate.probe;
+        EXPECT_EQ(col.front(), 0.0) << rate.probe;
+    }
+}
+
+TEST(MetricsIntegration, RateColumnsSumToCounterGrowthSinceAttach)
+{
+    KernelHarness h(48, 256);
+    // Touch pages in two passes: the first (unobserved) faults them
+    // in, the second (observed) rewrites them, so attach happens at a
+    // non-zero baseline and the observed window has major faults,
+    // evictions and dirty writebacks.
+    Vpn v = h.base(); // persists across fault-retry wakeups
+    const auto touch = [&](ProbeActor &self) {
+        CostSink sink;
+        for (; v < h.base() + 100; ++v) {
+            const auto o = h.mm->access(self, h.space, v, true, sink);
+            if (o == MemoryManager::AccessOutcome::Blocked) {
+                self.block();
+                return;
+            }
+        }
+        self.finish();
+    };
+    ProbeActor first(h.sim, touch);
+    first.start();
+    ASSERT_TRUE(h.sim.runToCompletion(20000000));
+    h.sim.events().run();
+
+    const FaultStats before = h.mm->stats();
+    std::vector<std::uint64_t> at_attach;
+    for (const EventRate &rate : eventRates())
+        at_attach.push_back(rate.count(*h.mm));
+    MetricsConfig cfg;
+    cfg.mode = MetricsMode::Full;
+    cfg.sampleEvery = usecs(50);
+    MetricsCollector collector(cfg);
+    attachStandardMetrics(collector, *h.mm);
+
+    v = h.base();
+    ProbeActor second(h.sim, touch);
+    second.start();
+    ASSERT_TRUE(h.sim.runToCompletion(20000000));
+    collector.sampler().stop();
+    h.sim.events().run();
+    collector.sampler().sampleOnce(h.sim.now());
+
+    const SampleSeries &ts = collector.sampler().series();
+    ASSERT_GT(ts.rows(), 2u);
+    for (std::size_t i = 0; i < eventRates().size(); ++i) {
+        const EventRate &rate = eventRates()[i];
+        double sum = 0.0;
+        for (const double x : column(ts, rate.probe))
+            sum += x;
+        EXPECT_EQ(sum, static_cast<double>(rate.count(*h.mm) -
+                                           at_attach[i]))
+            << rate.probe;
+    }
+    const FaultStats &after = h.mm->stats();
+    EXPECT_EQ(before.minorFaults, 100u);
+    EXPECT_EQ(after.minorFaults, before.minorFaults);
+    EXPECT_GT(after.majorFaults, before.majorFaults);
+    EXPECT_GT(after.evictions, before.evictions);
+    EXPECT_GT(after.dirtyWritebacks, before.dirtyWritebacks);
+}
+
+TEST(MetricsExport, Sparkline)
+{
+    EXPECT_EQ(asciiSparkline({}), "");
+    const std::string s = asciiSparkline({0, 1, 4, 8});
+    EXPECT_EQ(s, "▁▁▄█");
+    // Max maps to the full block.
+    EXPECT_NE(s.find("█"), std::string::npos);
+    // All-zero series renders the lowest level everywhere.
+    const std::string z = asciiSparkline({0, 0, 0});
+    EXPECT_EQ(z, "▁▁▁");
+    // Negative and non-finite values render at the lowest level.
+    EXPECT_EQ(asciiSparkline({-5, std::nan(""), 2}), "▁▁█");
 }
 
 TEST(MetricsMode, ParseRoundTrips)

@@ -155,7 +155,9 @@ std::vector<Rec>
 sentinels(std::size_t n)
 {
     std::vector<Rec> recs(n);
-    std::memset(recs.data(), 0x5a, n * sizeof(Rec));
+    // An empty vector's data() may be null, which memset must not get.
+    if (n > 0)
+        std::memset(recs.data(), 0x5a, n * sizeof(Rec));
     return recs;
 }
 
