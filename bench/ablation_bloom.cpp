@@ -25,38 +25,34 @@ struct Variant
 {
     std::string name;
     PolicyKind kind = PolicyKind::MgLru;
-    std::function<void(MgLruConfig &)> tweak;
+    MgLruOverrides mglru;
 };
 
 std::vector<Variant>
 variants()
 {
     std::vector<Variant> out;
-    out.push_back({"bloom-32Ki (default)", PolicyKind::MgLru, {}});
-    out.push_back({"bloom-2Ki", PolicyKind::MgLru,
-                   [](MgLruConfig &c) { c.bloomBits = 1u << 11; }});
-    out.push_back({"bloom-512Ki", PolicyKind::MgLru,
-                   [](MgLruConfig &c) { c.bloomBits = 1u << 19; }});
-    out.push_back({"bloom-1hash", PolicyKind::MgLru,
-                   [](MgLruConfig &c) { c.bloomHashes = 1; }});
-    out.push_back(
-        {"dense-gate x4", PolicyKind::MgLru, [](MgLruConfig &c) {
-             c.youngDensityThreshold = kPtesPerRegion / 2;
-         }});
-    out.push_back(
-        {"dense-gate /4", PolicyKind::MgLru, [](MgLruConfig &c) {
-             c.youngDensityThreshold =
-                 std::max<std::uint32_t>(kPtesPerRegion / 32, 1);
-         }});
+    const auto add = [&out](std::string name,
+                            PolicyKind kind) -> MgLruOverrides & {
+        out.push_back({std::move(name), kind, {}});
+        return out.back().mglru;
+    };
+    // First: the default MG-LRU cell every row is normalized to.
+    add("bloom-32Ki (default)", PolicyKind::MgLru);
+    add("bloom-2Ki", PolicyKind::MgLru).bloomBits = 1u << 11;
+    add("bloom-512Ki", PolicyKind::MgLru).bloomBits = 1u << 19;
+    add("bloom-1hash", PolicyKind::MgLru).bloomHashes = 1;
+    add("dense-gate x4", PolicyKind::MgLru).youngDensityThreshold =
+        kPtesPerRegion / 2;
+    add("dense-gate /4", PolicyKind::MgLru).youngDensityThreshold =
+        std::max<std::uint32_t>(kPtesPerRegion / 32, 1);
     for (double p : {0.25, 0.75}) {
-        out.push_back({"scan-rand p=" + fmtF(p, 2),
-                       PolicyKind::ScanRand, [p](MgLruConfig &c) {
-                           c.randomScanProb = p;
-                       }});
+        add("scan-rand p=" + fmtF(p, 2), PolicyKind::ScanRand)
+            .randomScanProb = p;
     }
-    out.push_back({"scan-rand p=0.50", PolicyKind::ScanRand, {}});
-    out.push_back({"scan-all (no filter)", PolicyKind::ScanAll, {}});
-    out.push_back({"scan-none", PolicyKind::ScanNone, {}});
+    add("scan-rand p=0.50", PolicyKind::ScanRand);
+    add("scan-all (no filter)", PolicyKind::ScanAll);
+    add("scan-none", PolicyKind::ScanNone);
     return out;
 }
 
@@ -74,23 +70,34 @@ main()
            "question",
            base);
 
-    for (WorkloadKind wk :
-         {WorkloadKind::Tpch, WorkloadKind::PageRank}) {
+    const std::vector<WorkloadKind> workloads = {WorkloadKind::Tpch,
+                                                 WorkloadKind::PageRank};
+    const std::vector<Variant> all = variants();
+    const auto cell = [&base](WorkloadKind wk, const Variant &variant) {
+        ExperimentConfig c = base;
+        c.workload = wk;
+        c.policy = variant.kind;
+        c.mglru = variant.mglru;
+        return c;
+    };
+
+    ResultCache cache;
+    std::vector<ExperimentConfig> cells;
+    for (WorkloadKind wk : workloads)
+        for (const Variant &variant : all)
+            cells.push_back(cell(wk, variant));
+    cache.prefetch(cells);
+
+    for (WorkloadKind wk : workloads) {
         std::printf("--- %s ---\n", workloadKindName(wk).c_str());
-        base.workload = wk;
-        base.policy = PolicyKind::MgLru;
-        base.mgTweak = nullptr;
-        const ExperimentResult def = runExperiment(base);
-        const double def_perf = perfMetric(def);
+        const double def_perf = perfMetric(cache.get(cell(wk, all.front())));
 
         TextTable table;
         table.header({"variant", "perf vs default", "mean faults",
                       "PTEs scanned", "regions skipped",
                       "bloom inserts"});
-        for (const Variant &variant : variants()) {
-            base.policy = variant.kind;
-            base.mgTweak = variant.tweak;
-            const ExperimentResult res = runExperiment(base);
+        for (const Variant &variant : all) {
+            const ExperimentResult &res = cache.get(cell(wk, variant));
             double ptes = 0, skipped = 0, inserts = 0;
             for (const auto &t : res.trials) {
                 ptes += static_cast<double>(t.policy.ptesScanned);

@@ -39,28 +39,39 @@ main()
     {
         std::string name;
         PolicyKind kind;
-        std::function<void(MgLruConfig &)> tweak;
+        MgLruOverrides mglru;
     };
-    const std::vector<Variant> variants = {
-        {"MG-LRU (tiers+PID)", PolicyKind::MgLru, {}},
-        {"MG-LRU no-tiers", PolicyKind::MgLru,
-         [](MgLruConfig &c) { c.tierProtection = false; }},
-        {"MG-LRU stiff-PID", PolicyKind::MgLru,
-         [](MgLruConfig &c) {
-             c.pid.kp = 2.0;
-             c.pid.ki = 0.5;
-         }},
-        {"Clock", PolicyKind::Clock, {}},
+    std::vector<Variant> variants;
+    const auto add = [&variants](std::string name,
+                                 PolicyKind kind) -> MgLruOverrides & {
+        variants.push_back({std::move(name), kind, {}});
+        return variants.back().mglru;
     };
+    add("MG-LRU (tiers+PID)", PolicyKind::MgLru);
+    add("MG-LRU no-tiers", PolicyKind::MgLru).tierProtection = false;
+    MgLruOverrides &stiff = add("MG-LRU stiff-PID", PolicyKind::MgLru);
+    stiff.pid.kp = 2.0;
+    stiff.pid.ki = 0.5;
+    add("Clock", PolicyKind::Clock);
+    const auto cell = [&base](const Variant &variant) {
+        ExperimentConfig c = base;
+        c.policy = variant.kind;
+        c.mglru = variant.mglru;
+        return c;
+    };
+
+    ResultCache cache;
+    std::vector<ExperimentConfig> cells;
+    for (const Variant &variant : variants)
+        cells.push_back(cell(variant));
+    cache.prefetch(cells);
 
     TextTable table;
     table.header({"policy", "mean runtime", "vs tiers+PID",
                   "mean faults", "refaults", "tier-protected"});
     double base_rt = 0;
     for (const Variant &variant : variants) {
-        base.policy = variant.kind;
-        base.mgTweak = variant.tweak;
-        const ExperimentResult res = runExperiment(base);
+        const ExperimentResult &res = cache.get(cell(variant));
         const double rt = res.runtimeSummary().mean();
         if (base_rt == 0)
             base_rt = rt;

@@ -644,12 +644,10 @@ big1mFingerprintIdentity()
 {
     ExperimentConfig cfg = bigCell(ScalePreset::Big1M);
     cfg.capacityRatio = 0.5;
-    cfg.mgTweak = [](MgLruConfig &mg) { mg.scanWorkers = 1; };
+    cfg.mglru.scanWorkers = 1;
     const std::uint64_t one =
         trialFingerprint(runTrial(cfg, cfg.baseSeed));
-    cfg.mgTweak = [](MgLruConfig &mg) {
-        mg.scanWorkers = kBigScanWorkers;
-    };
+    cfg.mglru.scanWorkers = kBigScanWorkers;
     const std::uint64_t pooled =
         trialFingerprint(runTrial(cfg, cfg.baseSeed));
     return one == pooled;
@@ -736,8 +734,8 @@ main(int argc, char **argv)
         // Checkpoint round-trip at Big1M: a mid-trial snapshot must
         // restore bit-identically at machine scale, not just on the
         // Small cells the unit tests cover. (The worker-count pin
-        // above uses mgTweak, which is uncacheable by design, so this
-        // runs the plain Big1M cell.)
+        // above sets mglru.scanWorkers; this runs the plain Big1M
+        // cell, with the variant's own worker count.)
         ExperimentConfig ck_cfg = bigCell(ScalePreset::Big1M);
         const TrialResult ck_straight = runTrial(ck_cfg, ck_cfg.baseSeed);
         const std::uint64_t ck_want = trialFingerprint(ck_straight);

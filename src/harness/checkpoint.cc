@@ -10,6 +10,7 @@
 #include <fstream>
 #include <iterator>
 
+#include "harness/trial_rig.hh"
 #include "kernel/memory_manager.hh"
 #include "mem/address_space.hh"
 #include "mem/frame_table.hh"
@@ -442,62 +443,17 @@ loadCheckpointFile(const std::string &path, Checkpoint &out)
     return {};
 }
 
-namespace
-{
-
-/** Shared scalar prefix of both config hashes. */
-void
-hashMachineShape(Sink &sink, PolicyKind policy, SwapKind swap,
-                 double capacity_ratio, unsigned num_cpus,
-                 std::uint64_t warmup_refs)
-{
-    sink.u32(kCheckpointVersion);
-    sink.u32(static_cast<std::uint32_t>(policy));
-    sink.u32(static_cast<std::uint32_t>(swap));
-    sink.f64(capacity_ratio);
-    sink.u32(num_cpus);
-    sink.u64(warmup_refs);
-}
-
-} // namespace
-
 std::uint64_t
 configPrefixHash(const ExperimentConfig &config)
 {
-    Sink sink;
-    sink.bytes("pagesim-ckpt-experiment", 23);
-    hashMachineShape(sink, config.policy, config.swap,
-                     config.capacityRatio, config.numCpus,
-                     config.warmupRefs);
-    sink.u32(static_cast<std::uint32_t>(config.workload));
-    sink.u32(static_cast<std::uint32_t>(config.scale));
-    sink.f64(config.slowTierRatio);
-    sink.f64(config.memcgLowRatio);
-    sink.f64(config.memcgHighRatio);
-    sink.f64(config.memcgMaxRatio);
-    return fnv1a(sink.data().data(), sink.size());
+    return colocationPrefixHash(TrialRig::scenario(config));
 }
 
 std::uint64_t
 colocationPrefixHash(const ColocationConfig &config)
 {
     Sink sink;
-    sink.bytes("pagesim-ckpt-colocation", 23);
-    hashMachineShape(sink, config.policy, config.swap,
-                     config.capacityRatio, config.numCpus,
-                     config.warmupRefs);
-    sink.u32(static_cast<std::uint32_t>(config.tenants.size()));
-    for (const TenantSpec &t : config.tenants) {
-        sink.u32(static_cast<std::uint32_t>(t.name.size()));
-        sink.bytes(t.name.data(), t.name.size());
-        sink.u32(static_cast<std::uint32_t>(t.workload));
-        sink.u32(static_cast<std::uint32_t>(t.scale));
-        sink.boolean(t.policy.has_value());
-        sink.u32(t.policy ? static_cast<std::uint32_t>(*t.policy) : 0);
-        sink.f64(t.lowRatio);
-        sink.f64(t.highRatio);
-        sink.f64(t.maxRatio);
-    }
+    encodeConfig(config, sink);
     return fnv1a(sink.data().data(), sink.size());
 }
 

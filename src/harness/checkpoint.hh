@@ -74,7 +74,6 @@
 #include <vector>
 
 #include "harness/colocation.hh"
-#include "harness/experiment.hh"
 #include "sim/types.hh"
 
 namespace pagesim
@@ -191,19 +190,13 @@ CheckpointError loadCheckpointFile(const std::string &path,
                                    Checkpoint &out);
 
 /**
- * Config-prefix hash: FNV-1a over every ExperimentConfig field that
- * shapes the simulated machine's evolution up to a checkpoint boundary
- * (workload, policy, swap, ratios, CPUs, scale, memcg watermarks,
- * warmupRefs) plus the format version. Fields that do not perturb the
- * simulation (trials, metrics) or that are keyed separately (baseSeed,
- * checkpointAt) are excluded. The mgTweak hook is unkeyable — like
- * ResultCache, configs carrying one are not cached (runTrial skips the
- * CheckpointCache for them).
+ * Config-prefix hash: FNV-1a over encodeConfig(@p config). The seed
+ * and the boundary are keyed beside it.
  */
-std::uint64_t configPrefixHash(const ExperimentConfig &config);
-
-/** Colocation analogue of configPrefixHash (covers the tenant list). */
 std::uint64_t colocationPrefixHash(const ColocationConfig &config);
+
+/** colocationPrefixHash(TrialRig::scenario(@p config)). */
+std::uint64_t configPrefixHash(const ExperimentConfig &config);
 
 /**
  * Process-global cache of checkpoints keyed by (config-prefix hash,

@@ -3,8 +3,10 @@
 #include <algorithm>
 
 #include "harness/checkpoint.hh"
+#include "harness/sweep.hh"
 #include "harness/trial_rig.hh"
 #include "sim/parallel.hh"
+#include "sim/serialize.hh"
 
 namespace pagesim
 {
@@ -23,42 +25,88 @@ ColocationConfig::label() const
            std::to_string(static_cast<int>(capacityRatio * 100)) + "%";
 }
 
+// Tripwire: a new field changes a size below and stops the build until
+// encodeConfig writes it or ResultCache::key keys it as run-only
+// (MetricsConfig::artifactDir is in no key: it never changes a result).
+static_assert(sizeof(MgLruOverrides) == 88,
+              "MgLruOverrides changed: update encodeConfig");
+static_assert(sizeof(TenantSpec) == sizeof(std::string) + 40,
+              "TenantSpec changed: update encodeConfig");
+static_assert(sizeof(MetricsConfig) == sizeof(std::string) + 32,
+              "MetricsConfig changed: update ResultCache::key");
+static_assert(sizeof(ColocationConfig) ==
+                  sizeof(std::vector<TenantSpec>) + sizeof(MetricsConfig) +
+                      sizeof(MgLruOverrides) + 64,
+              "ColocationConfig changed: update encodeConfig or "
+              "ResultCache::key");
+
+void
+encodeConfig(const ColocationConfig &config, Sink &sink)
+{
+    // Every knob value (enum, count, ratio) is exact as a double.
+    const auto knob = [&sink](const auto &v) {
+        sink.boolean(v.has_value());
+        sink.f64(v ? static_cast<double>(*v) : 0.0);
+    };
+    sink.u32(kCheckpointVersion);
+    sink.u32(static_cast<std::uint32_t>(config.policy));
+    sink.u32(static_cast<std::uint32_t>(config.swap));
+    sink.f64(config.capacityRatio);
+    sink.u32(config.numCpus);
+    sink.u64(config.warmupRefs);
+    sink.f64(config.slowTierRatio);
+    sink.u32(static_cast<std::uint32_t>(config.tenants.size()));
+    for (const TenantSpec &t : config.tenants) {
+        sink.u32(static_cast<std::uint32_t>(t.name.size()));
+        sink.bytes(t.name.data(), t.name.size());
+        sink.u32(static_cast<std::uint32_t>(t.workload));
+        sink.u32(static_cast<std::uint32_t>(t.scale));
+        knob(t.policy);
+        sink.f64(t.lowRatio);
+        sink.f64(t.highRatio);
+        sink.f64(t.maxRatio);
+    }
+    const MgLruOverrides &mg = config.mglru;
+    knob(mg.bloomBits);
+    knob(mg.bloomHashes);
+    knob(mg.youngDensityThreshold);
+    knob(mg.randomScanProb);
+    knob(mg.tierProtection);
+    knob(mg.pid.kp);
+    knob(mg.pid.ki);
+    knob(mg.scanWorkers);
+}
+
 std::uint64_t
 tenantFingerprint(const TenantResult &r)
 {
-    // FNV-1a over 64-bit words, same formulation as the TrialResult
-    // fingerprints in bit_identity_test.cpp.
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    const auto add = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 0x100000001b3ull;
-        }
-    };
-    add(r.memcgStats.minorFaults);
-    add(r.memcgStats.majorFaults);
-    add(r.memcgStats.ioWaitFaults);
-    add(r.memcgStats.directReclaims);
-    add(r.memcgStats.evictions);
-    add(r.memcgStats.throttleEvents);
-    add(r.memcgStats.protectedSkips);
-    add(r.memcgStats.peakUsage);
-    add(r.policy.ptesScanned);
-    add(r.policy.regionsVisited);
-    add(r.policy.regionsSkipped);
-    add(r.policy.rmapWalks);
-    add(r.policy.promotions);
-    add(r.policy.demotions);
-    add(r.policy.agingPasses);
-    add(r.policy.evicted);
-    add(r.policy.refaults);
-    add(r.policy.secondChances);
-    add(r.finishNs);
+    // FNV-1a over little-endian 64-bit words, the formulation of the
+    // TrialResult fingerprints in bit_identity_test.cpp.
+    Sink sink;
+    sink.u64(r.memcgStats.minorFaults);
+    sink.u64(r.memcgStats.majorFaults);
+    sink.u64(r.memcgStats.ioWaitFaults);
+    sink.u64(r.memcgStats.directReclaims);
+    sink.u64(r.memcgStats.evictions);
+    sink.u64(r.memcgStats.throttleEvents);
+    sink.u64(r.memcgStats.protectedSkips);
+    sink.u64(r.memcgStats.peakUsage);
+    sink.u64(r.policy.ptesScanned);
+    sink.u64(r.policy.regionsVisited);
+    sink.u64(r.policy.regionsSkipped);
+    sink.u64(r.policy.rmapWalks);
+    sink.u64(r.policy.promotions);
+    sink.u64(r.policy.demotions);
+    sink.u64(r.policy.agingPasses);
+    sink.u64(r.policy.evicted);
+    sink.u64(r.policy.refaults);
+    sink.u64(r.policy.secondChances);
+    sink.u64(r.finishNs);
     for (SimTime t : r.threadFinishNs)
-        add(t);
+        sink.u64(t);
     for (std::uint64_t f : r.threadBlockedFaults)
-        add(f);
-    return h;
+        sink.u64(f);
+    return fnv1a(sink.data().data(), sink.size());
 }
 
 ColocationTrialResult
@@ -66,8 +114,8 @@ runColocationTrial(const ColocationConfig &config,
                    std::uint64_t trial_seed)
 {
     const std::string label = config.label();
-    const std::unique_ptr<ColocationRig> rig = runRig(
-        config, trial_seed, colocationPrefixHash(config), label);
+    const std::unique_ptr<ColocationRig> rig =
+        runRig(config, trial_seed, label);
 
     ColocationTrialResult r;
     r.kernel = rig->mm->stats();
@@ -95,9 +143,9 @@ runColocation(const ColocationConfig &config)
     // independent of claim order and of the worker count.
     parallelMap(hostWorkers(), result.trials,
                 [&](std::size_t t, ColocationTrialResult &slot) {
-                    // Same seed derivation as trialSeed() in sweep.cc.
                     slot = runColocationTrial(
-                        config, config.baseSeed + 1000003ull * t);
+                        config, trialSeed(config.baseSeed,
+                                          static_cast<unsigned>(t)));
                 });
     return result;
 }

@@ -41,6 +41,8 @@
 namespace pagesim
 {
 
+class Sink;
+
 /** One tenant: a workload in its own memcg. */
 struct TenantSpec
 {
@@ -75,8 +77,10 @@ struct ColocationConfig
     unsigned trials = 4;
     std::uint64_t baseSeed = 1;
     unsigned numCpus = 12;
-    /** Extra MG-LRU config hook, like ExperimentConfig::mgTweak. */
-    std::function<void(MgLruConfig &)> mgTweak;
+    /** Slow tier; see ExperimentConfig::slowTierRatio. */
+    double slowTierRatio = 0.0;
+    /** MG-LRU overrides for every MG-LRU tenant. */
+    MgLruOverrides mglru;
     /** Observability opt-in; same env overrides as ExperimentConfig. */
     MetricsConfig metrics;
     /** Functional-only warmup; see ExperimentConfig::warmupRefs. */
@@ -86,6 +90,14 @@ struct ColocationConfig
 
     std::string label() const;
 };
+
+/**
+ * The one config encoding: append to @p sink the format version and
+ * every field of @p config that shapes the machine (all but the
+ * run-only trials, baseSeed, metrics and checkpointAt, which
+ * ResultCache::key appends itself). colocationPrefixHash hashes it.
+ */
+void encodeConfig(const ColocationConfig &config, Sink &sink);
 
 /** Everything one trial measured about one tenant. */
 struct TenantResult

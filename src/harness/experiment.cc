@@ -5,7 +5,6 @@
 #include <fstream>
 #include <mutex>
 
-#include "harness/checkpoint.hh"
 #include "harness/sweep.hh"
 #include "harness/trial_rig.hh"
 
@@ -268,8 +267,7 @@ runTrial(const ExperimentConfig &config, std::uint64_t trial_seed)
 {
     const std::string label = config.label();
     const std::unique_ptr<ColocationRig> rig =
-        runRig(TrialRig::scenario(config), trial_seed,
-               configPrefixHash(config), label, config.slowTierRatio);
+        runRig(TrialRig::scenario(config), trial_seed, label);
 
     // The fields a colocation reports per tenant ...
     TenantResult tenant = rig->tenantResult(0);

@@ -14,7 +14,6 @@
 #define PAGESIM_HARNESS_EXPERIMENT_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -82,6 +81,27 @@ enum class ScalePreset
 std::unique_ptr<Workload> makeWorkload(WorkloadKind kind,
                                        ScalePreset scale);
 
+/**
+ * MG-LRU knobs set on top of the policy variant: the rig applies each
+ * set value after mgLruConfigFor(kind) and the capacity-derived aging
+ * gates (so Scan-Rand at randomScanProb 0.25 runs at 0.25, not 0.5).
+ * encodeConfig keys them like every other field.
+ */
+struct MgLruOverrides
+{
+    std::optional<std::uint32_t> bloomBits;
+    std::optional<unsigned> bloomHashes;
+    std::optional<std::uint32_t> youngDensityThreshold;
+    std::optional<double> randomScanProb;
+    std::optional<bool> tierProtection;
+    struct Pid
+    {
+        std::optional<double> kp;
+        std::optional<double> ki;
+    } pid;
+    std::optional<unsigned> scanWorkers;
+};
+
 /** One grid cell. */
 struct ExperimentConfig
 {
@@ -103,12 +123,10 @@ struct ExperimentConfig
     ScalePreset scale = ScalePreset::Default;
 
     /**
-     * Optional extra MG-LRU config hook, applied after the harness's
-     * capacity-derived defaults. Used by ablation benches to sweep
-     * parameters outside the paper's named variants (Bloom sizing,
-     * density gates, PID gains...).
+     * MG-LRU knobs outside the paper's named variants (Bloom sizing,
+     * density gate, PID gains...), swept by the ablation benches.
      */
-    std::function<void(MgLruConfig &)> mgTweak;
+    MgLruOverrides mglru;
 
     /**
      * Observability opt-in (default Off = zero overhead). The
@@ -156,8 +174,7 @@ struct ExperimentConfig
      * same key — other sweep cells sharing a warmup prefix, or
      * repeated sweeps — restore the snapshot instead of re-simulating
      * the prefix, bit-identically. With PAGESIM_CHECKPOINT_DIR set,
-     * snapshots persist across processes. 0 disables. Configs with an
-     * mgTweak hook are never cached (the hook cannot be keyed).
+     * snapshots persist across processes. 0 disables.
      */
     std::uint64_t checkpointAt = 0;
 

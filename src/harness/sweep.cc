@@ -1,17 +1,18 @@
 #include "harness/sweep.hh"
 
 #include <algorithm>
-#include <bit>
 
+#include "harness/trial_rig.hh"
 #include "sim/parallel.hh"
+#include "sim/serialize.hh"
 
 namespace pagesim
 {
 
 std::uint64_t
-trialSeed(const ExperimentConfig &config, unsigned trial)
+trialSeed(std::uint64_t base_seed, unsigned trial)
 {
-    return config.baseSeed + 1000003ull * trial;
+    return base_seed + 1000003ull * trial;
 }
 
 std::vector<ExperimentResult>
@@ -58,41 +59,23 @@ runSweep(const std::vector<ExperimentConfig> &cells,
 std::string
 ResultCache::key(const ExperimentConfig &config)
 {
-    // Every config field that can change a TrialResult must appear
-    // here, else two different cells alias one cache slot and a bench
-    // silently plots the wrong data. label() covers workload/policy/
-    // swap/capacity; ratios are keyed by their exact bit patterns
-    // (int percents and std::to_string's six decimals both aliased
-    // fine-grained sweeps), and the memcg watermarks and metrics
-    // config joined with the memcg refactor (metrics never perturb the
-    // simulation, but mode, cadence and caps decide what
-    // TrialResult.metrics holds). The
-    // effective audit cadence is keyed too: an audit-heavy run has the
-    // same counters only by luck, and a cached result must not leak
-    // across a PAGESIM_AUDIT_EVERY change. warmupRefs/checkpointAt
-    // joined with fast-forward execution (warmup changes the simulated
-    // timing detail; checkpointAt does not, but keying it keeps
-    // cached-vs-cold comparisons honest). mgTweak remains unkeyable —
-    // see the class comment.
-    const auto exact = [](double v) {
-        return std::to_string(std::bit_cast<std::uint64_t>(v));
-    };
-    return config.label() + "/" + std::to_string(config.trials) + "/" +
-           std::to_string(config.baseSeed) + "/" +
-           std::to_string(static_cast<int>(config.scale)) + "/" +
-           exact(config.capacityRatio) + "/" +
-           exact(config.slowTierRatio) + "/" +
-           std::to_string(config.numCpus) + "/" +
-           exact(config.memcgLowRatio) + "/" +
-           exact(config.memcgHighRatio) + "/" +
-           exact(config.memcgMaxRatio) + "/" +
-           std::to_string(static_cast<int>(config.metrics.mode)) + "/" +
-           std::to_string(config.metrics.sampleEvery) + "/" +
-           std::to_string(config.metrics.maxSamples) + "/" +
-           std::to_string(config.metrics.maxSpans) + "/" +
-           std::to_string(effectiveAuditEvery()) + "/" +
-           std::to_string(config.warmupRefs) + "/" +
-           std::to_string(config.checkpointAt);
+    // The machine's encoding, then the run-only fields: metrics decide
+    // what TrialResult.metrics holds, an audited run matches only by
+    // luck, and keying checkpointAt keeps cached-vs-cold comparisons
+    // honest.
+    const ColocationConfig c = TrialRig::scenario(config);
+    Sink sink;
+    encodeConfig(c, sink);
+    sink.u32(c.trials);
+    sink.u64(c.baseSeed);
+    sink.u32(static_cast<std::uint32_t>(c.metrics.mode));
+    sink.u64(c.metrics.sampleEvery);
+    sink.u64(c.metrics.maxSamples);
+    sink.u64(c.metrics.maxSpans);
+    sink.u32(effectiveAuditEvery());
+    sink.u64(c.checkpointAt);
+    return std::string(reinterpret_cast<const char *>(sink.data().data()),
+                       sink.size());
 }
 
 const ExperimentResult &
@@ -117,17 +100,10 @@ ResultCache::prefetch(const std::vector<ExperimentConfig> &cells,
     std::vector<std::string> coldKeys;
     for (const ExperimentConfig &config : cells) {
         std::string k = key(config);
-        if (cells_.count(k) != 0)
-            continue;
         // A figure may legitimately list the same cell twice (e.g. a
         // shared normalization baseline); run it once.
-        bool queued = false;
-        for (const std::string &seen : coldKeys)
-            if (seen == k) {
-                queued = true;
-                break;
-            }
-        if (queued)
+        if (cells_.count(k) != 0 ||
+            std::find(coldKeys.begin(), coldKeys.end(), k) != coldKeys.end())
             continue;
         cold.push_back(config);
         coldKeys.push_back(std::move(k));

@@ -38,9 +38,15 @@ struct SweepOptions
     unsigned workers = 0;
 };
 
-/** The deterministic seed of trial @p trial of a cell (the same
- *  derivation runExperiment uses). */
-std::uint64_t trialSeed(const ExperimentConfig &config, unsigned trial);
+/** The deterministic seed of trial @p trial of a cell seeded at
+ *  @p base_seed (runSweep's and runColocation's one derivation). */
+std::uint64_t trialSeed(std::uint64_t base_seed, unsigned trial);
+
+inline std::uint64_t
+trialSeed(const ExperimentConfig &config, unsigned trial)
+{
+    return trialSeed(config.baseSeed, trial);
+}
 
 /**
  * Run every trial of every cell on one shared pool.
@@ -62,9 +68,10 @@ runSweep(const std::vector<ExperimentConfig> &cells,
  * lookups. get() on a cold cell still works (runs the cell on the
  * spot) so incremental callers stay correct, just slower.
  *
- * The key covers the swept dimensions (workload/policy/swap/capacity/
- * tier/scale/trials/seed) but cannot see through the mgTweak hook —
- * callers sweeping tweaks must vary baseSeed or keep their own cache.
+ * The key is encodeConfig(TrialRig::scenario(config)) — the same
+ * bytes the checkpoint prefix hash reads — plus the run-only fields:
+ * trials, baseSeed, the metrics mode, cadence and caps, the effective
+ * PAGESIM_AUDIT_EVERY cadence and checkpointAt.
  */
 class ResultCache
 {

@@ -27,6 +27,21 @@ ratioFrames(double ratio, std::uint64_t footprint, std::uint32_t off)
                                       ratio));
 }
 
+/** Replace every knob of @p mg that @p o sets. */
+void
+applyOverrides(const MgLruOverrides &o, MgLruConfig &mg)
+{
+    const auto set = [](auto &knob, const auto &v) { knob = v.value_or(knob); };
+    set(mg.bloomBits, o.bloomBits);
+    set(mg.bloomHashes, o.bloomHashes);
+    set(mg.youngDensityThreshold, o.youngDensityThreshold);
+    set(mg.randomScanProb, o.randomScanProb);
+    set(mg.tierProtection, o.tierProtection);
+    set(mg.pid.kp, o.pid.kp);
+    set(mg.pid.ki, o.pid.ki);
+    set(mg.scanWorkers, o.scanWorkers);
+}
+
 /** An RNG stream name scoped to tenant @p name ("" = unscoped). */
 std::string
 streamName(const char *stream, const std::string &name)
@@ -62,8 +77,7 @@ ColocationRig::checkTenants(const ColocationConfig &config)
 
 ColocationRig::ColocationRig(const ColocationConfig &config,
                              std::uint64_t trial_seed,
-                             const TrialRigOptions &opts,
-                             double slow_tier_ratio)
+                             const TrialRigOptions &opts)
     : config(checkTenants(config)), trialSeed(trial_seed),
       sim(config.numCpus, trial_seed), tenants(config.tenants.size())
 {
@@ -102,9 +116,9 @@ ColocationRig::ColocationRig(const ColocationConfig &config,
         static_cast<std::uint32_t>(totalFootprint * 2 + 4096);
     if (config.swap == SwapKind::Zram)
         mmConfig.readaheadPages = 1; // page-cluster=0 for zram
-    if (slow_tier_ratio > 0.0) {
+    if (config.slowTierRatio > 0.0) {
         mmConfig.tier.slowFrames = static_cast<std::uint32_t>(
-            static_cast<double>(totalFootprint) * slow_tier_ratio);
+            static_cast<double>(totalFootprint) * config.slowTierRatio);
     }
 
     frames = std::make_unique<FrameTable>(mmConfig.totalFrames);
@@ -139,8 +153,7 @@ ColocationRig::ColocationRig(const ColocationConfig &config,
                     std::max<std::uint64_t>(frames_total / 8, 256);
                 mg.agingEvictGate =
                     std::max<std::uint64_t>(frames_total / 16, 64);
-                if (config.mgTweak)
-                    config.mgTweak(mg);
+                applyOverrides(config.mglru, mg);
             },
             &sim.events());
 
@@ -328,12 +341,17 @@ ColocationRig::finishMetrics(const std::string &label)
 
 TrialRig::TrialRig(const ExperimentConfig &config,
                    std::uint64_t trial_seed, const TrialRigOptions &opts)
-    : ColocationRig(scenario(config), trial_seed, opts,
-                    config.slowTierRatio),
+    : ColocationRig(scenario(config), trial_seed, opts),
       workload(tenants[0].workload), policy(tenants[0].policy),
       threads(ColocationRig::threads[0])
 {
 }
+
+// Tripwire: a new ExperimentConfig field stops the build here until
+// scenario() maps it (encodeConfig and ResultCache::key read the map).
+static_assert(sizeof(ExperimentConfig) ==
+                  sizeof(MgLruOverrides) + sizeof(MetricsConfig) + 96,
+              "ExperimentConfig changed: update TrialRig::scenario");
 
 ColocationConfig
 TrialRig::scenario(const ExperimentConfig &config)
@@ -353,7 +371,8 @@ TrialRig::scenario(const ExperimentConfig &config)
     c.trials = config.trials;
     c.baseSeed = config.baseSeed;
     c.numCpus = config.numCpus;
-    c.mgTweak = config.mgTweak;
+    c.slowTierRatio = config.slowTierRatio;
+    c.mglru = config.mglru;
     c.metrics = config.metrics;
     c.warmupRefs = config.warmupRefs;
     c.checkpointAt = config.checkpointAt;
@@ -368,21 +387,19 @@ constexpr std::uint64_t kMaxEvents = 2000000000ull;
 /** runRig's fast-forward to @p boundary (> 0); see its comment. */
 std::unique_ptr<ColocationRig>
 buildAtBoundary(const ColocationConfig &config, std::uint64_t trial_seed,
-                std::uint64_t prefix_hash, double slow_tier_ratio,
                 std::uint64_t boundary, std::uint64_t &events_used)
 {
-    // An mgTweak hook changes the simulated machine in ways no key can
-    // capture, so such configs never touch the cache (same rule as the
-    // sweep-level ResultCache).
-    const bool cacheable = config.checkpointAt > 0 && !config.mgTweak;
+    const bool cacheable = config.checkpointAt > 0;
+    const std::uint64_t prefix_hash =
+        cacheable ? colocationPrefixHash(config) : 0;
     if (cacheable) {
         if (auto ckpt = CheckpointCache::instance().find(
                 prefix_hash, trial_seed, boundary)) {
             TrialRigOptions opts;
             opts.forRestore = true;
             opts.deferObservers = true;
-            auto rig = std::make_unique<ColocationRig>(
-                config, trial_seed, opts, slow_tier_ratio);
+            auto rig =
+                std::make_unique<ColocationRig>(config, trial_seed, opts);
             const CheckpointError err = restoreCheckpoint(
                 rig->view(), prefix_hash, trial_seed, *ckpt);
             if (err.ok()) {
@@ -402,8 +419,7 @@ buildAtBoundary(const ColocationConfig &config, std::uint64_t trial_seed,
     TrialRigOptions opts;
     opts.deferObservers = true;
     opts.functional = config.warmupRefs > 0;
-    auto rig = std::make_unique<ColocationRig>(config, trial_seed, opts,
-                                               slow_tier_ratio);
+    auto rig = std::make_unique<ColocationRig>(config, trial_seed, opts);
     const bool reached =
         rig->runToBoundary(boundary, kMaxEvents, events_used);
     // Full detail from here on — before the capture, so cold and
@@ -426,8 +442,7 @@ buildAtBoundary(const ColocationConfig &config, std::uint64_t trial_seed,
 
 std::unique_ptr<ColocationRig>
 runRig(const ColocationConfig &config, std::uint64_t trial_seed,
-       std::uint64_t prefix_hash, const std::string &label,
-       double slow_tier_ratio)
+       const std::string &label)
 {
     const std::uint64_t boundary =
         std::max(config.warmupRefs, config.checkpointAt);
@@ -435,10 +450,8 @@ runRig(const ColocationConfig &config, std::uint64_t trial_seed,
     std::unique_ptr<ColocationRig> rig =
         boundary == 0
             ? std::make_unique<ColocationRig>(config, trial_seed,
-                                              TrialRigOptions{},
-                                              slow_tier_ratio)
-            : buildAtBoundary(config, trial_seed, prefix_hash,
-                              slow_tier_ratio, boundary, events_used);
+                                              TrialRigOptions{})
+            : buildAtBoundary(config, trial_seed, boundary, events_used);
     if (!rig->sim.runToCompletion(kMaxEvents - events_used)) {
         std::fprintf(stderr,
                      "pagesim: trial %s seed %llu did not converge\n",

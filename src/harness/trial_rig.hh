@@ -8,8 +8,7 @@
  * A single-workload trial is its one-tenant case, and TrialRig is that
  * case as a thin view: its constructor maps an ExperimentConfig onto
  * one unnamed tenant (memcg{Low,High,Max}Ratio become the tenant's
- * low/high/max; slowTierRatio reaches the build as a constructor
- * argument) and binds workload, policy and threads to tenant 0.
+ * low/high/max) and binds workload, policy and threads to tenant 0.
  * TrialRig also keeps an always-null `aging` member: the harness runs
  * no dedicated aging walker, but bench/pagesim_bench/traced.cc reads
  * the member and must build unmodified.
@@ -81,13 +80,8 @@ struct TrialRigOptions
 class ColocationRig
 {
   public:
-    /**
-     * @p slow_tier_ratio sizes the TPP slow tier as a fraction of the
-     * summed footprints (0 = untiered); only TrialRig passes one.
-     */
     ColocationRig(const ColocationConfig &config,
-                  std::uint64_t trial_seed, const TrialRigOptions &opts,
-                  double slow_tier_ratio = 0.0);
+                  std::uint64_t trial_seed, const TrialRigOptions &opts);
 
     ColocationRig(const ColocationRig &) = delete;
     ColocationRig &operator=(const ColocationRig &) = delete;
@@ -184,18 +178,18 @@ class TrialRig : public ColocationRig
 /**
  * The one trial driver. Builds the machine for @p config, and when
  * max(warmupRefs, checkpointAt) is non-zero fast-forwards it to that
- * boundary: a CheckpointCache hit under @p prefix_hash restores into a
- * forRestore rig (falling back to a cold run if the restore fails);
- * otherwise the machine runs to the boundary — functionally inside
- * the warmup window — and, when cacheable, is captured for the next
+ * boundary: with checkpointAt set, a CheckpointCache hit under
+ * colocationPrefixHash(@p config) restores into a forRestore rig
+ * (falling back to a cold run if the restore fails); otherwise the
+ * machine runs to the boundary — functionally inside the warmup
+ * window — and, with checkpointAt set, is captured for the next
  * caller. Observers attach after the boundary. The machine then runs
  * to completion; a trial that does not converge aborts, naming
- * @p label. @p slow_tier_ratio is forwarded to the constructor.
+ * @p label.
  */
 std::unique_ptr<ColocationRig>
 runRig(const ColocationConfig &config, std::uint64_t trial_seed,
-       std::uint64_t prefix_hash, const std::string &label,
-       double slow_tier_ratio = 0.0);
+       const std::string &label);
 
 } // namespace pagesim
 

@@ -119,13 +119,6 @@ fnv1a(const void *data, std::size_t len, std::uint64_t h = kFnvOffset)
     return h;
 }
 
-/** FNV-1a over a NUL-terminated string (used for config hashing). */
-inline std::uint64_t
-fnv1aStr(const char *s, std::uint64_t h = kFnvOffset)
-{
-    return fnv1a(s, std::strlen(s), h);
-}
-
 namespace detail
 {
 

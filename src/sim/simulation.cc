@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "sim/serialize.hh"
+
 namespace pagesim
 {
 
@@ -14,12 +16,7 @@ Rng
 Simulation::forkRng(const std::string &component) const
 {
     // FNV-1a over the component name gives a stable stream id.
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (unsigned char c : component) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return root_.fork(h);
+    return root_.fork(fnv1a(component.data(), component.size()));
 }
 
 void

@@ -190,10 +190,10 @@ TEST(BitIdentity, Big1MOneAndFourWorkersPinned)
     cfg.scale = ScalePreset::Big1M;
     cfg.baseSeed = 12345;
 
-    cfg.mgTweak = [](MgLruConfig &mg) { mg.scanWorkers = 1; };
+    cfg.mglru.scanWorkers = 1;
     const std::uint64_t one = fingerprint(runTrial(cfg, 12345));
 
-    cfg.mgTweak = [](MgLruConfig &mg) { mg.scanWorkers = 4; };
+    cfg.mglru.scanWorkers = 4;
     const std::uint64_t four = fingerprint(runTrial(cfg, 12345));
 
     EXPECT_EQ(one, 15456000562956673319ull);

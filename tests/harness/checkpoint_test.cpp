@@ -269,6 +269,19 @@ TEST(CheckpointIdentity, DifferentialAcrossPoliciesAndBackends)
     }
 }
 
+TEST(CheckpointIdentity, OverrideCellCheckpoints)
+{
+    // An MG-LRU override is a plain keyed value, so a Scan-Rand cell at
+    // p = 0.25 misses cold, restores warm, and matches straight-through
+    // execution, like any other cell.
+    ExperimentConfig cfg = smallConfig(WorkloadKind::YcsbA,
+                                       PolicyKind::ScanRand, SwapKind::Ssd);
+    const std::uint64_t variant = fingerprint(runTrial(cfg, 4242));
+    cfg.mglru.randomScanProb = 0.25;
+    EXPECT_NE(expectFastForwardIdentity(cfg, 4242), variant)
+        << "the override must reach the policy";
+}
+
 TEST(CheckpointIdentity, DifferentialAcrossWorkloads)
 {
     // Barrier-carrying (PageRank) and scan-heavy (TPC-H) workloads
@@ -450,8 +463,74 @@ TEST(CheckpointCache, PrefixHashCoversMachineShapeOnly)
     changed.trials = 9;
     changed.baseSeed = 42;
     changed.checkpointAt = 1234;
+    changed.metrics.mode = MetricsMode::Full;
     EXPECT_EQ(configPrefixHash(changed), h)
-        << "trials/seed/boundary are keyed outside the prefix hash";
+        << "trials/seed/boundary/metrics are keyed outside the prefix hash";
+
+    // The slow tier and every MG-LRU override shape the machine.
+    using Set = void (*)(ExperimentConfig &);
+    const std::pair<const char *, Set> fields[] = {
+        {"slowTierRatio", [](ExperimentConfig &c) { c.slowTierRatio = 0.25; }},
+        {"bloomBits", [](ExperimentConfig &c) { c.mglru.bloomBits = 2048; }},
+        {"bloomHashes", [](ExperimentConfig &c) { c.mglru.bloomHashes = 1; }},
+        {"youngDensityThreshold",
+         [](ExperimentConfig &c) { c.mglru.youngDensityThreshold = 32; }},
+        {"randomScanProb",
+         [](ExperimentConfig &c) { c.mglru.randomScanProb = 0.25; }},
+        {"tierProtection",
+         [](ExperimentConfig &c) { c.mglru.tierProtection = false; }},
+        {"pid.kp", [](ExperimentConfig &c) { c.mglru.pid.kp = 2.0; }},
+        {"pid.ki", [](ExperimentConfig &c) { c.mglru.pid.ki = 0.5; }},
+        {"scanWorkers", [](ExperimentConfig &c) { c.mglru.scanWorkers = 2; }},
+    };
+    for (const auto &[what, set] : fields) {
+        changed = base;
+        set(changed);
+        EXPECT_NE(configPrefixHash(changed), h) << what;
+        EXPECT_EQ(configPrefixHash(changed),
+                  colocationPrefixHash(TrialRig::scenario(changed)))
+            << what << ": one encoding for both hashes";
+    }
+    EXPECT_EQ(h, colocationPrefixHash(TrialRig::scenario(base)));
+
+    // Every tenant field, the tenant count and the slow tier of a
+    // colocation scenario; its run-only fields stay out.
+    ColocationConfig scenario;
+    TenantSpec tenant;
+    tenant.name = "ycsb";
+    scenario.tenants = {tenant};
+    const std::uint64_t sh = colocationPrefixHash(scenario);
+    using SetTenant = void (*)(TenantSpec &);
+    const std::pair<const char *, SetTenant> tenantFields[] = {
+        {"name", [](TenantSpec &t) { t.name = "kv"; }},
+        {"workload", [](TenantSpec &t) { t.workload = WorkloadKind::YcsbB; }},
+        {"scale", [](TenantSpec &t) { t.scale = ScalePreset::Default; }},
+        {"policy", [](TenantSpec &t) { t.policy = PolicyKind::Clock; }},
+        // A set policy equal to the scenario default is its own key.
+        {"policy set", [](TenantSpec &t) { t.policy = PolicyKind::MgLru; }},
+        {"lowRatio", [](TenantSpec &t) { t.lowRatio = 0.5; }},
+        {"highRatio", [](TenantSpec &t) { t.highRatio = 0.5; }},
+        {"maxRatio", [](TenantSpec &t) { t.maxRatio = 0.5; }},
+    };
+    for (const auto &[what, set] : tenantFields) {
+        ColocationConfig other = scenario;
+        set(other.tenants[0]);
+        EXPECT_NE(colocationPrefixHash(other), sh) << what;
+    }
+    ColocationConfig other = scenario;
+    other.slowTierRatio = 0.25;
+    EXPECT_NE(colocationPrefixHash(other), sh) << "slowTierRatio";
+    other = scenario;
+    other.tenants.push_back(tenant);
+    other.tenants.back().name = "second";
+    EXPECT_NE(colocationPrefixHash(other), sh) << "tenant count";
+    other = scenario;
+    other.metrics.mode = MetricsMode::Full;
+    other.trials = 9;
+    other.baseSeed = 42;
+    other.checkpointAt = 1234;
+    EXPECT_EQ(colocationPrefixHash(other), sh)
+        << "run-only fields stay out of the prefix hash";
 }
 
 // ---------------------------------------------------------------------

@@ -96,9 +96,7 @@ TEST(Colocation, DeterministicAcrossScanWorkerCounts)
         std::vector<std::vector<std::uint64_t>> per_worker;
         for (const unsigned workers : {1u, 2u, 4u}) {
             ColocationConfig config = threeTenants();
-            config.mgTweak = [workers](MgLruConfig &c) {
-                c.scanWorkers = workers;
-            };
+            config.mglru.scanWorkers = workers;
             per_worker.push_back(
                 fingerprints(runColocationTrial(config, seed)));
         }

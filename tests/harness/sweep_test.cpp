@@ -207,6 +207,54 @@ TEST(Sweep, ResultCacheKeyCoversResultChangingConfig)
     EXPECT_EQ(cache.misses(), 16u) << "maxSpans keyed";
     cache.get(fewerSpans);
     EXPECT_EQ(cache.misses(), 16u) << "and still hits when unchanged";
+
+    // Machine fields the old hand-kept key list covered only through
+    // label() or not at all, and every MG-LRU override: each is its
+    // own cell, even where the value cannot change a result.
+    struct Case
+    {
+        const char *what;
+        void (*set)(ExperimentConfig &);
+    };
+    const Case cases[] = {
+        {"slowTierRatio", [](ExperimentConfig &c) { c.slowTierRatio = 0.25; }},
+        {"numCpus", [](ExperimentConfig &c) { c.numCpus = 4; }},
+        {"swap", [](ExperimentConfig &c) { c.swap = SwapKind::Zram; }},
+        // Two cells that differ only in scale.
+        {"FileBuffer",
+         [](ExperimentConfig &c) { c.workload = WorkloadKind::FileBuffer; }},
+        {"scale",
+         [](ExperimentConfig &c) {
+             c.workload = WorkloadKind::FileBuffer;
+             c.scale = ScalePreset::Default;
+         }},
+        {"mglru.bloomBits",
+         [](ExperimentConfig &c) { c.mglru.bloomBits = 2048; }},
+        {"mglru.bloomHashes",
+         [](ExperimentConfig &c) { c.mglru.bloomHashes = 1; }},
+        {"mglru.youngDensityThreshold",
+         [](ExperimentConfig &c) { c.mglru.youngDensityThreshold = 32; }},
+        {"mglru.randomScanProb",
+         [](ExperimentConfig &c) { c.mglru.randomScanProb = 0.25; }},
+        {"mglru.tierProtection",
+         [](ExperimentConfig &c) { c.mglru.tierProtection = false; }},
+        {"mglru.pid.kp", [](ExperimentConfig &c) { c.mglru.pid.kp = 2.0; }},
+        {"mglru.pid.ki", [](ExperimentConfig &c) { c.mglru.pid.ki = 0.5; }},
+        {"mglru.scanWorkers",
+         [](ExperimentConfig &c) { c.mglru.scanWorkers = 2; }},
+        // A set override is its own cell even at the variant's value.
+        {"an override equal to the default",
+         [](ExperimentConfig &c) { c.mglru.tierProtection = true; }},
+    };
+    for (const Case &field : cases) {
+        ExperimentConfig changed = base;
+        field.set(changed);
+        const std::uint64_t before = cache.misses();
+        cache.get(changed);
+        EXPECT_EQ(cache.misses(), before + 1) << field.what << " keyed";
+        cache.get(changed);
+        EXPECT_EQ(cache.misses(), before + 1) << field.what << " hits again";
+    }
 }
 
 TEST(Sweep, ResultCacheKeyCoversAuditCadence)
