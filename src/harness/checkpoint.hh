@@ -24,20 +24,17 @@
  * event in ascending saved (when, seq) order, which preserves the
  * dispatch relation under fresh sequence numbers.
  *
- * Format (version 3): a little-endian header (magic, version,
+ * Format (version 4): a little-endian header (magic, version,
  * config-prefix hash, seed, sim time, refs, section count) followed by
  * named sections, each framed as name length, name, payload length,
  * payload checksum (checksum64, sim/serialize.hh), payload. The
  * sections are exactly the section table's, in its order; a missing
  * one is SectionMissing, and a duplicated, unknown or reordered one is
- * Unsupported. The framing is byte-for-byte that of version 1. Version
- * 2 replaced the byte-serial FNV-1a section fingerprint with the
- * word-wide checksum64. Version 3 packs every lane inside a payload
- * (frame-table, page-table and every other POD array) as XOR-delta
- * blocks (sim/serialize.hh describes the lane encoding), which makes a
- * Big1M image 2.5-3.7x smaller. An image of an older version is
- * refused with VersionMismatch. A little-endian host is assumed: lane
- * words are read in host order.
+ * Unsupported. The framing is that of version 1; version 2 brought
+ * checksum64, version 3 the XOR-delta lane packing (sim/serialize.hh),
+ * and version 4 the one config-prefix hash (encodeConfig). An older
+ * image is refused with VersionMismatch. A little-endian host is
+ * assumed: lane words are read in host order.
  *
  * Every section is described once, by the visitState(StateIO &)
  * bodies of the classes it holds (sim/serialize.hh); capture, the
@@ -88,7 +85,7 @@ class Workload;
 class SimActor;
 
 /** Checkpoint format version; bump on any serialized-layout change. */
-constexpr std::uint32_t kCheckpointVersion = 3;
+constexpr std::uint32_t kCheckpointVersion = 4;
 
 /** Structured checkpoint failure. */
 struct CheckpointError

@@ -221,18 +221,18 @@ TEST(CheckpointIdentity, PinnedImageBytes)
     const ImagePin ycsb = experiment(WorkloadKind::YcsbA, PolicyKind::MgLru,
                                      SwapKind::Ssd, 0.0, 12345, 20000);
     EXPECT_EQ(ycsb.size, 28871u);
-    EXPECT_EQ(ycsb.sum, 9437796061162260772ull);
+    EXPECT_EQ(ycsb.sum, 15462713215842834416ull);
 
     const ImagePin tpch = experiment(WorkloadKind::Tpch, PolicyKind::Clock,
                                      SwapKind::Zram, 0.0, 27182, 20000);
     EXPECT_EQ(tpch.size, 27268u);
-    EXPECT_EQ(tpch.sum, 3546032751946723688ull);
+    EXPECT_EQ(tpch.sum, 86247958583032274ull);
 
     // Slow-tier frames, the demotion FIFO and PageRank's barriers.
     const ImagePin pr = experiment(WorkloadKind::PageRank, PolicyKind::MgLru,
                                    SwapKind::Ssd, 0.25, 31415, 20000);
     EXPECT_EQ(pr.size, 16269u);
-    EXPECT_EQ(pr.sum, 11092910731897577025ull);
+    EXPECT_EQ(pr.sum, 14475155310451439693ull);
 
     // Two memcgs with their own policies and limits, and the balloon.
     ColocationConfig coloc;
@@ -250,7 +250,7 @@ TEST(CheckpointIdentity, PinnedImageBytes)
     const ImagePin two = pinImageAt<ColocationRig>(
         coloc, colocationPrefixHash(coloc), 7, 20000);
     EXPECT_EQ(two.size, 53422u);
-    EXPECT_EQ(two.sum, 12269497769123194507ull);
+    EXPECT_EQ(two.sum, 10739459509571529607ull);
 }
 
 TEST(CheckpointIdentity, DifferentialAcrossPoliciesAndBackends)
@@ -1054,32 +1054,39 @@ TEST(CheckpointCorruption, StreamCursorsOutOfRangeAreNamedErrors)
 
 TEST(CheckpointCorruption, VersionTwoImageIsRefused)
 {
-    // Version 3 packs every lane; a version-2 image (raw lanes) must be
-    // refused by the version gate, in memory and from disk, not fed to
-    // the lane decoder.
+    // Version 3 packed every lane and version 4 changed the config
+    // prefix hash; a version-2 image (raw lanes) or a version-3 one
+    // (the old hash) must be refused by the version gate, in memory
+    // and from disk, not fed to the decoder.
     const ExperimentConfig cfg = smallConfig(
         WorkloadKind::YcsbA, PolicyKind::MgLru, SwapKind::Ssd);
     const std::uint64_t seed = 12345;
     const std::uint64_t hash = configPrefixHash(cfg);
-    Checkpoint v2 = captureAtBoundary(cfg, seed, 20000);
-    ASSERT_EQ(readLe(v2.bytes, 8, 4), kCheckpointVersion);
-    v2.bytes[8] = 2;
+    const Checkpoint current = captureAtBoundary(cfg, seed, 20000);
+    ASSERT_EQ(readLe(current.bytes, 8, 4), kCheckpointVersion);
 
     TrialRigOptions opts;
     opts.forRestore = true;
     opts.deferObservers = true;
     TrialRig rig(cfg, seed, opts);
-    const CheckpointError err = restoreCheckpoint(rig.view(), hash, seed, v2);
-    EXPECT_EQ(err.kind, CheckpointError::Kind::VersionMismatch);
-    EXPECT_NE(err.message.find("version 2"), std::string::npos)
-        << err.message;
+    for (const std::uint8_t version : {2, 3}) {
+        Checkpoint old = current;
+        old.bytes[8] = version;
+        const CheckpointError err =
+            restoreCheckpoint(rig.view(), hash, seed, old);
+        EXPECT_EQ(err.kind, CheckpointError::Kind::VersionMismatch);
+        EXPECT_NE(err.message.find("version " + std::to_string(version)),
+                  std::string::npos)
+            << err.message;
 
-    const std::string path = ::testing::TempDir() + "pagesim-ckpt-v2.bin";
-    ASSERT_TRUE(saveCheckpointFile(path, v2).ok());
-    Checkpoint loaded;
-    EXPECT_EQ(loadCheckpointFile(path, loaded).kind,
-              CheckpointError::Kind::VersionMismatch);
-    std::remove(path.c_str());
+        const std::string path = ::testing::TempDir() + "pagesim-ckpt-v" +
+                                 std::to_string(version) + ".bin";
+        ASSERT_TRUE(saveCheckpointFile(path, old).ok());
+        Checkpoint loaded;
+        EXPECT_EQ(loadCheckpointFile(path, loaded).kind,
+                  CheckpointError::Kind::VersionMismatch);
+        std::remove(path.c_str());
+    }
 }
 
 /** One framed section of an image: its name and payload. */
