@@ -10,7 +10,6 @@
 #include <fstream>
 #include <iterator>
 
-#include "harness/trial_rig.hh"
 #include "kernel/memory_manager.hh"
 #include "mem/address_space.hh"
 #include "mem/frame_table.hh"
@@ -441,20 +440,6 @@ loadCheckpointFile(const std::string &path, Checkpoint &out)
     out.refs = img.refs;
     out.bytes = std::move(bytes);
     return {};
-}
-
-std::uint64_t
-configPrefixHash(const ExperimentConfig &config)
-{
-    return colocationPrefixHash(TrialRig::scenario(config));
-}
-
-std::uint64_t
-colocationPrefixHash(const ColocationConfig &config)
-{
-    Sink sink;
-    encodeConfig(config, sink);
-    return fnv1a(sink.data().data(), sink.size());
 }
 
 std::string

@@ -25,9 +25,10 @@ ColocationConfig::label() const
            std::to_string(static_cast<int>(capacityRatio * 100)) + "%";
 }
 
-// Tripwire: a new field changes a size below and stops the build until
-// encodeConfig writes it or ResultCache::key keys it as run-only
-// (MetricsConfig::artifactDir is in no key: it never changes a result).
+// Tripwire: a new field changes a size below (unless it fits existing
+// padding) and stops the build until encodeConfig writes it or
+// ResultCache::key keys it as run-only. MetricsConfig::artifactDir is
+// in no key: it never changes a result.
 static_assert(sizeof(MgLruOverrides) == 88,
               "MgLruOverrides changed: update encodeConfig");
 static_assert(sizeof(TenantSpec) == sizeof(std::string) + 40,
@@ -75,6 +76,20 @@ encodeConfig(const ColocationConfig &config, Sink &sink)
     knob(mg.pid.kp);
     knob(mg.pid.ki);
     knob(mg.scanWorkers);
+}
+
+std::uint64_t
+configPrefixHash(const ExperimentConfig &config)
+{
+    return colocationPrefixHash(TrialRig::scenario(config));
+}
+
+std::uint64_t
+colocationPrefixHash(const ColocationConfig &config)
+{
+    Sink sink;
+    encodeConfig(config, sink);
+    return fnv1a(sink.data().data(), sink.size());
 }
 
 std::uint64_t

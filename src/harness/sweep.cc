@@ -59,10 +59,11 @@ runSweep(const std::vector<ExperimentConfig> &cells,
 std::string
 ResultCache::key(const ExperimentConfig &config)
 {
-    // The machine's encoding, then the run-only fields: metrics decide
-    // what TrialResult.metrics holds, an audited run matches only by
-    // luck, and keying checkpointAt keeps cached-vs-cold comparisons
-    // honest.
+    // The machine's encoding, then the run-only fields: trials and
+    // seed; metrics mode, cadence and caps decide what
+    // TrialResult.metrics holds; an audited run matches an unaudited
+    // one only by luck; keying checkpointAt keeps cached-vs-cold
+    // comparisons honest.
     const ColocationConfig c = TrialRig::scenario(config);
     Sink sink;
     encodeConfig(c, sink);
@@ -74,8 +75,7 @@ ResultCache::key(const ExperimentConfig &config)
     sink.u64(c.metrics.maxSpans);
     sink.u32(effectiveAuditEvery());
     sink.u64(c.checkpointAt);
-    return std::string(reinterpret_cast<const char *>(sink.data().data()),
-                       sink.size());
+    return {sink.data().begin(), sink.data().end()};
 }
 
 const ExperimentResult &

@@ -68,10 +68,8 @@ runSweep(const std::vector<ExperimentConfig> &cells,
  * lookups. get() on a cold cell still works (runs the cell on the
  * spot) so incremental callers stay correct, just slower.
  *
- * The key is encodeConfig(TrialRig::scenario(config)) — the same
- * bytes the checkpoint prefix hash reads — plus the run-only fields:
- * trials, baseSeed, the metrics mode, cadence and caps, the effective
- * PAGESIM_AUDIT_EVERY cadence and checkpointAt.
+ * The key is encodeConfig(TrialRig::scenario(config)), the bytes the
+ * checkpoint prefix hash reads, plus the run-only fields (see key()).
  */
 class ResultCache
 {

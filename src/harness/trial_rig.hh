@@ -178,12 +178,11 @@ class TrialRig : public ColocationRig
 /**
  * The one trial driver. Builds the machine for @p config, and when
  * max(warmupRefs, checkpointAt) is non-zero fast-forwards it to that
- * boundary: with checkpointAt set, a CheckpointCache hit under
- * colocationPrefixHash(@p config) restores into a forRestore rig
- * (falling back to a cold run if the restore fails); otherwise the
- * machine runs to the boundary — functionally inside the warmup
- * window — and, with checkpointAt set, is captured for the next
- * caller. Observers attach after the boundary. The machine then runs
+ * boundary: a CheckpointCache hit under colocationPrefixHash(@p config)
+ * restores into a forRestore rig (falling back to a cold run if the
+ * restore fails); otherwise the machine runs to the boundary —
+ * functionally inside the warmup window — and is captured for the
+ * next caller. Only checkpointAt, not warmupRefs, touches the cache. Observers attach after the boundary. The machine then runs
  * to completion; a trial that does not converge aborts, naming
  * @p label.
  */
