@@ -3,10 +3,10 @@
  * Microbenchmarks (google-benchmark) for the core data structures the
  * characterization rests on: the Bloom filter, generation-list moves,
  * page-table walks, the zipfian generator and the KV store's lookup
- * math behind YCSB op generation, op-stream draining, the latency
- * histogram, and the event queue. These establish that the paper's
- * "O(1) generation move" claim holds in this implementation and
- * quantify per-op costs.
+ * math behind YCSB op generation, the YCSB draw table's cold build,
+ * op-stream draining, the latency histogram, and the event queue.
+ * These establish that the paper's "O(1) generation move" claim holds
+ * in this implementation and quantify per-op costs.
  */
 
 #include <benchmark/benchmark.h>
@@ -17,6 +17,7 @@
 
 #include "harness/experiment.hh"
 #include "kv/kv_store.hh"
+#include "kv/ycsb_draws.hh"
 #include "mem/address_space.hh"
 #include "mem/frame_table.hh"
 #include "policy/mglru/bloom_filter.hh"
@@ -171,7 +172,8 @@ void
 BM_YcsbStreamDrain(benchmark::State &state)
 {
     // One YCSB-A Default thread's whole op stream (load shard,
-    // barrier, zipfian requests); time_per_op is per stream op.
+    // barrier, zipfian requests), replayed from its draw table, which
+    // the first iteration builds; time_per_op is per stream op.
     const auto wl = makeWorkload(WorkloadKind::YcsbA, ScalePreset::Default);
     std::uint64_t ops = 0;
     for (auto _ : state) {
@@ -186,6 +188,28 @@ BM_YcsbStreamDrain(benchmark::State &state)
         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_YcsbStreamDrain)->Unit(benchmark::kMillisecond);
+
+void
+BM_YcsbDrawsBuild(benchmark::State &state)
+{
+    // The cold draw table of one YCSB Default thread (120,000 zipfian
+    // requests), built through the un-memoized constructor: what the
+    // first trial of a process pays per thread. time_per_request is
+    // per drawn request.
+    const YcsbDrawKey key = YcsbDrawKey::of(YcsbConfig{}, 0);
+    std::uint64_t requests = 0;
+    std::size_t bytes = 0;
+    for (auto _ : state) {
+        const YcsbDraws draws(key);
+        requests += draws.requests();
+        bytes = draws.bytes();
+    }
+    state.counters["table_bytes"] = static_cast<double>(bytes);
+    state.counters["time_per_request"] = benchmark::Counter(
+        static_cast<double>(requests),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_YcsbDrawsBuild)->Unit(benchmark::kMillisecond);
 
 void
 BM_PatternStreamDrain(benchmark::State &state)

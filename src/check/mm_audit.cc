@@ -1017,8 +1017,7 @@ MmAuditor::checkSwap(AuditReport &rep, WalkContext &ctx) const
                          std::to_string(z->poolBytes()) +
                              " bytes accounted");
         }
-        for (const auto &[slot, tag] : z->slotTags()) {
-            (void)tag;
+        z->forEachSlotTag([&](SwapSlot slot, std::uint64_t) {
             ++rep.slotsChecked;
             if (!swap.slotAllocated(slot)) {
                 addViolation(rep, AuditSubsystem::Zram,
@@ -1030,7 +1029,7 @@ MmAuditor::checkSwap(AuditReport &rep, WalkContext &ctx) const
                              "slot " + std::to_string(slot) +
                                  " is free");
             }
-        }
+        });
     }
 }
 

@@ -1,8 +1,10 @@
 #include "kv/ycsb_workload.hh"
 
+#include <algorithm>
 #include <cassert>
 
 #include "kernel/memory_manager.hh"
+#include "kv/ycsb_draws.hh"
 
 namespace pagesim
 {
@@ -30,35 +32,36 @@ ycsbMixName(YcsbMix mix)
 
 /**
  * Per-thread YCSB op stream: load shard, barrier, phase marker, then
- * the measured request loop.
+ * the measured request loop, replayed from the thread's shared draw
+ * table (kv/ycsb_draws.hh).
  */
 class YcsbStream : public OpStream
 {
   public:
     YcsbStream(YcsbWorkload &wl, unsigned tid)
-        : wl_(wl), tid_(tid),
-          rng_(splitmix64(wl.config_.seed ^ (1000 + tid))),
-          zipf_(wl.store_.items(), wl.config_.zipfTheta, true)
+        : wl_(wl),
+          draws_(sharedYcsbDraws(YcsbDrawKey::of(wl.config_, tid)))
     {
         const std::uint64_t items = wl_.store_.items();
         const unsigned T = wl_.config_.threads;
-        loadLo_ = items * tid_ / T;
-        loadHi_ = items * (tid_ + 1) / T;
-        requests_ = static_cast<std::uint64_t>(
-            static_cast<double>(items) * wl_.config_.requestsPerItem /
-            T);
+        loadLo_ = items * tid / T;
+        loadHi_ = items * (tid + 1) / T;
+        requests_ = draws_->requests();
     }
 
     void
     visitState(StateIO &io) override
     {
         // loadHi_/requests_ are pure functions of the config, replayed
-        // at construction; only the cursors, the draw state and the
-        // current expansion (the block) move.
+        // at construction; only the cursors and the current expansion
+        // (the block) move. The generator words a live draw would
+        // leave are a function of done_: derived from the draw table
+        // and checked, never stored.
         io.enumU8(phase_, Phase::Requests);
         io.require(io.u64(loadLo_) <= loadHi_);
-        io.require(io.u64(done_) <= requests_);
-        rng_.visitState(io);
+        const std::uint64_t done = io.u64(done_);
+        io.require(done <= requests_);
+        draws_->generatorAt(std::min(done, requests_)).expectState(io);
         OpStream::visitState(io);
     }
 
@@ -84,10 +87,9 @@ class YcsbStream : public OpStream
           case Phase::Requests: {
             if (done_ >= requests_)
                 return 0;
-            ++done_;
-            const std::uint64_t item = zipf_.next(rng_);
-            const bool is_read =
-                rng_.nextDouble() < ycsbReadFraction(wl_.config_.mix);
+            const std::uint64_t i = done_++;
+            const std::uint64_t item = draws_->item(i);
+            const bool is_read = draws_->isRead(wl_.config_.mix, i);
             const std::uint32_t klass =
                 is_read ? kYcsbRead : kYcsbWrite;
             out[0] = Op::makeRequestStart(klass);
@@ -125,11 +127,7 @@ class YcsbStream : public OpStream
     }
 
     YcsbWorkload &wl_;
-    // lint:state-cov-ok(thread identity fixed at construction)
-    unsigned tid_;
-    Rng rng_;
-    // lint:state-cov-ok(precomputed zeta tables, a pure function of the config item count)
-    ZipfianGenerator zipf_;
+    std::shared_ptr<const YcsbDraws> draws_;
     Phase phase_ = Phase::Load;
     std::uint64_t loadLo_ = 0;
     std::uint64_t loadHi_ = 0;

@@ -12,6 +12,7 @@
 #ifndef PAGESIM_SIM_RNG_HH
 #define PAGESIM_SIM_RNG_HH
 
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
@@ -162,6 +163,21 @@ class Rng
         io.f64(spareNormal_);
     }
 
+    /**
+     * The image must hold exactly this generator: the bytes
+     * visitState() writes on save, and a decoded state that differs
+     * in any word (the spare normal's flag and value included) is a
+     * mismatch. For a generator its owner derives instead of storing.
+     */
+    void
+    expectState(StateIO &io) const
+    {
+        for (const std::uint64_t s : s_)
+            io.expect(s);
+        io.expect<std::uint8_t>(haveSpareNormal_ ? 1 : 0);
+        io.expect(std::bit_cast<std::uint64_t>(spareNormal_));
+    }
+
   private:
     static std::uint64_t
     rotl(std::uint64_t x, int k)
@@ -255,8 +271,8 @@ class ZipfianGenerator
   private:
     /**
      * zeta(n, theta) = sum_{i=1..n} i^-theta, an O(n) pow loop. Memoized
-     * process-wide on the exact (n, theta) bits: every YCSB thread of
-     * every rig (restore targets included) asks for the same few
+     * process-wide on the exact (n, theta) bits: every YCSB draw table
+     * and zipfian pattern segment of every rig asks for the same few
      * values, and a cached value is the very double the loop returns.
      */
     static double zeta(std::uint64_t n, double theta);

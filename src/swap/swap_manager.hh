@@ -33,6 +33,8 @@ class SwapManager
         : device_(&device), maxSlots_(max_slots)
     {
         zram_ = dynamic_cast<ZramSwapDevice *>(device_);
+        if (zram_)
+            zram_->limitSlots(max_slots);
     }
 
     SwapDevice &device() { return *device_; }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
-#include <vector>
 
 namespace pagesim
 {
@@ -56,10 +55,9 @@ ZramSwapDevice::cpuCost(SwapSlot slot, bool is_write) const
     // charge reflects the slot's previous occupant.
     const SimDuration base =
         is_write ? config_.writeLatency : config_.readLatency;
-    auto it = slotTag_.find(slot);
-    if (it == slotTag_.end())
+    if (slot >= slots_.size() || slots_[slot].size == 0)
         return base;
-    const double frac = static_cast<double>(compressedSize(it->second)) /
+    const double frac = static_cast<double>(slots_[slot].size) /
                         static_cast<double>(kPageSize);
     const double scale = 0.5 + 0.8 * frac;
     return static_cast<SimDuration>(static_cast<double>(base) * scale);
@@ -69,13 +67,14 @@ void
 ZramSwapDevice::setContentTag(SwapSlot slot, std::uint64_t tag)
 {
     // A write to an occupied slot replaces its contents.
-    auto it = slotTag_.find(slot);
-    if (it != slotTag_.end()) {
-        assert(poolBytes_ >= compressedSize(it->second));
-        poolBytes_ -= compressedSize(it->second);
-    }
-    slotTag_[slot] = tag;
-    poolBytes_ += compressedSize(tag);
+    if (slot >= slots_.size())
+        slots_.resize(static_cast<std::size_t>(slot) + 1);
+    Slot &s = slots_[slot];
+    assert(poolBytes_ >= s.size);
+    poolBytes_ -= s.size;
+    s.tag = tag;
+    s.size = compressedSize(tag);
+    poolBytes_ += s.size;
     poolPeakBytes_ = std::max(poolPeakBytes_, poolBytes_);
     if (config_.poolLimitBytes != 0 &&
         poolBytes_ > config_.poolLimitBytes) {
@@ -86,24 +85,22 @@ ZramSwapDevice::setContentTag(SwapSlot slot, std::uint64_t tag)
 void
 ZramSwapDevice::dropSlot(SwapSlot slot)
 {
-    auto it = slotTag_.find(slot);
-    if (it == slotTag_.end())
+    if (slot >= slots_.size())
         return;
-    assert(poolBytes_ >= compressedSize(it->second));
-    poolBytes_ -= compressedSize(it->second);
-    slotTag_.erase(it);
+    Slot &s = slots_[slot];
+    assert(poolBytes_ >= s.size);
+    poolBytes_ -= s.size;
+    s = Slot{};
 }
 
 std::uint64_t
 ZramSwapDevice::auditPoolBytes() const
 {
+    // From the tags, not the cached sizes: the audit re-derives both.
     std::uint64_t bytes = 0;
-    // lint:ordered-ok(unsigned sum is commutative; iteration order
-    // cannot reach the audit verdict, let alone a TrialResult)
-    for (const auto &[slot, tag] : slotTag_) {
-        (void)slot;
+    forEachSlotTag([&](SwapSlot, std::uint64_t tag) {
         bytes += compressedSize(tag);
-    }
+    });
     return bytes;
 }
 
@@ -133,24 +130,27 @@ void
 ZramSwapDevice::visitState(StateIO &io)
 {
     SwapDevice::visitState(io);
-    // The tag map is unordered; it travels as entries sorted by slot
-    // so the byte stream (and its checksum) is deterministic.
+    // Entries in slot order, occupied slots only.
     std::vector<TagEntry> entries;
-    if (!io.loading()) {
-        // lint:ordered-ok(sorted by slot below, before any byte is written)
-        for (const auto &[slot, tag] : slotTag_)
+    if (!io.loading())
+        forEachSlotTag([&](SwapSlot slot, std::uint64_t tag) {
             entries.push_back(TagEntry{slot, tag});
-        std::sort(entries.begin(), entries.end(),
-                  [](const TagEntry &a, const TagEntry &b) {
-                      return a.slot < b.slot;
-                  });
-    }
+        });
     io.podVec(entries);
     if (io.loading() && io.ok()) {
-        slotTag_.clear();
-        slotTag_.reserve(entries.size());
+        // Strictly ascending, as saved: no slot twice, and the last
+        // one bounds the table.
+        for (std::size_t i = 1; i < entries.size(); ++i)
+            io.require(entries[i - 1].slot < entries[i].slot);
+        io.require(entries.empty() || entries.back().slot < slotLimit_);
+    }
+    if (io.loading() && io.ok()) {
+        slots_.assign(entries.empty()
+                          ? 0
+                          : static_cast<std::size_t>(entries.back().slot) + 1,
+                      Slot{});
         for (const TagEntry &e : entries)
-            slotTag_[e.slot] = e.tag;
+            slots_[e.slot] = Slot{e.tag, compressedSize(e.tag)};
     }
     io.u64(poolBytes_);
     io.u64(poolPeakBytes_);

@@ -19,9 +19,10 @@
 #ifndef PAGESIM_SWAP_ZRAM_DEVICE_HH
 #define PAGESIM_SWAP_ZRAM_DEVICE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "sim/rng.hh"
 #include "swap/swap_device.hh"
@@ -60,6 +61,12 @@ class ZramSwapDevice : public SwapDevice
 
     void noteSyncOp(SwapSlot slot, bool is_write) override;
 
+    /**
+     * The swap area's size in slots: a restored image's slots must lie
+     * below it (SwapManager sets it; unbounded until then).
+     */
+    void limitSlots(std::uint32_t max_slots) { slotLimit_ = max_slots; }
+
     /** Content tag for @p slot; compressibility derives from it. */
     void setContentTag(SwapSlot slot, std::uint64_t tag);
 
@@ -88,21 +95,21 @@ class ZramSwapDevice : public SwapDevice
     bool
     hasSlotTag(SwapSlot slot, std::uint64_t *tag = nullptr) const
     {
-        auto it = slotTag_.find(slot);
-        if (it == slotTag_.end())
+        if (slot >= slots_.size() || slots_[slot].size == 0)
             return false;
         if (tag != nullptr)
-            *tag = it->second;
+            *tag = slots_[slot].tag;
         return true;
     }
 
-    /** All recorded slot contents (slot -> content tag). */
-    // lint:ordered-ok(audit-only view; MmAuditor keys lookups by slot
-    // and never folds iteration order into simulated state)
-    const std::unordered_map<SwapSlot, std::uint64_t> &
-    slotTags() const
+    /** Call @p fn(slot, tag) for every slot with contents, in order. */
+    template <typename Fn>
+    void
+    forEachSlotTag(Fn &&fn) const
     {
-        return slotTag_;
+        for (std::size_t s = 0; s < slots_.size(); ++s)
+            if (slots_[s].size != 0)
+                fn(static_cast<SwapSlot>(s), slots_[s].tag);
     }
 
     /** Recompute pool occupancy from the tag map (must == poolBytes). */
@@ -115,10 +122,21 @@ class ZramSwapDevice : public SwapDevice
     ZramConfig config_;
     // lint:state-cov-ok(display name fixed at construction)
     std::string name_ = "zram";
-    /** slot -> content tag (present while slot holds data). */
-    // lint:ordered-ok(hot-path point lookups only; the sole iteration,
-    // auditPoolBytes, is an order-independent integer sum)
-    std::unordered_map<SwapSlot, std::uint64_t> slotTag_;
+    /** A slot's contents: its tag and compressedSize(tag). */
+    struct Slot
+    {
+        std::uint64_t tag = 0;
+        std::uint32_t size = 0; ///< 0 = empty (sizes are >= 64)
+    };
+
+    /**
+     * Indexed by slot. The SwapManager hands slots out densely from 0
+     * (below its slotHighWater()), so the table grows to the high
+     * water and never holds a hole the manager did not free.
+     */
+    std::vector<Slot> slots_;
+    /** Swap area size (limitSlots); bounds a restored table. */
+    std::uint32_t slotLimit_ = kInvalidSlot;
     std::uint64_t poolBytes_ = 0;
     std::uint64_t poolPeakBytes_ = 0;
     std::uint64_t overflows_ = 0;

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -933,16 +934,31 @@ joinActorRecords(const std::vector<ByteBuffer> &records)
     return sink.data();
 }
 
+/**
+ * Where a work thread's record holds its stream's cursor: after the
+ * SimActor scalars (state byte and five u64) and the thread's own
+ * (pending op 22 B, havePending, carry, requestStart and four stats).
+ */
+constexpr std::size_t kStreamAt = 1 + 40 + 22 + 1 + 8 + 8 + 32;
+
+/** Index of the first WorkThread among @p view's actors. */
+std::size_t
+firstWorkThread(const RigView &view)
+{
+    std::size_t thread = 0;
+    while (thread < view.actors.size() &&
+           dynamic_cast<WorkThread *>(view.actors[thread]) == nullptr)
+        ++thread;
+    return thread;
+}
+
 TEST(CheckpointCorruption, StreamCursorsOutOfRangeAreNamedErrors)
 {
     // Re-checksummed images whose op-stream cursors lie outside the
     // stream: each must be refused with a named error before anything
     // is applied, never by silently ending the thread or by reading
     // past the stream's op block. A work thread's record ends with its
-    // stream's cursor, after the SimActor scalars (state byte and five
-    // u64) and the thread's own (pending op 22 B, havePending, carry,
-    // requestStart and four stats).
-    constexpr std::size_t kStreamAt = 1 + 40 + 22 + 1 + 8 + 8 + 32;
+    // stream's cursor (kStreamAt).
     constexpr std::uint64_t kPast = ~0ull;
     const std::uint64_t seed = 12345;
 
@@ -962,10 +978,7 @@ TEST(CheckpointCorruption, StreamCursorsOutOfRangeAreNamedErrors)
         TrialRig rig(cfg, seed, opts);
         const RigView view = rig.view();
 
-        std::size_t thread = 0;
-        while (thread < view.actors.size() &&
-               dynamic_cast<WorkThread *>(view.actors[thread]) == nullptr)
-            ++thread;
+        const std::size_t thread = firstWorkThread(view);
         ASSERT_LT(thread, view.actors.size());
         std::vector<ByteBuffer> records =
             actorRecords(sectionPayload(good.bytes, "actors"));
@@ -1050,6 +1063,74 @@ TEST(CheckpointCorruption, StreamCursorsOutOfRangeAreNamedErrors)
         cases.push_back({"pattern-rng-off-randtouch", bad});
         return cases;
     });
+}
+
+TEST(CheckpointCorruption, YcsbGeneratorWordsMustMatchTheDrawTable)
+{
+    // A YCSB stream's generator is not stored: it is derived from the
+    // thread's draw table and its request cursor. The image still
+    // carries the 41 bytes a live generator wrote (four state words,
+    // the spare-normal flag and value), and each must equal the
+    // derived one. A re-checksummed image with any of them changed is
+    // a named config mismatch in the actors section, refused before
+    // anything is applied.
+    const ExperimentConfig cfg =
+        smallConfig(WorkloadKind::YcsbA, PolicyKind::MgLru, SwapKind::Ssd);
+    const std::uint64_t seed = 12345;
+    const std::uint64_t hash = configPrefixHash(cfg);
+    const Checkpoint good = captureAtBoundary(cfg, seed, 20000);
+    TrialRigOptions opts;
+    opts.forRestore = true;
+    opts.deferObservers = true;
+    TrialRig rig(cfg, seed, opts);
+    const RigView view = rig.view();
+    const std::size_t thread = firstWorkThread(view);
+    ASSERT_LT(thread, view.actors.size());
+    const std::vector<ByteBuffer> records =
+        actorRecords(sectionPayload(good.bytes, "actors"));
+    ASSERT_EQ(records.size(), view.actors.size());
+
+    // Phase byte, loadLo, done, then the generator.
+    const std::size_t rng_at = kStreamAt + 1 + 8 + 8;
+    EXPECT_GT(readLe(records[thread], kStreamAt + 9, 8), 0u)
+        << "the thread should be serving requests at the boundary";
+    // Each case XORs its mask into one field: a low bit of a state
+    // word, the flag byte, and the spare value (0.0 in a live image,
+    // so it reads 0.5 after).
+    struct Case
+    {
+        const char *name;
+        std::size_t at;
+        int width;
+        std::uint64_t mask;
+    };
+    const Case cases[] = {
+        {"state word 0", rng_at, 8, 1},
+        {"state word 1", rng_at + 8, 8, 1},
+        {"state word 2", rng_at + 16, 8, 1},
+        {"state word 3", rng_at + 24, 8, 1},
+        {"spare-normal flag", rng_at + 32, 1, 1},
+        {"spare-normal value", rng_at + 33, 8,
+         std::bit_cast<std::uint64_t>(0.5)},
+    };
+    for (const Case &c : cases) {
+        std::vector<ByteBuffer> edited = records;
+        ByteBuffer &body = edited[thread];
+        if (c.width == 1)
+            body[c.at] ^= static_cast<std::uint8_t>(c.mask);
+        else
+            writeLe(body, c.at, readLe(body, c.at, 8) ^ c.mask);
+        ASSERT_NE(body, records[thread]) << c.name;
+        Checkpoint bad = good;
+        replaceSection(bad.bytes, "actors", joinActorRecords(edited));
+        const CheckpointError err = restoreCheckpoint(view, hash, seed, bad);
+        EXPECT_EQ(err.kind, CheckpointError::Kind::ConfigMismatch)
+            << c.name << ": " << err.message;
+        EXPECT_NE(err.message.find("actors"), std::string::npos)
+            << c.name << ": " << err.message;
+    }
+    const CheckpointError retry = restoreCheckpoint(view, hash, seed, good);
+    ASSERT_TRUE(retry.ok()) << retry.message;
 }
 
 TEST(CheckpointCorruption, VersionTwoImageIsRefused)

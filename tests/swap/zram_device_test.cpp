@@ -2,7 +2,10 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "sim/serialize.hh"
 #include "swap/zram_device.hh"
 
 namespace pagesim
@@ -143,6 +146,103 @@ TEST(ZramDevice, SyncOpStats)
     zram.noteSyncOp(0, true);
     EXPECT_EQ(zram.stats().reads, 1u);
     EXPECT_EQ(zram.stats().writes, 2u);
+}
+
+/** @p zram's checkpoint image. */
+ByteBuffer
+imageOf(ZramSwapDevice &zram)
+{
+    Sink sink;
+    StateIO io(sink);
+    zram.visitState(io);
+    return sink.data();
+}
+
+/** Load @p image into @p zram; true when it decoded cleanly. */
+bool
+load(ZramSwapDevice &zram, const ByteBuffer &image)
+{
+    Source src(image.data(), image.size());
+    StateIO io(src, nullptr);
+    zram.visitState(io);
+    return io.exhausted();
+}
+
+/** An image holding these (slot, tag) entries, in this order. */
+ByteBuffer
+imageWith(const std::vector<std::pair<SwapSlot, std::uint64_t>> &slots)
+{
+    // The image's entry layout: u32 slot, u64 tag, packed.
+    struct [[gnu::packed]] Entry
+    {
+        SwapSlot slot;
+        std::uint64_t tag;
+    };
+    std::vector<Entry> entries;
+    for (const auto &[slot, tag] : slots)
+        entries.push_back(Entry{slot, tag});
+    Sink sink;
+    StateIO io(sink);
+    ZramSwapDevice blank;
+    blank.SwapDevice::visitState(io);
+    io.podVec(entries);
+    std::uint64_t zero = 0;
+    for (int i = 0; i < 3; ++i) // pool bytes, peak, overflows
+        io.u64(zero);
+    return sink.data();
+}
+
+TEST(ZramDevice, SlotTableRoundTripsInSlotOrder)
+{
+    ZramSwapDevice zram;
+    zram.setContentTag(9, 900);
+    zram.setContentTag(2, 200);
+    zram.setContentTag(5, 500);
+    zram.dropSlot(2);
+    std::vector<SwapSlot> order;
+    zram.forEachSlotTag([&](SwapSlot slot, std::uint64_t) {
+        order.push_back(slot);
+    });
+    EXPECT_EQ(order, (std::vector<SwapSlot>{5, 9}));
+    // The load requires ascending slots, so it also checks the order
+    // the save wrote.
+    const ByteBuffer image = imageOf(zram);
+    ZramSwapDevice restored;
+    restored.limitSlots(10);
+    ASSERT_TRUE(load(restored, image));
+    std::uint64_t tag = 0;
+    EXPECT_TRUE(restored.hasSlotTag(9, &tag));
+    EXPECT_EQ(tag, 900u);
+    EXPECT_FALSE(restored.hasSlotTag(2));
+    EXPECT_EQ(restored.poolBytes(), zram.poolBytes());
+    EXPECT_EQ(restored.cpuCost(5, false), zram.cpuCost(5, false));
+    EXPECT_EQ(imageOf(restored), image);
+}
+
+TEST(ZramDevice, RestoredSlotsMustAscendBelowTheSwapArea)
+{
+    // Save writes each occupied slot once, in ascending order, and the
+    // swap area bounds the slot numbers: any other list is refused
+    // before the table is sized from it.
+    const struct
+    {
+        const char *name;
+        std::vector<std::pair<SwapSlot, std::uint64_t>> slots;
+        bool accepted;
+    } cases[] = {
+        {"ascending", {{1, 10}, {7, 70}}, true},
+        {"empty", {}, true},
+        {"out of order", {{7, 70}, {1, 10}}, false},
+        {"a slot twice", {{1, 10}, {1, 11}}, false},
+        {"last slot of the area", {{15, 10}}, true},
+        {"past the swap area", {{16, 10}}, false},
+        {"far past the swap area", {{kInvalidSlot - 1, 10}}, false},
+    };
+    for (const auto &c : cases) {
+        ZramSwapDevice zram;
+        zram.limitSlots(16);
+        EXPECT_EQ(load(zram, imageWith(c.slots)), c.accepted) << c.name;
+    }
 }
 
 } // namespace

@@ -6,21 +6,29 @@
  * their op sequences and checkpoint images must be exactly those of
  * the per-op streams they replaced. The oracles below are copies of
  * those per-op streams: PatternStream's variant dispatch per op, and
- * YcsbStream's std::vector queue plus head. Random segment lists and a
- * small YCSB workload are drained through both; after every k ops the
- * two images must be byte-identical, and a stream restored from the
- * block stream's image must continue exactly like the oracle.
+ * YcsbStream's std::vector queue plus head, drawing every request live
+ * from its zipfian generator. Random segment lists and YCSB workloads
+ * are drained through both; the two images must be byte-identical
+ * wherever they are taken, and a stream restored from the block
+ * stream's image must continue exactly like the oracle.
+ *
+ * YcsbStream replays its requests from a process-wide draw table
+ * (kv/ycsb_draws.hh); the tests at the end pin that table's key, its
+ * generator snapshots and its concurrent first use.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <deque>
+#include <latch>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "kv/ycsb_draws.hh"
 #include "kv/ycsb_workload.hh"
 #include "mem/address_space.hh"
 #include "sim/rng.hh"
@@ -487,7 +495,10 @@ smallYcsb()
     return cfg;
 }
 
-/** The per-request YCSB stream: a std::vector queue plus its head. */
+/**
+ * The per-request YCSB stream: a std::vector queue plus its head, and
+ * a live generator drawing each request as it is expanded.
+ */
 class OracleYcsbStream
 {
   public:
@@ -606,13 +617,14 @@ class OracleYcsbStream
 /** A built YCSB workload and an oracle store laid out the same way. */
 struct YcsbFixture
 {
-    YcsbConfig cfg = smallYcsb();
+    YcsbConfig cfg;
     YcsbWorkload wl{cfg};
     AddressSpace space{0};
     KvStore store{cfg.kv};
     AddressSpace oracleSpace{0};
 
-    YcsbFixture()
+    explicit YcsbFixture(const YcsbConfig &config = smallYcsb())
+        : cfg(config)
     {
         WorkloadContext ctx;
         ctx.space = &space;
@@ -648,6 +660,237 @@ TEST(OpBlocks, YcsbImagesMatchVectorQueueOracle)
                                                           tid);
             },
             "k " + std::to_string(k), 37);
+    }
+}
+
+// --- The YCSB draw table -------------------------------------------
+
+/** The Default-scale YCSB config (makeWorkload's) with mix @p mix. */
+YcsbConfig
+defaultYcsb(YcsbMix mix)
+{
+    YcsbConfig cfg; // 48,000 items, 4 threads, 10 requests per item
+    cfg.mix = mix;
+    return cfg;
+}
+
+TEST(YcsbDraws, ReplayMatchesLiveDrawsAtDefaultScale)
+{
+    // Every thread of every mix: the replayed stream is the live one.
+    for (const YcsbMix mix : {YcsbMix::A, YcsbMix::B, YcsbMix::C}) {
+        YcsbFixture f(defaultYcsb(mix));
+        for (unsigned tid = 0; tid < f.cfg.threads; ++tid) {
+            auto blocks = f.wl.stream(tid);
+            OracleYcsbStream oracle(f.cfg, f.store, tid);
+            EXPECT_TRUE(continuesLike(*blocks, oracle))
+                << ycsbMixName(mix) << " thread " << tid;
+        }
+    }
+}
+
+TEST(YcsbDraws, ImagesMatchLiveDrawsAroundSnapshots)
+{
+    // The image's generator words are derived from the snapshot taken
+    // every kSnapshotEvery requests plus two words per request since:
+    // at the start, one request in, either side of the second snapshot
+    // and after the last request they must be the live generator's,
+    // and a stream restored there must continue like the oracle.
+    constexpr std::uint64_t kEvery = YcsbDraws::kSnapshotEvery;
+    YcsbFixture f(defaultYcsb(YcsbMix::B));
+    const unsigned tid = 1;
+    const std::uint64_t last = YcsbDrawKey::of(f.cfg, tid).requests();
+    ASSERT_GT(last, kEvery + 1);
+    const std::vector<std::uint64_t> after{1, kEvery - 1, kEvery,
+                                           kEvery + 1, last};
+    auto blocks = f.wl.stream(tid);
+    OracleYcsbStream oracle(f.cfg, f.store, tid);
+    auto expectAt = [&](const std::string &tag) {
+        const ByteBuffer image = imageOf(*blocks);
+        ASSERT_EQ(image, imageOf(oracle)) << tag;
+        auto restored = f.wl.stream(tid);
+        OracleYcsbStream restored_oracle(f.cfg, f.store, tid);
+        ASSERT_TRUE(restoreFrom(*restored, image)) << tag;
+        ASSERT_TRUE(restoreFrom(restored_oracle, image)) << tag;
+        ASSERT_TRUE(continuesLike(*restored, restored_oracle)) << tag;
+    };
+    // Before the first load (done 0), then after each listed request
+    // ends, with the expansion fully handed out.
+    expectAt("start");
+    std::uint64_t ended = 0;
+    std::size_t next = 0;
+    Op a, b;
+    while (blocks->next(a)) {
+        ASSERT_TRUE(oracle.next(b));
+        ASSERT_TRUE(sameOp(a, b)) << "after " << ended << " requests";
+        if (a.kind == Op::Kind::RequestEnd && ++ended == after[next]) {
+            expectAt("done " + std::to_string(ended));
+            if (++next == after.size())
+                break;
+        }
+    }
+    EXPECT_EQ(next, after.size()) << "every listed cursor was reached";
+    EXPECT_FALSE(blocks->next(a));
+    EXPECT_FALSE(oracle.next(b));
+    expectAt("end");
+}
+
+/** @p draws as one value per request: item * 8 + read bits A, B, C. */
+std::vector<std::uint64_t>
+flatten(const YcsbDraws &draws)
+{
+    std::vector<std::uint64_t> out;
+    for (std::uint64_t i = 0; i < draws.requests(); ++i)
+        out.push_back(draws.item(i) * 8 + draws.isRead(YcsbMix::A, i) * 4 +
+                      draws.isRead(YcsbMix::B, i) * 2 +
+                      draws.isRead(YcsbMix::C, i));
+    return out;
+}
+
+TEST(YcsbDraws, EveryKeyFieldChangesTheDraws)
+{
+    const YcsbConfig base = smallYcsb();
+    const std::vector<std::uint64_t> reference =
+        flatten(YcsbDraws(YcsbDrawKey::of(base, 0)));
+    ASSERT_FALSE(reference.empty());
+    struct Case
+    {
+        const char *field;
+        YcsbConfig cfg;
+        unsigned tid;
+    };
+    std::vector<Case> cases;
+    auto with = [&](const char *field, auto edit, unsigned tid = 0) {
+        YcsbConfig cfg = base;
+        edit(cfg);
+        cases.push_back({field, cfg, tid});
+    };
+    with("items", [](YcsbConfig &c) { c.kv.items += 1; });
+    with("theta", [](YcsbConfig &c) { c.zipfTheta = 0.8; });
+    with("seed", [](YcsbConfig &c) { c.seed += 1; });
+    with("threads", [](YcsbConfig &c) { c.threads += 1; });
+    with("requestsPerItem", [](YcsbConfig &c) { c.requestsPerItem *= 2; });
+    with("tid", [](YcsbConfig &) {}, 1);
+    for (const Case &c : cases) {
+        const YcsbDrawKey key = YcsbDrawKey::of(c.cfg, c.tid);
+        EXPECT_NE(key, YcsbDrawKey::of(base, 0)) << c.field;
+        EXPECT_NE(flatten(YcsbDraws(key)), reference) << c.field;
+    }
+    // Fields the draws do not read share the table.
+    YcsbConfig layout = base;
+    layout.kv.itemBytes += 100;
+    layout.kv.seed += 1;
+    layout.mix = YcsbMix::C;
+    layout.computePerRequest += 1;
+    EXPECT_EQ(YcsbDrawKey::of(layout, 0), YcsbDrawKey::of(base, 0));
+}
+
+TEST(YcsbDraws, MixesShareItemsButNotReadBits)
+{
+    // One table serves all three mixes: the same coin, three
+    // thresholds, so reads nest A within B within C, and C never
+    // updates.
+    YcsbConfig a = defaultYcsb(YcsbMix::A);
+    YcsbConfig b = defaultYcsb(YcsbMix::B);
+    const auto table = sharedYcsbDraws(YcsbDrawKey::of(a, 2));
+    EXPECT_EQ(table, sharedYcsbDraws(YcsbDrawKey::of(b, 2)));
+    std::uint64_t reads[3] = {0, 0, 0};
+    for (std::uint64_t i = 0; i < table->requests(); ++i) {
+        const bool ra = table->isRead(YcsbMix::A, i);
+        const bool rb = table->isRead(YcsbMix::B, i);
+        const bool rc = table->isRead(YcsbMix::C, i);
+        ASSERT_TRUE(!ra || rb) << "request " << i;
+        ASSERT_TRUE(rc) << "request " << i;
+        reads[0] += ra;
+        reads[1] += rb;
+        reads[2] += rc;
+    }
+    const double n = static_cast<double>(table->requests());
+    EXPECT_NEAR(reads[0] / n, 0.50, 0.01);
+    EXPECT_NEAR(reads[1] / n, 0.95, 0.01);
+    EXPECT_LT(reads[0], reads[1]);
+
+    // And the two workloads' streams touch the same items in order.
+    YcsbFixture fa(a), fb(b);
+    auto sa = fa.wl.stream(2);
+    auto sb = fb.wl.stream(2);
+    Op x, y;
+    std::uint64_t writes_differ = 0;
+    while (sa->next(x)) {
+        ASSERT_TRUE(sb->next(y));
+        ASSERT_EQ(x.vpn, y.vpn);
+        writes_differ += x.write != y.write;
+    }
+    EXPECT_FALSE(sb->next(y));
+    EXPECT_GT(writes_differ, 0u);
+}
+
+TEST(YcsbDraws, ItemsUseTheNarrowestLane)
+{
+    // u16 items at Default's 48,000; u32 once the count passes 2^16.
+    // Beyond the items, a table holds three read bits per request and
+    // one generator snapshot per kSnapshotEvery requests.
+    auto expected = [](const YcsbDraws &t, std::size_t item_bytes) {
+        const std::uint64_t n = t.requests();
+        return n * item_bytes + 3 * 8 * ((n + 63) / 64) +
+               (n / YcsbDraws::kSnapshotEvery + 1) * sizeof(Rng);
+    };
+    const YcsbDraws narrow(YcsbDrawKey::of(defaultYcsb(YcsbMix::A), 0));
+    EXPECT_EQ(narrow.requests(), 120000u);
+    EXPECT_EQ(narrow.bytes(), expected(narrow, 2));
+    YcsbConfig wide = defaultYcsb(YcsbMix::A);
+    wide.kv.items = 1u << 18; // Big1M's count
+    wide.requestsPerItem = 0.125;
+    const YcsbDraws t(YcsbDrawKey::of(wide, 3));
+    EXPECT_EQ(t.bytes(), expected(t, 4));
+    bool above = false;
+    for (std::uint64_t i = 0; i < t.requests(); ++i)
+        above |= t.item(i) >= (1u << 16);
+    EXPECT_TRUE(above) << "some draw needs the wide lane";
+}
+
+TEST(YcsbDraws, ConcurrentFirstUseGivesIdenticalStreams)
+{
+    // Four rigs' threads open the same never-used table at once: each
+    // may build it, every build is the same bytes, and every stream
+    // replays the same requests.
+    YcsbConfig cfg = smallYcsb();
+    cfg.seed = 0x5eed0fd1u; // a key no other test opens
+    constexpr unsigned kThreads = 4;
+    std::vector<std::vector<Op>> drained(kThreads);
+    std::vector<std::shared_ptr<const YcsbDraws>> tables(kThreads);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            YcsbWorkload wl(cfg);
+            AddressSpace space(0);
+            WorkloadContext ctx;
+            ctx.space = &space;
+            wl.build(ctx);
+            start.arrive_and_wait();
+            auto stream = wl.stream(0);
+            tables[t] = sharedYcsbDraws(YcsbDrawKey::of(cfg, 0));
+            Op op;
+            while (stream->next(op))
+                drained[t].push_back(op);
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    YcsbFixture f(cfg);
+    OracleYcsbStream oracle(f.cfg, f.store, 0);
+    Op want;
+    for (std::size_t i = 0; i < drained[0].size(); ++i) {
+        ASSERT_TRUE(oracle.next(want));
+        ASSERT_TRUE(sameOp(drained[0][i], want)) << "op " << i;
+    }
+    EXPECT_FALSE(oracle.next(want));
+    for (unsigned t = 1; t < kThreads; ++t) {
+        EXPECT_EQ(tables[t], tables[0]) << "the memo keeps one copy";
+        ASSERT_EQ(drained[t].size(), drained[0].size()) << "thread " << t;
+        for (std::size_t i = 0; i < drained[0].size(); ++i)
+            ASSERT_TRUE(sameOp(drained[t][i], drained[0][i]))
+                << "thread " << t << " op " << i;
     }
 }
 
