@@ -31,8 +31,7 @@
  *  5. Fast-forward execution: a fig06-style capacity grid swept cold
  *     (simulating every warmup prefix) vs warm (restoring each trial
  *     from the checkpoint cache), with a bit-identity check between
- *     the two; plus time-to-first-measurement on the Big64M machine
- *     with full-detail vs functional-only warmup.
+ *     the two; plus time-to-first-measurement on the Big64M machine.
  *  6. Checkpoint serializer throughput: FrameTable lane capture and
  *     restore GB/s, and whole-image captureCheckpoint /
  *     restoreCheckpoint seconds and GB/s (framing and section checksums
@@ -368,26 +367,19 @@ constexpr unsigned kBigResidencyStride = 4;
  * Re-arm the accessed bit on every Nth resident page (~0.1% young
  * per pass). The steady-state regime on a machine this size: the hot
  * set is a sliver of the 64M-page slab, so an aging pass is walk-
- * bound, not promotion-bound. Denser young fractions shift time into
- * the serial apply, which is the same work at any worker count and
- * therefore only dilutes the comparison.
+ * bound, not promotion-bound.
  */
 constexpr unsigned kBigAccessedStride = 1024;
 /** Timed aging passes per measurement. */
 constexpr int kBigScanPasses = 3;
-/** Harvest workers for the pooled side. */
-constexpr unsigned kBigScanWorkers = 4;
 
 /**
  * PTE-scan throughput of a full aging pass over the 64M-page
- * machine, with @p workers harvest threads. Results are identical at
- * every worker count (the invariance and fingerprint tests prove
- * it), so the ratio between counts is pure host-side scan
- * throughput. The machine is sized so region streaming dominates:
- * every region present, few young PTEs.
+ * machine. The machine is sized so region streaming dominates: every
+ * region present, few young PTEs.
  */
 double
-bigScanPtesPerSec(unsigned workers)
+bigScanPtesPerSec()
 {
     FrameTable frames(static_cast<std::uint32_t>(
         kBigScanPages / kBigResidencyStride + 1));
@@ -398,7 +390,6 @@ bigScanPtesPerSec(unsigned workers)
     cfg.scanMode = ScanMode::All;
     cfg.agingLowPages = 0;
     cfg.agingEvictGate = 0;
-    cfg.scanWorkers = workers;
     MgLruPolicy policy(frames, {&space}, costs, Rng(1), cfg);
 
     PageTable &table = space.table();
@@ -434,8 +425,8 @@ bigScanPtesPerSec(unsigned workers)
 /**
  * FNV-1a over every integral field of a trial — the same fingerprint
  * tests/harness/bit_identity_test.cpp pins. perf_core only needs
- * equality between the 1- and 4-worker runs; the absolute value is
- * pinned by the test suite.
+ * equality between a straight and a checkpointed run; the absolute
+ * value is pinned by the test suite.
  */
 std::uint64_t
 trialFingerprint(const TrialResult &r)
@@ -638,21 +629,6 @@ measureTrialMemory(SwapKind swap)
     return out;
 }
 
-/** 1- vs 4-harvest-worker fingerprint identity on a 1M-page trial. */
-bool
-big1mFingerprintIdentity()
-{
-    ExperimentConfig cfg = bigCell(ScalePreset::Big1M);
-    cfg.capacityRatio = 0.5;
-    cfg.mglru.scanWorkers = 1;
-    const std::uint64_t one =
-        trialFingerprint(runTrial(cfg, cfg.baseSeed));
-    cfg.mglru.scanWorkers = kBigScanWorkers;
-    const std::uint64_t pooled =
-        trialFingerprint(runTrial(cfg, cfg.baseSeed));
-    return one == pooled;
-}
-
 std::vector<ExperimentConfig>
 sweepCells()
 {
@@ -709,8 +685,7 @@ main(int argc, char **argv)
 
     if (smoke_big_machine) {
         // CI smoke: one 64M-page (256 GiB) trial must complete inside
-        // the step's wall-clock budget, and the 1M-page fingerprints
-        // at 1 and 4 harvest workers must agree. No JSON is written.
+        // the step's wall-clock budget. No JSON is written.
         const ExperimentConfig big_cfg = bigCell(ScalePreset::Big64M);
         std::printf("big-machine smoke: %s at Big64M (64M pages)...\n",
                     big_cfg.label().c_str());
@@ -727,15 +702,10 @@ main(int argc, char **argv)
                         big.kernel.evictions),
                     static_cast<unsigned long long>(
                         big.policy.ptesScanned));
-        const bool identity = big1mFingerprintIdentity();
-        std::printf("  1/%u-worker fingerprint identity: %s\n",
-                    kBigScanWorkers, identity ? "yes" : "NO");
 
         // Checkpoint round-trip at Big1M: a mid-trial snapshot must
         // restore bit-identically at machine scale, not just on the
-        // Small cells the unit tests cover. (The worker-count pin
-        // above sets mglru.scanWorkers; this runs the plain Big1M
-        // cell, with the variant's own worker count.)
+        // Small cells the unit tests cover.
         ExperimentConfig ck_cfg = bigCell(ScalePreset::Big1M);
         const TrialResult ck_straight = runTrial(ck_cfg, ck_cfg.baseSeed);
         const std::uint64_t ck_want = trialFingerprint(ck_straight);
@@ -749,7 +719,7 @@ main(int argc, char **argv)
                            CheckpointCache::instance().hits() > 0;
         std::printf("  Big1M checkpoint round-trip identity: %s\n",
                     ck_ok ? "yes" : "NO");
-        return (identity && ck_ok) ? 0 : 2;
+        return ck_ok ? 0 : 2;
     }
 
     // --- Trial memory, measured first: its children are forked
@@ -941,21 +911,13 @@ main(int argc, char **argv)
     std::printf("  speedup:      %.2fx (identical results: %s)\n\n",
                 sweep_speedup, identical ? "yes" : "NO");
 
-    // --- 5. Big machine: 64M pages, 1 vs 4 harvest workers. -------
+    // --- 5. Big machine: 64M pages. -------------------------------
     std::printf("big machine: %llu-page scan (1/%u resident), "
                 "%d passes...\n",
                 static_cast<unsigned long long>(kBigScanPages),
                 kBigResidencyStride, kBigScanPasses);
-    const double big_serial_pps = bigScanPtesPerSec(1);
-    const double big_sharded_pps = bigScanPtesPerSec(kBigScanWorkers);
-    const double big_scan_speedup = big_serial_pps > 0.0
-                                        ? big_sharded_pps /
-                                              big_serial_pps
-                                        : 0.0;
-    std::printf("  aging scan   1 worker %.0f PTEs/s, %u workers "
-                "%.0f PTEs/s: %.2fx\n",
-                big_serial_pps, kBigScanWorkers, big_sharded_pps,
-                big_scan_speedup);
+    const double big_scan_pps = bigScanPtesPerSec();
+    std::printf("  aging scan   %.0f PTEs/s\n", big_scan_pps);
 
     const ExperimentConfig big_cfg = bigCell(ScalePreset::Big64M);
     const auto big_start = Clock::now();
@@ -971,12 +933,9 @@ main(int argc, char **argv)
                 big_faults_per_sec,
                 static_cast<unsigned long long>(
                     big_trial.kernel.evictions));
+    std::printf("\n");
 
-    const bool big_identity = big1mFingerprintIdentity();
-    std::printf("  1/%u-worker fingerprint identity (Big1M): %s\n\n",
-                kBigScanWorkers, big_identity ? "yes" : "NO");
-
-    // --- 6. Fast-forward: checkpointed sweep, functional warmup. ---
+    // --- 6. Fast-forward: checkpointed sweep. ----------------------
     // A fig06-style capacity grid where every trial shares a long
     // warmup prefix: the cold pass simulates each prefix and captures
     // it; the warm pass (a re-sweep, or the same sweep re-run after a
@@ -1033,18 +992,13 @@ main(int argc, char **argv)
     CheckpointCache::instance().clear();
 
     // Time-to-first-measurement on the big machine: how long until a
-    // Big64M trial is parked at its measurement boundary, with the
-    // warmup prefix simulated at full device detail vs functionally
-    // (faults resolve instantly, no queueing/writeback detail). The
-    // boundary sits at 4/5 of the trial so the warmup prefix spans
-    // fill AND steady-state faulting — a half-trial boundary ends
-    // inside the fill phase, where no device IO exists to elide and
-    // functional warmup measures ~1x by construction.
+    // Big64M trial is parked at its measurement boundary, the prefix
+    // simulated at full device detail. The boundary sits at 4/5 of
+    // the trial so the prefix spans fill AND steady-state faulting.
     const std::uint64_t big_boundary = big_trial.totalTouches * 4 / 5;
     std::printf("big64m first measurement: boundary at %llu refs...\n",
                 static_cast<unsigned long long>(big_boundary));
     double ff_full_secs = 0.0;
-    double ff_functional_secs = 0.0;
     {
         TrialRigOptions opts;
         opts.deferObservers = true;
@@ -1054,28 +1008,9 @@ main(int argc, char **argv)
         const bool ok =
             rig.runToBoundary(big_boundary, 2000000000ull, used);
         ff_full_secs = secondsSince(start);
-        std::printf("  full detail: %.1f s%s\n", ff_full_secs,
+        std::printf("  full detail: %.1f s%s\n\n", ff_full_secs,
                     ok ? "" : " (boundary not reached!)");
     }
-    {
-        TrialRigOptions opts;
-        opts.deferObservers = true;
-        opts.functional = true;
-        const auto start = Clock::now();
-        TrialRig rig(big_cfg, big_cfg.baseSeed, opts);
-        std::uint64_t used = 0;
-        const bool ok =
-            rig.runToBoundary(big_boundary, 2000000000ull, used);
-        rig.mm->setFunctionalMode(false);
-        ff_functional_secs = secondsSince(start);
-        std::printf("  functional warmup: %.1f s%s\n",
-                    ff_functional_secs,
-                    ok ? "" : " (boundary not reached!)");
-    }
-    const double ff_speedup = ff_functional_secs > 0.0
-                                  ? ff_full_secs / ff_functional_secs
-                                  : 0.0;
-    std::printf("  speedup: %.2fx\n\n", ff_speedup);
 
     // --- 7. Checkpoint serializer: FrameTable records, whole images.
     // A fully mapped table sliced across two dozen spaces, captured
@@ -1308,22 +1243,16 @@ main(int argc, char **argv)
                  "  \"big_machine\": {\n"
                  "    \"pages\": %llu,\n"
                  "    \"scan\": {\n"
-                 "      \"workers\": %u,\n"
                  "      \"passes\": %d,\n"
-                 "      \"serial_ptes_per_sec\": %.0f,\n"
-                 "      \"sharded_ptes_per_sec\": %.0f,\n"
-                 "      \"speedup\": %.3f\n    },\n"
+                 "      \"serial_ptes_per_sec\": %.0f\n    },\n"
                  "    \"trial\": {\n"
                  "      \"cell\": \"%s\",\n"
                  "      \"scale\": \"Big64M\",\n"
                  "      \"wall_seconds\": %.2f,\n"
-                 "      \"faults_per_sec\": %.0f\n    },\n"
-                 "    \"fingerprint_identity\": %s\n  },\n",
+                 "      \"faults_per_sec\": %.0f\n    }\n  },\n",
                  static_cast<unsigned long long>(kBigScanPages),
-                 kBigScanWorkers, kBigScanPasses, big_serial_pps,
-                 big_sharded_pps, big_scan_speedup,
-                 big_cfg.label().c_str(), big_trial_secs,
-                 big_faults_per_sec, big_identity ? "true" : "false");
+                 kBigScanPasses, big_scan_pps, big_cfg.label().c_str(),
+                 big_trial_secs, big_faults_per_sec);
     std::fprintf(out,
                  "  \"sweep\": {\n"
                  "    \"cells\": %zu,\n"
@@ -1351,16 +1280,14 @@ main(int argc, char **argv)
                  "      \"identical_results\": %s\n    },\n"
                  "    \"big64m_first_measurement\": {\n"
                  "      \"boundary_refs\": %llu,\n"
-                 "      \"full_detail_seconds\": %.2f,\n"
-                 "      \"functional_seconds\": %.2f,\n"
-                 "      \"speedup\": %.3f\n    }\n  },\n",
+                 "      \"full_detail_seconds\": %.2f\n    }\n  },\n",
                  ckpt_cells.size(),
                  effectiveTrials(ckpt_cells.front().trials),
                  static_cast<unsigned long long>(ckpt_boundary),
                  ckpt_cold_secs, ckpt_warm_secs, ckpt_speedup,
                  ckpt_identical ? "true" : "false",
                  static_cast<unsigned long long>(big_boundary),
-                 ff_full_secs, ff_functional_secs, ff_speedup);
+                 ff_full_secs);
     std::fprintf(out,
                  "  \"serializer\": {\n"
                  "    \"frames\": %u,\n"
@@ -1430,13 +1357,12 @@ main(int argc, char **argv)
     std::fclose(out);
     std::printf("wrote %s\n", out_path.c_str());
 
-    // Non-zero exit if the parallel sweep, the sharded scan, or a
-    // checkpoint restore ever diverges from the straight-through
-    // path, an image fails to capture or restore, or a trial-memory
-    // child fails — a cheap determinism canary in CI.
+    // Non-zero exit if the parallel sweep or a checkpoint restore ever
+    // diverges from the straight-through path, an image fails to
+    // capture or restore, or a trial-memory child fails — a cheap
+    // determinism canary in CI.
     const bool memory_ok = ssd_memory.ok && zram_memory.ok;
-    return (identical && big_identity && ckpt_identical && img_ok &&
-            memory_ok)
+    return (identical && ckpt_identical && img_ok && memory_ok)
                ? 0
                : 2;
 }

@@ -29,7 +29,7 @@ ColocationConfig::label() const
 // padding) and stops the build until encodeConfig writes it or
 // ResultCache::key keys it as run-only. MetricsConfig::artifactDir is
 // in no key: it never changes a result.
-static_assert(sizeof(MgLruOverrides) == 88,
+static_assert(sizeof(MgLruOverrides) == 80,
               "MgLruOverrides changed: update encodeConfig");
 static_assert(sizeof(TenantSpec) == sizeof(std::string) + 40,
               "TenantSpec changed: update encodeConfig");
@@ -37,7 +37,7 @@ static_assert(sizeof(MetricsConfig) == sizeof(std::string) + 32,
               "MetricsConfig changed: update ResultCache::key");
 static_assert(sizeof(ColocationConfig) ==
                   sizeof(std::vector<TenantSpec>) + sizeof(MetricsConfig) +
-                      sizeof(MgLruOverrides) + 64,
+                      sizeof(MgLruOverrides) + 56,
               "ColocationConfig changed: update encodeConfig or "
               "ResultCache::key");
 
@@ -54,7 +54,6 @@ encodeConfig(const ColocationConfig &config, Sink &sink)
     sink.u32(static_cast<std::uint32_t>(config.swap));
     sink.f64(config.capacityRatio);
     sink.u32(config.numCpus);
-    sink.u64(config.warmupRefs);
     sink.f64(config.slowTierRatio);
     sink.u32(static_cast<std::uint32_t>(config.tenants.size()));
     for (const TenantSpec &t : config.tenants) {
@@ -75,7 +74,6 @@ encodeConfig(const ColocationConfig &config, Sink &sink)
     knob(mg.tierProtection);
     knob(mg.pid.kp);
     knob(mg.pid.ki);
-    knob(mg.scanWorkers);
 }
 
 std::uint64_t

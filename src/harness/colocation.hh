@@ -83,8 +83,6 @@ struct ColocationConfig
     MgLruOverrides mglru;
     /** Observability opt-in; same env overrides as ExperimentConfig. */
     MetricsConfig metrics;
-    /** Functional-only warmup; see ExperimentConfig::warmupRefs. */
-    std::uint64_t warmupRefs = 0;
     /** Checkpoint boundary; see ExperimentConfig::checkpointAt. */
     std::uint64_t checkpointAt = 0;
 

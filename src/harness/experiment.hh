@@ -99,7 +99,6 @@ struct MgLruOverrides
         std::optional<double> kp;
         std::optional<double> ki;
     } pid;
-    std::optional<unsigned> scanWorkers;
 };
 
 /** One grid cell. */
@@ -151,20 +150,6 @@ struct ExperimentConfig
     double memcgLowRatio = 0.0;
     double memcgHighRatio = 0.0;
     double memcgMaxRatio = 0.0;
-
-    /**
-     * Fast-forward: run the first warmupRefs workload touches in
-     * functional-only mode — faults are serviced with zero simulated
-     * device detail, metrics and the auditor stay detached — then
-     * switch to full-detail simulation at the next quiescent point.
-     * Page placement, swap contents, and policy state still evolve
-     * normally, so the measured remainder starts from a warm machine;
-     * only the warmup's timing detail is skipped. 0 disables. YCSB
-     * runs discard the warmup phase from measurement anyway (the
-     * barrier/phase marker), so warmupRefs below the load-phase size
-     * composes with it cleanly.
-     */
-    std::uint64_t warmupRefs = 0;
 
     /**
      * Checkpoint boundary: capture a snapshot of the whole simulated

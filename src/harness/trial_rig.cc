@@ -39,7 +39,6 @@ applyOverrides(const MgLruOverrides &o, MgLruConfig &mg)
     set(mg.tierProtection, o.tierProtection);
     set(mg.pid.kp, o.pid.kp);
     set(mg.pid.ki, o.pid.ki);
-    set(mg.scanWorkers, o.scanWorkers);
 }
 
 /** An RNG stream name scoped to tenant @p name ("" = unscoped). */
@@ -173,8 +172,6 @@ ColocationRig::ColocationRig(const ColocationConfig &config,
 
     mm = std::make_unique<MemoryManager>(sim, *frames, *swap, specs,
                                          mmConfig);
-    if (opts.functional)
-        mm->setFunctionalMode(true);
 
     // Observability: the plain path attaches before any fault can
     // happen so spans and the t=0 sample cover the whole trial (and so
@@ -350,7 +347,7 @@ TrialRig::TrialRig(const ExperimentConfig &config,
 // Tripwire: a new ExperimentConfig field stops the build here until
 // scenario() maps it (encodeConfig and ResultCache::key read the map).
 static_assert(sizeof(ExperimentConfig) ==
-                  sizeof(MgLruOverrides) + sizeof(MetricsConfig) + 96,
+                  sizeof(MgLruOverrides) + sizeof(MetricsConfig) + 88,
               "ExperimentConfig changed: update TrialRig::scenario");
 
 ColocationConfig
@@ -374,7 +371,6 @@ TrialRig::scenario(const ExperimentConfig &config)
     c.slowTierRatio = config.slowTierRatio;
     c.mglru = config.mglru;
     c.metrics = config.metrics;
-    c.warmupRefs = config.warmupRefs;
     c.checkpointAt = config.checkpointAt;
     return c;
 }
@@ -384,49 +380,37 @@ namespace
 
 constexpr std::uint64_t kMaxEvents = 2000000000ull;
 
-/** runRig's fast-forward to @p boundary (> 0); see its comment. */
+/** runRig's fast-forward to config.checkpointAt (> 0); see runRig. */
 std::unique_ptr<ColocationRig>
 buildAtBoundary(const ColocationConfig &config, std::uint64_t trial_seed,
-                std::uint64_t boundary, std::uint64_t &events_used)
+                std::uint64_t &events_used)
 {
-    const bool cacheable = config.checkpointAt > 0;
-    const std::uint64_t prefix_hash =
-        cacheable ? colocationPrefixHash(config) : 0;
-    if (cacheable) {
-        if (auto ckpt = CheckpointCache::instance().find(
-                prefix_hash, trial_seed, boundary)) {
-            TrialRigOptions opts;
-            opts.forRestore = true;
-            opts.deferObservers = true;
-            auto rig =
-                std::make_unique<ColocationRig>(config, trial_seed, opts);
-            const CheckpointError err = restoreCheckpoint(
-                rig->view(), prefix_hash, trial_seed, *ckpt);
-            if (err.ok()) {
-                rig->installObservers();
-                return rig;
-            }
-            // A failed apply can leave partial state behind; the rig
-            // is discarded wholesale and the trial re-simulated cold.
-            std::fprintf(stderr,
-                         "pagesim: checkpoint restore failed (%s: %s); "
-                         "re-simulating\n",
-                         checkpointErrorKindName(err.kind),
-                         err.message.c_str());
+    const std::uint64_t boundary = config.checkpointAt;
+    const std::uint64_t prefix_hash = colocationPrefixHash(config);
+    if (auto ckpt = CheckpointCache::instance().find(prefix_hash, trial_seed,
+                                                     boundary)) {
+        TrialRigOptions opts;
+        opts.forRestore = true;
+        opts.deferObservers = true;
+        auto rig = std::make_unique<ColocationRig>(config, trial_seed, opts);
+        const CheckpointError err = restoreCheckpoint(
+            rig->view(), prefix_hash, trial_seed, *ckpt);
+        if (err.ok()) {
+            rig->installObservers();
+            return rig;
         }
+        // A failed apply can leave partial state behind; the rig is
+        // discarded wholesale and the trial re-simulated cold.
+        std::fprintf(stderr,
+                     "pagesim: checkpoint restore failed (%s: %s); "
+                     "re-simulating\n",
+                     checkpointErrorKindName(err.kind), err.message.c_str());
     }
 
     TrialRigOptions opts;
     opts.deferObservers = true;
-    opts.functional = config.warmupRefs > 0;
     auto rig = std::make_unique<ColocationRig>(config, trial_seed, opts);
-    const bool reached =
-        rig->runToBoundary(boundary, kMaxEvents, events_used);
-    // Full detail from here on — before the capture, so cold and
-    // restored continuations run the identical machine.
-    if (rig->mm->functionalMode())
-        rig->mm->setFunctionalMode(false);
-    if (reached && cacheable) {
+    if (rig->runToBoundary(boundary, kMaxEvents, events_used)) {
         auto ckpt = std::make_shared<Checkpoint>();
         if (captureCheckpoint(rig->view(), prefix_hash, trial_seed,
                               boundary, *ckpt)
@@ -444,14 +428,12 @@ std::unique_ptr<ColocationRig>
 runRig(const ColocationConfig &config, std::uint64_t trial_seed,
        const std::string &label)
 {
-    const std::uint64_t boundary =
-        std::max(config.warmupRefs, config.checkpointAt);
     std::uint64_t events_used = 0;
     std::unique_ptr<ColocationRig> rig =
-        boundary == 0
+        config.checkpointAt == 0
             ? std::make_unique<ColocationRig>(config, trial_seed,
                                               TrialRigOptions{})
-            : buildAtBoundary(config, trial_seed, boundary, events_used);
+            : buildAtBoundary(config, trial_seed, events_used);
     if (!rig->sim.runToCompletion(kMaxEvents - events_used)) {
         std::fprintf(stderr,
                      "pagesim: trial %s seed %llu did not converge\n",

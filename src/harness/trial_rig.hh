@@ -24,16 +24,14 @@
  * other tenants.
  *
  * Members are declared in construction order, so destruction runs in
- * reverse. On top of the build the rig adds the three degrees of
- * freedom fast-forward simulation needs:
+ * reverse. On top of the build the rig adds the two degrees of
+ * freedom checkpointing needs:
  *
  *  - forRestore: build the machine but start NO actors, leaving the
  *    event queue empty for restoreCheckpoint() to repopulate;
  *  - deferObservers: skip the auditor/metrics attach at build time
  *    (both must be detached across a checkpoint boundary; the plain
- *    path still attaches inline, preserving its exact event sequence);
- *  - functional: start the MemoryManager in functional-only mode, so
- *    the warmup prefix runs with zero simulated device detail.
+ *    path still attaches inline, preserving its exact event sequence).
  *
  * The rig also exposes the RigView the checkpoint machinery consumes
  * and the one-event-at-a-time boundary loop that parks the machine at
@@ -72,8 +70,6 @@ struct TrialRigOptions
     bool forRestore = false;
     /** Leave auditor + metrics detached; installObservers() attaches. */
     bool deferObservers = false;
-    /** Begin in functional-only warmup mode. */
-    bool functional = false;
 };
 
 /** One simulated machine of one or more tenants. */
@@ -177,14 +173,13 @@ class TrialRig : public ColocationRig
 
 /**
  * The one trial driver. Builds the machine for @p config, and when
- * max(warmupRefs, checkpointAt) is non-zero fast-forwards it to that
- * boundary: a CheckpointCache hit under colocationPrefixHash(@p config)
- * restores into a forRestore rig (falling back to a cold run if the
- * restore fails); otherwise the machine runs to the boundary —
- * functionally inside the warmup window — and is captured for the
- * next caller. Only checkpointAt, not warmupRefs, touches the cache. Observers attach after the boundary. The machine then runs
- * to completion; a trial that does not converge aborts, naming
- * @p label.
+ * checkpointAt is non-zero fast-forwards it to that boundary: a
+ * CheckpointCache hit under colocationPrefixHash(@p config) restores
+ * into a forRestore rig (falling back to a cold run if the restore
+ * fails); otherwise the machine runs to the boundary and is captured
+ * for the next caller. Observers attach after the boundary. The
+ * machine then runs to completion; a trial that does not converge
+ * aborts, naming @p label.
  */
 std::unique_ptr<ColocationRig>
 runRig(const ColocationConfig &config, std::uint64_t trial_seed,

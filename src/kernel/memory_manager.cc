@@ -138,17 +138,6 @@ MemoryManager::accessImpl(SimActor &actor, AddressSpace &space, Vpn vpn,
     const std::uint32_t shadow = pte.shadow();
     SwapDevice &dev = swap_.device();
 
-    if (functional_) {
-        // Fast-forward warmup: service the swap-in inline with zero
-        // device detail. Residency, policy state, and the swap ledger
-        // converge to a warm state; device time is not modeled.
-        finishSwapIn(space, vpn, slot, pfn, ResidencyKind::SwapInDemand,
-                     shadow, fd_access);
-        if (is_write)
-            pte.setFlag(Pte::Dirty);
-        return AccessOutcome::SyncFault;
-    }
-
     if (dev.synchronous()) {
         // ZRAM-style: the faulting thread decompresses on-CPU.
         const SimDuration devCpu = dev.cpuCost(slot, false);
@@ -525,17 +514,6 @@ MemoryManager::swapOutPage(FrameTable &table, Pfn pfn,
 
     ++stats_.dirtyWritebacks;
     SwapDevice &dev = swap_.device();
-    if (functional_) {
-        // Fast-forward warmup: the write "lands" instantly. Contents
-        // are still recorded so a compressing device's pool tracks the
-        // real mix of page contents it would hold after warmup.
-        swap_.recordContents(slot, contentTag(space, vpn));
-        pi.backing = kInvalidSlot;
-        unchargeIfFast(table, pi);
-        table.release(pfn);
-        wakeFrameWaiters();
-        return;
-    }
     if (dev.synchronous()) {
         // ZRAM: compression is CPU work in the reclaiming context.
         // Record the slot's new contents BEFORE deriving the CPU cost:
@@ -686,7 +664,7 @@ MemoryManager::completeWriteback(Pfn pfn, bool slow)
 void
 MemoryManager::issueReadahead(AddressSpace &space, Vpn vpn)
 {
-    if (config_.readaheadPages <= 1 || functional_)
+    if (config_.readaheadPages <= 1)
         return;
     Memcg &mcg = memcgOf(space);
     if (mcg.atMax())

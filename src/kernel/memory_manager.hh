@@ -188,27 +188,6 @@ class MemoryManager
     void attachMetrics(MetricsCollector *metrics) { metrics_ = metrics; }
 
     /**
-     * Functional-only fast-forward mode (checkpoint warmup). While
-     * set, faults are serviced with zero simulated device detail:
-     * major faults complete inline regardless of device type, dirty
-     * evictions complete inline (the swap ledger still records
-     * contents so a ZRAM pool stays warm), and swap readahead is
-     * suppressed. The memory state — residency, policy lists, swap
-     * contents — still converges to a realistic warm state; simulated
-     * device time does not, which is exactly the representative-
-     * interval trade (DESIGN.md Sec. 4h). Must not be toggled while
-     * I/O is in flight.
-     */
-    void
-    setFunctionalMode(bool on)
-    {
-        assert(writebacksInFlight_ == 0 && swapInsInFlight_ == 0);
-        functional_ = on;
-    }
-
-    bool functionalMode() const { return functional_; }
-
-    /**
      * Is the manager at a checkpointable quiescent point? True when
      * no I/O is in flight, no retry timer is armed, no actor waits on
      * a frame or an I/O, the swap device itself is idle, and no
@@ -520,9 +499,6 @@ class MemoryManager
     std::vector<SimActor *> frameWaiters_;
     /** A frame-stall retry timer is pending. */
     bool stallRetryArmed_ = false;
-    /** Functional-only fast-forward mode (see setFunctionalMode). */
-    // lint:state-cov-ok(fast-forward mode toggle owned by the harness driver, re-armed around restore)
-    bool functional_ = false;
     /** EMA of readahead usefulness, drives the adaptive window. */
     double raHitRate_ = 0.5;
     // lint:state-cov-ok(reclaim-batch scratch, cleared before every use)

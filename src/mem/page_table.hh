@@ -24,11 +24,10 @@
  * address space in word-sized jumps.
  *
  * Regions are further grouped into fixed shards (kRegionsPerShard)
- * carrying coarse mapped/present counters. Shards are the unit of
- * parallel harvesting: the MG-LRU aging harvest and the auditor read
- * disjoint shards concurrently through the const views, and every
- * mutation happens afterwards on one thread; the auditor can also
- * cross-check shard totals without walking the whole table serially.
+ * carrying coarse mapped/present counters. Shards are the unit of the
+ * auditor's parallel walk: it reads disjoint shards concurrently
+ * through the const views, and can cross-check shard totals without
+ * walking the whole table serially.
  *
  * Coherence rule: every mutation of a Present/Accessed/Mapped PTE flag
  * must go through the tracked mutators below (mapFrame, unmapToSwap,

@@ -66,10 +66,10 @@ regionBase(std::uint64_t region)
 }
 
 /**
- * Page-table regions per shard. A shard is the fixed unit of parallel
- * scanning and of coarse accounting: aging walks and auditor walks
- * split the address space at shard boundaries, harvest shards
- * independently, and merge results in ascending shard order so the
+ * Page-table regions per shard. A shard is the fixed unit of the
+ * auditor's parallel PTE walk and of coarse accounting: the auditor
+ * splits the address space at shard boundaries, harvests shards
+ * independently, and merges results in ascending shard order so the
  * outcome is bit-identical to a serial walk. 1024 regions = 64 Ki
  * pages = 256 MiB of virtual address space per shard, giving a 256 GB
  * (64M-page) machine ~1024 shards — enough slices to keep any worker

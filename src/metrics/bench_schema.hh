@@ -35,9 +35,9 @@ namespace pagesim
  *  - throughputs, wall times, and speedups are finite and > 0;
  *  - each whole image's image_mb is below its unpacked_mb (the lanes
  *    really pack);
- *  - sweep.identical_results, checkpoint.sweep.identical_results,
- *    big_machine.fingerprint_identity and each image's round_trip_ok
- *    are true (the determinism and round-trip canaries).
+ *  - sweep.identical_results, checkpoint.sweep.identical_results and
+ *    each image's round_trip_ok are true (the determinism and
+ *    round-trip canaries).
  *
  * @return all problems found, one message each; empty means valid.
  */

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <span>
 
 #include "metrics/sampler.hh"
-#include "sim/parallel.hh"
 
 namespace pagesim
 {
@@ -60,10 +58,6 @@ MgLruPolicy::MgLruPolicy(FrameTable &frames,
     gens_.reserve(config_.maxNrGens);
     for (std::uint32_t i = 0; i < config_.maxNrGens; ++i)
         gens_.emplace_back(frames_, kGenList);
-    if (config_.scanWorkers != 0)
-        scanWorkers_ = config_.scanWorkers;
-    else if (workerOverride() != 0)
-        scanWorkers_ = workerOverride();
 }
 
 FrameList &
@@ -230,8 +224,8 @@ MgLruPolicy::drawRandomPicks(const PageTable &table, std::uint64_t first,
 {
     // One draw per present region, in ascending region order, tested
     // with the same summary bit the harvest reads. Nothing else draws
-    // from rng_ during a slice, so the sequence does not depend on the
-    // worker count or on how the slice splits into chunks.
+    // from rng_ during a slice, so these are exactly the draws a
+    // region-by-region loop makes.
     randomPicks_.assign((n + 63) / 64, 0);
     for (std::uint64_t r = table.nextPresentRegion(first); r < first + n;
          r = table.nextPresentRegion(r + 1)) {
@@ -246,9 +240,8 @@ MgLruPolicy::harvestChunk(const PageTable &table,
                           const RegionFilter &filter,
                           ScanChunk &chunk) const
 {
-    // Runs concurrently with other chunks' harvests. It reads bitmap
-    // words and the frozen filter and writes only its own slot; every
-    // mutation happens in the serial applyChunk. Only `present &
+    // Reads bitmap words and the frozen filter and writes only @p
+    // chunk; every mutation happens in applyChunk. Only `present &
     // accessed` bits are young: an accessed bit on a non-present PTE
     // is neither reported nor cleared.
     const std::uint64_t end = chunk.firstRegion + chunk.numRegions;
@@ -410,36 +403,17 @@ MgLruPolicy::ageStep(CostSink &costs, std::uint32_t region_budget)
                 filter.pickBase = first;
             }
 
-            // Split [first, first + take) at shard boundaries.
-            std::size_t n = 0;
-            for (std::uint64_t r = first, left = take; left > 0; ++n) {
-                const std::uint64_t len = std::min(
-                    kRegionsPerShard - r % kRegionsPerShard, left);
-                if (n == chunks_.size())
-                    chunks_.emplace_back();
-                chunks_[n].reset(r, len);
-                r += len;
-                left -= len;
-            }
-            const std::span<ScanChunk> slice(chunks_.data(), n);
-            parallelMap(scanWorkers_, slice,
-                        [&](std::size_t, ScanChunk &chunk) {
-                            harvestChunk(table, space, filter, chunk);
-                        });
-
-            // Serial apply in ascending chunk (= region) order: the
-            // only order-sensitive state is generation-list pushFront
-            // order, which therefore never depends on the workers.
-            for (const ScanChunk &chunk : slice) {
-                costs.charge(regionVisitCost *
-                             static_cast<SimDuration>(chunk.numRegions));
-                stats_.regionsVisited += chunk.numRegions;
-                stats_.regionsSkipped += chunk.empty + chunk.rejected;
-                if (bloom)
-                    costs.charge(costs_.bloomOp *
-                                 static_cast<SimDuration>(chunk.present));
-                applyChunk(table, chunk, walk_.promoteSeq, costs);
-            }
+            // Harvest the slice, then apply it: every simulated-state
+            // change happens in the apply, in ascending region order.
+            scanChunk_.reset(first, take);
+            harvestChunk(table, space, filter, scanChunk_);
+            costs.charge(regionVisitCost * static_cast<SimDuration>(take));
+            stats_.regionsVisited += take;
+            stats_.regionsSkipped += scanChunk_.empty + scanChunk_.rejected;
+            if (bloom)
+                costs.charge(costs_.bloomOp *
+                             static_cast<SimDuration>(scanChunk_.present));
+            applyChunk(table, scanChunk_, walk_.promoteSeq, costs);
             walk_.region += take;
             visited += take;
         }
@@ -538,11 +512,10 @@ MgLruPolicy::selectVictims(std::vector<Pfn> &out, std::size_t max,
                 ++mgStats_.neighborScans;
                 const std::uint64_t promoted_before = stats_.promotions;
                 PageTable &table = pi.space->table();
-                neighborChunk_.reset(regionOf(pi.vpn), 1);
-                harvestChunk(table, *pi.space, RegionFilter{},
-                             neighborChunk_);
-                assert(neighborChunk_.scanned == 1); // pfn is mapped
-                applyChunk(table, neighborChunk_, maxSeq_, costs);
+                scanChunk_.reset(regionOf(pi.vpn), 1);
+                harvestChunk(table, *pi.space, RegionFilter{}, scanChunk_);
+                assert(scanChunk_.scanned == 1); // pfn is mapped
+                applyChunk(table, scanChunk_, maxSeq_, costs);
                 mgStats_.neighborPromotions +=
                     stats_.promotions - promoted_before;
             }

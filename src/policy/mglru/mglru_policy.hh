@@ -22,12 +22,11 @@
  *    promote into the same generation — the precision loss the paper
  *    calls out (Sec. V-B).
  *
- *    There is one walk. Each slice is split at shard boundaries into
- *    chunks; a read-only harvest (optionally on worker threads)
- *    collects each chunk's young bitmap words, and a serial apply in
- *    ascending region order clears them, charges the walk and moves
- *    pages between generations. The variants below differ only in
- *    which present regions the harvest admits (DESIGN.md Sec. 4f).
+ *    There is one walk. For each slice, a read-only harvest collects
+ *    the young bitmap words, and an apply in ascending region order
+ *    clears them, charges the walk and moves pages between
+ *    generations. The variants below differ only in which present
+ *    regions the harvest admits (DESIGN.md Sec. 4f).
  *
  *  - Eviction: scans the oldest generation, walking the rmap per page
  *    like Clock, but on finding a referenced page it additionally
@@ -129,14 +128,6 @@ struct MgLruConfig
      * tail mechanism (Sec. VI-A).
      */
     SimDuration minAgingGap = msecs(25);
-    /**
-     * Harvest worker threads for the aging walk. Results are the same
-     * at every count. 0 resolves from the PAGESIM_WORKERS env
-     * override, defaulting to 1 — which runs the harvest inline (no
-     * threads), so parallelism is strictly opt-in and never
-     * oversubscribes sweep workers.
-     */
-    unsigned scanWorkers = 0;
 };
 
 /** Extra counters specific to MG-LRU (on top of PolicyStats). */
@@ -265,12 +256,11 @@ class MgLruPolicy : public ReplacementPolicy
     };
 
     /**
-     * One shard-aligned run of regions and what the harvest found
-     * there: region tallies, the young words (ascending) and the keys
-     * of regions that crossed the Bloom density threshold (in region
-     * order) — everything the serial apply needs. It is the harvest's
-     * parallelMap slot, reused across slices so the walk does not
-     * allocate once its buffers have grown.
+     * One run of regions and what the harvest found there: region
+     * tallies, the young words (ascending) and the keys of regions
+     * that crossed the Bloom density threshold (in region order) —
+     * everything the apply needs. Reused across slices so the walk
+     * does not allocate once its buffers have grown.
      */
     struct ScanChunk
     {
@@ -290,9 +280,9 @@ class MgLruPolicy : public ReplacementPolicy
 
     /**
      * Which present regions a harvest admits. Both sources are frozen
-     * while harvests run: the active Bloom filter takes no inserts
+     * while a harvest runs: the active Bloom filter takes no inserts
      * during a pass (they go to the other one), and the Scan-Rand
-     * picks are drawn serially before the slice's harvest.
+     * picks are drawn before the slice's harvest.
      */
     struct RegionFilter
     {
@@ -308,7 +298,7 @@ class MgLruPolicy : public ReplacementPolicy
     /** Draw the Scan-Rand picks for regions [first, first + n). */
     void drawRandomPicks(const PageTable &table, std::uint64_t first,
                          std::uint64_t n);
-    /** Harvest one chunk. Reads only; safe to run concurrently. */
+    /** Harvest one chunk. Reads only. */
     void harvestChunk(const PageTable &table, const AddressSpace &space,
                       const RegionFilter &filter,
                       ScanChunk &chunk) const;
@@ -361,16 +351,11 @@ class MgLruPolicy : public ReplacementPolicy
     };
     WalkState walk_;
 
-    /** Resolved harvest worker count (>= 1; 1 = inline, no threads). */
-    // lint:state-cov-ok(resolved worker count, a pure function of config and hardware)
-    unsigned scanWorkers_ = 1;
-    /** Slice scratch, reused across slices to avoid reallocation. */
-    // lint:state-cov-ok(per-slice scratch, reset at the start of every slice)
-    std::vector<ScanChunk> chunks_;
     // lint:state-cov-ok(per-slice scratch, redrawn at the start of every Scan-Rand slice)
     std::vector<std::uint64_t> randomPicks_;
-    // lint:state-cov-ok(per-scan scratch, reset at the start of every neighbor scan)
-    ScanChunk neighborChunk_;
+    /** Walk-slice and neighbor-scan scratch, reused to avoid reallocation. */
+    // lint:state-cov-ok(per-scan scratch, reset at the start of every slice and neighbor scan)
+    ScanChunk scanChunk_;
 
     void startWalk();
     void finishWalk();

@@ -12,8 +12,8 @@
  * task.
  *
  * PAGESIM_WORKERS pins the worker count for every pool user (sweep and
- * colocation trial fan-out, the MG-LRU aging harvest, sharded audits)
- * — needed in CI and in the worker-count invariance tests.
+ * colocation trial fan-out, sharded audits) — needed in CI and in the
+ * worker-count invariance tests.
  */
 
 #ifndef PAGESIM_SIM_PARALLEL_HH

@@ -20,8 +20,7 @@
  *    three plain cells above reach none of those paths.
  *  - The one-aging-walk refactor (Scan-Rand's region choice became a
  *    serial pre-pass, the harvest became read-only): the Scan-Rand
- *    and Scan-All cells, plus the 1M-page pin at 1 and 4 harvest
- *    workers.
+ *    and Scan-All cells, plus the 1M-page pin.
  *
  * If a fingerprint changes, the refactor being tested altered
  * simulated behavior: find the divergence, don't re-record. Only
@@ -172,13 +171,10 @@ TEST(BitIdentity, ScanAllPinned)
 }
 
 /*
- * Pin for the SoA metadata + sharded-scan refactor, captured on a
- * 1M-page (4 GiB) YCSB machine — large enough that the aging walk
- * crosses many shards and its slicing/merge logic carries the whole
- * trial. Runs the same trial at 1 and at 4 harvest workers and checks
- * both against the recorded value: a fingerprint mismatch means a
- * refactor altered simulated behavior; a split between the two means
- * the result depends on the worker count.
+ * Pin for the frame-metadata and aging-walk refactors, captured on a
+ * 1M-page (4 GiB) YCSB machine — large enough that the aging walk's
+ * slicing carries the whole trial. (Its name predates the removal of
+ * the 4-harvest-worker arm.)
  */
 TEST(BitIdentity, Big1MOneAndFourWorkersPinned)
 {
@@ -189,15 +185,7 @@ TEST(BitIdentity, Big1MOneAndFourWorkersPinned)
     cfg.capacityRatio = 0.5;
     cfg.scale = ScalePreset::Big1M;
     cfg.baseSeed = 12345;
-
-    cfg.mglru.scanWorkers = 1;
-    const std::uint64_t one = fingerprint(runTrial(cfg, 12345));
-
-    cfg.mglru.scanWorkers = 4;
-    const std::uint64_t four = fingerprint(runTrial(cfg, 12345));
-
-    EXPECT_EQ(one, 15456000562956673319ull);
-    EXPECT_EQ(four, one);
+    EXPECT_EQ(fingerprint(runTrial(cfg, 12345)), 15456000562956673319ull);
 }
 
 /** fingerprint() plus the tiered-memory counters. */
@@ -253,12 +241,12 @@ TEST(BitIdentity, YcsbAMgLruSsdSlowTierPinned)
 
 TEST(BitIdentity, FastForwardColdAndWarmPinned)
 {
-    // A functional warmup into a checkpoint boundary: the cold call
-    // simulates the prefix and captures it, the warm call restores it.
-    // Both must land on the same pinned result.
+    // A checkpoint boundary: the cold call simulates the prefix and
+    // captures it, the warm call restores it. Both must land on the
+    // result of the same cell run straight through.
     ExperimentConfig cfg =
         smallCell(WorkloadKind::YcsbB, PolicyKind::MgLru, SwapKind::Zram);
-    cfg.warmupRefs = 10000;
+    const std::uint64_t straight = fingerprint(runTrial(cfg, 12345));
     cfg.checkpointAt = 20000;
     CheckpointCache &cache = CheckpointCache::instance();
     cache.clear();
@@ -267,8 +255,8 @@ TEST(BitIdentity, FastForwardColdAndWarmPinned)
     const std::uint64_t warm = fingerprint(runTrial(cfg, 12345));
     EXPECT_EQ(cache.hits(), 1u);
     cache.clear();
-    EXPECT_EQ(cold, 13766766939296408587ull);
-    EXPECT_EQ(warm, 13766766939296408587ull);
+    EXPECT_EQ(cold, straight);
+    EXPECT_EQ(warm, straight);
 }
 
 } // namespace

@@ -160,53 +160,47 @@ TEST(Sweep, ResultCacheKeyCoversResultChangingConfig)
     EXPECT_EQ(cache.misses(), 6u)
         << "full-precision capacity, not the rounded label";
 
-    ExperimentConfig warmed = base;
-    warmed.warmupRefs = 1000;
-    cache.get(warmed);
-    EXPECT_EQ(cache.misses(), 7u)
-        << "functional warmup changes simulated timing";
-
     ExperimentConfig boundary = base;
     boundary.checkpointAt = 1000;
     cache.get(boundary);
-    EXPECT_EQ(cache.misses(), 8u)
+    EXPECT_EQ(cache.misses(), 7u)
         << "checkpointed cells must not alias cold cells";
 
     // Ratios closer than std::to_string's six decimals.
     ExperimentConfig fine = base;
     fine.capacityRatio = 0.1234561;
     cache.get(fine);
-    EXPECT_EQ(cache.misses(), 9u);
+    EXPECT_EQ(cache.misses(), 8u);
     fine.capacityRatio = 0.1234564;
     cache.get(fine);
-    EXPECT_EQ(cache.misses(), 10u) << "capacity keyed exactly";
+    EXPECT_EQ(cache.misses(), 9u) << "capacity keyed exactly";
     ExperimentConfig fineMax = base;
     fineMax.memcgMaxRatio = 0.6000001;
     cache.get(fineMax);
     fineMax.memcgMaxRatio = 0.6000004;
     cache.get(fineMax);
-    EXPECT_EQ(cache.misses(), 12u) << "watermarks keyed exactly";
+    EXPECT_EQ(cache.misses(), 11u) << "watermarks keyed exactly";
 
     // The metrics cadence and caps change what TrialResult.metrics
     // holds.
     ExperimentConfig sampler = base;
     sampler.metrics.mode = MetricsMode::Full;
     cache.get(sampler);
-    EXPECT_EQ(cache.misses(), 13u);
+    EXPECT_EQ(cache.misses(), 12u);
     ExperimentConfig denser = sampler;
     denser.metrics.sampleEvery = sampler.metrics.sampleEvery / 2;
     cache.get(denser);
-    EXPECT_EQ(cache.misses(), 14u) << "sampleEvery keyed";
+    EXPECT_EQ(cache.misses(), 13u) << "sampleEvery keyed";
     ExperimentConfig fewerSamples = sampler;
     fewerSamples.metrics.maxSamples = 16;
     cache.get(fewerSamples);
-    EXPECT_EQ(cache.misses(), 15u) << "maxSamples keyed";
+    EXPECT_EQ(cache.misses(), 14u) << "maxSamples keyed";
     ExperimentConfig fewerSpans = sampler;
     fewerSpans.metrics.maxSpans = 16;
     cache.get(fewerSpans);
-    EXPECT_EQ(cache.misses(), 16u) << "maxSpans keyed";
+    EXPECT_EQ(cache.misses(), 15u) << "maxSpans keyed";
     cache.get(fewerSpans);
-    EXPECT_EQ(cache.misses(), 16u) << "and still hits when unchanged";
+    EXPECT_EQ(cache.misses(), 15u) << "and still hits when unchanged";
 
     // Machine fields the old hand-kept key list covered only through
     // label() or not at all, and every MG-LRU override: each is its
@@ -240,8 +234,6 @@ TEST(Sweep, ResultCacheKeyCoversResultChangingConfig)
          [](ExperimentConfig &c) { c.mglru.tierProtection = false; }},
         {"mglru.pid.kp", [](ExperimentConfig &c) { c.mglru.pid.kp = 2.0; }},
         {"mglru.pid.ki", [](ExperimentConfig &c) { c.mglru.pid.ki = 0.5; }},
-        {"mglru.scanWorkers",
-         [](ExperimentConfig &c) { c.mglru.scanWorkers = 2; }},
         // A set override is its own cell even at the variant's value.
         {"an override equal to the default",
          [](ExperimentConfig &c) { c.mglru.tierProtection = true; }},
@@ -299,8 +291,8 @@ TEST(Sweep, ResultCacheKeyCoversAuditCadence)
 
 TEST(Sweep, WorkersOverrideParsing)
 {
-    // The PAGESIM_WORKERS plumbing shared by runSweep, the aging
-    // harvest, and the auditor. workerOverride() caches its getenv
+    // The PAGESIM_WORKERS plumbing shared by runSweep, the colocation
+    // trial pool, and the auditor. workerOverride() caches its getenv
     // read, so the parser is exercised directly.
     EXPECT_EQ(parseWorkersOverride(nullptr), 0u);
     EXPECT_EQ(parseWorkersOverride(""), 0u);
@@ -341,7 +333,7 @@ TEST(Sweep, ExplicitWorkersBeatsOverride)
 {
     // options.workers != 0 must win over the environment: figure
     // benches pin workers explicitly and may run under a CI job that
-    // exports PAGESIM_WORKERS for the scan/audit paths.
+    // exports PAGESIM_WORKERS for the audit path.
     const std::vector<ExperimentConfig> cells = smallCells();
     SweepOptions pinned;
     pinned.workers = 2;

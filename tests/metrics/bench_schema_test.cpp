@@ -80,19 +80,15 @@ goodDocument()
   "big_machine": {
     "pages": 67108864,
     "scan": {
-      "workers": 4,
       "passes": 3,
-      "serial_ptes_per_sec": 300000000,
-      "sharded_ptes_per_sec": 600000000,
-      "speedup": 2.0
+      "serial_ptes_per_sec": 300000000
     },
     "trial": {
       "cell": "YCSB-A/MG-LRU/SSD/50%",
       "scale": "Big64M",
       "wall_seconds": 106.4,
       "faults_per_sec": 316000
-    },
-    "fingerprint_identity": true
+    }
   },
   "sweep": {
     "cells": 6,
@@ -117,9 +113,7 @@ goodDocument()
     },
     "big64m_first_measurement": {
       "boundary_refs": 50000000,
-      "full_detail_seconds": 60.0,
-      "functional_seconds": 20.0,
-      "speedup": 3.0
+      "full_detail_seconds": 60.0
     }
   },
   "serializer": {
@@ -317,10 +311,9 @@ TEST(BenchSchema, NegativeOverheadPctIsAllowed)
 TEST(BenchSchema, DetectsMissingBigMachineScanField)
 {
     const auto problems = validateBenchCore(
-        patch(goodDocument(), "\"sharded_ptes_per_sec\"",
-              "\"shredded_ptes_per_sec\""));
-    expectOneProblemAt(problems,
-                       "big_machine.scan.sharded_ptes_per_sec");
+        patch(goodDocument(), "\"serial_ptes_per_sec\"",
+              "\"cereal_ptes_per_sec\""));
+    expectOneProblemAt(problems, "big_machine.scan.serial_ptes_per_sec");
 }
 
 TEST(BenchSchema, DetectsNonPositiveBigMachineWall)
@@ -329,14 +322,6 @@ TEST(BenchSchema, DetectsNonPositiveBigMachineWall)
         patch(goodDocument(), "\"wall_seconds\": 106.4",
               "\"wall_seconds\": 0"));
     expectOneProblemAt(problems, "big_machine.trial.wall_seconds");
-}
-
-TEST(BenchSchema, DetectsBigMachineFingerprintDivergence)
-{
-    const auto problems = validateBenchCore(
-        patch(goodDocument(), "\"fingerprint_identity\": true",
-              "\"fingerprint_identity\": false"));
-    expectOneProblemAt(problems, "big_machine.fingerprint_identity");
 }
 
 TEST(BenchSchema, DetectsMissingCheckpointSection)
@@ -367,10 +352,10 @@ TEST(BenchSchema, DetectsDivergedCheckpointRestore)
 TEST(BenchSchema, DetectsMissingFirstMeasurementField)
 {
     const auto problems = validateBenchCore(
-        patch(goodDocument(), "\"functional_seconds\"",
-              "\"functional_minutes\""));
+        patch(goodDocument(), "\"full_detail_seconds\"",
+              "\"full_detail_minutes\""));
     expectOneProblemAt(
-        problems, "checkpoint.big64m_first_measurement.functional_seconds");
+        problems, "checkpoint.big64m_first_measurement.full_detail_seconds");
 }
 
 TEST(BenchSchema, DetectsMissingSerializerSection)

@@ -293,11 +293,11 @@ column(const SampleSeries &ts, const std::string &name)
 TEST(MetricsIntegration, RateColumnsStartAtZeroAfterWarmup)
 {
     ExperimentConfig cfg = smallMetricsCell(MetricsMode::Full);
-    cfg.warmupRefs = 10000;
+    cfg.checkpointAt = 10000;
     const TrialResult r = runTrial(cfg, 7);
     const SampleSeries &ts = r.metrics.timeseries;
     ASSERT_FALSE(ts.empty());
-    // Observers attach at the warmup boundary, after faults have
+    // Observers attach at the checkpoint boundary, after faults have
     // already happened; the first row must not report them as a burst.
     ASSERT_GT(r.majorFaults + r.kernel.minorFaults, 0u);
     for (const EventRate &rate : eventRates()) {

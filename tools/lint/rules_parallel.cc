@@ -26,9 +26,9 @@
  *
  * Unqualified calls to methods defined IN THE SAME FILE are chased
  * (transitively, bounded depth): each callee parameter inherits the
- * safety of its call-site argument, so the real harvest helpers
- * (MgLruPolicy::harvestChunk, MmAuditor::harvestPteShard) are
- * analyzed body-by-body and pass without waivers. Cross-file
+ * safety of its call-site argument, so the real harvest helper
+ * (MmAuditor::harvestPteShard) is analyzed body-by-body and passes
+ * without waivers. Cross-file
  * helpers are not chased — a finding must be waivable in the file
  * being linted — and writes hidden behind qualified calls on shared
  * receivers (beyond the mutator lists above) are out of scope, as
