@@ -326,12 +326,17 @@ ColocationRig::finishMetrics(const std::string &label)
         return {};
     collector->sampler().stop();
     MetricsSnapshot snapshot = collector->snapshot(sim.now());
-    // One machine-wide artifact set per trial; a colocation label
-    // carries the full tenant list, and per-tenant timeseries live
-    // inside it as "memcg.<name>.*" columns.
+    // One machine-wide artifact set per trial; per-tenant timeseries
+    // live inside it as "memcg.<name>.*" columns. The label rounds
+    // capacity and omits MG-LRU overrides, so the config-prefix hash
+    // tells apart cells that build different machines.
     if (!metricsConfig.artifactDir.empty()) {
-        writeTrialArtifacts(metricsConfig.artifactDir, label, trialSeed,
-                            snapshot);
+        char hash[17];
+        std::snprintf(hash, sizeof(hash), "%016llx",
+                      static_cast<unsigned long long>(
+                          colocationPrefixHash(config)));
+        writeTrialArtifacts(metricsConfig.artifactDir, label + "-" + hash,
+                            trialSeed, snapshot);
     }
     return snapshot;
 }

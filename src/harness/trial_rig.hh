@@ -117,8 +117,9 @@ class ColocationRig
 
     /**
      * Stop the metrics sampler and snapshot the collector (empty when
-     * metrics are off), writing the trial's artifacts under @p label
-     * when the config names a directory.
+     * metrics are off), writing the trial's artifacts as
+     * <label>-<16-hex config-prefix hash>-seed<N> when the config
+     * names a directory.
      */
     MetricsSnapshot finishMetrics(const std::string &label);
 

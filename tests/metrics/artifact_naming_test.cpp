@@ -85,6 +85,27 @@ TEST_F(ArtifactDir, ColocatedTenantsAndTrialsNeverCollide)
     EXPECT_EQ(files, 12u);
 }
 
+TEST_F(ArtifactDir, CellsDifferingOnlyInOverridesNeverCollide)
+{
+    // Regression: trial artifacts were named by label() alone, which
+    // omits MG-LRU overrides, so ablation cells overwrote each other's
+    // files. The config-prefix hash in the name keeps them apart.
+    ExperimentConfig cfg;
+    cfg.workload = WorkloadKind::Tpch;
+    cfg.scale = ScalePreset::Small;
+    cfg.metrics.mode = MetricsMode::Counters;
+    cfg.metrics.artifactDir = dir.string();
+    ExperimentConfig sparse = cfg;
+    sparse.mglru.bloomBits = 2048;
+    ASSERT_EQ(cfg.label(), sparse.label());
+    runTrial(cfg, 7);
+    runTrial(sparse, 7);
+    std::set<std::string> names;
+    for (const auto &entry : fs::directory_iterator(dir))
+        names.insert(entry.path().filename().string());
+    EXPECT_EQ(names.size(), 6u) << "two complete artifact sets";
+}
+
 TEST_F(ArtifactDir, LegacySingleTenantNamesUnchanged)
 {
     // The historical single-workload path passes no tenant; its
