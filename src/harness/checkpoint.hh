@@ -34,8 +34,8 @@
  * checksum64, version 3 the XOR-delta lane packing (sim/serialize.hh),
  * version 4 the one config-prefix hash (encodeConfig), and version 5
  * that hash over two fewer config fields. An older image is refused
- * with VersionMismatch. A little-endian host is
- * assumed: lane words are read in host order.
+ * with VersionMismatch. A little-endian host is assumed: lane words
+ * are read in host order.
  *
  * Every section is described once, by the visitState(StateIO &)
  * bodies of the classes it holds (sim/serialize.hh); capture, the
