@@ -121,12 +121,18 @@ main(int argc, char **argv)
         {"capped (tpch memory.max = 45%)", 0.0, 0.45},
     };
 
+    // All three scenarios run as one pooled sweep.
+    std::vector<ColocationConfig> configs;
     for (const Mode &mode : modes) {
         ColocationConfig config = scenario(smoke);
         config.tenants[0].lowRatio = mode.ycsbLow;
         config.tenants[1].maxRatio = mode.tpchMax;
-        renderMode(mode.name, runColocation(config));
+        configs.push_back(config);
     }
+    ResultCache cache;
+    cache.prefetch(configs);
+    for (std::size_t i = 0; i < configs.size(); ++i)
+        renderMode(modes[i].name, cache.get(configs[i]));
 
     std::puts("reading: protection moves reclaim pressure off the "
               "kv-store tenant (its major faults drop, the others' "

@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "harness/experiment.hh"
+#include "harness/sweep.hh"
 
 using namespace pagesim;
 
@@ -99,7 +99,7 @@ main(int argc, char **argv)
                     cfg.policy = pk;
                     cfg.swap = sk;
                     cfg.capacityRatio = ratio;
-                    emitRow(runExperiment(cfg));
+                    emitRow(runSweep({cfg}).front());
                     std::fflush(stdout);
                 }
             }

@@ -12,7 +12,7 @@
 #include <cstring>
 #include <string>
 
-#include "harness/experiment.hh"
+#include "harness/sweep.hh"
 #include "stats/table.hh"
 
 using namespace pagesim;
@@ -61,7 +61,7 @@ main(int argc, char **argv)
                   "aging-cpu", "kswapd-cpu", "stalls"});
     for (PolicyKind policy : allPolicyKinds()) {
         config.policy = policy;
-        ExperimentResult res = runExperiment(config);
+        ExperimentResult res = runSweep({config}).front();
         const Summary rt = res.runtimeSummary();
         const Summary faults = res.faultSummary();
         double evict = 0, second = 0, rmap = 0, ptes = 0, aging = 0;

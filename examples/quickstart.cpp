@@ -12,7 +12,7 @@
 #include <cstring>
 #include <string>
 
-#include "harness/experiment.hh"
+#include "harness/sweep.hh"
 #include "stats/table.hh"
 
 using namespace pagesim;
@@ -59,7 +59,7 @@ main(int argc, char **argv)
     for (PolicyKind policy :
          {PolicyKind::Clock, PolicyKind::MgLru}) {
         config.policy = policy;
-        ExperimentResult res = runExperiment(config);
+        ExperimentResult res = runSweep({config}).front();
         Summary rt = res.runtimeSummary();
         Summary faults = res.faultSummary();
         std::uint64_t rmap = 0, ptes = 0, aging = 0;

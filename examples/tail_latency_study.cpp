@@ -15,7 +15,7 @@
 #include <cstdio>
 #include <cstring>
 
-#include "harness/experiment.hh"
+#include "harness/sweep.hh"
 #include "kv/ycsb_workload.hh"
 #include "stats/table.hh"
 
@@ -53,7 +53,7 @@ main(int argc, char **argv)
              {PolicyKind::Clock, PolicyKind::MgLru}) {
             config.swap = swap;
             config.policy = policy;
-            const ExperimentResult res = runExperiment(config);
+            const ExperimentResult res = runSweep({config}).front();
             cells.push_back(Cell{swap, policy,
                                  res.mergedReadLatency(),
                                  res.meanRequestNs()});

@@ -12,7 +12,7 @@
 #include <cstdio>
 #include <cstring>
 
-#include "harness/experiment.hh"
+#include "harness/sweep.hh"
 #include "stats/table.hh"
 
 using namespace pagesim;
@@ -42,7 +42,7 @@ main(int argc, char **argv)
                   "demotions", "promotions", "slow hits"});
     for (int tiered = 0; tiered < 2; ++tiered) {
         config.slowTierRatio = tiered ? slow_ratio : 0.0;
-        const ExperimentResult res = runExperiment(config);
+        const ExperimentResult res = runSweep({config}).front();
         double dem = 0, pro = 0, hits = 0;
         for (const auto &t : res.trials) {
             dem += static_cast<double>(t.tier.demotions);

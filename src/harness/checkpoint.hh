@@ -56,7 +56,7 @@
  * size and out-of-range indices are rejected with a structured error
  * and zero partial state. (If
  * apply itself fails — only possible on a format bug — the caller
- * must discard the half-restored rig; runTrial's fallback path
+ * must discard the half-restored rig; runRig's buildAtBoundary
  * rebuilds from scratch.)
  */
 
@@ -132,13 +132,12 @@ struct Checkpoint
 };
 
 /**
- * The serializable surface of a built rig, in a fixed order shared by
- * the single-tenant and colocation harnesses: spaces/workloads in
- * tenant order, actors as [kswapd, noise, threads tenant-major]. The
- * checkpoint machinery maps raw pointers (frame owners, barrier
- * waiters) to indices in these vectors (StateLinks); both sides must
- * present the same construction, which they do because the restore
- * side replays the identical build.
+ * The serializable surface of a built rig (ColocationRig::view), in a
+ * fixed order: spaces/workloads in tenant order, actors as [kswapd,
+ * noise, threads tenant-major]. The checkpoint machinery maps raw
+ * pointers (frame owners, barrier waiters) to indices in these vectors
+ * (StateLinks); both sides must present the same construction, which
+ * they do because the restore side replays the identical build.
  */
 struct RigView
 {
@@ -198,9 +197,9 @@ std::uint64_t configPrefixHash(const ExperimentConfig &config);
 
 /**
  * Process-global cache of checkpoints keyed by (config-prefix hash,
- * seed, refs). runTrial/runColocationTrial consult it when
- * checkpointAt is set, so sweep cells (and repeated sweeps) sharing a
- * warmup prefix restore instead of re-simulating. With
+ * seed, refs). runRig consults it when checkpointAt is set, so sweep
+ * cells (and repeated sweeps) sharing a warmup prefix restore instead
+ * of re-simulating. With
  * PAGESIM_CHECKPOINT_DIR set, find() falls back to
  * "<dir>/ckpt-<hash>-<seed>-<refs>.bin" on an in-memory miss and
  * insert() persists there, so the warmup survives across processes.

@@ -3,9 +3,7 @@
 #include <algorithm>
 
 #include "harness/checkpoint.hh"
-#include "harness/sweep.hh"
 #include "harness/trial_rig.hh"
-#include "sim/parallel.hh"
 #include "sim/serialize.hh"
 
 namespace pagesim
@@ -14,21 +12,23 @@ namespace pagesim
 std::string
 ColocationConfig::label() const
 {
-    std::string names;
-    for (const TenantSpec &t : tenants) {
-        if (!names.empty())
-            names += "+";
-        names += t.name;
+    std::string head;
+    if (tenants.size() == 1 && tenants[0].name.empty()) {
+        head = workloadKindName(tenants[0].workload);
+    } else {
+        for (const TenantSpec &t : tenants)
+            head += (head.empty() ? "" : "+") + t.name;
+        head = "colo[" + head + "]";
     }
-    return "colo[" + names + "]/" + policyKindName(policy) + "/" +
-           swapKindName(swap) + "/" +
-           std::to_string(static_cast<int>(capacityRatio * 100)) + "%";
+    return head + "/" + policyKindName(policy) + "/" + swapKindName(swap) +
+           "/" + std::to_string(static_cast<int>(capacityRatio * 100)) +
+           "%";
 }
 
 // Tripwire: a new field changes a size below (unless it fits existing
-// padding) and stops the build until encodeConfig writes it or
-// ResultCache::key keys it as run-only. MetricsConfig::artifactDir is
-// in no key: it never changes a result.
+// padding) and stops the build until encodeConfig or encodeRunFields
+// writes it. MetricsConfig::artifactDir is in no key: it never changes
+// a result.
 static_assert(sizeof(MgLruOverrides) == 80,
               "MgLruOverrides changed: update encodeConfig");
 static_assert(sizeof(TenantSpec) == sizeof(std::string) + 40,
@@ -74,6 +74,20 @@ encodeConfig(const ColocationConfig &config, Sink &sink)
     knob(mg.tierProtection);
     knob(mg.pid.kp);
     knob(mg.pid.ki);
+}
+
+void
+encodeRunFields(const ColocationConfig &config, Sink &sink)
+{
+    // The metrics mode, cadence and caps decide what a result's
+    // metrics hold; an audited run matches an unaudited one only by
+    // luck; observers attach at the checkpoint boundary.
+    sink.u32(static_cast<std::uint32_t>(config.metrics.mode));
+    sink.u64(config.metrics.sampleEvery);
+    sink.u64(config.metrics.maxSamples);
+    sink.u64(config.metrics.maxSpans);
+    sink.u32(effectiveAuditEvery());
+    sink.u64(config.checkpointAt);
 }
 
 std::uint64_t
@@ -126,41 +140,32 @@ ColocationTrialResult
 runColocationTrial(const ColocationConfig &config,
                    std::uint64_t trial_seed)
 {
-    const std::string label = config.label();
-    const std::unique_ptr<ColocationRig> rig =
-        runRig(config, trial_seed, label);
-
-    ColocationTrialResult r;
-    r.kernel = rig->mm->stats();
-    r.swap = rig->device->stats();
-    r.kswapdCpuNs = rig->kswapd->cpuWork();
-    r.totalTouches = rig->totalRefs();
-    for (std::size_t i = 0; i < rig->tenants.size(); ++i) {
-        r.tenants.push_back(rig->tenantResult(i));
-        r.runtimeNs = std::max(r.runtimeNs, r.tenants.back().finishNs);
-    }
-    r.metrics = rig->finishMetrics(label);
-    return r;
+    return runRig(config, trial_seed)->collect();
 }
 
-ColocationResult
-runColocation(const ColocationConfig &config)
+TrialResult
+cellTrial(ColocationTrialResult trial)
 {
-    // Refuse a bad tenant list here, not inside a pool worker, where
-    // the exception could not reach the caller.
-    ColocationRig::checkTenants(config);
-    ColocationResult result;
-    result.config = config;
-    result.trials.resize(effectiveTrials(config.trials));
-    // Each trial writes only its own pre-sized slot, so results are
-    // independent of claim order and of the worker count.
-    parallelMap(hostWorkers(), result.trials,
-                [&](std::size_t t, ColocationTrialResult &slot) {
-                    slot = runColocationTrial(
-                        config, trialSeed(config.baseSeed,
-                                          static_cast<unsigned>(t)));
-                });
-    return result;
+    // The run ends when the last thread finishes, so runtimeNs is the
+    // machine's sim clock at the end, as a lone workload measures it.
+    TenantResult &t = trial.tenants.front();
+    TrialResult r;
+    r.runtimeNs = trial.runtimeNs - t.measureStartNs;
+    r.majorFaults = trial.kernel.majorFaults - t.faultsAtMeasureStart;
+    r.kernel = trial.kernel;
+    r.policy = t.policy;
+    r.swap = trial.swap;
+    r.mglru = t.mglru;
+    r.readLatency = std::move(t.readLatency);
+    r.writeLatency = std::move(t.writeLatency);
+    r.threadFinishNs = std::move(t.threadFinishNs);
+    r.threadBlockedFaults = std::move(t.threadBlockedFaults);
+    r.kswapdCpuNs = trial.kswapdCpuNs;
+    r.tier = trial.tier;
+    r.meanRequestNs = t.meanRequestNs;
+    r.totalTouches = trial.totalTouches;
+    r.metrics = std::move(trial.metrics);
+    return r;
 }
 
 } // namespace pagesim

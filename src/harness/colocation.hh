@@ -14,7 +14,7 @@
  * limit-reclaim are all observable per tenant.
  *
  * A single-workload trial is the one-tenant case of the same machine
- * (trial_rig.hh): one build and one driver serve both.
+ * (trial_rig.hh): one build, trial path, runner and cache serve both.
  *
  * Determinism: trials are bit-identical across host worker counts.
  * Per-tenant RNG streams fork off the trial seed by tenant NAME
@@ -86,16 +86,24 @@ struct ColocationConfig
     /** Checkpoint boundary; see ExperimentConfig::checkpointAt. */
     std::uint64_t checkpointAt = 0;
 
+    /** "colo[a+b]/<policy>/..."; a lone unnamed tenant: "<workload>/...". */
     std::string label() const;
 };
 
 /**
  * The one config encoding: append to @p sink the format version and
- * every field of @p config that shapes the machine (all but the
- * run-only trials, baseSeed, metrics and checkpointAt, which
- * ResultCache::key appends itself). colocationPrefixHash hashes it.
+ * every field of @p config that shapes the machine (all but trials,
+ * baseSeed and the run-only fields of encodeRunFields).
+ * colocationPrefixHash hashes it.
  */
 void encodeConfig(const ColocationConfig &config, Sink &sink);
+
+/**
+ * Append the run-only fields that change a trial's result (metrics
+ * mode, cadence and caps, audit cadence, checkpointAt): the one list
+ * ResultCache::key and the artifact names read after encodeConfig.
+ */
+void encodeRunFields(const ColocationConfig &config, Sink &sink);
 
 /** Everything one trial measured about one tenant. */
 struct TenantResult
@@ -105,6 +113,8 @@ struct TenantResult
     MemcgStats memcgStats;
     /** This tenant's lruvec counters. */
     PolicyStats policy;
+    /** MG-LRU-specific counters (zeros under other policies). */
+    MgLruStats mglru;
     /** Finish time of the tenant's slowest thread. */
     SimTime finishNs = 0;
     std::vector<SimTime> threadFinishNs;
@@ -114,6 +124,10 @@ struct TenantResult
     /** YCSB latency histograms (empty otherwise). */
     LatencyHistogram readLatency;
     LatencyHistogram writeLatency;
+    /** YCSB measurement-window start: sim time and machine-wide major
+     *  faults at that point (0 for other workloads). */
+    SimTime measureStartNs = 0;
+    std::uint64_t faultsAtMeasureStart = 0;
 };
 
 /** One colocation trial: per-tenant breakdowns plus machine totals. */
@@ -123,6 +137,7 @@ struct ColocationTrialResult
     /** Whole-machine kernel counters (all tenants + noise). */
     FaultStats kernel;
     SwapDeviceStats swap;
+    TierStats tier;
     /** Finish time of the slowest tenant. */
     SimTime runtimeNs = 0;
     SimDuration kswapdCpuNs = 0;
@@ -146,9 +161,8 @@ struct ColocationResult
 std::uint64_t tenantFingerprint(const TenantResult &r);
 
 /**
- * Run one colocation trial. Honors PAGESIM_AUDIT_EVERY (full
- * cross-layer audit, including the memcg invariant family, every N
- * reclaim batches) exactly like runTrial.
+ * Run one trial. Honors PAGESIM_AUDIT_EVERY (full cross-layer audit,
+ * including the memcg invariant family, every N reclaim batches).
  * @throws std::invalid_argument for a tenant list the file comment
  *         refuses.
  */
@@ -156,12 +170,10 @@ ColocationTrialResult runColocationTrial(const ColocationConfig &config,
                                          std::uint64_t trial_seed);
 
 /**
- * Run all trials of a scenario in parallel across host threads
- * (PAGESIM_WORKERS caps the pool; PAGESIM_TRIALS overrides trials).
- * Trial seeds derive exactly like runExperiment's. Refuses a bad
- * tenant list like runColocationTrial, before any trial starts.
+ * A grid cell's view of its one-tenant trial: tenant 0 and the machine
+ * totals, YCSB runtime and major faults over the measurement window.
  */
-ColocationResult runColocation(const ColocationConfig &config);
+TrialResult cellTrial(ColocationTrialResult trial);
 
 } // namespace pagesim
 

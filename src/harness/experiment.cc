@@ -5,7 +5,6 @@
 #include <fstream>
 #include <mutex>
 
-#include "harness/sweep.hh"
 #include "harness/trial_rig.hh"
 
 #include "graph/pagerank_workload.hh"
@@ -155,9 +154,7 @@ makeWorkload(WorkloadKind kind, ScalePreset scale)
 std::string
 ExperimentConfig::label() const
 {
-    return workloadKindName(workload) + "/" + policyKindName(policy) +
-           "/" + swapKindName(swap) + "/" +
-           std::to_string(static_cast<int>(capacityRatio * 100)) + "%";
+    return TrialRig::scenario(*this).label();
 }
 
 namespace
@@ -179,34 +176,6 @@ auditEveryOverrideCache()
     return cache;
 }
 
-/**
- * PAGESIM_METRICS=off|counters|full overrides the config's metrics
- * mode; PAGESIM_METRICS_DIR overrides the artifact directory. Both
- * are launch-time knobs, read and parsed once per process (runTrial
- * sits on the sweep hot path).
- */
-std::optional<MetricsMode>
-metricsModeOverride()
-{
-    static const std::optional<MetricsMode> cache = [] {
-        const char *text = std::getenv("PAGESIM_METRICS");
-        if (text == nullptr || *text == '\0')
-            return std::optional<MetricsMode>{};
-        return std::optional<MetricsMode>{parseMetricsMode(text)};
-    }();
-    return cache;
-}
-
-const std::string &
-metricsDirOverride()
-{
-    static const std::string cache = [] {
-        const char *text = std::getenv("PAGESIM_METRICS_DIR");
-        return std::string(text != nullptr ? text : "");
-    }();
-    return cache;
-}
-
 } // namespace
 
 unsigned
@@ -225,27 +194,35 @@ detail::refreshAuditEveryOverrideCacheForTests()
 MetricsConfig
 effectiveMetricsConfig(const MetricsConfig &config)
 {
+    // PAGESIM_METRICS=off|counters|full overrides the mode and
+    // PAGESIM_METRICS_DIR the artifact directory: launch-time knobs,
+    // read and parsed once per process (this runs per trial).
+    static const std::optional<MetricsMode> mode = [] {
+        const char *text = std::getenv("PAGESIM_METRICS");
+        if (text == nullptr || *text == '\0')
+            return std::optional<MetricsMode>{};
+        return std::optional<MetricsMode>{parseMetricsMode(text)};
+    }();
+    static const char *const dir_env = std::getenv("PAGESIM_METRICS_DIR");
+    static const std::string dir = dir_env != nullptr ? dir_env : "";
     MetricsConfig m = config;
-    if (const auto mode = metricsModeOverride()) {
+    if (mode) {
         m.mode = *mode;
         // An env opt-in without a destination still wants artifacts.
         if (m.artifactDir.empty())
             m.artifactDir = "pagesim_metrics";
     }
-    if (!metricsDirOverride().empty())
-        m.artifactDir = metricsDirOverride();
+    if (!dir.empty())
+        m.artifactDir = dir;
     return m;
 }
 
 std::string
 writeTrialArtifacts(const std::string &dir, const std::string &label,
                     std::uint64_t trial_seed,
-                    const MetricsSnapshot &snapshot,
-                    const std::string &tenant)
+                    const MetricsSnapshot &snapshot)
 {
     std::string base = label;
-    if (!tenant.empty())
-        base += "-" + tenant;
     for (char &c : base) {
         if (c == '/' || c == '%' || c == ' ')
             c = '_';
@@ -265,42 +242,8 @@ writeTrialArtifacts(const std::string &dir, const std::string &label,
 TrialResult
 runTrial(const ExperimentConfig &config, std::uint64_t trial_seed)
 {
-    const std::string label = config.label();
-    const std::unique_ptr<ColocationRig> rig =
-        runRig(TrialRig::scenario(config), trial_seed, label);
-
-    // The fields a colocation reports per tenant ...
-    TenantResult tenant = rig->tenantResult(0);
-    TrialResult r;
-    r.policy = tenant.policy;
-    r.threadFinishNs = std::move(tenant.threadFinishNs);
-    r.threadBlockedFaults = std::move(tenant.threadBlockedFaults);
-    r.readLatency = std::move(tenant.readLatency);
-    r.writeLatency = std::move(tenant.writeLatency);
-    r.meanRequestNs = tenant.meanRequestNs;
-
-    // ... then the machine totals, MG-LRU and tier counters, and the
-    // YCSB measurement window.
-    const MemoryManager &mm = *rig->mm;
-    r.kernel = mm.stats();
-    r.swap = rig->device->stats();
-    r.tier = mm.tierStats();
-    r.kswapdCpuNs = rig->kswapd->cpuWork();
-    r.totalTouches = rig->totalRefs();
-    const ColocationRig::Tenant &t = rig->tenants[0];
-    if (const auto *mg = dynamic_cast<const MgLruPolicy *>(t.policy.get()))
-        r.mglru = mg->mgStats();
-    if (const auto *ycsb =
-            dynamic_cast<const YcsbWorkload *>(t.workload.get())) {
-        // YCSB measures its request window only.
-        r.runtimeNs = rig->sim.now() - ycsb->measureStart();
-        r.majorFaults = r.kernel.majorFaults - ycsb->faultsAtMeasureStart();
-    } else {
-        r.runtimeNs = rig->sim.now();
-        r.majorFaults = r.kernel.majorFaults;
-    }
-    r.metrics = rig->finishMetrics(label);
-    return r;
+    return cellTrial(
+        runColocationTrial(TrialRig::scenario(config), trial_seed));
 }
 
 std::optional<unsigned>
@@ -341,14 +284,6 @@ detail::refreshTrialsOverrideCacheForTests()
 {
     trialsOverrideCache() =
         parseTrialsOverride(std::getenv("PAGESIM_TRIALS"));
-}
-
-ExperimentResult
-runExperiment(const ExperimentConfig &config)
-{
-    // One cell is just a degenerate sweep; the shared pool sizes
-    // itself to min(host threads, trials) exactly as before.
-    return std::move(runSweep({config}).front());
 }
 
 double

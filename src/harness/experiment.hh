@@ -5,9 +5,9 @@
  * One ExperimentConfig = one cell of
  *   {workload} x {policy} x {capacity ratio} x {swap medium},
  * run for N independent trials. Each trial is a fresh Simulation (the
- * paper's reboot-per-execution), seeded from baseSeed + trial index;
- * the workload content itself is seeded separately and identical
- * across trials.
+ * paper's reboot-per-execution), seeded by trialSeed (sweep.hh); the
+ * workload content itself is seeded separately and identical across
+ * trials.
  */
 
 #ifndef PAGESIM_HARNESS_EXPERIMENT_HH
@@ -136,16 +136,12 @@ struct ExperimentConfig
     MetricsConfig metrics;
 
     /**
-     * Optional cgroup-v2 watermarks on the (single) workload memcg,
-     * as fractions of the footprint; 0 disables the respective limit.
-     * They become the low/high/max ratios of the one tenant a trial
-     * runs as (see trial_rig.hh); all-zero (the default) leaves that
-     * memcg unlimited, bit-identical to the pre-memcg harness.
-     * Multi-tenant scenarios live in colocation.hh; these knobs study
-     * limit-reclaim and throttling on a lone workload.
-     * Note: with a single memcg, memory.low does not shield it from
-     * global reclaim (protection is relative to siblings, as in the
-     * kernel); only high/max change behavior here.
+     * Optional cgroup-v2 watermarks on the workload's memcg, as
+     * fractions of the footprint (0, the default, disables each): the
+     * low/high/max ratios of the one tenant a trial runs as. With no
+     * sibling memcg, memory.low shields nothing from global reclaim
+     * (protection is relative to siblings, as in the kernel); only
+     * high/max change behavior here.
      */
     double memcgLowRatio = 0.0;
     double memcgHighRatio = 0.0;
@@ -163,6 +159,7 @@ struct ExperimentConfig
      */
     std::uint64_t checkpointAt = 0;
 
+    /** "<workload>/<policy>/<swap>/<capacity>%", its scenario's label. */
     std::string label() const;
 };
 
@@ -230,15 +227,12 @@ struct ExperimentResult
     double meanRequestNs() const;
 };
 
-/** Run one trial (exposed for tests/examples). */
+/**
+ * Run one trial: cellTrial(runColocationTrial(TrialRig::scenario(
+ * @p config), @p trial_seed)) (colocation.hh).
+ */
 TrialResult runTrial(const ExperimentConfig &config,
                      std::uint64_t trial_seed);
-
-/**
- * Run all trials of a cell, in parallel across host threads.
- * Honors PAGESIM_TRIALS (env) as an override of config.trials.
- */
-ExperimentResult runExperiment(const ExperimentConfig &config);
 
 /**
  * Parse a PAGESIM_TRIALS-style override string.
@@ -264,21 +258,16 @@ MetricsConfig effectiveMetricsConfig(const MetricsConfig &config);
 
 /**
  * Write the per-trial artifact files for @p snapshot under @p dir
- * (created if needed): <label>[-<tenant>]-seed<N>.trace.json,
- * .timeseries.csv, and .metrics.jsonl, with '/', '%' and spaces in
- * @p label and @p tenant mapped to '_'. Returns the artifact basename
- * (without extension).
- *
- * @p tenant disambiguates colocated multi-tenant trials that share one
- * PAGESIM_METRICS_DIR: without it, two tenants of the same scenario
- * (same label, same trial seed) would silently overwrite each other's
- * files. Single-tenant callers pass "" and keep the historical names.
+ * (created if needed): <label>-seed<N>.trace.json, .timeseries.csv,
+ * and .metrics.jsonl, with '/', '%' and spaces in @p label mapped to
+ * '_'. Returns the artifact basename (without extension). A trial
+ * writes one machine-wide set; per-tenant series are its
+ * "memcg.<name>.*" columns.
  */
 std::string writeTrialArtifacts(const std::string &dir,
                                 const std::string &label,
                                 std::uint64_t trial_seed,
-                                const MetricsSnapshot &snapshot,
-                                const std::string &tenant = "");
+                                const MetricsSnapshot &snapshot);
 
 /**
  * The MmConfig::auditEvery value trials actually run with: the

@@ -15,21 +15,49 @@ trialSeed(std::uint64_t base_seed, unsigned trial)
     return base_seed + 1000003ull * trial;
 }
 
-std::vector<ExperimentResult>
-runSweep(const std::vector<ExperimentConfig> &cells,
+namespace
+{
+
+/** @p scenario's trials through cellTrial, as @p cell's result. */
+ExperimentResult
+cellResult(const ExperimentConfig &cell, ColocationResult scenario)
+{
+    ExperimentResult r;
+    r.config = cell;
+    for (ColocationTrialResult &t : scenario.trials)
+        r.trials.push_back(cellTrial(std::move(t)));
+    return r;
+}
+
+std::vector<ColocationConfig>
+asScenarios(const std::vector<ExperimentConfig> &cells)
+{
+    std::vector<ColocationConfig> out;
+    for (const ExperimentConfig &cell : cells)
+        out.push_back(TrialRig::scenario(cell));
+    return out;
+}
+
+} // namespace
+
+std::vector<ColocationResult>
+runSweep(const std::vector<ColocationConfig> &scenarios,
          const SweepOptions &options)
 {
     struct Task
     {
-        std::size_t cell;
+        std::size_t scenario;
         unsigned trial;
     };
 
     std::vector<Task> tasks;
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-        const unsigned trials = effectiveTrials(cells[c].trials);
+    for (std::size_t s = 0; s < scenarios.size(); ++s) {
+        // Refuse a bad tenant list here, not inside a pool worker,
+        // where the exception could not reach the caller.
+        ColocationRig::checkTenants(scenarios[s]);
+        const unsigned trials = effectiveTrials(scenarios[s].trials);
         for (unsigned t = 0; t < trials; ++t)
-            tasks.push_back({c, t});
+            tasks.push_back({s, t});
     }
 
     // A pool only pays for itself when every worker gets a few trials;
@@ -42,79 +70,99 @@ runSweep(const std::vector<ExperimentConfig> &cells,
 
     // Each task writes only its own flat slot, so results are
     // independent of claim order and of the worker count.
-    std::vector<TrialResult> slots(tasks.size());
-    parallelMap(workers, slots, [&](std::size_t i, TrialResult &slot) {
-        const ExperimentConfig &config = cells[tasks[i].cell];
-        slot = runTrial(config, trialSeed(config, tasks[i].trial));
-    });
+    std::vector<ColocationTrialResult> slots(tasks.size());
+    parallelMap(workers, slots,
+                [&](std::size_t i, ColocationTrialResult &slot) {
+                    const ColocationConfig &config =
+                        scenarios[tasks[i].scenario];
+                    slot = runColocationTrial(
+                        config, trialSeed(config.baseSeed, tasks[i].trial));
+                });
 
-    std::vector<ExperimentResult> results(cells.size());
-    for (std::size_t c = 0; c < cells.size(); ++c)
-        results[c].config = cells[c];
+    std::vector<ColocationResult> results(scenarios.size());
+    for (std::size_t s = 0; s < scenarios.size(); ++s)
+        results[s].config = scenarios[s];
     for (std::size_t i = 0; i < tasks.size(); ++i)
-        results[tasks[i].cell].trials.push_back(std::move(slots[i]));
+        results[tasks[i].scenario].trials.push_back(std::move(slots[i]));
+    return results;
+}
+
+std::vector<ExperimentResult>
+runSweep(const std::vector<ExperimentConfig> &cells,
+         const SweepOptions &options)
+{
+    std::vector<ColocationResult> runs = runSweep(asScenarios(cells), options);
+    std::vector<ExperimentResult> results;
+    for (std::size_t c = 0; c < cells.size(); ++c)
+        results.push_back(cellResult(cells[c], std::move(runs[c])));
     return results;
 }
 
 std::string
-ResultCache::key(const ExperimentConfig &config)
+ResultCache::key(const ColocationConfig &scenario)
 {
-    // The machine's encoding, then the run-only fields: trials and
-    // seed; metrics mode, cadence and caps decide what
-    // TrialResult.metrics holds; an audited run matches an unaudited
-    // one only by luck; keying checkpointAt keeps cached-vs-cold
-    // comparisons honest.
-    const ColocationConfig c = TrialRig::scenario(config);
     Sink sink;
-    encodeConfig(c, sink);
-    sink.u32(c.trials);
-    sink.u64(c.baseSeed);
-    sink.u32(static_cast<std::uint32_t>(c.metrics.mode));
-    sink.u64(c.metrics.sampleEvery);
-    sink.u64(c.metrics.maxSamples);
-    sink.u64(c.metrics.maxSpans);
-    sink.u32(effectiveAuditEvery());
-    sink.u64(c.checkpointAt);
+    encodeConfig(scenario, sink);
+    sink.u32(scenario.trials);
+    sink.u64(scenario.baseSeed);
+    encodeRunFields(scenario, sink);
     return {sink.data().begin(), sink.data().end()};
 }
 
-const ExperimentResult &
-ResultCache::get(const ExperimentConfig &config)
+ResultCache::Entry &
+ResultCache::entry(const ColocationConfig &scenario)
 {
-    const std::string k = key(config);
-    auto it = cells_.find(k);
-    if (it == cells_.end()) {
-        ++misses_;
-        it = cells_.emplace(k, runExperiment(config)).first;
-    } else {
+    const std::string k = key(scenario);
+    if (entries_.count(k) != 0)
         ++hits_;
+    else
+        prefetch({scenario});
+    return entries_.at(k);
+}
+
+const ColocationResult &
+ResultCache::get(const ColocationConfig &scenario)
+{
+    return entry(scenario).scenario;
+}
+
+const ExperimentResult &
+ResultCache::get(const ExperimentConfig &cell)
+{
+    Entry &e = entry(TrialRig::scenario(cell));
+    if (!e.cell)
+        e.cell = cellResult(cell, e.scenario);
+    return *e.cell;
+}
+
+void
+ResultCache::prefetch(const std::vector<ColocationConfig> &scenarios,
+                      const SweepOptions &options)
+{
+    std::vector<ColocationConfig> cold;
+    std::vector<std::string> coldKeys;
+    for (const ColocationConfig &scenario : scenarios) {
+        std::string k = key(scenario);
+        // A figure may legitimately list the same cell twice (e.g. a
+        // shared normalization baseline); run it once.
+        if (entries_.count(k) != 0 ||
+            std::find(coldKeys.begin(), coldKeys.end(), k) != coldKeys.end())
+            continue;
+        cold.push_back(scenario);
+        coldKeys.push_back(std::move(k));
     }
-    return it->second;
+    std::vector<ColocationResult> results = runSweep(cold, options);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        ++misses_;
+        entries_.emplace(coldKeys[i], Entry{std::move(results[i]), {}});
+    }
 }
 
 void
 ResultCache::prefetch(const std::vector<ExperimentConfig> &cells,
                       const SweepOptions &options)
 {
-    std::vector<ExperimentConfig> cold;
-    std::vector<std::string> coldKeys;
-    for (const ExperimentConfig &config : cells) {
-        std::string k = key(config);
-        // A figure may legitimately list the same cell twice (e.g. a
-        // shared normalization baseline); run it once.
-        if (cells_.count(k) != 0 ||
-            std::find(coldKeys.begin(), coldKeys.end(), k) != coldKeys.end())
-            continue;
-        cold.push_back(config);
-        coldKeys.push_back(std::move(k));
-    }
-    if (cold.empty())
-        return;
-    std::vector<ExperimentResult> results = runSweep(cold, options);
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        ++misses_;
-        cells_.emplace(coldKeys[i], std::move(results[i]));
-    }
+    prefetch(asScenarios(cells), options);
 }
 
 } // namespace pagesim

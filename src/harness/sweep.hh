@@ -1,16 +1,12 @@
 /**
  * @file
- * Sweep scheduler: run many experiment cells on one shared pool.
+ * Sweep scheduler: the one pooled runner and the one result cache.
  *
- * runExperiment() parallelizes the trials of a single cell, which
- * leaves the host idle at every cell boundary (the last straggling
- * trial barriers the whole cell). A figure bench runs 10-40 cells, so
- * those barriers add up. runSweep() instead flattens *all* (cell x
- * trial) pairs of a figure into one task list consumed by a shared
- * worker pool: the host stays saturated until the final trial of the
- * final cell, while per-trial seeding stays byte-identical to the
- * serial path (seed = baseSeed + 1000003 * trial, independent of
- * which worker runs the task or in what order).
+ * runSweep() flattens *all* (scenario x trial) pairs of a figure into
+ * one task list on a shared worker pool, so no cell boundary idles the
+ * host, and seeds each trial as baseSeed + 1000003 * trial whichever
+ * worker runs it. A grid cell runs as its one-tenant scenario
+ * (TrialRig::scenario) and reads back through cellTrial.
  */
 
 #ifndef PAGESIM_HARNESS_SWEEP_HH
@@ -18,10 +14,11 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "harness/experiment.hh"
+#include "harness/colocation.hh"
 
 namespace pagesim
 {
@@ -31,15 +28,13 @@ struct SweepOptions
 {
     /**
      * Worker threads; 1 = serial. 0 defers to the PAGESIM_WORKERS
-     * environment override, then to one per hardware thread. The old
-     * behavior cached hardware_concurrency() before the override
-     * could be consulted, so PAGESIM_WORKERS was silently ignored.
+     * environment override, then to one per hardware thread.
      */
     unsigned workers = 0;
 };
 
-/** The deterministic seed of trial @p trial of a cell seeded at
- *  @p base_seed (runSweep's and runColocation's one derivation). */
+/** The deterministic seed of trial @p trial of a scenario seeded at
+ *  @p base_seed (runSweep's one derivation). */
 std::uint64_t trialSeed(std::uint64_t base_seed, unsigned trial);
 
 inline std::uint64_t
@@ -49,47 +44,62 @@ trialSeed(const ExperimentConfig &config, unsigned trial)
 }
 
 /**
- * Run every trial of every cell on one shared pool.
- *
- * Results are identical to calling runExperiment() per cell (same
- * seeds, same trial slots); only wall-clock scheduling differs.
- * Honors the PAGESIM_TRIALS override, like runExperiment().
+ * Run every trial of every scenario on one shared pool, honoring
+ * PAGESIM_TRIALS; results do not depend on the worker count.
+ * @throws std::invalid_argument, before any trial starts, for a
+ *         tenant list runColocationTrial refuses.
  */
+std::vector<ColocationResult>
+runSweep(const std::vector<ColocationConfig> &scenarios,
+         const SweepOptions &options = {});
+
+/** The same pool over grid cells, each trial read through cellTrial. */
 std::vector<ExperimentResult>
 runSweep(const std::vector<ExperimentConfig> &cells,
          const SweepOptions &options = {});
 
 /**
- * Result cache keyed by cell configuration: each distinct cell runs
- * at most once per process.
+ * Result cache keyed by scenario (a grid cell by its one-tenant
+ * scenario): each distinct one runs at most once per process.
  *
- * prefetch() is the fast path: declare a figure's cells up front and
- * the misses run as ONE pooled sweep; subsequent get() calls are pure
- * lookups. get() on a cold cell still works (runs the cell on the
+ * prefetch() is the fast path: declare a figure's scenarios up front
+ * and the misses run as ONE pooled sweep; subsequent get() calls are
+ * pure lookups. get() on a cold scenario still works (runs it on the
  * spot) so incremental callers stay correct, just slower.
  *
- * The key is encodeConfig(TrialRig::scenario(config)), the bytes the
- * checkpoint prefix hash reads, plus the run-only fields (see key()).
+ * The key is encodeConfig, trials, baseSeed, then encodeRunFields.
  */
 class ResultCache
 {
   public:
-    /** Result for @p config, running the cell on a miss. */
-    const ExperimentResult &get(const ExperimentConfig &config);
+    /** Result for @p scenario, running it on a miss. */
+    const ColocationResult &get(const ColocationConfig &scenario);
+    /** @p cell's view of its one-tenant scenario's cached result. */
+    const ExperimentResult &get(const ExperimentConfig &cell);
 
-    /** Run all not-yet-cached cells as one pooled sweep. */
+    /** Run all not-yet-cached scenarios as one pooled sweep. */
+    void prefetch(const std::vector<ColocationConfig> &scenarios,
+                  const SweepOptions &options = {});
     void prefetch(const std::vector<ExperimentConfig> &cells,
                   const SweepOptions &options = {});
 
-    /** Cells computed (by get or prefetch) since construction. */
+    /** Scenarios computed (by get or prefetch) since construction. */
     std::uint64_t misses() const { return misses_; }
     /** get() calls answered from the cache. */
     std::uint64_t hits() const { return hits_; }
 
   private:
-    static std::string key(const ExperimentConfig &config);
+    struct Entry
+    {
+        ColocationResult scenario;
+        /** The grid-cell view, built on the first get(cell). */
+        std::optional<ExperimentResult> cell;
+    };
 
-    std::map<std::string, ExperimentResult> cells_;
+    static std::string key(const ColocationConfig &scenario);
+    Entry &entry(const ColocationConfig &scenario);
+
+    std::map<std::string, Entry> entries_;
     std::uint64_t misses_ = 0;
     std::uint64_t hits_ = 0;
 };

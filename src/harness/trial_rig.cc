@@ -7,6 +7,7 @@
 
 #include "kernel/mm_metrics.hh"
 #include "kv/ycsb_workload.hh"
+#include "sim/serialize.hh"
 #include "swap/ssd_device.hh"
 #include "swap/zram_device.hh"
 
@@ -291,20 +292,33 @@ ColocationRig::runToBoundary(std::uint64_t target_refs,
     return false;
 }
 
-TenantResult
-ColocationRig::tenantResult(std::size_t i) const
+ColocationTrialResult
+ColocationRig::collect()
 {
-    TenantResult tr;
-    tr.name = config.tenants[i].name;
-    tr.memcgStats = mm->memcg(static_cast<MemcgId>(i)).stats();
-    tr.policy = tenants[i].policy->stats();
-    for (const auto &th : threads[i]) {
-        tr.threadFinishNs.push_back(th->threadStats().finishTime);
-        tr.threadBlockedFaults.push_back(th->threadStats().blockedFaults);
-        tr.finishNs = std::max(tr.finishNs, th->threadStats().finishTime);
-    }
-    if (const auto *ycsb =
-            dynamic_cast<const YcsbWorkload *>(tenants[i].workload.get())) {
+    ColocationTrialResult r;
+    r.kernel = mm->stats();
+    r.swap = device->stats();
+    r.tier = mm->tierStats();
+    r.kswapdCpuNs = kswapd->cpuWork();
+    r.totalTouches = totalRefs();
+    for (std::size_t i = 0; i < tenants.size(); ++i) {
+        TenantResult &tr = r.tenants.emplace_back();
+        tr.name = config.tenants[i].name;
+        tr.memcgStats = mm->memcg(static_cast<MemcgId>(i)).stats();
+        const ReplacementPolicy *policy = tenants[i].policy.get();
+        tr.policy = policy->stats();
+        if (const auto *mg = dynamic_cast<const MgLruPolicy *>(policy))
+            tr.mglru = mg->mgStats();
+        for (const auto &th : threads[i]) {
+            tr.threadFinishNs.push_back(th->threadStats().finishTime);
+            tr.threadBlockedFaults.push_back(th->threadStats().blockedFaults);
+            tr.finishNs = std::max(tr.finishNs, th->threadStats().finishTime);
+        }
+        r.runtimeNs = std::max(r.runtimeNs, tr.finishNs);
+        const auto *ycsb =
+            dynamic_cast<const YcsbWorkload *>(tenants[i].workload.get());
+        if (ycsb == nullptr)
+            continue;
         tr.readLatency = ycsb->readLatency();
         tr.writeLatency = ycsb->writeLatency();
         const std::uint64_t nreq =
@@ -315,30 +329,32 @@ ColocationRig::tenantResult(std::size_t i) const
                  tr.writeLatency.mean() * tr.writeLatency.count()) /
                 static_cast<double>(nreq);
         }
+        tr.measureStartNs = ycsb->measureStart();
+        tr.faultsAtMeasureStart = ycsb->faultsAtMeasureStart();
     }
-    return tr;
-}
 
-MetricsSnapshot
-ColocationRig::finishMetrics(const std::string &label)
-{
     if (!collector)
-        return {};
+        return r;
     collector->sampler().stop();
-    MetricsSnapshot snapshot = collector->snapshot(sim.now());
+    r.metrics = collector->snapshot(sim.now());
     // One machine-wide artifact set per trial; per-tenant timeseries
     // live inside it as "memcg.<name>.*" columns. The label rounds
-    // capacity and omits MG-LRU overrides, so the config-prefix hash
-    // tells apart cells that build different machines.
+    // capacity and omits MG-LRU overrides, so a hash of the machine
+    // and of the result-changing run-only fields tells cells apart;
+    // the trial seed names the trial.
     if (!metricsConfig.artifactDir.empty()) {
+        Sink sink;
+        encodeConfig(config, sink);
+        encodeRunFields(config, sink);
         char hash[17];
         std::snprintf(hash, sizeof(hash), "%016llx",
                       static_cast<unsigned long long>(
-                          colocationPrefixHash(config)));
-        writeTrialArtifacts(metricsConfig.artifactDir, label + "-" + hash,
-                            trialSeed, snapshot);
+                          fnv1a(sink.data().data(), sink.size())));
+        writeTrialArtifacts(metricsConfig.artifactDir,
+                            config.label() + "-" + hash, trialSeed,
+                            r.metrics);
     }
-    return snapshot;
+    return r;
 }
 
 TrialRig::TrialRig(const ExperimentConfig &config,
@@ -358,26 +374,23 @@ static_assert(sizeof(ExperimentConfig) ==
 ColocationConfig
 TrialRig::scenario(const ExperimentConfig &config)
 {
-    TenantSpec tenant;
-    tenant.workload = config.workload;
-    tenant.scale = config.scale;
-    tenant.lowRatio = config.memcgLowRatio;
-    tenant.highRatio = config.memcgHighRatio;
-    tenant.maxRatio = config.memcgMaxRatio;
-
-    ColocationConfig c;
-    c.tenants = {tenant};
-    c.policy = config.policy;
-    c.swap = config.swap;
-    c.capacityRatio = config.capacityRatio;
-    c.trials = config.trials;
-    c.baseSeed = config.baseSeed;
-    c.numCpus = config.numCpus;
-    c.slowTierRatio = config.slowTierRatio;
-    c.mglru = config.mglru;
-    c.metrics = config.metrics;
-    c.checkpointAt = config.checkpointAt;
-    return c;
+    return {.tenants = {{.name = "",
+                         .workload = config.workload,
+                         .scale = config.scale,
+                         .policy = std::nullopt,
+                         .lowRatio = config.memcgLowRatio,
+                         .highRatio = config.memcgHighRatio,
+                         .maxRatio = config.memcgMaxRatio}},
+            .policy = config.policy,
+            .swap = config.swap,
+            .capacityRatio = config.capacityRatio,
+            .trials = config.trials,
+            .baseSeed = config.baseSeed,
+            .numCpus = config.numCpus,
+            .slowTierRatio = config.slowTierRatio,
+            .mglru = config.mglru,
+            .metrics = config.metrics,
+            .checkpointAt = config.checkpointAt};
 }
 
 namespace
@@ -430,8 +443,7 @@ buildAtBoundary(const ColocationConfig &config, std::uint64_t trial_seed,
 } // namespace
 
 std::unique_ptr<ColocationRig>
-runRig(const ColocationConfig &config, std::uint64_t trial_seed,
-       const std::string &label)
+runRig(const ColocationConfig &config, std::uint64_t trial_seed)
 {
     std::uint64_t events_used = 0;
     std::unique_ptr<ColocationRig> rig =
@@ -442,7 +454,7 @@ runRig(const ColocationConfig &config, std::uint64_t trial_seed,
     if (!rig->sim.runToCompletion(kMaxEvents - events_used)) {
         std::fprintf(stderr,
                      "pagesim: trial %s seed %llu did not converge\n",
-                     label.c_str(),
+                     config.label().c_str(),
                      static_cast<unsigned long long>(trial_seed));
         std::abort();
     }

@@ -13,15 +13,10 @@
  * no dedicated aging walker, but bench/pagesim_bench/traced.cc reads
  * the member and must build unmodified.
  *
- * Tenant names: a tenant's policy and thread-start RNG streams fork
- * off its name ("policy-<name>"); an unnamed lone tenant forks the
- * legacy "policy" / "thread-start" streams, which keeps the one-tenant
- * build bit-identical to the historical single-workload harness
- * (forkRng hashes the name, so construction order does not matter).
- * The constructor refuses, with std::invalid_argument and before
- * building anything, an empty tenant list, duplicate names (identical
- * streams, aliased "memcg.<name>.*" probes) and an empty name beside
- * other tenants.
+ * Tenant names scope each tenant's RNG streams and metric probes; an
+ * unnamed lone tenant forks the single-workload streams. The
+ * constructor refuses the lists colocation.hh names before building
+ * anything.
  *
  * Members are declared in construction order, so destruction runs in
  * reverse. On top of the build the rig adds the two degrees of
@@ -32,10 +27,6 @@
  *  - deferObservers: skip the auditor/metrics attach at build time
  *    (both must be detached across a checkpoint boundary; the plain
  *    path still attaches inline, preserving its exact event sequence).
- *
- * The rig also exposes the RigView the checkpoint machinery consumes
- * and the one-event-at-a-time boundary loop that parks the machine at
- * the first quiescent point past a reference-count target.
  */
 
 #ifndef PAGESIM_HARNESS_TRIAL_RIG_HH
@@ -112,16 +103,12 @@ class ColocationRig
                        std::uint64_t max_events,
                        std::uint64_t &events_used);
 
-    /** Tenant @p i's results: memcg, lruvec, threads, YCSB latency. */
-    TenantResult tenantResult(std::size_t i) const;
-
     /**
-     * Stop the metrics sampler and snapshot the collector (empty when
-     * metrics are off), writing the trial's artifacts as
-     * <label>-<16-hex config-prefix hash>-seed<N> when the config
-     * names a directory.
+     * The finished trial's results. Stops the metrics sampler and, when
+     * the config names a directory, writes the artifacts as
+     * <label>-<16-hex FNV-1a of encodeConfig + encodeRunFields>-seed<N>.
      */
-    MetricsSnapshot finishMetrics(const std::string &label);
+    ColocationTrialResult collect();
 
     /** Per-tenant components (workload/space/policy construction). */
     struct Tenant
@@ -180,11 +167,10 @@ class TrialRig : public ColocationRig
  * fails); otherwise the machine runs to the boundary and is captured
  * for the next caller. Observers attach after the boundary. The
  * machine then runs to completion; a trial that does not converge
- * aborts, naming @p label.
+ * aborts, naming its label.
  */
 std::unique_ptr<ColocationRig>
-runRig(const ColocationConfig &config, std::uint64_t trial_seed,
-       const std::string &label);
+runRig(const ColocationConfig &config, std::uint64_t trial_seed);
 
 } // namespace pagesim
 

@@ -58,9 +58,9 @@ struct MetricsConfig
     /** Individual spans retained for export (aggregation never drops). */
     std::size_t maxSpans = 1u << 16;
     /**
-     * When non-empty, runTrial writes per-trial artifact files
-     * (<label>-seed<N>.trace.json / .timeseries.csv / .metrics.jsonl)
-     * under this directory.
+     * When non-empty, every trial writes its artifact files
+     * (<label>-<hash>-seed<N>.trace.json / .timeseries.csv /
+     * .metrics.jsonl) under this directory.
      */
     std::string artifactDir;
 

@@ -4,15 +4,18 @@
  * deterministic — bit-identical across repeated runs and the trial
  * pool, and pinned — with the full cross-layer auditor (memcg
  * invariant family included) sampling reclaim batches; tenant lists
- * the rig cannot tell apart are refused.
+ * the rig cannot tell apart are refused. A grid cell is the
+ * one-tenant case of the same trial path, label and result.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 #include <stdexcept>
 
-#include "harness/colocation.hh"
+#include "harness/sweep.hh"
+#include "harness/trial_rig.hh"
 
 namespace pagesim
 {
@@ -81,6 +84,16 @@ TEST(Colocation, TrialReportsEveryTenant)
     // YCSB tenant reports request latency; PageRank does not.
     EXPECT_GT(trial.tenants[0].meanRequestNs, 0.0);
     EXPECT_EQ(trial.tenants[2].meanRequestNs, 0.0);
+    // The MG-LRU YCSB tenant reports its MG-LRU counters and its
+    // measurement window; TPC-H measures its whole run.
+    const TenantResult &ycsb = trial.tenants[0];
+    EXPECT_GT(ycsb.mglru.genCreations, 0u);
+    EXPECT_GT(ycsb.mglru.bloomInsertions, 0u);
+    EXPECT_GT(ycsb.measureStartNs, 0u);
+    EXPECT_LT(ycsb.measureStartNs, ycsb.finishNs);
+    EXPECT_LE(ycsb.faultsAtMeasureStart, trial.kernel.majorFaults);
+    EXPECT_EQ(trial.tenants[1].measureStartNs, 0u);
+    EXPECT_EQ(trial.tenants[1].faultsAtMeasureStart, 0u);
 }
 
 TEST(Colocation, RepeatRunsAreBitIdentical)
@@ -111,19 +124,22 @@ TEST(Colocation, ThreeTenantFingerprintsPinned)
 
 TEST(Colocation, RunColocationPoolMatchesDirectTrials)
 {
-    // The trial pool (however many host workers it uses) must produce
-    // exactly the per-trial results of serial direct calls.
+    // The one pooled runner (however many host workers it uses) must
+    // produce exactly the per-trial results of serial direct calls.
     ColocationConfig config = threeTenants();
     config.trials = 2;
     config.baseSeed = 99;
-    const ColocationResult pooled = runColocation(config);
-    ASSERT_EQ(pooled.trials.size(), 2u);
-    for (std::size_t t = 0; t < pooled.trials.size(); ++t) {
-        const std::uint64_t seed =
-            config.baseSeed + 1000003ull * t;
-        EXPECT_EQ(fingerprints(pooled.trials[t]),
-                  fingerprints(runColocationTrial(config, seed)))
-            << "trial " << t;
+    for (const unsigned workers : {1u, 4u}) {
+        const std::vector<ColocationResult> pooled =
+            runSweep({config}, SweepOptions{workers});
+        ASSERT_EQ(pooled.size(), 1u);
+        ASSERT_EQ(pooled[0].trials.size(), effectiveTrials(2));
+        for (std::size_t t = 0; t < pooled[0].trials.size(); ++t) {
+            const std::uint64_t seed = config.baseSeed + 1000003ull * t;
+            EXPECT_EQ(fingerprints(pooled[0].trials[t]),
+                      fingerprints(runColocationTrial(config, seed)))
+                << "workers " << workers << " trial " << t;
+        }
     }
 }
 
@@ -132,7 +148,7 @@ TEST(Colocation, EmptyTenantListIsRefused)
     ColocationConfig config = threeTenants();
     config.tenants.clear();
     EXPECT_THROW(runColocationTrial(config, 7), std::invalid_argument);
-    EXPECT_THROW(runColocation(config), std::invalid_argument);
+    EXPECT_THROW(runSweep({config}), std::invalid_argument);
 }
 
 TEST(Colocation, DuplicateTenantNamesAreRefused)
@@ -142,7 +158,7 @@ TEST(Colocation, DuplicateTenantNamesAreRefused)
     ColocationConfig config = threeTenants();
     config.tenants[2].name = config.tenants[0].name;
     EXPECT_THROW(runColocationTrial(config, 7), std::invalid_argument);
-    EXPECT_THROW(runColocation(config), std::invalid_argument);
+    EXPECT_THROW(runSweep({config}), std::invalid_argument);
 }
 
 TEST(Colocation, UnnamedTenantBesideOthersIsRefused)
@@ -152,7 +168,7 @@ TEST(Colocation, UnnamedTenantBesideOthersIsRefused)
     ColocationConfig config = threeTenants();
     config.tenants[1].name.clear();
     EXPECT_THROW(runColocationTrial(config, 7), std::invalid_argument);
-    EXPECT_THROW(runColocation(config), std::invalid_argument);
+    EXPECT_THROW(runSweep({config}), std::invalid_argument);
 
     config.tenants = {config.tenants[1]};
     EXPECT_NO_THROW(runColocationTrial(config, 7));
@@ -166,6 +182,88 @@ TEST(Colocation, LabelNamesTenantsAndMachine)
     EXPECT_NE(label.find("tpch"), std::string::npos);
     EXPECT_NE(label.find("ranker"), std::string::npos);
     EXPECT_NE(label.find("50%"), std::string::npos);
+}
+
+TEST(Colocation, OneTenantScenarioLabelIsItsCellLabel)
+{
+    ExperimentConfig cell;
+    cell.workload = WorkloadKind::PageRank;
+    cell.policy = PolicyKind::ScanAll;
+    cell.swap = SwapKind::Zram;
+    cell.capacityRatio = 0.75;
+    EXPECT_EQ(TrialRig::scenario(cell).label(),
+              "PageRank/Scan-All/ZRAM/75%");
+    EXPECT_EQ(TrialRig::scenario(ExperimentConfig{}).label(),
+              "TPC-H/MG-LRU/SSD/50%");
+    EXPECT_EQ(ExperimentConfig{}.label(), "TPC-H/MG-LRU/SSD/50%");
+    // A named lone tenant is a scenario, not a cell.
+    ColocationConfig named = TrialRig::scenario(cell);
+    named.tenants[0].name = "pr";
+    EXPECT_EQ(named.label(), "colo[pr]/Scan-All/ZRAM/75%");
+}
+
+/** @p cell's trial read from tenant 0 and the machine totals by hand. */
+void
+expectCellProjection(const ExperimentConfig &cell, std::uint64_t seed)
+{
+    const TrialResult r = runTrial(cell, seed);
+    // runColocationTrial(TrialRig::scenario(cell), seed), spelled out
+    // to keep the finished machine's clock.
+    const std::unique_ptr<ColocationRig> rig =
+        runRig(TrialRig::scenario(cell), seed);
+    const ColocationTrialResult c = rig->collect();
+    ASSERT_EQ(c.tenants.size(), 1u);
+    const TenantResult &t = c.tenants[0];
+    const std::string at =
+        cell.label() + (cell.slowTierRatio > 0 ? " +slow tier" : "");
+    // The run ends with its last thread, so the slowest thread's finish
+    // is the machine clock a lone workload's runtime was read from.
+    EXPECT_EQ(c.runtimeNs, rig->sim.now()) << at;
+    EXPECT_EQ(r.runtimeNs, c.runtimeNs - t.measureStartNs) << at;
+    EXPECT_EQ(r.majorFaults,
+              c.kernel.majorFaults - t.faultsAtMeasureStart)
+        << at;
+    EXPECT_EQ(r.kernel.majorFaults, c.kernel.majorFaults) << at;
+    EXPECT_EQ(r.kernel.minorFaults, c.kernel.minorFaults) << at;
+    EXPECT_EQ(r.kernel.evictions, c.kernel.evictions) << at;
+    EXPECT_EQ(r.policy.ptesScanned, t.policy.ptesScanned) << at;
+    EXPECT_EQ(r.policy.evicted, t.policy.evicted) << at;
+    EXPECT_EQ(r.swap.reads, c.swap.reads) << at;
+    EXPECT_EQ(r.swap.writes, c.swap.writes) << at;
+    EXPECT_EQ(r.mglru.genCreations, t.mglru.genCreations) << at;
+    EXPECT_EQ(r.mglru.bloomInsertions, t.mglru.bloomInsertions) << at;
+    EXPECT_EQ(r.tier.demotions, c.tier.demotions) << at;
+    EXPECT_EQ(r.tier.slowHits, c.tier.slowHits) << at;
+    EXPECT_EQ(r.threadFinishNs, t.threadFinishNs) << at;
+    EXPECT_EQ(r.threadBlockedFaults, t.threadBlockedFaults) << at;
+    EXPECT_EQ(r.readLatency.count(), t.readLatency.count()) << at;
+    EXPECT_EQ(r.writeLatency.count(), t.writeLatency.count()) << at;
+    EXPECT_EQ(r.meanRequestNs, t.meanRequestNs) << at;
+    EXPECT_EQ(r.kswapdCpuNs, c.kswapdCpuNs) << at;
+    EXPECT_EQ(r.totalTouches, c.totalTouches) << at;
+}
+
+TEST(Colocation, RunTrialIsTheTenantZeroProjection)
+{
+    // Every workload x {Clock, MG-LRU} x {SSD, ZRAM}, half of the cells
+    // with a slow tier: each workload, policy and swap medium runs both
+    // with and without one.
+    ExperimentConfig cell;
+    cell.scale = ScalePreset::Small;
+    unsigned parity = 0;
+    for (const WorkloadKind wk : allWorkloadKinds()) {
+        cell.workload = wk;
+        ++parity;
+        for (const PolicyKind pk : {PolicyKind::Clock, PolicyKind::MgLru}) {
+            cell.policy = pk;
+            ++parity;
+            for (const SwapKind sk : {SwapKind::Ssd, SwapKind::Zram}) {
+                cell.swap = sk;
+                cell.slowTierRatio = ++parity % 2 != 0 ? 0.25 : 0.0;
+                expectCellProjection(cell, 7);
+            }
+        }
+    }
 }
 
 } // namespace

@@ -4,7 +4,7 @@
 #include <thread>
 #include <vector>
 
-#include "harness/experiment.hh"
+#include "harness/sweep.hh"
 #include "mem/address_space.hh"
 #include "sim/serialize.hh"
 
@@ -163,13 +163,14 @@ TEST(Experiment, SummariesAggregateTrials)
 
 TEST(Experiment, RunExperimentProducesAllTrials)
 {
+    // A one-cell sweep (the name predates runExperiment's removal).
     ExperimentConfig cfg;
     cfg.workload = WorkloadKind::YcsbA;
     cfg.policy = PolicyKind::Clock;
     cfg.scale = ScalePreset::Small;
     cfg.trials = 3;
     unsetenv("PAGESIM_TRIALS");
-    const ExperimentResult res = runExperiment(cfg);
+    const ExperimentResult res = runSweep({cfg}).front();
     ASSERT_EQ(res.trials.size(), 3u);
     for (const auto &t : res.trials) {
         EXPECT_GT(t.runtimeNs, 0u);

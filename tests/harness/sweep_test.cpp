@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "harness/sweep.hh"
+#include "harness/trial_rig.hh"
 #include "sim/parallel.hh"
 
 namespace pagesim
@@ -77,11 +78,12 @@ TEST(Sweep, ParallelMatchesSerial)
 
 TEST(Sweep, MatchesPerCellRunExperiment)
 {
+    // One sweep per cell (the name predates runExperiment's removal).
     const std::vector<ExperimentConfig> cells = smallCells();
     std::vector<ExperimentResult> per_cell;
     per_cell.reserve(cells.size());
     for (const ExperimentConfig &cell : cells)
-        per_cell.push_back(runExperiment(cell));
+        per_cell.push_back(runSweep({cell}).front());
     const std::vector<ExperimentResult> pooled = runSweep(cells);
     expectSameResults(per_cell, pooled);
 }
@@ -113,7 +115,41 @@ TEST(Sweep, ResultCacheHitsAndMisses)
     EXPECT_EQ(cache.misses(), 3u);
 
     // Cached results match a fresh computation.
-    expectSameResults({cache.get(cells[0])}, {runExperiment(cells[0])});
+    expectSameResults({cache.get(cells[0])}, runSweep({cells[0]}));
+}
+
+TEST(Sweep, ResultCacheRunsColocationScenarios)
+{
+    // Roomy machines: little reclaim, so cheap under any audit cadence.
+    ColocationConfig scenario;
+    scenario.capacityRatio = 1.0;
+    scenario.trials = 1;
+    TenantSpec a;
+    a.name = "a";
+    a.workload = WorkloadKind::YcsbC;
+    TenantSpec b;
+    b.name = "b";
+    b.workload = WorkloadKind::Tpch;
+    scenario.tenants = {a, b};
+    ResultCache cache;
+    const ColocationResult &first = cache.get(scenario);
+    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(&cache.get(scenario), &first);
+    EXPECT_EQ(cache.hits(), 1u);
+    ASSERT_EQ(first.trials.size(), effectiveTrials(1));
+    EXPECT_EQ(first.trials[0].tenants.size(), 2u);
+
+    // A grid cell and its one-tenant scenario are one entry.
+    ExperimentConfig cell;
+    cell.scale = ScalePreset::Small;
+    cell.capacityRatio = 1.0;
+    cell.trials = 1;
+    cache.prefetch({cell});
+    EXPECT_EQ(cache.misses(), 2u);
+    cache.get(TrialRig::scenario(cell));
+    cache.get(cell);
+    EXPECT_EQ(cache.misses(), 2u);
+    EXPECT_EQ(cache.hits(), 3u);
 }
 
 TEST(Sweep, ResultCacheKeyCoversResultChangingConfig)

@@ -1,9 +1,10 @@
 /**
  * @file
- * Per-trial metrics artifact naming. Trials run in parallel and
- * colocated tenants share one label, so the basename must carry both
- * the trial seed and (when set) the tenant name — otherwise two
- * writers silently clobber each other's trace/timeseries/jsonl files.
+ * Per-trial metrics artifact naming. Trials run in parallel and the
+ * label rounds capacity and omits overrides and run-only fields, so
+ * the basename must carry a hash of everything that changes a result
+ * and the trial seed — otherwise two writers silently clobber each
+ * other's trace/timeseries/jsonl files.
  */
 
 #include <gtest/gtest.h>
@@ -44,47 +45,6 @@ struct ArtifactDir : ::testing::Test
     void TearDown() override { fs::remove_all(dir); }
 };
 
-TEST_F(ArtifactDir, BasenameCarriesSeedAndTenant)
-{
-    const MetricsSnapshot empty;
-    const std::string base = writeTrialArtifacts(
-        dir.string(), "colo[a+b]/mglru/ssd/50%", 1234, empty, "ycsb");
-    EXPECT_NE(base.find("ycsb"), std::string::npos);
-    EXPECT_NE(base.find("seed1234"), std::string::npos);
-    // Sanitized for the filesystem: no separators or shell-hostile
-    // characters survive from the label.
-    EXPECT_EQ(base.find('/'), std::string::npos);
-    EXPECT_EQ(base.find('%'), std::string::npos);
-    for (const char *ext :
-         {".trace.json", ".timeseries.csv", ".metrics.jsonl"}) {
-        EXPECT_TRUE(fs::exists(dir / (base + ext))) << ext;
-    }
-}
-
-TEST_F(ArtifactDir, ColocatedTenantsAndTrialsNeverCollide)
-{
-    // Regression: one shared label used to produce one basename per
-    // trial regardless of tenant, so an N-tenant trial kept only the
-    // last tenant's files.
-    const MetricsSnapshot empty;
-    const std::string label = "colo[a+b]/mglru/ssd/50%";
-    std::set<std::string> bases;
-    for (const std::uint64_t seed : {7ull, 8ull}) {
-        for (const char *tenant : {"a", "b"}) {
-            bases.insert(writeTrialArtifacts(dir.string(), label, seed,
-                                             empty, tenant));
-        }
-    }
-    EXPECT_EQ(bases.size(), 4u) << "every (tenant, seed) pair unique";
-    // Four complete artifact sets landed on disk.
-    std::size_t files = 0;
-    for (const auto &entry : fs::directory_iterator(dir)) {
-        (void)entry;
-        ++files;
-    }
-    EXPECT_EQ(files, 12u);
-}
-
 TEST_F(ArtifactDir, CellsDifferingOnlyInOverridesNeverCollide)
 {
     // Regression: trial artifacts were named by label() alone, which
@@ -106,14 +66,40 @@ TEST_F(ArtifactDir, CellsDifferingOnlyInOverridesNeverCollide)
     EXPECT_EQ(names.size(), 6u) << "two complete artifact sets";
 }
 
+TEST_F(ArtifactDir, CellsDifferingOnlyInRunFieldsNeverCollide)
+{
+    // Regression: the name hashed only the machine's encoding, so a
+    // cold cell and a checkpointed one (observers attach at the
+    // boundary, so its timeseries is shorter) wrote one basename.
+    ExperimentConfig cold;
+    cold.workload = WorkloadKind::YcsbA;
+    cold.scale = ScalePreset::Small;
+    cold.metrics.mode = MetricsMode::Full;
+    cold.metrics.artifactDir = dir.string();
+    ExperimentConfig warm = cold;
+    warm.checkpointAt = 10000;
+    ASSERT_EQ(cold.label(), warm.label());
+    runTrial(cold, 7);
+    runTrial(warm, 7);
+    std::set<std::string> names;
+    for (const auto &entry : fs::directory_iterator(dir))
+        names.insert(entry.path().filename().string());
+    EXPECT_EQ(names.size(), 6u) << "two complete artifact sets";
+}
+
 TEST_F(ArtifactDir, LegacySingleTenantNamesUnchanged)
 {
-    // The historical single-workload path passes no tenant; its
-    // basenames keep the label-seed shape existing tooling parses.
+    // The basename keeps the label-seed shape existing tooling
+    // parses, sanitized for the filesystem: no separators or
+    // shell-hostile characters survive from the label.
     const MetricsSnapshot empty;
     const std::string base = writeTrialArtifacts(
         dir.string(), "ycsb_a/mglru/ssd/50%", 42, empty);
     EXPECT_EQ(base, "ycsb_a_mglru_ssd_50_-seed42");
+    for (const char *ext :
+         {".trace.json", ".timeseries.csv", ".metrics.jsonl"}) {
+        EXPECT_TRUE(fs::exists(dir / (base + ext))) << ext;
+    }
 }
 
 } // namespace
