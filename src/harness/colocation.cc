@@ -34,12 +34,12 @@ static_assert(sizeof(MgLruOverrides) == 80,
 static_assert(sizeof(TenantSpec) == sizeof(std::string) + 40,
               "TenantSpec changed: update encodeConfig");
 static_assert(sizeof(MetricsConfig) == sizeof(std::string) + 32,
-              "MetricsConfig changed: update ResultCache::key");
+              "MetricsConfig changed: update encodeRunFields");
 static_assert(sizeof(ColocationConfig) ==
                   sizeof(std::vector<TenantSpec>) + sizeof(MetricsConfig) +
                       sizeof(MgLruOverrides) + 56,
               "ColocationConfig changed: update encodeConfig or "
-              "ResultCache::key");
+              "encodeRunFields");
 
 void
 encodeConfig(const ColocationConfig &config, Sink &sink)

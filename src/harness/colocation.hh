@@ -101,7 +101,7 @@ void encodeConfig(const ColocationConfig &config, Sink &sink);
 /**
  * Append the run-only fields that change a trial's result (metrics
  * mode, cadence and caps, audit cadence, checkpointAt): the one list
- * ResultCache::key and the artifact names read after encodeConfig.
+ * the ResultCache key and the artifact names read after encodeConfig.
  */
 void encodeRunFields(const ColocationConfig &config, Sink &sink);
 

@@ -18,24 +18,59 @@ trialSeed(std::uint64_t base_seed, unsigned trial)
 namespace
 {
 
-/** @p scenario's trials through cellTrial, as @p cell's result. */
-ExperimentResult
-cellResult(const ExperimentConfig &cell, ColocationResult scenario)
+std::string
+cacheKey(const ColocationConfig &scenario)
 {
-    ExperimentResult r;
-    r.config = cell;
-    for (ColocationTrialResult &t : scenario.trials)
-        r.trials.push_back(cellTrial(std::move(t)));
-    return r;
+    Sink sink;
+    encodeConfig(scenario, sink);
+    sink.u32(scenario.trials);
+    sink.u64(scenario.baseSeed);
+    encodeRunFields(scenario, sink);
+    return {sink.data().begin(), sink.data().end()};
 }
 
-std::vector<ColocationConfig>
-asScenarios(const std::vector<ExperimentConfig> &cells)
+std::string
+cacheKey(const ExperimentConfig &cell)
 {
-    std::vector<ColocationConfig> out;
-    for (const ExperimentConfig &cell : cells)
-        out.push_back(TrialRig::scenario(cell));
-    return out;
+    return cacheKey(TrialRig::scenario(cell));
+}
+
+/** Run the not-yet-cached @p configs as one sweep into @p entries.
+ *  @return how many ran. */
+template <class Config, class Result>
+std::uint64_t
+fill(std::map<std::string, Result> &entries,
+     const std::vector<Config> &configs, const SweepOptions &options)
+{
+    std::vector<Config> cold;
+    std::vector<std::string> coldKeys;
+    for (const Config &config : configs) {
+        std::string k = cacheKey(config);
+        // A figure may legitimately list the same cell twice (e.g. a
+        // shared normalization baseline); run it once.
+        if (entries.count(k) != 0 ||
+            std::find(coldKeys.begin(), coldKeys.end(), k) != coldKeys.end())
+            continue;
+        cold.push_back(config);
+        coldKeys.push_back(std::move(k));
+    }
+    std::vector<Result> results = runSweep(cold, options);
+    for (std::size_t i = 0; i < results.size(); ++i)
+        entries.emplace(coldKeys[i], std::move(results[i]));
+    return results.size();
+}
+
+template <class Config, class Result>
+const Result &
+lookup(std::map<std::string, Result> &entries, const Config &config,
+       std::uint64_t &hits, std::uint64_t &misses)
+{
+    const std::string k = cacheKey(config);
+    if (entries.count(k) != 0)
+        ++hits;
+    else
+        misses += fill(entries, std::vector<Config>{config}, {});
+    return entries.at(k);
 }
 
 } // namespace
@@ -91,78 +126,43 @@ std::vector<ExperimentResult>
 runSweep(const std::vector<ExperimentConfig> &cells,
          const SweepOptions &options)
 {
-    std::vector<ColocationResult> runs = runSweep(asScenarios(cells), options);
-    std::vector<ExperimentResult> results;
-    for (std::size_t c = 0; c < cells.size(); ++c)
-        results.push_back(cellResult(cells[c], std::move(runs[c])));
+    std::vector<ColocationConfig> scenarios;
+    for (const ExperimentConfig &cell : cells)
+        scenarios.push_back(TrialRig::scenario(cell));
+    std::vector<ColocationResult> runs = runSweep(scenarios, options);
+    std::vector<ExperimentResult> results(cells.size());
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+        results[c].config = cells[c];
+        for (ColocationTrialResult &t : runs[c].trials)
+            results[c].trials.push_back(cellTrial(std::move(t)));
+    }
     return results;
-}
-
-std::string
-ResultCache::key(const ColocationConfig &scenario)
-{
-    Sink sink;
-    encodeConfig(scenario, sink);
-    sink.u32(scenario.trials);
-    sink.u64(scenario.baseSeed);
-    encodeRunFields(scenario, sink);
-    return {sink.data().begin(), sink.data().end()};
-}
-
-ResultCache::Entry &
-ResultCache::entry(const ColocationConfig &scenario)
-{
-    const std::string k = key(scenario);
-    if (entries_.count(k) != 0)
-        ++hits_;
-    else
-        prefetch({scenario});
-    return entries_.at(k);
 }
 
 const ColocationResult &
 ResultCache::get(const ColocationConfig &scenario)
 {
-    return entry(scenario).scenario;
+    return lookup(scenarios_, scenario, hits_, misses_);
 }
 
 const ExperimentResult &
 ResultCache::get(const ExperimentConfig &cell)
 {
-    Entry &e = entry(TrialRig::scenario(cell));
-    if (!e.cell)
-        e.cell = cellResult(cell, e.scenario);
-    return *e.cell;
+    return lookup(cells_, cell, hits_, misses_);
 }
 
 void
 ResultCache::prefetch(const std::vector<ColocationConfig> &scenarios,
                       const SweepOptions &options)
 {
-    std::vector<ColocationConfig> cold;
-    std::vector<std::string> coldKeys;
-    for (const ColocationConfig &scenario : scenarios) {
-        std::string k = key(scenario);
-        // A figure may legitimately list the same cell twice (e.g. a
-        // shared normalization baseline); run it once.
-        if (entries_.count(k) != 0 ||
-            std::find(coldKeys.begin(), coldKeys.end(), k) != coldKeys.end())
-            continue;
-        cold.push_back(scenario);
-        coldKeys.push_back(std::move(k));
-    }
-    std::vector<ColocationResult> results = runSweep(cold, options);
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        ++misses_;
-        entries_.emplace(coldKeys[i], Entry{std::move(results[i]), {}});
-    }
+    misses_ += fill(scenarios_, scenarios, options);
 }
 
 void
 ResultCache::prefetch(const std::vector<ExperimentConfig> &cells,
                       const SweepOptions &options)
 {
-    prefetch(asScenarios(cells), options);
+    misses_ += fill(cells_, cells, options);
 }
 
 } // namespace pagesim

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -67,14 +66,15 @@ runSweep(const std::vector<ExperimentConfig> &cells,
  * pure lookups. get() on a cold scenario still works (runs it on the
  * spot) so incremental callers stay correct, just slower.
  *
- * The key is encodeConfig, trials, baseSeed, then encodeRunFields.
+ * The key is encodeConfig, trials, baseSeed, then encodeRunFields. A
+ * cell keeps only its ExperimentResult view, so no trial is stored
+ * twice; asking for a cell and then for its scenario runs it twice.
  */
 class ResultCache
 {
   public:
     /** Result for @p scenario, running it on a miss. */
     const ColocationResult &get(const ColocationConfig &scenario);
-    /** @p cell's view of its one-tenant scenario's cached result. */
     const ExperimentResult &get(const ExperimentConfig &cell);
 
     /** Run all not-yet-cached scenarios as one pooled sweep. */
@@ -89,17 +89,8 @@ class ResultCache
     std::uint64_t hits() const { return hits_; }
 
   private:
-    struct Entry
-    {
-        ColocationResult scenario;
-        /** The grid-cell view, built on the first get(cell). */
-        std::optional<ExperimentResult> cell;
-    };
-
-    static std::string key(const ColocationConfig &scenario);
-    Entry &entry(const ColocationConfig &scenario);
-
-    std::map<std::string, Entry> entries_;
+    std::map<std::string, ColocationResult> scenarios_;
+    std::map<std::string, ExperimentResult> cells_;
     std::uint64_t misses_ = 0;
     std::uint64_t hits_ = 0;
 };

@@ -366,7 +366,7 @@ TrialRig::TrialRig(const ExperimentConfig &config,
 }
 
 // Tripwire: a new ExperimentConfig field stops the build here until
-// scenario() maps it (encodeConfig and ResultCache::key read the map).
+// scenario() maps it (encodeConfig and the ResultCache key read the map).
 static_assert(sizeof(ExperimentConfig) ==
                   sizeof(MgLruOverrides) + sizeof(MetricsConfig) + 88,
               "ExperimentConfig changed: update TrialRig::scenario");

@@ -11,9 +11,9 @@
  * HOST-speed facility only: simulated state never changes inside a
  * task.
  *
- * PAGESIM_WORKERS pins the worker count for every pool user (sweep and
- * colocation trial fan-out, sharded audits) — needed in CI and in the
- * worker-count invariance tests.
+ * PAGESIM_WORKERS pins the worker count for every pool user (the sweep
+ * runner, sharded audits) — needed in CI and in the worker-count
+ * invariance tests.
  */
 
 #ifndef PAGESIM_SIM_PARALLEL_HH

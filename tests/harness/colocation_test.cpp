@@ -126,19 +126,31 @@ TEST(Colocation, RunColocationPoolMatchesDirectTrials)
 {
     // The one pooled runner (however many host workers it uses) must
     // produce exactly the per-trial results of serial direct calls.
-    ColocationConfig config = threeTenants();
-    config.trials = 2;
-    config.baseSeed = 99;
+    // Four scenarios that differ only in baseSeed give the pool at
+    // least four tasks whatever PAGESIM_TRIALS says, so the 4-worker
+    // arm runs two or more trials at once.
+    std::vector<ColocationConfig> scenarios;
+    std::vector<std::vector<std::vector<std::uint64_t>>> direct;
+    for (const std::uint64_t base : {99u, 199u, 299u, 399u}) {
+        ColocationConfig config = threeTenants();
+        config.trials = 1;
+        config.baseSeed = base;
+        scenarios.push_back(config);
+        direct.emplace_back();
+        for (unsigned t = 0; t < effectiveTrials(1); ++t)
+            direct.back().push_back(fingerprints(
+                runColocationTrial(config, base + 1000003ull * t)));
+    }
     for (const unsigned workers : {1u, 4u}) {
         const std::vector<ColocationResult> pooled =
-            runSweep({config}, SweepOptions{workers});
-        ASSERT_EQ(pooled.size(), 1u);
-        ASSERT_EQ(pooled[0].trials.size(), effectiveTrials(2));
-        for (std::size_t t = 0; t < pooled[0].trials.size(); ++t) {
-            const std::uint64_t seed = config.baseSeed + 1000003ull * t;
-            EXPECT_EQ(fingerprints(pooled[0].trials[t]),
-                      fingerprints(runColocationTrial(config, seed)))
-                << "workers " << workers << " trial " << t;
+            runSweep(scenarios, SweepOptions{workers});
+        ASSERT_EQ(pooled.size(), scenarios.size());
+        for (std::size_t s = 0; s < pooled.size(); ++s) {
+            ASSERT_EQ(pooled[s].trials.size(), direct[s].size());
+            for (std::size_t t = 0; t < pooled[s].trials.size(); ++t)
+                EXPECT_EQ(fingerprints(pooled[s].trials[t]), direct[s][t])
+                    << "workers " << workers << " scenario " << s
+                    << " trial " << t;
         }
     }
 }

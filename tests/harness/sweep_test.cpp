@@ -138,18 +138,6 @@ TEST(Sweep, ResultCacheRunsColocationScenarios)
     EXPECT_EQ(cache.hits(), 1u);
     ASSERT_EQ(first.trials.size(), effectiveTrials(1));
     EXPECT_EQ(first.trials[0].tenants.size(), 2u);
-
-    // A grid cell and its one-tenant scenario are one entry.
-    ExperimentConfig cell;
-    cell.scale = ScalePreset::Small;
-    cell.capacityRatio = 1.0;
-    cell.trials = 1;
-    cache.prefetch({cell});
-    EXPECT_EQ(cache.misses(), 2u);
-    cache.get(TrialRig::scenario(cell));
-    cache.get(cell);
-    EXPECT_EQ(cache.misses(), 2u);
-    EXPECT_EQ(cache.hits(), 3u);
 }
 
 TEST(Sweep, ResultCacheKeyCoversResultChangingConfig)
