@@ -10,7 +10,6 @@
 
 #include "policy/clock_lru.hh"
 #include "policy/mglru/mglru_policy.hh"
-#include "sim/parallel.hh"
 #include "swap/zram_device.hh"
 
 namespace pagesim
@@ -66,11 +65,11 @@ MmAuditor::knownSpace(const AddressSpace *space) const
     return spaceSet_.count(space) != 0;
 }
 
-AuditViolation
-MmAuditor::makeViolation(AuditSubsystem subsystem,
-                         const char *invariant, std::uint32_t space_id,
-                         Vpn vpn, Pfn pfn, std::string expected,
-                         std::string actual)
+void
+MmAuditor::addViolation(AuditReport &rep, AuditSubsystem subsystem,
+                        const char *invariant, std::uint32_t space_id,
+                        Vpn vpn, Pfn pfn, std::string expected,
+                        std::string actual) const
 {
     AuditViolation v;
     v.subsystem = subsystem;
@@ -80,19 +79,7 @@ MmAuditor::makeViolation(AuditSubsystem subsystem,
     v.pfn = pfn;
     v.expected = std::move(expected);
     v.actual = std::move(actual);
-    return v;
-}
-
-void
-MmAuditor::addViolation(AuditReport &rep, AuditSubsystem subsystem,
-                        const char *invariant, std::uint32_t space_id,
-                        Vpn vpn, Pfn pfn, std::string expected,
-                        std::string actual) const
-{
-    rep.violations.push_back(makeViolation(subsystem, invariant,
-                                           space_id, vpn, pfn,
-                                           std::move(expected),
-                                           std::move(actual)));
+    rep.violations.push_back(std::move(v));
 }
 
 void
@@ -139,90 +126,18 @@ MmAuditor::installPeriodic(bool hard_fail)
 void
 MmAuditor::checkPtes(AuditReport &rep, WalkContext &ctx) const
 {
-    // Shard-parallel walk: harvest each (space, shard) pair into its
-    // own ShardPteOut, then merge in the serial walk's order. The
-    // harvest only READS MM state (and appends to its private out
-    // slot), so shards are trivially safe to walk concurrently; the
-    // ordered merge makes the report byte-identical to a serial walk.
-    struct Task
-    {
-        const AddressSpace *sp;
-        std::uint64_t shard;
-    };
-    std::vector<Task> tasks;
-    for (const AddressSpace *sp : spaces_) {
-        const std::uint64_t ns = sp->table().numShards();
-        for (std::uint64_t s = 0; s < ns; ++s)
-            tasks.push_back(Task{sp, s});
-    }
-    std::vector<ShardPteOut> outs(tasks.size());
-    const unsigned workers =
-        workerOverride() != 0 ? workerOverride() : 1;
-    parallelMap(workers, outs, [&](std::size_t t, ShardPteOut &slot) {
-        harvestPteShard(tasks[t].sp, tasks[t].shard, slot);
-    });
-
-    std::size_t t = 0;
-    for (const AddressSpace *sp : spaces_) {
-        const PageTable &pt = sp->table();
-        std::uint64_t spaceMapped = 0;
-        std::uint64_t spacePresent = 0;
-        for (std::uint64_t s = 0; s < pt.numShards(); ++s, ++t) {
-            ShardPteOut &o = outs[t];
-            for (AuditViolation &v : o.violations)
-                rep.violations.push_back(std::move(v));
-            rep.ptesWalked += o.ptesWalked;
-            ctx.presentFastPtes += o.presentFast;
-            if (sp->memcg() < ctx.presentFastByMemcg.size())
-                ctx.presentFastByMemcg[sp->memcg()] += o.presentFast;
-            ctx.presentSlowPtes += o.presentSlow;
-            for (const auto &[slot, owner] : o.slotRefs)
-                ctx.slotRefs[slot].push_back(owner);
-            for (const auto &p : o.inIoPtes)
-                ctx.inIoPtes.push_back(p);
-            spaceMapped += o.mapped;
-            spacePresent += o.present;
-        }
-
-        // Running totals vs the recount (they replaced O(regions)
-        // re-sums, so drift would silently skew every consumer).
-        if (pt.totalMapped() != spaceMapped) {
-            addViolation(rep, AuditSubsystem::Pte,
-                         "total-mapped-mismatch", sp->id(),
-                         AuditViolation::kNoVpn, kInvalidPfn,
-                         std::to_string(spaceMapped) + " (recount)",
-                         std::to_string(pt.totalMapped()));
-        }
-        if (pt.totalPresent() != spacePresent) {
-            addViolation(rep, AuditSubsystem::Pte,
-                         "total-present-mismatch", sp->id(),
-                         AuditViolation::kNoVpn, kInvalidPfn,
-                         std::to_string(spacePresent) + " (recount)",
-                         std::to_string(pt.totalPresent()));
-        }
-    }
-}
-
-void
-MmAuditor::harvestPteShard(const AddressSpace *sp, std::uint64_t shard,
-                           ShardPteOut &out) const
-{
     const FrameTable &fast = mm_.frames();
     const FrameTable &slow = mm_.slowFrames();
     const SwapManager &swap = mm_.swap();
     const ZramSwapDevice *zram = swap.zram();
-    // Violations land in a shard-local report (same addViolation
-    // helper), moved into `out` at the end.
-    AuditReport rep;
 
-    {
+    // One walk in (space, vpn) order, straight into the report and the
+    // walk context.
+    for (const AddressSpace *sp : spaces_) {
         const PageTable &pt = sp->table();
-        const std::uint64_t rEnd = std::min(
-            pt.numRegions(), (shard + 1) * kRegionsPerShard);
-        for (std::uint64_t r = shard * kRegionsPerShard; r < rEnd;
-             ++r) {
-            std::uint32_t mapped = 0;
-            std::uint32_t present = 0;
+        std::uint64_t spaceFast = 0;
+        for (std::uint64_t r = 0; r < pt.numRegions(); ++r) {
+            bool present = false;
             // Recounted bitmap words, accumulated from PTE flags during
             // the same walk and compared word-for-word below.
             std::array<std::uint64_t, PageTable::kWordsPerRegion>
@@ -233,12 +148,10 @@ MmAuditor::harvestPteShard(const AddressSpace *sp, std::uint64_t shard,
                 ++rep.ptesWalked;
                 const std::uint64_t w = (vpn - base) / 64;
                 const std::uint64_t bit = 1ull << (vpn % 64);
-                if (pte.mapped()) {
-                    ++mapped;
+                if (pte.mapped())
                     expMapped[w] |= bit;
-                }
                 if (pte.present()) {
-                    ++present;
+                    present = true;
                     expPresent[w] |= bit;
                 }
                 if (pte.accessed())
@@ -286,7 +199,7 @@ MmAuditor::harvestPteShard(const AddressSpace *sp, std::uint64_t shard,
                 }
 
                 if (pte.present() && !pte.slow()) {
-                    ++out.presentFast;
+                    ++spaceFast;
                     const Pfn pfn = pte.pfn();
                     if (pfn >= fast.totalFrames()) {
                         addViolation(rep, AuditSubsystem::Pte,
@@ -321,7 +234,7 @@ MmAuditor::harvestPteShard(const AddressSpace *sp, std::uint64_t shard,
                             "fromReadahead 1");
                     }
                 } else if (pte.present() && pte.slow()) {
-                    ++out.presentSlow;
+                    ++ctx.presentSlowPtes;
                     const Pfn pfn = pte.pfn();
                     if (pfn >= slow.totalFrames()) {
                         addViolation(rep, AuditSubsystem::SlowTier,
@@ -345,8 +258,7 @@ MmAuditor::harvestPteShard(const AddressSpace *sp, std::uint64_t shard,
                     }
                 } else if (pte.swapped()) {
                     const SwapSlot slot = pte.swapSlot();
-                    out.slotRefs.emplace_back(
-                        slot, WalkContext::SlotOwner{sp, vpn, "pte"});
+                    recordSlotRef(ctx, slot, sp, vpn, "pte");
                     if (!swap.slotAllocated(slot)) {
                         addViolation(rep, AuditSubsystem::Swap,
                                      "swapped-slot-not-allocated",
@@ -379,22 +291,10 @@ MmAuditor::harvestPteShard(const AddressSpace *sp, std::uint64_t shard,
                         }
                     }
                     if (pte.inIo())
-                        out.inIoPtes.emplace_back(sp, vpn);
+                        ctx.inIoPtes.emplace_back(sp, vpn);
                 }
             }
 
-            const RegionInfo &ri = pt.region(r);
-            if (ri.mapped != mapped || ri.present != present) {
-                addViolation(rep, AuditSubsystem::Pte,
-                             "region-counter-mismatch", sp->id(), base,
-                             kInvalidPfn,
-                             "mapped=" + std::to_string(mapped) +
-                                 " present=" + std::to_string(present) +
-                                 " (recount)",
-                             "mapped=" + std::to_string(ri.mapped) +
-                                 " present=" +
-                                 std::to_string(ri.present));
-            }
 
             // Bitmap <-> PTE coherence: every tracked bit must mirror
             // its PTE's flag, word for word. The scan fast paths read
@@ -429,34 +329,19 @@ MmAuditor::harvestPteShard(const AddressSpace *sp, std::uint64_t shard,
                                  std::to_string(c.actual));
                 }
             }
-            if (pt.anyPresent(r) != (present > 0)) {
+            if (pt.anyPresent(r) != present) {
                 addViolation(rep, AuditSubsystem::Pte,
                              "present-summary-mismatch", sp->id(), base,
                              kInvalidPfn,
-                             present > 0 ? "summary bit set"
-                                         : "summary bit clear",
+                             present ? "summary bit set"
+                                     : "summary bit clear",
                              pt.anyPresent(r) ? "set" : "clear");
             }
-            out.mapped += mapped;
-            out.present += present;
         }
-
-        // Shard counters vs the recount: the coarse accounting the
-        // sharded walkers trust to size their work.
-        const ShardInfo &si = pt.shard(shard);
-        if (si.mapped != out.mapped || si.present != out.present) {
-            addViolation(rep, AuditSubsystem::Pte,
-                         "shard-counter-mismatch", sp->id(),
-                         shard * kVpnsPerShard, kInvalidPfn,
-                         "mapped=" + std::to_string(out.mapped) +
-                             " present=" + std::to_string(out.present) +
-                             " (recount)",
-                         "mapped=" + std::to_string(si.mapped) +
-                             " present=" + std::to_string(si.present));
-        }
+        ctx.presentFastPtes += spaceFast;
+        if (sp->memcg() < ctx.presentFastByMemcg.size())
+            ctx.presentFastByMemcg[sp->memcg()] += spaceFast;
     }
-    out.violations = std::move(rep.violations);
-    out.ptesWalked = rep.ptesWalked;
 }
 
 void

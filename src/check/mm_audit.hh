@@ -21,7 +21,9 @@
  *     frame, and has either a registered I/O waiter or an in-flight
  *     writeback/readahead (writebacksInFlight_ + swapInsInFlight_
  *     reconcile with the total InIo population);
- *   - per-region mapped/present counters match a recount.
+ *   - the present/accessed/mapped bitmap words mirror their PTEs'
+ *     flags, and each region's summary bit is set exactly when one
+ *     of its PTEs is present.
  *
  *  Frame side (both frame tables):
  *   - free frames are exactly the free list (no duplicates, no frame
@@ -142,41 +144,12 @@ class MmAuditor
         std::vector<std::uint64_t> chargedByMemcg;
     };
 
-    /**
-     * Per-shard output of the parallel PTE walk. Shards are harvested
-     * concurrently into pre-sized slots, then merged into the report
-     * and WalkContext in ascending (space, shard) order, so the
-     * resulting report is byte-identical to the old serial walk.
-     */
-    struct ShardPteOut
-    {
-        std::vector<AuditViolation> violations;
-        /** (slot, owner) pairs, in walk order (replayed into ctx). */
-        std::vector<std::pair<SwapSlot, WalkContext::SlotOwner>>
-            slotRefs;
-        std::vector<std::pair<const AddressSpace *, Vpn>> inIoPtes;
-        std::uint64_t ptesWalked = 0;
-        std::uint64_t presentFast = 0;
-        std::uint64_t presentSlow = 0;
-        std::uint64_t mapped = 0;
-        std::uint64_t present = 0;
-    };
-
-    static AuditViolation makeViolation(AuditSubsystem subsystem,
-                                        const char *invariant,
-                                        std::uint32_t space_id, Vpn vpn,
-                                        Pfn pfn, std::string expected,
-                                        std::string actual);
-
     void addViolation(AuditReport &rep, AuditSubsystem subsystem,
                       const char *invariant, std::uint32_t space_id,
                       Vpn vpn, Pfn pfn, std::string expected,
                       std::string actual) const;
 
     void checkPtes(AuditReport &rep, WalkContext &ctx) const;
-    /** Walk one shard's regions; read-only, thread-safe per shard. */
-    void harvestPteShard(const AddressSpace *sp, std::uint64_t shard,
-                         ShardPteOut &out) const;
     void checkFastFrames(AuditReport &rep, WalkContext &ctx) const;
     void checkSlowTier(AuditReport &rep, WalkContext &ctx) const;
     void checkPolicy(AuditReport &rep, WalkContext &ctx) const;

@@ -24,7 +24,7 @@
  * event in ascending saved (when, seq) order, which preserves the
  * dispatch relation under fresh sequence numbers.
  *
- * Format (version 5): a little-endian header (magic, version,
+ * Format (version 6): a little-endian header (magic, version,
  * config-prefix hash, seed, sim time, refs, section count) followed by
  * named sections, each framed as name length, name, payload length,
  * payload checksum (checksum64, sim/serialize.hh), payload. The
@@ -32,10 +32,11 @@
  * one is SectionMissing, and a duplicated, unknown or reordered one is
  * Unsupported. The framing is that of version 1; version 2 brought
  * checksum64, version 3 the XOR-delta lane packing (sim/serialize.hh),
- * version 4 the one config-prefix hash (encodeConfig), and version 5
- * that hash over two fewer config fields. An older image is refused
- * with VersionMismatch. A little-endian host is assumed: lane words
- * are read in host order.
+ * version 4 the one config-prefix hash (encodeConfig), version 5 that
+ * hash over two fewer config fields, and version 6 a page table
+ * without its region, shard and total counters. An older image is
+ * refused with VersionMismatch. A little-endian host is assumed: lane
+ * words are read in host order.
  *
  * Every section is described once, by the visitState(StateIO &)
  * bodies of the classes it holds (sim/serialize.hh); capture, the
@@ -86,7 +87,7 @@ class Workload;
 class SimActor;
 
 /** Checkpoint format version; bump on any serialized-layout change. */
-constexpr std::uint32_t kCheckpointVersion = 5;
+constexpr std::uint32_t kCheckpointVersion = 6;
 
 /** Structured checkpoint failure. */
 struct CheckpointError

@@ -7,10 +7,9 @@
  * (one leaf page-table page each). MG-LRU's aging path walks this
  * structure linearly, which is exactly the locality advantage the paper
  * describes over Clock's per-page rmap walks; the region is also the
- * granularity of the Bloom filter. Per-region counters (mapped/present)
- * let walkers skip empty regions the way the real walker skips holes.
- * `at()` hands out PteRef/PteView proxies, so call sites keep the
- * member-function syntax of the old array-of-structs Pte.
+ * granularity of the Bloom filter. `at()` hands out PteRef/PteView
+ * proxies, so call sites keep the member-function syntax of the old
+ * array-of-structs Pte.
  *
  * Alongside the PTE lanes the table maintains three per-region bitmaps
  * (kPtesPerRegion bits each, packed into 64-bit words): `present`,
@@ -21,23 +20,19 @@
  * PTE record per slot, so a region whose `present & accessed` word is
  * zero costs zero PTE loads. A coarse summary bitmap (one bit per
  * region: "any PTE present") lets walkers skip empty stretches of the
- * address space in word-sized jumps.
- *
- * Regions are further grouped into fixed shards (kRegionsPerShard)
- * carrying coarse mapped/present counters. Shards are the unit of the
- * auditor's parallel walk: it reads disjoint shards concurrently
- * through the const views, and can cross-check shard totals without
- * walking the whole table serially.
+ * address space in word-sized jumps, the way the real walker skips
+ * holes. The bitmaps are the only record of residency: a count of
+ * mapped or present PTEs is a popcount of them, never a separate
+ * counter that could drift.
  *
  * Coherence rule: every mutation of a Present/Accessed/Mapped PTE flag
  * must go through the tracked mutators below (mapFrame, unmapToSwap,
  * setAccessed, testAndClearAccessed, clearAccessedBits, ...), never
- * through PteRef::setFlag directly — that is what keeps the bitmaps,
- * the per-region counters, the shard counters, the summary words, and
- * the running totals in lockstep. MmAuditor cross-checks all of them
- * against the PTE flags on every audit pass. Untracked flags (Dirty,
- * InIo, Slow, File, shadow words) may still be flipped on the proxy
- * directly.
+ * through PteRef::setFlag directly — that is what keeps the bitmaps
+ * and the summary words in lockstep with the PTE flags. MmAuditor
+ * cross-checks both against the PTE flags on every audit pass.
+ * Untracked flags (Dirty, InIo, Slow, File, shadow words) may still be
+ * flipped on the proxy directly.
  */
 
 #ifndef PAGESIM_MEM_PAGE_TABLE_HH
@@ -55,20 +50,6 @@
 namespace pagesim
 {
 
-/** Per-region bookkeeping, maintained by PageTable mutators. */
-struct RegionInfo
-{
-    std::uint32_t mapped = 0;   ///< PTEs inside a VMA
-    std::uint32_t present = 0;  ///< resident PTEs
-};
-
-/** Per-shard bookkeeping (kRegionsPerShard regions per shard). */
-struct ShardInfo
-{
-    std::uint64_t mapped = 0;  ///< PTEs inside a VMA
-    std::uint64_t present = 0; ///< resident PTEs
-};
-
 /** A single address space's page table. */
 class PageTable
 {
@@ -81,13 +62,14 @@ class PageTable
     PageTable() = default;
 
     /** Number of regions the table currently spans. */
-    std::uint64_t numRegions() const { return regions_.size(); }
-
-    /** Number of shards the table currently spans. */
-    std::uint64_t numShards() const { return shards_.size(); }
+    std::uint64_t
+    numRegions() const
+    {
+        return presentBits_.size() / kWordsPerRegion;
+    }
 
     /** Total VPN span (regions * kPtesPerRegion). */
-    std::uint64_t span() const { return regions_.size() * kPtesPerRegion; }
+    std::uint64_t span() const { return pteFlags_.size(); }
 
     /** Grow the table to cover @p vpn_end VPNs. */
     void
@@ -95,14 +77,11 @@ class PageTable
     {
         const std::uint64_t need =
             (vpn_end + kPtesPerRegion - 1) / kPtesPerRegion;
-        if (need > regions_.size()) {
+        if (need > numRegions()) {
             const std::uint64_t slots = need * kPtesPerRegion;
             pteValue_.resize(slots);
             pteShadow_.resize(slots);
             pteFlags_.resize(slots);
-            regions_.resize(need);
-            shards_.resize((need + kRegionsPerShard - 1) /
-                           kRegionsPerShard);
             const std::uint64_t words = need * kWordsPerRegion;
             presentBits_.resize(words);
             accessedBits_.resize(words);
@@ -123,28 +102,6 @@ class PageTable
     {
         assert(vpn < pteFlags_.size());
         return PteView(pteValue_[vpn], pteShadow_[vpn], pteFlags_[vpn]);
-    }
-
-    RegionInfo &
-    region(std::uint64_t r)
-    {
-        assert(r < regions_.size());
-        return regions_[r];
-    }
-
-    const RegionInfo &
-    region(std::uint64_t r) const
-    {
-        assert(r < regions_.size());
-        return regions_[r];
-    }
-
-    /** Shard @p s's coarse counters. */
-    const ShardInfo &
-    shard(std::uint64_t s) const
-    {
-        assert(s < shards_.size());
-        return shards_[s];
     }
 
     // ---- Word-at-a-time bitmap views (scan hot paths) ---------------
@@ -185,7 +142,7 @@ class PageTable
     std::uint64_t
     nextPresentRegion(std::uint64_t from) const
     {
-        const std::uint64_t nr = regions_.size();
+        const std::uint64_t nr = numRegions();
         if (from >= nr)
             return nr;
         std::uint64_t wi = from / 64;
@@ -226,9 +183,6 @@ class PageTable
         if (file)
             pte.setFlag(Pte::File);
         mappedBits_[vpn / 64] |= bitOf(vpn);
-        ++regions_[regionOf(vpn)].mapped;
-        ++shards_[vpn / kVpnsPerShard].mapped;
-        ++totalMapped_;
     }
 
     /** Set the accessed bit ("hardware" sets the A bit on access). */
@@ -261,8 +215,8 @@ class PageTable
 
     /**
      * Transition @p vpn to present (fast or slow tier) at @p pfn. For
-     * a not-present PTE this also books the new residency (region
-     * counter, bitmaps, summary, running total); an already-present
+     * a not-present PTE this also books the new residency (present
+     * bitmap and summary bit); an already-present
      * PTE (tier migration) just retargets the frame.
      */
     void
@@ -295,16 +249,16 @@ class PageTable
         noteNotPresent(vpn);
     }
 
-    /** Total mapped PTEs across the table (running count). */
-    std::uint64_t totalMapped() const { return totalMapped_; }
+    /** Total mapped PTEs across the table (mapped-bitmap popcount). */
+    std::uint64_t totalMapped() const { return popcount(mappedBits_); }
 
-    /** Total present PTEs across the table (running count). */
-    std::uint64_t totalPresent() const { return totalPresent_; }
+    /** Total present PTEs across the table (present-bitmap popcount). */
+    std::uint64_t totalPresent() const { return popcount(presentBits_); }
 
     /**
-     * Checkpoint every lane wholesale (PTE lanes, region/shard
-     * counters, bitmaps, summary, running totals). The bulk podVec
-     * path keeps this at memcpy speed on 64M-page tables.
+     * Checkpoint every lane wholesale (PTE lanes, bitmaps, summary).
+     * The bulk podVec path keeps this at memcpy speed on 64M-page
+     * tables.
      */
     void
     visitState(StateIO &io)
@@ -312,28 +266,30 @@ class PageTable
         io.lane(pteValue_);
         io.lane(pteShadow_);
         io.lane(pteFlags_);
-        io.lane(regions_);
-        io.lane(shards_);
         io.lane(presentBits_);
         io.lane(accessedBits_);
         io.lane(mappedBits_);
         io.lane(presentSummary_);
-        io.u64(totalMapped_);
-        io.u64(totalPresent_);
     }
 
   private:
     static std::uint64_t bitOf(Vpn vpn) { return 1ull << (vpn % 64); }
+
+    static std::uint64_t
+    popcount(const std::vector<std::uint64_t> &bits)
+    {
+        std::uint64_t n = 0;
+        for (const std::uint64_t w : bits)
+            n += static_cast<std::uint64_t>(std::popcount(w));
+        return n;
+    }
 
     void
     notePresent(Vpn vpn)
     {
         presentBits_[vpn / 64] |= bitOf(vpn);
         const std::uint64_t r = regionOf(vpn);
-        ++regions_[r].present;
-        ++shards_[shardOf(r)].present;
         presentSummary_[r / 64] |= 1ull << (r % 64);
-        ++totalPresent_;
     }
 
     void
@@ -341,32 +297,25 @@ class PageTable
     {
         presentBits_[vpn / 64] &= ~bitOf(vpn);
         accessedBits_[vpn / 64] &= ~bitOf(vpn); // unmap clears Accessed
+        // The summary bit clears with the region's last present PTE.
         const std::uint64_t r = regionOf(vpn);
-        RegionInfo &ri = regions_[r];
-        assert(ri.present > 0);
-        if (--ri.present == 0)
-            presentSummary_[r / 64] &= ~(1ull << (r % 64));
-        ShardInfo &si = shards_[shardOf(r)];
-        assert(si.present > 0);
-        --si.present;
-        assert(totalPresent_ > 0);
-        --totalPresent_;
+        for (std::uint64_t w = 0; w < kWordsPerRegion; ++w) {
+            if (presentWord(r, w) != 0)
+                return;
+        }
+        presentSummary_[r / 64] &= ~(1ull << (r % 64));
     }
 
     /** PTE lanes, one entry per VPN (structure-of-arrays). */
     std::vector<std::uint32_t> pteValue_;
     std::vector<std::uint32_t> pteShadow_;
     std::vector<std::uint8_t> pteFlags_;
-    std::vector<RegionInfo> regions_;
-    std::vector<ShardInfo> shards_;
     /** Flat bitmaps, one bit per PTE (index vpn/64). */
     std::vector<std::uint64_t> presentBits_;
     std::vector<std::uint64_t> accessedBits_;
     std::vector<std::uint64_t> mappedBits_;
     /** One bit per region: region has any present PTE. */
     std::vector<std::uint64_t> presentSummary_;
-    std::uint64_t totalMapped_ = 0;
-    std::uint64_t totalPresent_ = 0;
 };
 
 } // namespace pagesim

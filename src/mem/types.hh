@@ -65,28 +65,6 @@ regionBase(std::uint64_t region)
     return region * kPtesPerRegion;
 }
 
-/**
- * Page-table regions per shard. A shard is the fixed unit of the
- * auditor's parallel PTE walk and of coarse accounting: the auditor
- * splits the address space at shard boundaries, harvests shards
- * independently, and merges results in ascending shard order so the
- * outcome is bit-identical to a serial walk. 1024 regions = 64 Ki
- * pages = 256 MiB of virtual address space per shard, giving a 256 GB
- * (64M-page) machine ~1024 shards — enough slices to keep any worker
- * count busy without fragmenting the summary bitmaps.
- */
-constexpr std::uint64_t kRegionsPerShard = 1024;
-
-/** VPNs per shard (shards are whole regions, regions whole words). */
-constexpr std::uint64_t kVpnsPerShard = kRegionsPerShard * kPtesPerRegion;
-
-/** Shard index containing region @p region. */
-constexpr std::uint64_t
-shardOf(std::uint64_t region)
-{
-    return region / kRegionsPerShard;
-}
-
 } // namespace pagesim
 
 #endif // PAGESIM_MEM_TYPES_HH

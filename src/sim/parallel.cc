@@ -21,18 +21,12 @@ parseWorkersOverride(const char *text)
 }
 
 unsigned
-workerOverride()
-{
-    static const unsigned cached =
-        parseWorkersOverride(std::getenv("PAGESIM_WORKERS"));
-    return cached;
-}
-
-unsigned
 hostWorkers()
 {
-    if (const unsigned n = workerOverride())
-        return n;
+    static const unsigned override =
+        parseWorkersOverride(std::getenv("PAGESIM_WORKERS"));
+    if (override != 0)
+        return override;
     // hardware_concurrency() is a syscall on some libstdc++ targets,
     // and figure benches fan out once per figure.
     static const unsigned hw = [] {

@@ -11,9 +11,9 @@
  * HOST-speed facility only: simulated state never changes inside a
  * task.
  *
- * PAGESIM_WORKERS pins the worker count for every pool user (the sweep
- * runner, sharded audits) — needed in CI and in the worker-count
- * invariance tests.
+ * PAGESIM_WORKERS pins the width of the sweep runner's trial pool
+ * (hostWorkers()) — needed in CI and in the worker-count invariance
+ * tests.
  */
 
 #ifndef PAGESIM_SIM_PARALLEL_HH
@@ -33,13 +33,10 @@ namespace pagesim
  */
 unsigned parseWorkersOverride(const char *text);
 
-/** Cached PAGESIM_WORKERS env override; 0 = unset/invalid. */
-unsigned workerOverride();
-
 /**
- * Default pool width for trial fan-out: workerOverride() when set,
- * else the host's hardware concurrency (4 when unknown), resolved once
- * per process.
+ * Default pool width for trial fan-out: a valid PAGESIM_WORKERS when
+ * set, else the host's hardware concurrency (4 when unknown), resolved
+ * once per process.
  */
 unsigned hostWorkers();
 

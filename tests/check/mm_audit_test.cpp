@@ -243,26 +243,6 @@ TEST(MmAudit, DetectsGenerationOutOfRange)
     pi.gen = saved;
 }
 
-TEST(MmAudit, DetectsRegionCounterCorruption)
-{
-    KernelHarness h(64, 256);
-    populate(h, 32); // no reclaim needed
-    const Vpn v = findVpn(h, 32, [](PteView p) {
-        return p.present();
-    });
-    ASSERT_NE(v, AuditViolation::kNoVpn);
-    // Clear the Present flag behind the table's back: the recount no
-    // longer matches the RegionInfo counter.
-    h.space.table().at(v).clearFlag(Pte::Present);
-
-    const AuditReport rep = h.auditor->audit();
-    ASSERT_FALSE(rep.clean());
-    EXPECT_TRUE(rep.hasInvariant("region-counter-mismatch"))
-        << rep.toString();
-
-    h.space.table().at(v).setFlag(Pte::Present);
-}
-
 TEST(MmAudit, DetectsPresentBitmapDesync)
 {
     KernelHarness h(64, 256);
@@ -272,14 +252,12 @@ TEST(MmAudit, DetectsPresentBitmapDesync)
     });
     ASSERT_NE(v, AuditViolation::kNoVpn);
     // Flag cleared behind the table's back: the present bitmap word
-    // still has the bit, and the O(1) running total still counts it.
+    // still has the bit.
     h.space.table().at(v).clearFlag(Pte::Present);
 
     const AuditReport rep = h.auditor->audit();
     ASSERT_FALSE(rep.clean());
     EXPECT_TRUE(rep.hasInvariant("present-bitmap-mismatch"))
-        << rep.toString();
-    EXPECT_TRUE(rep.hasInvariant("total-present-mismatch"))
         << rep.toString();
 
     h.space.table().at(v).setFlag(Pte::Present);
@@ -320,8 +298,6 @@ TEST(MmAudit, DetectsMappedBitmapDesync)
     ASSERT_FALSE(rep.clean());
     EXPECT_TRUE(rep.hasInvariant("mapped-bitmap-mismatch"))
         << rep.toString();
-    EXPECT_TRUE(rep.hasInvariant("total-mapped-mismatch"))
-        << rep.toString();
 
     h.space.table().at(v).setFlag(Pte::Mapped);
 }
@@ -337,9 +313,8 @@ TEST(MmAudit, DetectsSummaryBitmapDesync)
     ASSERT_TRUE(h.space.table().at(v).mapped());
     ASSERT_FALSE(h.space.table().at(v).present());
     ASSERT_FALSE(h.space.table().anyPresent(v / kPtesPerRegion));
-    // Residency granted behind the table's back: the summary bitmap,
-    // per-word bitmap, region counter, and running total all go stale
-    // at once.
+    // Residency granted behind the table's back: the summary bitmap
+    // and the per-word bitmap both go stale at once.
     h.space.table().at(v).mapFrame(0);
 
     const AuditReport rep = h.auditor->audit();
@@ -347,10 +322,6 @@ TEST(MmAudit, DetectsSummaryBitmapDesync)
     EXPECT_TRUE(rep.hasInvariant("present-summary-mismatch"))
         << rep.toString();
     EXPECT_TRUE(rep.hasInvariant("present-bitmap-mismatch"))
-        << rep.toString();
-    EXPECT_TRUE(rep.hasInvariant("region-counter-mismatch"))
-        << rep.toString();
-    EXPECT_TRUE(rep.hasInvariant("total-present-mismatch"))
         << rep.toString();
 
     h.space.table().at(v).unmapDiscard(0);

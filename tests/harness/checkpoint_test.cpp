@@ -1095,10 +1095,11 @@ TEST(CheckpointCorruption, YcsbGeneratorWordsMustMatchTheDrawTable)
 
 TEST(CheckpointCorruption, VersionTwoImageIsRefused)
 {
-    // Version 3 packed every lane, and versions 4 and 5 changed the
-    // config prefix hash; a version-2 image (raw lanes) or a version-3
-    // or -4 one (an old hash) must be refused by the version gate, in
-    // memory and from disk, not fed to the decoder.
+    // Version 3 packed every lane, versions 4 and 5 changed the config
+    // prefix hash, and version 6 dropped the page table's counters; a
+    // version-2 image (raw lanes), a version-3 or -4 one (an old hash)
+    // or a version-5 one (counter lanes) must be refused by the version
+    // gate, in memory and from disk, not fed to the decoder.
     const ExperimentConfig cfg = smallConfig(
         WorkloadKind::YcsbA, PolicyKind::MgLru, SwapKind::Ssd);
     const std::uint64_t seed = 12345;
@@ -1110,7 +1111,7 @@ TEST(CheckpointCorruption, VersionTwoImageIsRefused)
     opts.forRestore = true;
     opts.deferObservers = true;
     TrialRig rig(cfg, seed, opts);
-    for (const std::uint8_t version : {2, 3, 4}) {
+    for (const std::uint8_t version : {2, 3, 4, 5}) {
         Checkpoint old = current;
         old.bytes[8] = version;
         const CheckpointError err =

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "mem/page_table.hh"
 
 namespace pagesim
@@ -28,19 +30,28 @@ TEST(PageTable, GrowNeverShrinks)
 
 TEST(PageTable, RegionCountersTrackMappedAndPresent)
 {
+    // A region's mapped/present counts are popcounts of its bitmap
+    // words; the summary bit follows the present count.
     PageTable t;
     t.growTo(2 * kPtesPerRegion);
     t.markMapped(0, false);
     t.markMapped(1, false);
     t.markMapped(kPtesPerRegion, true);
-    EXPECT_EQ(t.region(0).mapped, 2u);
-    EXPECT_EQ(t.region(1).mapped, 1u);
+    EXPECT_EQ(std::popcount(t.mappedWord(0)), 2);
+    EXPECT_EQ(std::popcount(t.mappedWord(1)), 1);
     EXPECT_TRUE(t.at(kPtesPerRegion).file());
+    EXPECT_FALSE(t.anyPresent(0));
+    EXPECT_EQ(t.nextPresentRegion(0), t.numRegions());
 
     t.mapFrame(0, 5);
-    EXPECT_EQ(t.region(0).present, 1u);
+    EXPECT_EQ(std::popcount(t.presentWord(0)), 1);
+    EXPECT_TRUE(t.anyPresent(0));
+    EXPECT_EQ(t.nextPresentRegion(0), 0u);
+    // Present 1 -> 0 clears the region's summary bit.
     t.unmapToSwap(0, 1, 0);
-    EXPECT_EQ(t.region(0).present, 0u);
+    EXPECT_EQ(std::popcount(t.presentWord(0)), 0);
+    EXPECT_FALSE(t.anyPresent(0));
+    EXPECT_EQ(t.nextPresentRegion(0), t.numRegions());
 }
 
 TEST(PageTable, Totals)
@@ -53,8 +64,8 @@ TEST(PageTable, Totals)
     t.mapFrame(1, 11);
     EXPECT_EQ(t.totalMapped(), 5u);
     EXPECT_EQ(t.totalPresent(), 2u);
-    // Totals are running counts, not re-sums; they must survive a
-    // present -> present remap (tier migration) without drift.
+    // Totals are bitmap popcounts; a present -> present remap (tier
+    // migration) must not book the PTE twice.
     t.mapFrame(1, 12);
     EXPECT_EQ(t.totalPresent(), 2u);
     t.unmapDiscard(0, 0);

@@ -2,9 +2,8 @@
  * @file
  * Tracked-mutator rule family (mut-*).
  *
- * PageTable keeps per-region present/accessed/mapped bitmaps, region
- * counters, a summary bitmap, and running totals in lockstep with the
- * PTE array (DESIGN.md Sec. 4d). That only holds if every mutation of
+ * PageTable keeps per-region present/accessed/mapped bitmaps and a
+ * summary bitmap in lockstep with the PTE array (DESIGN.md Sec. 4d). That only holds if every mutation of
  * a tracked flag goes through PageTable's mutators. This rule flags
  * the Pte-level spellings of those mutations anywhere outside
  * src/mem/page_table.hh (which is allowlisted, as are the Pte unit
@@ -147,8 +146,8 @@ runMutatorRules(const SourceFile &file, const RuleContext &,
                 file.relPath, t.line, kRuleMutPte,
                 "direct Pte mutation '" + m +
                     "' of a tracked flag (Present/Accessed/Mapped) "
-                    "outside PageTable: bitmaps, region counters, and "
-                    "totals desync — use the PageTable mutator"});
+                    "outside PageTable: the bitmaps and summary bits "
+                    "desync — use the PageTable mutator"});
         }
     }
 }

@@ -21,14 +21,13 @@
  *    parameters or locals;
  *  - tracked PTE mutators (setFlag, clearFlag, mapFrame,
  *    unmapToSwap, unmapDiscard, testAndClearAccessed) on ANY
- *    receiver: they move region counters and totals shared across
+ *    receiver: they move bitmap and summary words shared across
  *    slot boundaries, so they belong in the serial apply.
  *
  * Unqualified calls to methods defined IN THE SAME FILE are chased
  * (transitively, bounded depth): each callee parameter inherits the
- * safety of its call-site argument, so the real harvest helper
- * (MmAuditor::harvestPteShard) is analyzed body-by-body and passes
- * without waivers. Cross-file
+ * safety of its call-site argument, so a harvest helper a task calls
+ * is analyzed body-by-body. Cross-file
  * helpers are not chased — a finding must be waivable in the file
  * being linted — and writes hidden behind qualified calls on shared
  * receivers (beyond the mutator lists above) are out of scope, as
@@ -80,7 +79,7 @@ isMutatingCall(const std::string &name)
 
 /**
  * Tracked PTE/PageTable mutators: flagged on any receiver inside a
- * parallel region (they update shared region counters/totals).
+ * parallel region (they update shared bitmap and summary words).
  */
 bool
 isTrackedMutator(const std::string &name)
@@ -471,7 +470,7 @@ analyzeSpan(const ParScope &scopeIn, const SourceFile &lintFile,
                 lintFile.relPath, t.line, kRuleParSafety,
                 "tracked mutator '" + t.text + "' inside " +
                     scope.where +
-                    ": it moves region counters/totals shared "
+                    ": it moves bitmap/summary words shared "
                     "across slots — read in the task and apply "
                     "mutations in the serial merge, or waive with "
                     "lint:par-ok(...)"});
