@@ -220,19 +220,19 @@ TEST(CheckpointIdentity, PinnedImageBytes)
 
     const ImagePin ycsb = experiment(WorkloadKind::YcsbA, PolicyKind::MgLru,
                                      SwapKind::Ssd, 0.0, 12345, 20000);
-    EXPECT_EQ(ycsb.size, 28871u);
-    EXPECT_EQ(ycsb.sum, 11533248723338525620ull);
+    EXPECT_EQ(ycsb.size, 28662u);
+    EXPECT_EQ(ycsb.sum, 3940722506050207661ull);
 
     const ImagePin tpch = experiment(WorkloadKind::Tpch, PolicyKind::Clock,
                                      SwapKind::Zram, 0.0, 27182, 20000);
-    EXPECT_EQ(tpch.size, 27268u);
-    EXPECT_EQ(tpch.sum, 16005963657851158340ull);
+    EXPECT_EQ(tpch.size, 26843u);
+    EXPECT_EQ(tpch.sum, 12699722832654898590ull);
 
     // Slow-tier frames, the demotion FIFO and PageRank's barriers.
     const ImagePin pr = experiment(WorkloadKind::PageRank, PolicyKind::MgLru,
                                    SwapKind::Ssd, 0.25, 31415, 20000);
-    EXPECT_EQ(pr.size, 16269u);
-    EXPECT_EQ(pr.sum, 11516658301648718377ull);
+    EXPECT_EQ(pr.size, 16105u);
+    EXPECT_EQ(pr.sum, 15119078660468968663ull);
 
     // Two memcgs with their own policies and limits, and the balloon.
     ColocationConfig coloc;
@@ -249,8 +249,8 @@ TEST(CheckpointIdentity, PinnedImageBytes)
     coloc.capacityRatio = 0.5;
     const ImagePin two = pinImageAt<ColocationRig>(
         coloc, colocationPrefixHash(coloc), 7, 20000);
-    EXPECT_EQ(two.size, 53422u);
-    EXPECT_EQ(two.sum, 974379901300997317ull);
+    EXPECT_EQ(two.size, 52824u);
+    EXPECT_EQ(two.sum, 15004324760916268373ull);
 }
 
 TEST(CheckpointIdentity, DifferentialAcrossPoliciesAndBackends)
