@@ -500,6 +500,7 @@ class MemoryManager
     /** A frame-stall retry timer is pending. */
     bool stallRetryArmed_ = false;
     /** EMA of readahead usefulness, drives the adaptive window. */
+    // lint:fp-state-ok(feeds a decision: truncated into the readahead window in issueReadahead)
     double raHitRate_ = 0.5;
     // lint:state-cov-ok(reclaim-batch scratch, cleared before every use)
     std::vector<Pfn> victimScratch_;

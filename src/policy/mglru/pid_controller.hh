@@ -88,10 +88,15 @@ class TierPidController
   private:
     // lint:state-cov-ok(controller gains fixed at construction; only the error state moves)
     PidConfig config_;
+    // lint:fp-state-ok(feeds a decision: with refaults_ it gives a tier's refault rate, the PID error)
     std::array<double, kMaxTiers> evictions_{};
+    // lint:fp-state-ok(feeds a decision: with evictions_ it gives a tier's refault rate, the PID error)
     std::array<double, kMaxTiers> refaults_{};
+    // lint:fp-state-ok(feeds a decision: the integral term of output_)
     std::array<double, kMaxTiers> integral_{};
+    // lint:fp-state-ok(feeds a decision: the derivative term of output_)
     std::array<double, kMaxTiers> prevError_{};
+    // lint:fp-state-ok(feeds a decision: isProtected compares it with 0.01 to gate tier protection)
     std::array<double, kMaxTiers> output_{};
     std::array<std::uint64_t, kMaxTiers> rawEvictions_{};
     std::array<std::uint64_t, kMaxTiers> rawRefaults_{};

@@ -118,6 +118,7 @@ class CpuModel
     unsigned runnable_ = 0;
     unsigned peakRunnable_ = 0;
     SimTime lastChange_ = 0;
+    // lint:fp-state-ok(feeds no decision: read only by meanRunnable, a reported statistic)
     double runnableTimeProduct_ = 0.0;
 };
 

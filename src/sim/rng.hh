@@ -187,6 +187,7 @@ class Rng
 
     std::uint64_t s_[4];
     bool haveSpareNormal_ = false;
+    // lint:fp-state-ok(feeds a decision where normal is drawn: the SSD service-time jitter, which orders completions)
     double spareNormal_ = 0.0;
 };
 

@@ -114,6 +114,7 @@ class LatencyHistogram
     std::uint64_t count_ = 0;
     std::uint64_t max_ = 0;
     std::uint64_t min_ = UINT64_MAX;
+    // lint:fp-state-ok(feeds no decision: only the reported mean)
     double sum_ = 0.0;
 };
 

@@ -142,6 +142,7 @@ class SsdSwapDevice : public SwapDevice
      * same mean on every I/O.
      */
     // lint:state-cov-ok(derived from the construction config)
+    // lint:fp-state-ok(feeds a decision: the location of the service-time jitter draw, which orders completions; recomputed from the config, never in an image)
     double jitterMu_[2];
     /** One entry per NCQ window position; idle_ lists the free ones. */
     std::vector<InService> slots_;

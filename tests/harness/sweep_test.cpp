@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -140,6 +141,37 @@ TEST(Sweep, ResultCacheRunsColocationScenarios)
     EXPECT_EQ(first.trials[0].tenants.size(), 2u);
 }
 
+/**
+ * Unsets PAGESIM_AUDIT_EVERY for the scope's lifetime and puts the
+ * caller's setting back after, refreshing the cached read both ways.
+ */
+class UnauditedScope
+{
+  public:
+    UnauditedScope()
+    {
+        if (const char *outer = std::getenv("PAGESIM_AUDIT_EVERY"))
+            saved_ = outer;
+        unsetenv("PAGESIM_AUDIT_EVERY");
+        detail::refreshAuditEveryOverrideCacheForTests();
+    }
+
+    ~UnauditedScope()
+    {
+        if (saved_)
+            setenv("PAGESIM_AUDIT_EVERY", saved_->c_str(), 1);
+        else
+            unsetenv("PAGESIM_AUDIT_EVERY");
+        detail::refreshAuditEveryOverrideCacheForTests();
+    }
+
+    UnauditedScope(const UnauditedScope &) = delete;
+    UnauditedScope &operator=(const UnauditedScope &) = delete;
+
+  private:
+    std::optional<std::string> saved_;
+};
+
 TEST(Sweep, ResultCacheKeyCoversResultChangingConfig)
 {
     // Regression: every config field that can change a TrialResult
@@ -147,6 +179,9 @@ TEST(Sweep, ResultCacheKeyCoversResultChangingConfig)
     // one stale entry. The memcg watermark ratios and the metrics
     // mode are the recent additions; capacity is the historical
     // near-miss (two ratios that round to the same percent label).
+    // The ~30 cells only need distinct keys, so they run unaudited
+    // even under a job that audits every reclaim batch.
+    const UnauditedScope unaudited;
     ResultCache cache;
     ExperimentConfig base;
     base.scale = ScalePreset::Small;
@@ -281,11 +316,7 @@ TEST(Sweep, ResultCacheKeyCoversAuditCadence)
     // survive a PAGESIM_AUDIT_EVERY change within one process either.
     // Start unaudited whatever the caller's environment (the sanitizer
     // CI job audits every batch), and put its setting back after.
-    const char *outer = std::getenv("PAGESIM_AUDIT_EVERY");
-    const bool had_outer = outer != nullptr;
-    const std::string saved = had_outer ? outer : "";
-    unsetenv("PAGESIM_AUDIT_EVERY");
-    detail::refreshAuditEveryOverrideCacheForTests();
+    const UnauditedScope unaudited;
     ResultCache cache;
     ExperimentConfig base;
     base.scale = ScalePreset::Small;
@@ -306,18 +337,13 @@ TEST(Sweep, ResultCacheKeyCoversAuditCadence)
     detail::refreshAuditEveryOverrideCacheForTests();
     cache.get(base);
     EXPECT_EQ(cache.hits(), 2u) << "back to the unaudited entry";
-
-    if (had_outer) {
-        setenv("PAGESIM_AUDIT_EVERY", saved.c_str(), 1);
-        detail::refreshAuditEveryOverrideCacheForTests();
-    }
 }
 
 TEST(Sweep, WorkersOverrideParsing)
 {
-    // The PAGESIM_WORKERS plumbing shared by runSweep, the colocation
-    // trial pool, and the auditor. workerOverride() caches its getenv
-    // read, so the parser is exercised directly.
+    // The PAGESIM_WORKERS plumbing behind runSweep's pool width.
+    // hostWorkers() caches its getenv read, so the parser is exercised
+    // directly.
     EXPECT_EQ(parseWorkersOverride(nullptr), 0u);
     EXPECT_EQ(parseWorkersOverride(""), 0u);
     EXPECT_EQ(parseWorkersOverride("4"), 4u);
@@ -357,7 +383,7 @@ TEST(Sweep, ExplicitWorkersBeatsOverride)
 {
     // options.workers != 0 must win over the environment: figure
     // benches pin workers explicitly and may run under a CI job that
-    // exports PAGESIM_WORKERS for the audit path.
+    // exports PAGESIM_WORKERS.
     const std::vector<ExperimentConfig> cells = smallCells();
     SweepOptions pinned;
     pinned.workers = 2;

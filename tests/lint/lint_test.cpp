@@ -255,6 +255,45 @@ TEST(LintStateCov, CoveredExemptAndWaivedFieldsPass)
     EXPECT_EQ(countRule(r, "lint-unused-waiver"), 0);
 }
 
+TEST(LintFpState, FlagsUnwaivedFloatingPointState)
+{
+    const LintResult r = lintTree("fpstate_bad");
+    EXPECT_FALSE(r.configError);
+    // rate_, gain_, window_ and history_ — nothing for count_, the
+    // const, pointer and callback members, or Plain's double.
+    EXPECT_EQ(countUnwaived(r, "fp-state"), 4);
+    EXPECT_EQ(countRule(r, "fp-state"), 4);
+    EXPECT_TRUE(hasFatalFindings(r));
+    bool sawArray = false, sawContainer = false;
+    for (const Finding &f : r.findings) {
+        if (f.rule != "fp-state")
+            continue;
+        EXPECT_EQ(f.file, "src/sim/fp.hh");
+        EXPECT_EQ(f.message.find("notCheckpointed_"), std::string::npos);
+        if (f.message.find("'window_' in checkpointable class "
+                           "'Controller'") != std::string::npos)
+            sawArray = true;
+        if (f.message.find("'history_'") != std::string::npos)
+            sawContainer = true;
+    }
+    EXPECT_TRUE(sawArray);
+    EXPECT_TRUE(sawContainer);
+}
+
+TEST(LintFpState, WaivedFieldsPassWithTheirReasons)
+{
+    const LintResult r = lintTree("fpstate_good");
+    EXPECT_FALSE(r.configError);
+    EXPECT_FALSE(hasFatalFindings(r));
+    EXPECT_EQ(countRule(r, "fp-state"), 2);
+    EXPECT_EQ(countUnwaived(r, "fp-state"), 0);
+    EXPECT_EQ(countRule(r, "lint-unused-waiver"), 0);
+    const Finding *f = findRule(r, "fp-state");
+    ASSERT_NE(f, nullptr);
+    EXPECT_EQ(f->waiverReason,
+              "feeds a decision: truncated into a window size");
+}
+
 TEST(LintParSafety, FlagsEveryUnsafeWriteShape)
 {
     const LintResult r = lintTree("par_bad");

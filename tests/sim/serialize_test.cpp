@@ -127,6 +127,7 @@ struct Sample
 
     std::uint32_t b = 0;
     std::uint64_t c = 0;
+    // lint:fp-state-ok(fixture field for the io.f64 round trip; no simulation reads it)
     double d = 0.0;
     bool e = false;
     Color color = Color::Red;

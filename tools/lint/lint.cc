@@ -158,6 +158,8 @@ waiverNameFor(const std::string &rule)
         return "charge-ok";
     if (rule == kRuleStateCov)
         return "state-cov-ok";
+    if (rule == kRuleFpState)
+        return "fp-state-ok";
     if (rule == kRuleParSafety)
         return "par-ok";
     return "";

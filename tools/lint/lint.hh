@@ -2,7 +2,7 @@
  * @file
  * pagesim-lint: contract-enforcing static analysis for this repo.
  *
- * Four rule families keep the properties every benchmark claim rests
+ * These rule families keep the properties every benchmark claim rests
  * on checkable at the source level, before anything runs:
  *
  *  determinism (det-*)     no wall clocks, ambient randomness,
@@ -17,12 +17,14 @@
  *  state-coverage (state-cov) every non-static data member of a class
  *                          that defines visitState must be referenced
  *                          in its visitState body
+ *  fp-state (fp-state)     a double/float member of such a class
+ *                          carries a written reason
  *  parallel-safety (par-safety) lambdas passed to parallelMap may
  *                          write only their parameters (the index
  *                          and their own slot) and locals — the
  *                          harvest/apply contract of sim/parallel.hh
  *
- * The last two run over a pass-1 semantic model (model.hh) built from
+ * The last three run over a pass-1 semantic model (model.hh) built from
  * the same token stream: class/field declarations, member-function
  * body spans, and parallelMap lambda captures.
  *
@@ -55,6 +57,7 @@ inline constexpr const char *kRuleLayerDag = "layer-dag";
 inline constexpr const char *kRuleLayerTest = "layer-test";
 inline constexpr const char *kRuleChargePair = "charge-pair";
 inline constexpr const char *kRuleStateCov = "state-cov";
+inline constexpr const char *kRuleFpState = "fp-state";
 inline constexpr const char *kRuleParSafety = "par-safety";
 /** Meta-rules emitted by the driver itself. */
 inline constexpr const char *kRuleWaiverReason = "lint-waiver-reason";

@@ -156,8 +156,8 @@ main(int argc, char **argv)
                 "REF] [--quiet] [paths...]\n"
                 "Contract linter for pagesim: determinism, tracked "
                 "PTE mutators, layer DAG, charge pairing,\n"
-                "checkpoint state coverage, parallel-harvest "
-                "safety.\n"
+                "checkpoint state coverage, FP state, "
+                "parallel-harvest safety.\n"
                 "Default paths: src bench tests (relative to root).\n");
             return 0;
         } else if (!arg.empty() && arg[0] == '-') {

@@ -70,6 +70,8 @@ ruleDescription(const std::string &rule)
                         "in the same body"},
         {"state-cov", "every field of a checkpointable class is "
                       "referenced in its visitState"},
+        {"fp-state", "floating-point fields of a checkpointable "
+                     "class carry a written reason"},
         {"par-safety", "parallelMap lambdas write only their "
                        "parameters and locals"},
         {"lint-waiver-reason", "waivers must carry a written reason"},

@@ -1,6 +1,6 @@
 /**
  * @file
- * Checkpoint state-coverage rule family (state-cov).
+ * Checkpoint state rule family (state-cov, fp-state).
  *
  * Every checkpointed class describes its state once, in a
  * visitState(StateIO &) body that capture, validation, restore and
@@ -24,6 +24,15 @@
  * `// lint:state-cov-ok(<why transient>)` waiver ON ITS DECLARATION
  * LINE — the finding anchors there, so the reason lives next to the
  * field it excuses.
+ *
+ * The same walk runs the floating-point state rule (fp-state): a
+ * non-exempt member of such a class whose declared type spells
+ * `double` or `float` (a scalar, a C array, or a container's element
+ * type) is a finding unless its declaration carries
+ * `// lint:fp-state-ok(<reason>)`. A double rounds differently under
+ * FP contraction, so a checkpointed one can move a pin on another
+ * target; the reason says whether it feeds a simulated decision
+ * (DESIGN.md Sec. 4h keeps the census).
  */
 
 #include <set>
@@ -62,6 +71,19 @@ exemptReason(const std::string &typeText)
             return "mutable member (a cache by declaration)";
     }
     return "";
+}
+
+/** Does @p typeText spell a floating-point type anywhere? */
+bool
+spellsFloatingPoint(const std::string &typeText)
+{
+    std::istringstream in(typeText);
+    std::string word;
+    while (in >> word) {
+        if (word == "double" || word == "float")
+            return true;
+    }
+    return false;
 }
 
 /**
@@ -122,7 +144,19 @@ runStateCovRules(const SourceFile &file, const RuleContext &ctx,
         std::set<const MethodDef *> visited;
         collectReferencedIdents(model, name, *visit, refs, visited, 0);
         for (const FieldDecl &f : cls.fields) {
-            if (!exemptReason(f.type).empty() || refs.count(f.name) != 0)
+            if (!exemptReason(f.type).empty())
+                continue;
+            if (spellsFloatingPoint(f.type)) {
+                out.push_back(Finding{
+                    file.relPath, f.line, kRuleFpState,
+                    "floating-point field '" + f.name +
+                        "' in checkpointable class '" + name +
+                        "': its roundings can differ across targets "
+                        "— prefer fixed point, or waive with "
+                        "lint:fp-state-ok(<whether it feeds a "
+                        "decision>) on the declaration"});
+            }
+            if (refs.count(f.name) != 0)
                 continue;
             out.push_back(Finding{
                 file.relPath, f.line, kRuleStateCov,
