@@ -1,6 +1,5 @@
 #include "check/mm_audit.hh"
 
-#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstdlib>
@@ -131,8 +130,8 @@ MmAuditor::checkPtes(AuditReport &rep, WalkContext &ctx) const
     const SwapManager &swap = mm_.swap();
     const ZramSwapDevice *zram = swap.zram();
 
-    // One walk in (space, vpn) order, straight into the report and the
-    // walk context.
+    // One walk in (space, vpn) order, so every report lists its PTE
+    // violations in the same order.
     for (const AddressSpace *sp : spaces_) {
         const PageTable &pt = sp->table();
         std::uint64_t spaceFast = 0;

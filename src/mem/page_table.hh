@@ -216,8 +216,8 @@ class PageTable
     /**
      * Transition @p vpn to present (fast or slow tier) at @p pfn. For
      * a not-present PTE this also books the new residency (present
-     * bitmap and summary bit); an already-present
-     * PTE (tier migration) just retargets the frame.
+     * bitmap and summary bit); an already-present PTE (tier
+     * migration) just retargets the frame.
      */
     void
     mapFrame(Vpn vpn, Pfn pfn)
