@@ -17,8 +17,8 @@
  *  state-coverage (state-cov) every non-static data member of a class
  *                          that defines visitState must be referenced
  *                          in its visitState body
- *  fp-state (fp-state)     a double/float member of such a class
- *                          carries a written reason
+ *  floating-point state (fp-state) a double/float member of such
+ *                          a class carries a written reason
  *  parallel-safety (par-safety) lambdas passed to parallelMap may
  *                          write only their parameters (the index
  *                          and their own slot) and locals — the
