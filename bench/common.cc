@@ -18,11 +18,14 @@ void
 banner(const std::string &figure, const std::string &description,
        const ExperimentConfig &base)
 {
+    // Read the launch environment before printing anything: a
+    // malformed variable exits here with no partial output.
+    const unsigned trials = effectiveTrials(base.trials);
     std::printf("=== %s: %s ===\n", figure.c_str(),
                 description.c_str());
     std::printf("trials/cell: %u (set PAGESIM_TRIALS to override; "
                 "paper used 25)\n\n",
-                effectiveTrials(base.trials));
+                trials);
 }
 
 double

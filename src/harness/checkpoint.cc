@@ -4,12 +4,12 @@
 #include <atomic>
 #include <cassert>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 
+#include "harness/launch_env.hh"
 #include "kernel/memory_manager.hh"
 #include "mem/address_space.hh"
 #include "mem/frame_table.hh"
@@ -442,13 +442,6 @@ loadCheckpointFile(const std::string &path, Checkpoint &out)
     return {};
 }
 
-std::string
-checkpointDir()
-{
-    const char *dir = std::getenv("PAGESIM_CHECKPOINT_DIR");
-    return dir != nullptr ? std::string(dir) : std::string();
-}
-
 namespace
 {
 
@@ -482,7 +475,7 @@ CheckpointCache::find(std::uint64_t config_hash, std::uint64_t seed,
         ++hits_;
         return it->second;
     }
-    if (const std::string dir = checkpointDir(); !dir.empty()) {
+    if (const std::string &dir = launchEnv().checkpointDir; !dir.empty()) {
         auto ckpt = std::make_shared<Checkpoint>();
         const std::string path =
             checkpointFileName(dir, config_hash, seed, refs);
@@ -507,7 +500,7 @@ CheckpointCache::insert(std::shared_ptr<const Checkpoint> ckpt)
     const auto key =
         std::make_tuple(ckpt->configHash, ckpt->seed, ckpt->refs);
     map_[key] = ckpt;
-    if (const std::string dir = checkpointDir(); !dir.empty()) {
+    if (const std::string &dir = launchEnv().checkpointDir; !dir.empty()) {
         // Best-effort persistence: a read-only or missing directory
         // degrades to in-memory caching, it does not fail the trial.
         std::error_code ec;

@@ -3,11 +3,11 @@
  * Versioned, checksummed binary snapshots of a mid-trial simulator.
  *
  * A checkpoint captures every layer of a quiescent simulated machine —
- * page-table lanes, frame records, region/shard bitmaps, memcg
- * counters and each memcg's lruvec (policy) state, the swap ledger and
- * device (including ZRAM's compressed-pool contents), workload cursors,
- * actor scalar state, barrier membership, and the (when, seq) of every
- * pending actor event — such that restoring it into a freshly
+ * page-table lanes, frame records, memcg counters and each memcg's
+ * lruvec (policy) state, the swap ledger and device (including ZRAM's
+ * compressed-pool contents), workload cursors, actor scalar state,
+ * barrier membership, and the (when, seq) of every pending actor
+ * event — such that restoring it into a freshly
  * constructed rig and running to completion reproduces the
  * straight-through TrialResult bit for bit (pinned by
  * tests/harness/checkpoint_test.cpp).
@@ -200,8 +200,8 @@ std::uint64_t configPrefixHash(const ExperimentConfig &config);
  * Process-global cache of checkpoints keyed by (config-prefix hash,
  * seed, refs). runRig consults it when checkpointAt is set, so sweep
  * cells (and repeated sweeps) sharing a warmup prefix restore instead
- * of re-simulating. With
- * PAGESIM_CHECKPOINT_DIR set, find() falls back to
+ * of re-simulating. With PAGESIM_CHECKPOINT_DIR set (read once, by
+ * launch_env.hh), find() falls back to
  * "<dir>/ckpt-<hash>-<seed>-<refs>.bin" on an in-memory miss and
  * insert() persists there, so the warmup survives across processes.
  * Thread-safe (sweep workers share it).
@@ -240,9 +240,6 @@ class CheckpointCache
     std::uint64_t misses_ = 0;
     std::uint64_t diskLoads_ = 0;
 };
-
-/** PAGESIM_CHECKPOINT_DIR, or "" when unset (read per call). */
-std::string checkpointDir();
 
 } // namespace pagesim
 

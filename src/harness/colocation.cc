@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "harness/checkpoint.hh"
+#include "harness/launch_env.hh"
 #include "harness/trial_rig.hh"
 #include "sim/serialize.hh"
 
@@ -81,12 +82,14 @@ encodeRunFields(const ColocationConfig &config, Sink &sink)
 {
     // The metrics mode, cadence and caps decide what a result's
     // metrics hold; an audited run matches an unaudited one only by
-    // luck; observers attach at the checkpoint boundary.
-    sink.u32(static_cast<std::uint32_t>(config.metrics.mode));
-    sink.u64(config.metrics.sampleEvery);
-    sink.u64(config.metrics.maxSamples);
-    sink.u64(config.metrics.maxSpans);
-    sink.u32(effectiveAuditEvery());
+    // luck; observers attach at the checkpoint boundary. Each is keyed
+    // as the trial runs it, after the launch environment.
+    const MetricsConfig metrics = effectiveMetricsConfig(config.metrics);
+    sink.u32(static_cast<std::uint32_t>(metrics.mode));
+    sink.u64(metrics.sampleEvery);
+    sink.u64(metrics.maxSamples);
+    sink.u64(metrics.maxSpans);
+    sink.u32(launchEnv().auditEvery);
     sink.u64(config.checkpointAt);
 }
 

@@ -81,7 +81,7 @@ struct ColocationConfig
     double slowTierRatio = 0.0;
     /** MG-LRU overrides for every MG-LRU tenant. */
     MgLruOverrides mglru;
-    /** Observability opt-in; same env overrides as ExperimentConfig. */
+    /** Observability opt-in; same launch overrides as ExperimentConfig. */
     MetricsConfig metrics;
     /** Checkpoint boundary; see ExperimentConfig::checkpointAt. */
     std::uint64_t checkpointAt = 0;
@@ -100,8 +100,10 @@ void encodeConfig(const ColocationConfig &config, Sink &sink);
 
 /**
  * Append the run-only fields that change a trial's result (metrics
- * mode, cadence and caps, audit cadence, checkpointAt): the one list
- * the ResultCache key and the artifact names read after encodeConfig.
+ * mode, cadence and caps, audit cadence, checkpointAt), as the trial
+ * runs them: after the launch environment (launch_env.hh). The one
+ * list the ResultCache key and the artifact names read after
+ * encodeConfig.
  */
 void encodeRunFields(const ColocationConfig &config, Sink &sink);
 

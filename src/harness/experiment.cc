@@ -1,6 +1,5 @@
 #include "harness/experiment.hh"
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
@@ -157,66 +156,6 @@ ExperimentConfig::label() const
     return TrialRig::scenario(*this).label();
 }
 
-namespace
-{
-
-/**
- * PAGESIM_AUDIT_EVERY=N forces a full cross-layer invariant audit
- * every N reclaim batches in every trial, aborting on the first
- * violation (the CI sanitizer job sets N=1). Unset or invalid leaves
- * the MmConfig default (off) — audits are not free. Cached once per
- * process like the other launch-time knobs; tests that mutate the
- * environment call detail::refreshAuditEveryOverrideCacheForTests().
- */
-std::optional<unsigned> &
-auditEveryOverrideCache()
-{
-    static std::optional<unsigned> cache =
-        parseTrialsOverride(std::getenv("PAGESIM_AUDIT_EVERY"));
-    return cache;
-}
-
-} // namespace
-
-unsigned
-effectiveAuditEvery()
-{
-    return auditEveryOverrideCache().value_or(0);
-}
-
-void
-detail::refreshAuditEveryOverrideCacheForTests()
-{
-    auditEveryOverrideCache() =
-        parseTrialsOverride(std::getenv("PAGESIM_AUDIT_EVERY"));
-}
-
-MetricsConfig
-effectiveMetricsConfig(const MetricsConfig &config)
-{
-    // PAGESIM_METRICS=off|counters|full overrides the mode and
-    // PAGESIM_METRICS_DIR the artifact directory: launch-time knobs,
-    // read and parsed once per process (this runs per trial).
-    static const std::optional<MetricsMode> mode = [] {
-        const char *text = std::getenv("PAGESIM_METRICS");
-        if (text == nullptr || *text == '\0')
-            return std::optional<MetricsMode>{};
-        return std::optional<MetricsMode>{parseMetricsMode(text)};
-    }();
-    static const char *const dir_env = std::getenv("PAGESIM_METRICS_DIR");
-    static const std::string dir = dir_env != nullptr ? dir_env : "";
-    MetricsConfig m = config;
-    if (mode) {
-        m.mode = *mode;
-        // An env opt-in without a destination still wants artifacts.
-        if (m.artifactDir.empty())
-            m.artifactDir = "pagesim_metrics";
-    }
-    if (!dir.empty())
-        m.artifactDir = dir;
-    return m;
-}
-
 std::string
 writeTrialArtifacts(const std::string &dir, const std::string &label,
                     std::uint64_t trial_seed,
@@ -244,46 +183,6 @@ runTrial(const ExperimentConfig &config, std::uint64_t trial_seed)
 {
     return cellTrial(
         runColocationTrial(TrialRig::scenario(config), trial_seed));
-}
-
-std::optional<unsigned>
-parseTrialsOverride(const char *text)
-{
-    if (text == nullptr || *text == '\0')
-        return std::nullopt;
-    char *end = nullptr;
-    const long n = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || n <= 0 ||
-        n > static_cast<long>(UINT32_MAX)) {
-        return std::nullopt;
-    }
-    return static_cast<unsigned>(n);
-}
-
-namespace
-{
-
-std::optional<unsigned> &
-trialsOverrideCache()
-{
-    static std::optional<unsigned> cache =
-        parseTrialsOverride(std::getenv("PAGESIM_TRIALS"));
-    return cache;
-}
-
-} // namespace
-
-unsigned
-effectiveTrials(unsigned trials)
-{
-    return trialsOverrideCache().value_or(trials);
-}
-
-void
-detail::refreshTrialsOverrideCacheForTests()
-{
-    trialsOverrideCache() =
-        parseTrialsOverride(std::getenv("PAGESIM_TRIALS"));
 }
 
 double

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/launch_env.hh"
 #include "kernel/fault_stats.hh"
 #include "kernel/tiered_memory.hh"
 #include "metrics/collector.hh"
@@ -127,12 +128,8 @@ struct ExperimentConfig
      */
     MgLruOverrides mglru;
 
-    /**
-     * Observability opt-in (default Off = zero overhead). The
-     * PAGESIM_METRICS env var (off/counters/full) overrides mode, and
-     * PAGESIM_METRICS_DIR overrides artifactDir, for any built bench
-     * without a rebuild; see EXPERIMENTS.md.
-     */
+    /** Observability opt-in (default Off = zero overhead); see
+     *  effectiveMetricsConfig for the launch overrides. */
     MetricsConfig metrics;
 
     /**
@@ -235,28 +232,6 @@ TrialResult runTrial(const ExperimentConfig &config,
                      std::uint64_t trial_seed);
 
 /**
- * Parse a PAGESIM_TRIALS-style override string.
- * @return nullopt for missing, empty, non-numeric, trailing-garbage,
- *         zero, or negative values (i.e. "no override").
- */
-std::optional<unsigned> parseTrialsOverride(const char *text);
-
-/**
- * A config's @p trials after applying the PAGESIM_TRIALS env override.
- * The environment is read and parsed once per process (the override
- * is a launch-time knob, and this sits on the sweep hot path).
- */
-unsigned effectiveTrials(unsigned trials);
-
-/**
- * @p config after applying the PAGESIM_METRICS / PAGESIM_METRICS_DIR
- * env overrides (cached once per process). When the env enables
- * metrics without naming a directory, artifacts land in
- * "pagesim_metrics/".
- */
-MetricsConfig effectiveMetricsConfig(const MetricsConfig &config);
-
-/**
  * Write the per-trial artifact files for @p snapshot under @p dir
  * (created if needed): <label>-seed<N>.trace.json, .timeseries.csv,
  * and .metrics.jsonl, with '/', '%' and spaces in @p label mapped to
@@ -268,22 +243,6 @@ std::string writeTrialArtifacts(const std::string &dir,
                                 const std::string &label,
                                 std::uint64_t trial_seed,
                                 const MetricsSnapshot &snapshot);
-
-/**
- * The MmConfig::auditEvery value trials actually run with: the
- * PAGESIM_AUDIT_EVERY env override if set (cached once per process),
- * else 0. Exposed so sweep-level result caching can key on it.
- */
-unsigned effectiveAuditEvery();
-
-namespace detail
-{
-/** Re-read PAGESIM_TRIALS; only tests mutate the environment. */
-void refreshTrialsOverrideCacheForTests();
-
-/** Re-read PAGESIM_AUDIT_EVERY; only tests mutate the environment. */
-void refreshAuditEveryOverrideCacheForTests();
-} // namespace detail
 
 } // namespace pagesim
 

@@ -1,7 +1,9 @@
 #include "harness/sweep.hh"
 
 #include <algorithm>
+#include <thread>
 
+#include "harness/launch_env.hh"
 #include "harness/trial_rig.hh"
 #include "sim/parallel.hh"
 #include "sim/serialize.hh"
@@ -85,12 +87,14 @@ runSweep(const std::vector<ColocationConfig> &scenarios,
         unsigned trial;
     };
 
+    // A malformed launch variable exits and a bad tenant list throws
+    // here, on the caller's thread; from a pool worker neither could
+    // reach the caller cleanly.
+    const LaunchEnv &env = launchEnv();
     std::vector<Task> tasks;
     for (std::size_t s = 0; s < scenarios.size(); ++s) {
-        // Refuse a bad tenant list here, not inside a pool worker,
-        // where the exception could not reach the caller.
         ColocationRig::checkTenants(scenarios[s]);
-        const unsigned trials = effectiveTrials(scenarios[s].trials);
+        const unsigned trials = env.trials.value_or(scenarios[s].trials);
         for (unsigned t = 0; t < trials; ++t)
             tasks.push_back({s, t});
     }
@@ -99,9 +103,12 @@ runSweep(const std::vector<ColocationConfig> &scenarios,
     // below that, thread spawn/join overhead makes the "parallel" path
     // slower than just draining inline (the sweep.speedup < 1 trap on
     // small hosts). Degrade rather than spawn idle threads.
-    const unsigned workers = std::min<std::size_t>(
-        options.workers != 0 ? options.workers : hostWorkers(),
-        tasks.size() / 2);
+    unsigned workers = options.workers != 0 ? options.workers : env.workers;
+    if (workers == 0) {
+        const unsigned hw = std::thread::hardware_concurrency();
+        workers = hw == 0 ? 4 : hw;
+    }
+    workers = std::min<std::size_t>(workers, tasks.size() / 2);
 
     // Each task writes only its own flat slot, so results are
     // independent of claim order and of the worker count.

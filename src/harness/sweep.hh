@@ -26,8 +26,8 @@ namespace pagesim
 struct SweepOptions
 {
     /**
-     * Worker threads; 1 = serial. 0 defers to the PAGESIM_WORKERS
-     * environment override, then to one per hardware thread.
+     * Worker threads; 1 = serial. 0 defers to PAGESIM_WORKERS
+     * (launch_env.hh), then to one per hardware thread.
      */
     unsigned workers = 0;
 };

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "harness/launch_env.hh"
 #include "kernel/mm_metrics.hh"
 #include "kv/ycsb_workload.hh"
 #include "sim/serialize.hh"
@@ -168,7 +169,7 @@ ColocationRig::ColocationRig(const ColocationConfig &config,
         specs.push_back(std::move(ms));
     }
 
-    if (const unsigned every = effectiveAuditEvery())
+    if (const unsigned every = launchEnv().auditEvery)
         mmConfig.auditEvery = every;
 
     mm = std::make_unique<MemoryManager>(sim, *frames, *swap, specs,
@@ -445,6 +446,9 @@ buildAtBoundary(const ColocationConfig &config, std::uint64_t trial_seed,
 std::unique_ptr<ColocationRig>
 runRig(const ColocationConfig &config, std::uint64_t trial_seed)
 {
+    // A malformed launch variable exits here, on a direct caller's
+    // thread (runSweep has already read it before its pool starts).
+    launchEnv();
     std::uint64_t events_used = 0;
     std::unique_ptr<ColocationRig> rig =
         config.checkpointAt == 0

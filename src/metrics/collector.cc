@@ -17,16 +17,6 @@ metricsModeName(MetricsMode mode)
     return "?";
 }
 
-MetricsMode
-parseMetricsMode(const std::string &s)
-{
-    if (s == "full" || s == "1" || s == "on")
-        return MetricsMode::Full;
-    if (s == "counters")
-        return MetricsMode::Counters;
-    return MetricsMode::Off;
-}
-
 MetricsCollector::MetricsCollector(const MetricsConfig &config)
     : config_(config),
       spans_(registry_, config.maxSpans, config.maxSpans)

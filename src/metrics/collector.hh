@@ -39,9 +39,6 @@ enum class MetricsMode : std::uint8_t
 
 const char *metricsModeName(MetricsMode mode);
 
-/** Parse "off" / "counters" / "full" (anything else -> Off). */
-MetricsMode parseMetricsMode(const std::string &s);
-
 /** Opt-in metrics knobs, carried by ExperimentConfig. */
 struct MetricsConfig
 {

@@ -63,9 +63,6 @@ class PeriodicSampler
      */
     void setPrefix(std::string prefix) { prefix_ = std::move(prefix); }
 
-    /** Number of registered probes. */
-    std::size_t probeCount() const { return probes_.size(); }
-
     /**
      * Begin sampling: one sample immediately at the current time, then
      * every @p every ns until @p max_samples rows were captured or

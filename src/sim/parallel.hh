@@ -9,11 +9,7 @@
  * slots serially in index order. Which worker filled which slot, and
  * in what wall-clock order, is therefore unobservable. It is a
  * HOST-speed facility only: simulated state never changes inside a
- * task.
- *
- * PAGESIM_WORKERS pins the width of the sweep runner's trial pool
- * (hostWorkers()) — needed in CI and in the worker-count invariance
- * tests.
+ * task. The caller picks the width; this layer reads no environment.
  */
 
 #ifndef PAGESIM_SIM_PARALLEL_HH
@@ -25,20 +21,6 @@
 
 namespace pagesim
 {
-
-/**
- * Parse a PAGESIM_WORKERS-style override string. @return the worker
- * count, or 0 when @p text is null, empty, non-numeric, non-positive,
- * or absurd (> 1024) — 0 meaning "no override".
- */
-unsigned parseWorkersOverride(const char *text);
-
-/**
- * Default pool width for trial fan-out: a valid PAGESIM_WORKERS when
- * set, else the host's hardware concurrency (4 when unknown), resolved
- * once per process.
- */
-unsigned hostWorkers();
 
 namespace detail
 {

@@ -53,27 +53,6 @@ secs(std::uint64_t s)
     return s * 1000000000ull;
 }
 
-/** Convert a simulated time/duration to fractional seconds. */
-constexpr double
-toSeconds(SimTime t)
-{
-    return static_cast<double>(t) / 1e9;
-}
-
-/** Convert a simulated time/duration to fractional milliseconds. */
-constexpr double
-toMillis(SimTime t)
-{
-    return static_cast<double>(t) / 1e6;
-}
-
-/** Convert a simulated time/duration to fractional microseconds. */
-constexpr double
-toMicros(SimTime t)
-{
-    return static_cast<double>(t) / 1e3;
-}
-
 } // namespace pagesim
 
 #endif // PAGESIM_SIM_TYPES_HH

@@ -91,8 +91,6 @@ class SsdSwapDevice : public SwapDevice
         return static_cast<unsigned>(slots_.size() - idle_.size());
     }
     std::size_t queued() const { return queue_.size(); }
-    /** GC episodes entered so far (diagnostic). */
-    std::uint64_t gcEpisodes() const { return gcEpisodes_; }
 
     /** No completion callback may be pending across a checkpoint. */
     bool

@@ -79,13 +79,6 @@ class ZramSwapDevice : public SwapDevice
     std::uint64_t poolBytes() const { return poolBytes_; }
     std::uint64_t poolPeakBytes() const { return poolPeakBytes_; }
 
-    /** Pool occupancy in whole frames (what RAM accounting sees). */
-    std::uint64_t
-    poolFrames() const
-    {
-        return (poolBytes_ + kPageSize - 1) / kPageSize;
-    }
-
     /** Times a store exceeded poolLimitBytes (diagnostic). */
     std::uint64_t overflows() const { return overflows_; }
 

@@ -174,10 +174,13 @@ TEST(BitIdentity, ScanAllPinned)
  * Pin for the frame-metadata and aging-walk refactors, captured on a
  * 1M-page (4 GiB) YCSB machine — large enough that the aging walk's
  * slicing carries the whole trial. (Its name predates the removal of
- * the 4-harvest-worker arm.)
+ * the 4-harvest-worker arm.) The auditor is a pure observer, and one
+ * audit walks all 1M frames, so an every-batch audit cadence would
+ * not finish inside a sanitizer job; the trial runs unaudited.
  */
 TEST(BitIdentity, Big1MOneAndFourWorkersPinned)
 {
+    const ScopedLaunchEnv unaudited([](LaunchEnv &env) { env.auditEvery = 0; });
     ExperimentConfig cfg;
     cfg.workload = WorkloadKind::YcsbA;
     cfg.policy = PolicyKind::MgLru;

@@ -22,9 +22,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "harness/checkpoint.hh"
 #include "harness/sweep.hh"
@@ -310,6 +313,8 @@ TEST(CheckpointIdentity, ColocationDifferential)
 {
     // Multi-memcg machine: per-tenant lruvecs, the balloon space, and
     // tenant-major actor ordering all cross the snapshot boundary.
+    // Three runs compared with each other need no audits.
+    const ScopedLaunchEnv unaudited([](LaunchEnv &env) { env.auditEvery = 0; });
     ColocationConfig config;
     TenantSpec ycsb;
     ycsb.name = "ycsb";
@@ -382,9 +387,13 @@ TEST(CheckpointSweep, WarmSweepRestoresInsteadOfResimulating)
 TEST(CheckpointSweep, DiskCacheSurvivesInMemoryClear)
 {
     // PAGESIM_CHECKPOINT_DIR: the warmup must survive a process
-    // boundary, modeled here by dropping the in-memory map.
-    const std::string dir = ::testing::TempDir() + "pagesim-ckpt-disk";
-    setenv("PAGESIM_CHECKPOINT_DIR", dir.c_str(), 1);
+    // boundary, modeled here by dropping the in-memory map. A fresh
+    // directory per process, so the warm run can only load the file
+    // the cold run wrote, not one an earlier run left.
+    const std::string dir = ::testing::TempDir() + "pagesim-ckpt-disk." +
+                            std::to_string(::getpid());
+    const ScopedLaunchEnv disk(
+        [&dir](LaunchEnv &env) { env.checkpointDir = dir; });
 
     ExperimentConfig cfg = smallConfig(WorkloadKind::YcsbA,
                                        PolicyKind::MgLru, SwapKind::Ssd);
@@ -401,9 +410,8 @@ TEST(CheckpointSweep, DiskCacheSurvivesInMemoryClear)
         << "warm run should have loaded the on-disk checkpoint";
     EXPECT_EQ(fingerprint(cold), fingerprint(straight));
     EXPECT_EQ(fingerprint(warm), fingerprint(straight));
-
-    unsetenv("PAGESIM_CHECKPOINT_DIR");
     cache.clear();
+    std::filesystem::remove_all(dir);
 }
 
 TEST(CheckpointCache, PrefixHashCoversMachineShapeOnly)

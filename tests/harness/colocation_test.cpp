@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 
@@ -55,15 +54,13 @@ fingerprints(const ColocationTrialResult &trial)
 
 TEST(Colocation, TrialReportsEveryTenant)
 {
-    // The audit cadence is cached per process; refresh around the
-    // environment mutation so the override takes effect (and is gone
-    // again) regardless of which tests ran before this one.
-    setenv("PAGESIM_AUDIT_EVERY", "32", 1);
-    detail::refreshAuditEveryOverrideCacheForTests();
-    const ColocationConfig config = threeTenants();
-    const ColocationTrialResult trial = runColocationTrial(config, 7);
-    unsetenv("PAGESIM_AUDIT_EVERY");
-    detail::refreshAuditEveryOverrideCacheForTests();
+    // Audited every 32 reclaim batches whatever the launch setting,
+    // which the scope puts back on exit.
+    const ColocationTrialResult trial = [] {
+        const ScopedLaunchEnv audited(
+            [](LaunchEnv &env) { env.auditEvery = 32; });
+        return runColocationTrial(threeTenants(), 7);
+    }();
 
     ASSERT_EQ(trial.tenants.size(), 3u);
     EXPECT_EQ(trial.tenants[0].name, "ycsb");
@@ -98,6 +95,9 @@ TEST(Colocation, TrialReportsEveryTenant)
 
 TEST(Colocation, RepeatRunsAreBitIdentical)
 {
+    // Compares runs with each other, which needs trials, not audits
+    // (TrialReportsEveryTenant and ThreeTenantFingerprintsPinned audit).
+    const ScopedLaunchEnv unaudited([](LaunchEnv &env) { env.auditEvery = 0; });
     const ColocationConfig config = threeTenants();
     const auto a = fingerprints(runColocationTrial(config, 42));
     const auto b = fingerprints(runColocationTrial(config, 42));
@@ -128,7 +128,10 @@ TEST(Colocation, RunColocationPoolMatchesDirectTrials)
     // produce exactly the per-trial results of serial direct calls.
     // Four scenarios that differ only in baseSeed give the pool at
     // least four tasks whatever PAGESIM_TRIALS says, so the 4-worker
-    // arm runs two or more trials at once.
+    // arm runs two or more trials at once. Like RepeatRunsAreBitIdentical
+    // it compares runs, so it runs unaudited: 24 three-tenant trials
+    // audited every batch would take most of a sanitizer job's hour.
+    const ScopedLaunchEnv unaudited([](LaunchEnv &env) { env.auditEvery = 0; });
     std::vector<ColocationConfig> scenarios;
     std::vector<std::vector<std::vector<std::uint64_t>>> direct;
     for (const std::uint64_t base : {99u, 199u, 299u, 399u}) {

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -80,46 +79,16 @@ TEST(Experiment, MakeWorkloadBuildsEveryKind)
     }
 }
 
-TEST(Experiment, ParseTrialsOverride)
-{
-    EXPECT_EQ(parseTrialsOverride(nullptr), std::nullopt);
-    EXPECT_EQ(parseTrialsOverride(""), std::nullopt);
-    EXPECT_EQ(parseTrialsOverride("garbage"), std::nullopt);
-    EXPECT_EQ(parseTrialsOverride("3x"), std::nullopt);
-    EXPECT_EQ(parseTrialsOverride("0"), std::nullopt);
-    EXPECT_EQ(parseTrialsOverride("-2"), std::nullopt);
-    EXPECT_EQ(parseTrialsOverride("99999999999999"), std::nullopt);
-    EXPECT_EQ(parseTrialsOverride("1"), 1u);
-    EXPECT_EQ(parseTrialsOverride("3"), 3u);
-    EXPECT_EQ(parseTrialsOverride("64"), 64u);
-}
-
 TEST(Experiment, EffectiveTrialsHonorsEnv)
 {
-    ExperimentConfig cfg;
-    cfg.trials = 8;
-    // The override is read from the environment once per process; the
-    // test hook re-reads it so each case here sees its own value.
-    setenv("PAGESIM_TRIALS", "3", 1);
-    detail::refreshTrialsOverrideCacheForTests();
-    EXPECT_EQ(effectiveTrials(cfg.trials), 3u);
-    // Malformed values fall back to the config.
-    setenv("PAGESIM_TRIALS", "garbage", 1);
-    detail::refreshTrialsOverrideCacheForTests();
-    EXPECT_EQ(effectiveTrials(cfg.trials), 8u);
-    setenv("PAGESIM_TRIALS", "0", 1);
-    detail::refreshTrialsOverrideCacheForTests();
-    EXPECT_EQ(effectiveTrials(cfg.trials), 8u);
-    unsetenv("PAGESIM_TRIALS");
-    detail::refreshTrialsOverrideCacheForTests();
-    EXPECT_EQ(effectiveTrials(cfg.trials), 8u);
-    // Mutating the environment without the hook has no effect: the
-    // cached value keeps every cell of a sweep on the same trial
-    // count no matter when it is scheduled.
-    setenv("PAGESIM_TRIALS", "5", 1);
-    EXPECT_EQ(effectiveTrials(cfg.trials), 8u);
-    unsetenv("PAGESIM_TRIALS");
-    detail::refreshTrialsOverrideCacheForTests();
+    // PAGESIM_TRIALS replaces a config's trial count and unset keeps
+    // it; launch_env_test covers the spellings parseLaunchEnv refuses.
+    {
+        const ScopedLaunchEnv three([](LaunchEnv &env) { env.trials = 3; });
+        EXPECT_EQ(effectiveTrials(8), 3u);
+    }
+    const ScopedLaunchEnv unset([](LaunchEnv &env) { env.trials.reset(); });
+    EXPECT_EQ(effectiveTrials(8), 8u);
 }
 
 TEST(Experiment, TrialIsDeterministicForSeed)
@@ -169,7 +138,7 @@ TEST(Experiment, RunExperimentProducesAllTrials)
     cfg.policy = PolicyKind::Clock;
     cfg.scale = ScalePreset::Small;
     cfg.trials = 3;
-    unsetenv("PAGESIM_TRIALS");
+    const ScopedLaunchEnv unset([](LaunchEnv &env) { env.trials.reset(); });
     const ExperimentResult res = runSweep({cfg}).front();
     ASSERT_EQ(res.trials.size(), 3u);
     for (const auto &t : res.trials) {

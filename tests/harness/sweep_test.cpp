@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -31,6 +29,18 @@ smallCells()
         }
     }
     return cells;
+}
+
+/**
+ * The launch environment with audits off. Tests that compare serial,
+ * pooled or repeated runs need trials, not audits, so they run under
+ * it even in a job that audits every reclaim batch;
+ * HonorsTrialsOverrideConsistently keeps a pooled sweep audited.
+ */
+void
+unaudited(LaunchEnv &env)
+{
+    env.auditEvery = 0;
 }
 
 void
@@ -67,6 +77,7 @@ TEST(Sweep, TrialSeedIndependentOfScheduling)
 
 TEST(Sweep, ParallelMatchesSerial)
 {
+    const ScopedLaunchEnv scope(unaudited);
     const std::vector<ExperimentConfig> cells = smallCells();
     SweepOptions serial;
     serial.workers = 1;
@@ -80,6 +91,7 @@ TEST(Sweep, ParallelMatchesSerial)
 TEST(Sweep, MatchesPerCellRunExperiment)
 {
     // One sweep per cell (the name predates runExperiment's removal).
+    const ScopedLaunchEnv scope(unaudited);
     const std::vector<ExperimentConfig> cells = smallCells();
     std::vector<ExperimentResult> per_cell;
     per_cell.reserve(cells.size());
@@ -91,6 +103,7 @@ TEST(Sweep, MatchesPerCellRunExperiment)
 
 TEST(Sweep, ResultCacheHitsAndMisses)
 {
+    const ScopedLaunchEnv scope(unaudited);
     ResultCache cache;
     std::vector<ExperimentConfig> cells = smallCells();
     cells.resize(2);
@@ -141,37 +154,6 @@ TEST(Sweep, ResultCacheRunsColocationScenarios)
     EXPECT_EQ(first.trials[0].tenants.size(), 2u);
 }
 
-/**
- * Unsets PAGESIM_AUDIT_EVERY for the scope's lifetime and puts the
- * caller's setting back after, refreshing the cached read both ways.
- */
-class UnauditedScope
-{
-  public:
-    UnauditedScope()
-    {
-        if (const char *outer = std::getenv("PAGESIM_AUDIT_EVERY"))
-            saved_ = outer;
-        unsetenv("PAGESIM_AUDIT_EVERY");
-        detail::refreshAuditEveryOverrideCacheForTests();
-    }
-
-    ~UnauditedScope()
-    {
-        if (saved_)
-            setenv("PAGESIM_AUDIT_EVERY", saved_->c_str(), 1);
-        else
-            unsetenv("PAGESIM_AUDIT_EVERY");
-        detail::refreshAuditEveryOverrideCacheForTests();
-    }
-
-    UnauditedScope(const UnauditedScope &) = delete;
-    UnauditedScope &operator=(const UnauditedScope &) = delete;
-
-  private:
-    std::optional<std::string> saved_;
-};
-
 TEST(Sweep, ResultCacheKeyCoversResultChangingConfig)
 {
     // Regression: every config field that can change a TrialResult
@@ -180,8 +162,12 @@ TEST(Sweep, ResultCacheKeyCoversResultChangingConfig)
     // mode are the recent additions; capacity is the historical
     // near-miss (two ratios that round to the same percent label).
     // The ~30 cells only need distinct keys, so they run unaudited
-    // even under a job that audits every reclaim batch.
-    const UnauditedScope unaudited;
+    // even under a job that audits every reclaim batch, and with the
+    // config's own metrics mode, which is what the cases vary.
+    const ScopedLaunchEnv scope([](LaunchEnv &env) {
+        env.auditEvery = 0;
+        env.metrics.reset();
+    });
     ResultCache cache;
     ExperimentConfig base;
     base.scale = ScalePreset::Small;
@@ -311,12 +297,11 @@ TEST(Sweep, ResultCacheKeyCoversResultChangingConfig)
 TEST(Sweep, ResultCacheKeyCoversAuditCadence)
 {
     // Regression: an audit-heavy run has the same counters as an
-    // unaudited one only by luck. The cadence is read from the
-    // environment and cached per process, so a cached result must not
-    // survive a PAGESIM_AUDIT_EVERY change within one process either.
-    // Start unaudited whatever the caller's environment (the sanitizer
-    // CI job audits every batch), and put its setting back after.
-    const UnauditedScope unaudited;
+    // unaudited one only by luck, so a cached result must not survive
+    // a PAGESIM_AUDIT_EVERY change. Start unaudited whatever the
+    // launch setting (the sanitizer CI job audits every batch); each
+    // scope puts the previous setting back on exit.
+    const ScopedLaunchEnv scope(unaudited);
     ResultCache cache;
     ExperimentConfig base;
     base.scale = ScalePreset::Small;
@@ -325,37 +310,17 @@ TEST(Sweep, ResultCacheKeyCoversAuditCadence)
     cache.get(base);
     EXPECT_EQ(cache.misses(), 1u);
 
-    setenv("PAGESIM_AUDIT_EVERY", "32", 1);
-    detail::refreshAuditEveryOverrideCacheForTests();
-    cache.get(base);
-    EXPECT_EQ(cache.misses(), 2u)
-        << "audit cadence joined the key; same config must re-run";
-    cache.get(base);
-    EXPECT_EQ(cache.hits(), 1u) << "stable cadence hits again";
-
-    unsetenv("PAGESIM_AUDIT_EVERY");
-    detail::refreshAuditEveryOverrideCacheForTests();
+    {
+        const ScopedLaunchEnv audited(
+            [](LaunchEnv &env) { env.auditEvery = 32; });
+        cache.get(base);
+        EXPECT_EQ(cache.misses(), 2u)
+            << "audit cadence joined the key; same config must re-run";
+        cache.get(base);
+        EXPECT_EQ(cache.hits(), 1u) << "stable cadence hits again";
+    }
     cache.get(base);
     EXPECT_EQ(cache.hits(), 2u) << "back to the unaudited entry";
-}
-
-TEST(Sweep, WorkersOverrideParsing)
-{
-    // The PAGESIM_WORKERS plumbing behind runSweep's pool width.
-    // hostWorkers() caches its getenv read, so the parser is exercised
-    // directly.
-    EXPECT_EQ(parseWorkersOverride(nullptr), 0u);
-    EXPECT_EQ(parseWorkersOverride(""), 0u);
-    EXPECT_EQ(parseWorkersOverride("4"), 4u);
-    EXPECT_EQ(parseWorkersOverride("1"), 1u);
-    EXPECT_EQ(parseWorkersOverride("1024"), 1024u);
-    // Garbage, non-positive, and absurd values all mean "no override"
-    // rather than a crash or a zero-thread pool.
-    EXPECT_EQ(parseWorkersOverride("0"), 0u);
-    EXPECT_EQ(parseWorkersOverride("-3"), 0u);
-    EXPECT_EQ(parseWorkersOverride("lots"), 0u);
-    EXPECT_EQ(parseWorkersOverride("4x"), 0u);
-    EXPECT_EQ(parseWorkersOverride("1025"), 0u);
 }
 
 TEST(Sweep, ParallelMapFillsEachSlotOnce)
@@ -384,6 +349,10 @@ TEST(Sweep, ExplicitWorkersBeatsOverride)
     // options.workers != 0 must win over the environment: figure
     // benches pin workers explicitly and may run under a CI job that
     // exports PAGESIM_WORKERS.
+    const ScopedLaunchEnv scope([](LaunchEnv &env) {
+        env.auditEvery = 0;
+        env.workers = 3;
+    });
     const std::vector<ExperimentConfig> cells = smallCells();
     SweepOptions pinned;
     pinned.workers = 2;
@@ -395,8 +364,10 @@ TEST(Sweep, ExplicitWorkersBeatsOverride)
 
 TEST(Sweep, HonorsTrialsOverrideConsistently)
 {
-    // The cached PAGESIM_TRIALS read (tested in experiment_test)
-    // applies to sweeps too: every cell gets the same trial count.
+    // PAGESIM_TRIALS (tested in experiment_test) applies to sweeps
+    // too: every cell gets the same trial count. The one pooled sweep
+    // here that stays audited at the launch cadence, so the auditor
+    // runs under concurrency in a job that audits every batch.
     const std::vector<ExperimentConfig> cells = smallCells();
     const std::vector<ExperimentResult> results = runSweep(cells);
     for (const ExperimentResult &res : results)

@@ -87,6 +87,32 @@ TEST_F(ArtifactDir, CellsDifferingOnlyInRunFieldsNeverCollide)
     EXPECT_EQ(names.size(), 6u) << "two complete artifact sets";
 }
 
+TEST_F(ArtifactDir, EnvForcedMetricsModeNamesItsOwnFiles)
+{
+    // Regression: the name hashed the config's metrics mode, not the
+    // one PAGESIM_METRICS made the trial run, so a counters cell and
+    // the same cell forced to full wrote one basename.
+    ExperimentConfig cfg;
+    cfg.workload = WorkloadKind::Tpch;
+    cfg.scale = ScalePreset::Small;
+    cfg.metrics.mode = MetricsMode::Counters;
+    cfg.metrics.artifactDir = dir.string();
+    const ScopedLaunchEnv plain([](LaunchEnv &env) {
+        env.metrics.reset();
+        env.metricsDir.clear();
+    });
+    runTrial(cfg, 7);
+    {
+        const ScopedLaunchEnv full(
+            [](LaunchEnv &env) { env.metrics = MetricsMode::Full; });
+        runTrial(cfg, 7);
+    }
+    std::set<std::string> names;
+    for (const auto &entry : fs::directory_iterator(dir))
+        names.insert(entry.path().filename().string());
+    EXPECT_EQ(names.size(), 6u) << "two complete artifact sets";
+}
+
 TEST_F(ArtifactDir, LegacySingleTenantNamesUnchanged)
 {
     // The basename keeps the label-seed shape existing tooling

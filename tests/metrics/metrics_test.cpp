@@ -384,11 +384,16 @@ TEST(MetricsExport, Sparkline)
 
 TEST(MetricsMode, ParseRoundTrips)
 {
-    EXPECT_EQ(parseMetricsMode("off"), MetricsMode::Off);
-    EXPECT_EQ(parseMetricsMode("counters"), MetricsMode::Counters);
-    EXPECT_EQ(parseMetricsMode("full"), MetricsMode::Full);
-    EXPECT_EQ(parseMetricsMode("on"), MetricsMode::Full);
-    EXPECT_EQ(parseMetricsMode("garbage"), MetricsMode::Off);
+    // Each mode's name parses back to it as PAGESIM_METRICS
+    // (launch_env_test covers the aliases and the refused spellings).
+    for (const MetricsMode mode :
+         {MetricsMode::Off, MetricsMode::Counters, MetricsMode::Full}) {
+        const char *name = metricsModeName(mode);
+        const LaunchEnv env = parseLaunchEnv([name](const char *var) {
+            return std::string(var) == "PAGESIM_METRICS" ? name : nullptr;
+        });
+        EXPECT_EQ(env.metrics, mode) << name;
+    }
     EXPECT_STREQ(metricsModeName(MetricsMode::Counters), "counters");
 }
 
