@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "harness/launch_env.hh"
 #include "harness/sweep.hh"
 #include "mem/address_space.hh"
 #include "sim/serialize.hh"
@@ -76,6 +79,28 @@ TEST(Experiment, MakeWorkloadBuildsEveryKind)
         EXPECT_EQ(wl->name(), workloadKindName(kind));
         EXPECT_GT(wl->footprintPages(), 0u);
         EXPECT_GT(wl->numThreads(), 0u);
+    }
+}
+
+TEST(Experiment, ParseTrialsOverride)
+{
+    // PAGESIM_TRIALS as parsed is the count effectiveTrials hands every
+    // config; a malformed value is refused rather than ignored.
+    const auto parse = [](const char *value) {
+        return parseLaunchEnv([value](const char *name) -> const char * {
+            return std::string(name) == "PAGESIM_TRIALS" ? value : nullptr;
+        });
+    };
+    EXPECT_EQ(parse(nullptr).trials, std::nullopt);
+    EXPECT_EQ(parse("").trials, std::nullopt);
+    for (const char *bad : {"garbage", "3x", "0", "-2", "99999999999999"})
+        EXPECT_THROW(parse(bad), ConfigError) << bad;
+    for (const unsigned n : {1u, 3u, 64u}) {
+        const LaunchEnv parsed = parse(std::to_string(n).c_str());
+        EXPECT_EQ(parsed.trials, n);
+        const ScopedLaunchEnv scope(
+            [&parsed](LaunchEnv &env) { env = parsed; });
+        EXPECT_EQ(effectiveTrials(8), n);
     }
 }
 

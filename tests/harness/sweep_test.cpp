@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/launch_env.hh"
 #include "harness/sweep.hh"
 #include "harness/trial_rig.hh"
 #include "sim/parallel.hh"
@@ -321,6 +322,25 @@ TEST(Sweep, ResultCacheKeyCoversAuditCadence)
     }
     cache.get(base);
     EXPECT_EQ(cache.hits(), 2u) << "back to the unaudited entry";
+}
+
+TEST(Sweep, WorkersOverrideParsing)
+{
+    // The PAGESIM_WORKERS value behind runSweep's pool width: 0 means
+    // "not set", and garbage, non-positive or absurd values are refused
+    // rather than read as a zero-thread pool.
+    const auto parse = [](const char *value) {
+        return parseLaunchEnv([value](const char *name) -> const char * {
+            return std::string(name) == "PAGESIM_WORKERS" ? value : nullptr;
+        });
+    };
+    EXPECT_EQ(parse(nullptr).workers, 0u);
+    EXPECT_EQ(parse("").workers, 0u);
+    EXPECT_EQ(parse("4").workers, 4u);
+    EXPECT_EQ(parse("1").workers, 1u);
+    EXPECT_EQ(parse("1024").workers, 1024u);
+    for (const char *bad : {"0", "-3", "lots", "4x", "1025"})
+        EXPECT_THROW(parse(bad), ConfigError) << bad;
 }
 
 TEST(Sweep, ParallelMapFillsEachSlotOnce)
